@@ -38,14 +38,10 @@ from .asymptotics import (
     upsilon,
 )
 from .decoders import (
-    DecodeRequest,
-    DecodeResult,
     DecoderKind,
     DecoderSpec,
     box_rls_solve,
-    decode,
     lmmse_decode,
-    normalize_and_slice,
     rls_solve,
 )
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
@@ -65,8 +61,6 @@ from .runner import (
 )
 from .simulate import (
     BatchStats,
-    ChannelRealization,
-    PilotBlock,
     TrialOutcome,
     aggregate,
     estimate_channel,

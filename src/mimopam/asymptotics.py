@@ -21,7 +21,7 @@ from scipy.special import erfc
 
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
-from .system import SystemConfig, derive_params
+from .system import SystemConfig, derive_params, pam_constellation
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -226,19 +226,6 @@ class BoxObjectiveParams:
     @property
     def energy_e(self) -> float:
         return (self.m * self.m - 1) / 3.0
-
-    def symbol_terms(self, theta: float, beta: float):
-        """Per-symbol interval ends and slab weights (ell_i, mu_i, c_i, d_i)
-        for i = -(M-1), ..., -1, 1, ..., M-1 in ascending order."""
-        i = np.concatenate([-np.arange(self.m - 1, 0, -2), np.arange(1, self.m, 2)]).astype(float)
-        xi = self.xi
-        width = self.t * (xi / theta + 2.0 * self.lam_rho_d / (xi * beta))
-        drift = xi * i / (theta * math.sqrt(self.energy_e))
-        ell = -width - drift
-        mu = width - drift
-        c = (beta * xi / 2.0) * (drift - ell)
-        d = (beta * xi / 2.0) * (mu - drift)
-        return ell, mu, c, d
 
     @staticmethod
     def from_config(cfg: SystemConfig, lam: float, t: float) -> "BoxObjectiveParams":
@@ -503,7 +490,7 @@ def _theta_of_lambda(cfg: SystemConfig, kind: DecoderKind, t_box: float | None):
             return rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
         return f
     if kind is DecoderKind.BOX:
-        t = t_box if t_box is not None else (cfg.m - 1) / math.sqrt((cfg.m**2 - 1) / 3.0)
+        t = t_box if t_box is not None else float(pam_constellation(cfg.m).points[-1])
         last_beta: list[float | None] = [None]
 
         def f(lam: float) -> float:
@@ -571,7 +558,7 @@ def t_star_numeric(
     tol: float = SCALAR_SEARCH_TOL,
 ) -> float:
     """argmin over t > 0 of the box decoder's theta*(t) at fixed lam."""
-    t_ref = (cfg.m - 1) / math.sqrt((cfg.m**2 - 1) / 3.0)
+    t_ref = float(pam_constellation(cfg.m).points[-1])
     last_beta: list[float | None] = [None]
 
     def f(t: float) -> float:
@@ -600,20 +587,31 @@ class Prediction:
     goodput: float
 
 
-def scalar_solution(cfg: SystemConfig, spec: DecoderSpec) -> ScalarSolution:
-    """Scalar saddle solution (theta*, beta*, B) for any decoder spec."""
-    dp = derive_params(cfg)
-    if spec.kind is DecoderKind.BOX:
-        if spec.t_box is None:
-            raise ConfigError("box decoder spec needs t_box")
-        params = BoxObjectiveParams.from_config(cfg, lam=spec.lam, t=spec.t_box)
-        return box_saddle_solve(params)
+def ridge_coefficient(cfg: SystemConfig, spec: DecoderSpec) -> float:
+    """The ridge coefficient a decoder applies: 0 for LS, lambda* for LMMSE,
+    the spec's own lam for RLS and box.
+
+    The unregularized decoder needs delta > 1, so a zero coefficient with
+    n <= k is a configuration error.
+    """
     if spec.kind is DecoderKind.LS:
         lam = 0.0
     elif spec.kind is DecoderKind.LMMSE:
+        dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
     else:
         lam = spec.lam
+    if lam == 0 and cfg.n <= cfg.k:
+        raise ConfigError("lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
+    return lam
+
+
+def scalar_solution(cfg: SystemConfig, spec: DecoderSpec) -> ScalarSolution:
+    """Scalar saddle solution (theta*, beta*, B) for any decoder spec."""
+    lam = ridge_coefficient(cfg, spec)
+    if spec.t_box is not None:
+        return box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=lam, t=spec.t_box))
+    dp = derive_params(cfg)
     theta = rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
     beta = rls_beta_star(theta, lam, dp.sigma_hhat_sq, dp.delta)
     u = upsilon(lam / dp.sigma_hhat_sq, dp.delta)
@@ -628,7 +626,7 @@ def predict(cfg: SystemConfig, spec: DecoderSpec, solution: ScalarSolution | Non
     dp = derive_params(cfg)
     sol = solution if solution is not None else scalar_solution(cfg, spec)
     mse = mse_from_theta(sol.theta_star, dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, dp.delta)
-    if spec.kind is DecoderKind.BOX:
+    if spec.t_box is not None:
         params = BoxObjectiveParams.from_config(cfg, lam=spec.lam, t=spec.t_box)
         sep = box_sep(sol.theta_star, sol.b_norm, params)
     else:

@@ -1,8 +1,10 @@
-"""Linear and box-constrained decoders plus normalize-and-slice detection.
+"""Ridge and box-constrained ridge decoders.
 
-All solvers are pure functions of their inputs. The box-constrained solver is
-cyclic coordinate descent with exact per-coordinate minimization and clipping,
-which is deterministic and needs no step-size tuning on a quadratic.
+LS and LMMSE are ridge at lambda = 0 and lambda = lambda*, so two solvers
+cover all four decoders. All solvers are pure functions of their inputs. The
+box-constrained solver is cyclic coordinate descent with exact per-coordinate
+minimization and clipping, which is deterministic and needs no step-size
+tuning on a quadratic.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError
-from .system import Constellation, slice_symbols
+from .errors import ConfigError, ConvergenceError
 
 RLS_RESIDUAL_RTOL = 1e-8
 CD_STEP_TOL = 1e-10
@@ -34,13 +35,19 @@ class DecoderKind(str, enum.Enum):
 class DecoderSpec:
     """Which decoder to run and with what knobs.
 
-    lam is the ridge coefficient (multiplied by rho_d inside the solvers);
-    t_box is the box half-width and is only meaningful for BOX.
+    lam is the ridge coefficient of RLS and BOX (multiplied by rho_d inside
+    the solvers); LS and LMMSE fix theirs at 0 and lambda*, see
+    asymptotics.ridge_coefficient. t_box is the box half-width, set exactly
+    for BOX.
     """
 
     kind: DecoderKind
     lam: float = 0.0
     t_box: float | None = None
+
+    def __post_init__(self) -> None:
+        if (self.kind is DecoderKind.BOX) != (self.t_box is not None):
+            raise ConfigError("t_box must be set for the box decoder and only for it")
 
     @staticmethod
     def ls() -> "DecoderSpec":
@@ -59,40 +66,23 @@ class DecoderSpec:
         return DecoderSpec(DecoderKind.LMMSE)
 
 
-@dataclass(frozen=True)
-class DecodeRequest:
-    """One decode problem: minimize ||y - A x||^2 + lam_rho_d ||x||^2,
-    optionally subject to |x_j| <= t_box, then slice x / b_norm."""
-
-    a: np.ndarray
-    y: np.ndarray
-    lam_rho_d: float = 0.0
-    t_box: float | None = None
-    b_norm: float = 1.0
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    x_hat: np.ndarray
-    x_star: np.ndarray
-    kkt_residual: float | None = None
-
-
-def rls_solve(req: DecodeRequest) -> np.ndarray:
+def rls_solve(a: np.ndarray, y: np.ndarray, lam_rho_d: float) -> np.ndarray:
     """Solve (A'A + lam_rho_d I) x = A'y through a Cholesky factorization.
 
     Raises ConvergenceError if the system is not positive definite (e.g.
     lam_rho_d = 0 with a wide A) or if the solve residual is out of tolerance.
     """
-    a, y = req.a, req.y
-    n, k = a.shape
-    if req.lam_rho_d < 0:
+    return _ridge_from_gram(a.T @ a, a.T @ y, lam_rho_d, a.shape[0])
+
+
+def _ridge_from_gram(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: int) -> np.ndarray:
+    """rls_solve from gram = A'A, rhs = A'y and A's row count; gram is
+    regularized in place."""
+    if lam_rho_d < 0:
         raise ValueError("lam_rho_d must be nonnegative")
-    if req.lam_rho_d == 0 and n < k:
+    if lam_rho_d == 0 and rows < len(gram):
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
-    gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += req.lam_rho_d
-    rhs = a.T @ y
+    gram[np.diag_indices_from(gram)] += lam_rho_d
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -105,7 +95,9 @@ def rls_solve(req: DecodeRequest) -> np.ndarray:
     return x
 
 
-def box_rls_solve(req: DecodeRequest) -> tuple[np.ndarray, float]:
+def box_rls_solve(
+    a: np.ndarray, y: np.ndarray, lam_rho_d: float, t_box: float
+) -> tuple[np.ndarray, float]:
     """Minimize ||y - A x||^2 + lam_rho_d ||x||^2 over the box [-t, t]^K.
 
     Cyclic coordinate descent with exact coordinate updates; the running
@@ -113,10 +105,9 @@ def box_rls_solve(req: DecodeRequest) -> tuple[np.ndarray, float]:
     against the projected-gradient fixed-point condition on exit. Returns
     (x_hat, kkt_residual).
     """
-    if req.t_box is None or not req.t_box > 0:
+    if t_box is None or not t_box > 0:
         raise ValueError("box_rls_solve needs a positive t_box")
-    a, y, t = req.a, req.y, float(req.t_box)
-    lr = float(req.lam_rho_d)
+    t, lr = float(t_box), float(lam_rho_d)
     k = a.shape[1]
     gram = a.T @ a
     rhs = a.T @ y
@@ -128,7 +119,7 @@ def box_rls_solve(req: DecodeRequest) -> tuple[np.ndarray, float]:
     # Warm start from the clipped unconstrained solution when it is available;
     # fall back to zero otherwise.
     try:
-        x = np.clip(rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lr)), -t, t)
+        x = np.clip(_ridge_from_gram(gram.copy(), rhs, lr, a.shape[0]), -t, t)
     except ConvergenceError:
         x = np.zeros(k)
     half_grad = gram @ x + lr * x - rhs
@@ -181,26 +172,8 @@ def lmmse_decode(
 ) -> np.ndarray:
     """Linear MMSE estimate of the data vector given the channel estimate.
 
-    Algebraically identical to the ridge solution with
-    lam_rho_d = 1 + rho_d * sigma_delta_sq.
+    Algebraically identical to ridge at lambda* = 1/rho_d + sigma_delta_sq,
+    i.e. lam_rho_d = 1 + rho_d * sigma_delta_sq.
     """
-    n, k = hhat.shape
-    a = math.sqrt(rho_d / k) * hhat
-    return rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=1.0 + rho_d * sigma_delta_sq))
-
-
-def normalize_and_slice(x_hat: np.ndarray, b_norm: float, constellation: Constellation):
-    """Element-wise nearest-symbol decision on x_hat / b_norm."""
-    if not b_norm > 0:
-        raise ValueError("b_norm must be positive")
-    return slice_symbols(x_hat / b_norm, constellation)
-
-
-def decode(req: DecodeRequest, constellation: Constellation) -> DecodeResult:
-    """Run the solver selected by the request shape, then slice."""
-    if req.t_box is not None:
-        x_hat, kkt = box_rls_solve(req)
-    else:
-        x_hat, kkt = rls_solve(req), None
-    x_star = normalize_and_slice(x_hat, req.b_norm, constellation)
-    return DecodeResult(x_hat=x_hat, x_star=x_star, kkt_residual=kkt)
+    a = math.sqrt(rho_d / hhat.shape[1]) * hhat
+    return rls_solve(a, y, 1.0 + rho_d * sigma_delta_sq)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import math
 from dataclasses import dataclass, replace
 
 from .allocation import alpha_star_for_config, optimize_goodput
@@ -28,7 +27,9 @@ from .asymptotics import (
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import run_batch
-from .system import PowerConvention, SystemConfig, db_to_linear, derive_params, linear_to_db
+from .system import (
+    PowerConvention, SystemConfig, db_to_linear, derive_params, linear_to_db, pam_constellation,
+)
 
 DEFAULT_TRIALS = 500
 DEFAULT_MASTER_SEED = 1729
@@ -300,7 +301,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
                 raise ConfigError("t_policy = fixed needs t_box in the config")
             t_box = cfg.t_box
         else:
-            t_box = (cfg.m - 1) / math.sqrt((cfg.m**2 - 1) / 3.0)
+            t_box = float(pam_constellation(cfg.m).points[-1])
 
     if spec.sweep_axis is SweepAxis.LAMBDA:
         lam = cfg.lam

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import scalar_solution
-from .decoders import DecodeRequest, DecoderKind, DecoderSpec, box_rls_solve, lmmse_decode, rls_solve
+from .asymptotics import ridge_coefficient, scalar_solution
+from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
 
@@ -24,24 +24,9 @@ _PILOT_STREAM_TAG = 0x50494C4F  # distinguishes the pilot stream from trial stre
 
 
 @dataclass(frozen=True)
-class PilotBlock:
-    x_p: np.ndarray
-    y_p: np.ndarray
-    z_p: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    h: np.ndarray
-    hhat: np.ndarray
-    delta: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrialOutcome:
     mse: float
     ser: float
-    seed_path: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -102,12 +87,6 @@ def estimate_channel(
     return hhat, h - hhat
 
 
-def _resolve_b_norm(cfg: SystemConfig, spec: DecoderSpec) -> float:
-    if spec.kind is DecoderKind.LS:
-        return 1.0
-    return scalar_solution(cfg, spec).b_norm
-
-
 def run_trial(
     cfg: SystemConfig,
     decoder_spec: DecoderSpec,
@@ -116,7 +95,7 @@ def run_trial(
     pilots: np.ndarray | None = None,
     b_norm: float | None = None,
 ) -> TrialOutcome:
-    """One full pilot + data transmission, decode, normalize and slice.
+    """One full pilot + data transmission, ridge or box solve, normalize and slice.
 
     Deterministic given (seed, trial_idx). pilots and b_norm can be passed in
     to amortize their construction across a batch; when omitted they are
@@ -127,7 +106,8 @@ def run_trial(
     if pilots is None:
         pilots = make_pilots(cfg.k, cfg.t_pilot, seed)
     if b_norm is None:
-        b_norm = _resolve_b_norm(cfg, decoder_spec)
+        b_norm = scalar_solution(cfg, decoder_spec).b_norm
+    lam_rho_d = ridge_coefficient(cfg, decoder_spec) * dp.rho_d
 
     rng = trial_stream(seed, trial_idx)
     h = rng.standard_normal((cfg.n, cfg.k))
@@ -137,21 +117,15 @@ def run_trial(
     y = math.sqrt(dp.rho_d / cfg.k) * h @ x0 + z
 
     a = math.sqrt(dp.rho_d / cfg.k) * hhat
-    kind = decoder_spec.kind
-    if kind is DecoderKind.LMMSE:
-        x_hat = lmmse_decode(hhat, y, dp.rho_d, dp.sigma_delta_sq)
-    elif kind is DecoderKind.BOX:
-        x_hat, _ = box_rls_solve(
-            DecodeRequest(a=a, y=y, lam_rho_d=decoder_spec.lam * dp.rho_d, t_box=decoder_spec.t_box)
-        )
+    if decoder_spec.t_box is not None:
+        x_hat, _ = box_rls_solve(a, y, lam_rho_d, decoder_spec.t_box)
     else:
-        lam = 0.0 if kind is DecoderKind.LS else decoder_spec.lam
-        x_hat = rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lam * dp.rho_d))
+        x_hat = rls_solve(a, y, lam_rho_d)
 
     x_star = slice_symbols(x_hat / b_norm, constellation)
     mse = float(np.mean((x_hat - x0) ** 2))
     ser = float(np.mean(x_star != x0))
-    return TrialOutcome(mse=mse, ser=ser, seed_path=(seed, trial_idx))
+    return TrialOutcome(mse=mse, ser=ser)
 
 
 def run_batch(
@@ -173,7 +147,7 @@ def run_batch(
         raise ConfigError("trials must be >= 1")
     pilots = make_pilots(cfg.k, cfg.t_pilot, master_seed)
     if b_norm is None:
-        b_norm = _resolve_b_norm(cfg, decoder_spec)
+        b_norm = scalar_solution(cfg, decoder_spec).b_norm
 
     def one(idx: int) -> TrialOutcome:
         return run_trial(cfg, decoder_spec, master_seed, idx, pilots=pilots, b_norm=b_norm)

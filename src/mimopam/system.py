@@ -84,8 +84,6 @@ class SystemConfig:
             raise ConfigError(f"m must be a power of two >= 2, got {self.m}")
         if self.lam < 0:
             raise ConfigError("lam must be nonnegative")
-        if self.lam == 0 and self.n <= self.k:
-            raise ConfigError("lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
         if self.t_box is not None and not self.t_box > 0:
             raise ConfigError("t_box must be positive")
 

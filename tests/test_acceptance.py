@@ -226,7 +226,7 @@ class TestCriterion7:
                 s_d2 = float(rng.uniform(0.0, 0.9))
                 a = math.sqrt(rho_d / k) * hhat
                 lam_star = mp.lambda_star_rls(rho_d, s_d2)
-                want = mp.rls_solve(mp.DecodeRequest(a=a, y=y, lam_rho_d=lam_star * rho_d))
+                want = mp.rls_solve(a, y, lam_star * rho_d)
                 got = mp.lmmse_decode(hhat, y, rho_d, s_d2)
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -262,7 +262,7 @@ class TestCriterion7:
                 y = rng.standard_normal(n) * 2
                 lr = float(rng.uniform(0.0, 1.5))
                 t = float(rng.uniform(0.3, 1.5))
-                x_cd, _ = mp.box_rls_solve(mp.DecodeRequest(a=a, y=y, lam_rho_d=lr, t_box=t))
+                x_cd, _ = mp.box_rls_solve(a, y, lr, t)
                 x_pg = _projected_gradient(a, y, lr, t)
                 np.testing.assert_allclose(x_cd, x_pg, atol=1e-8)
 

@@ -262,14 +262,6 @@ class TestBoxObjective:
             want = box_objective_quadrature(theta, beta, p)
             assert box_objective(theta, beta, p) == pytest.approx(want, abs=1e-9)
 
-    def test_symbol_symmetry_for_bpsk(self):
-        p = box_params(10, lam=0.5, t=1.0, m=2)
-        ell, mu, c, d = p.symbol_terms(0.7, 0.9)
-        assert np.all(ell < mu)
-        # the -1 and +1 contributions mirror each other
-        assert c[0] == pytest.approx(d[1], rel=1e-12)
-        assert d[0] == pytest.approx(c[1], rel=1e-12)
-
     def test_unboxed_limit_matches_closed_expression(self):
         # at t -> inf the objective collapses to the unconstrained saddle form
         p = box_params(10, lam=0.35, t=1e6, m=2)

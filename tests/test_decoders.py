@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from mimopam import (
-    ConvergenceError,
-    DecodeRequest,
-    box_rls_solve,
-    decode,
-    lmmse_decode,
-    normalize_and_slice,
-    pam_constellation,
-    rls_solve,
-)
+from mimopam import ConvergenceError, box_rls_solve, lmmse_decode, rls_solve
 
 
 def projected_gradient_oracle(a, y, lam_rho_d, t, max_iter=500_000, tol=1e-15):
@@ -39,12 +30,12 @@ def box_objective_value(a, y, lam_rho_d, x):
 class TestRlsSolve:
     def test_identity_matrix_passthrough(self):
         y = np.array([0.3, -1.2, 2.0])
-        x = rls_solve(DecodeRequest(a=np.eye(3), y=y, lam_rho_d=0.0))
+        x = rls_solve(np.eye(3), y, 0.0)
         np.testing.assert_allclose(x, y, atol=1e-12)
 
     def test_identity_matrix_shrinkage(self):
         y = np.array([0.3, -1.2, 2.0])
-        x = rls_solve(DecodeRequest(a=np.eye(3), y=y, lam_rho_d=1.0))
+        x = rls_solve(np.eye(3), y, 1.0)
         np.testing.assert_allclose(x, y / 2.0, atol=1e-12)
 
     def test_matches_pseudoinverse_oracle(self):
@@ -54,22 +45,20 @@ class TestRlsSolve:
             y = rng.standard_normal(8)
             lr = rng.uniform(0.0, 2.0)
             want = np.linalg.pinv(a.T @ a + lr * np.eye(4)) @ (a.T @ y)
-            got = rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lr))
+            got = rls_solve(a, y, lr)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_singular_unregularized_system_fails(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 5))
         with pytest.raises(ConvergenceError):
-            rls_solve(DecodeRequest(a=a, y=rng.standard_normal(3), lam_rho_d=0.0))
+            rls_solve(a, rng.standard_normal(3), 0.0)
 
 
 class TestBoxRlsSolve:
     def test_one_dimensional_clip(self):
         # unconstrained optimum of (2 - x)^2 + x^2 is 1; the box ends at 0.5
-        x, kkt = box_rls_solve(
-            DecodeRequest(a=np.array([[1.0]]), y=np.array([2.0]), lam_rho_d=1.0, t_box=0.5)
-        )
+        x, kkt = box_rls_solve(np.array([[1.0]]), np.array([2.0]), 1.0, 0.5)
         assert x[0] == pytest.approx(0.5, abs=1e-12)
         assert kkt <= 1e-8
 
@@ -77,8 +66,8 @@ class TestBoxRlsSolve:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((12, 6))
         y = rng.standard_normal(12)
-        ridge = rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=0.7))
-        boxed, _ = box_rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=0.7, t_box=1e6))
+        ridge = rls_solve(a, y, 0.7)
+        boxed, _ = box_rls_solve(a, y, 0.7, 1e6)
         np.testing.assert_allclose(boxed, ridge, atol=1e-8)
 
     def test_matches_projected_gradient_oracle(self):
@@ -87,7 +76,7 @@ class TestBoxRlsSolve:
             a = rng.standard_normal((16, 8))
             y = rng.standard_normal(16) * 2.0
             lr = rng.uniform(0.0, 1.5)
-            x_cd, kkt = box_rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lr, t_box=1.0))
+            x_cd, kkt = box_rls_solve(a, y, lr, 1.0)
             x_pg = projected_gradient_oracle(a, y, lr, 1.0)
             np.testing.assert_allclose(x_cd, x_pg, atol=1e-8)
             assert kkt <= 1e-8
@@ -100,7 +89,7 @@ class TestBoxRlsSolve:
             y = rng.standard_normal(n) * 3.0
             t = float(rng.uniform(0.2, 2.0))
             lr = float(rng.uniform(0.0, 1.0)) if n > k else float(rng.uniform(0.1, 1.0))
-            x, kkt = box_rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lr, t_box=t))
+            x, kkt = box_rls_solve(a, y, lr, t)
             assert np.abs(x).max() <= t + 1e-12
             assert kkt <= 1e-8
 
@@ -110,13 +99,13 @@ class TestBoxRlsSolve:
             a = rng.standard_normal((10, 5))
             y = rng.standard_normal(10) * 2.0
             lr = 0.4
-            x_box, _ = box_rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lr, t_box=0.6))
-            clipped = np.clip(rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=lr)), -0.6, 0.6)
+            x_box, _ = box_rls_solve(a, y, lr, 0.6)
+            clipped = np.clip(rls_solve(a, y, lr), -0.6, 0.6)
             assert box_objective_value(a, y, lr, x_box) <= box_objective_value(a, y, lr, clipped) + 1e-10
 
     def test_rejects_missing_threshold(self):
         with pytest.raises(ValueError):
-            box_rls_solve(DecodeRequest(a=np.eye(2), y=np.ones(2), lam_rho_d=1.0))
+            box_rls_solve(np.eye(2), np.ones(2), 1.0, None)
 
 
 class TestLmmseDecode:
@@ -128,7 +117,7 @@ class TestLmmseDecode:
             rho_d = float(rng.uniform(0.2, 20.0))
             s_d2 = float(rng.uniform(0.0, 0.9))
             a = np.sqrt(rho_d / 4) * hhat
-            want = rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=1.0 + rho_d * s_d2))
+            want = rls_solve(a, y, 1.0 + rho_d * s_d2)
             got = lmmse_decode(hhat, y, rho_d, s_d2)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -138,7 +127,7 @@ class TestLmmseDecode:
         y = rng.standard_normal(8)
         rho_d = 2.5
         a = np.sqrt(rho_d / 4) * hhat
-        want = rls_solve(DecodeRequest(a=a, y=y, lam_rho_d=(1.0 / rho_d) * rho_d))
+        want = rls_solve(a, y, (1.0 / rho_d) * rho_d)
         np.testing.assert_allclose(lmmse_decode(hhat, y, rho_d, 0.0), want, atol=1e-10)
 
     def test_matches_covariance_form_oracle(self):
@@ -155,29 +144,3 @@ class TestLmmseDecode:
             want = c_xy @ np.linalg.solve(c_yy, y)
             np.testing.assert_allclose(lmmse_decode(hhat, y, rho_d, s_d2), want, atol=1e-8)
 
-
-class TestNormalizeAndSlice:
-    def test_unit_norm_keeps_constellation_points(self):
-        c = pam_constellation(4)
-        np.testing.assert_array_equal(normalize_and_slice(c.points.copy(), 1.0, c), c.points)
-
-    def test_norm_rescales_before_decision(self):
-        c = pam_constellation(2)
-        assert normalize_and_slice(np.array([0.5]), 0.5, c)[0] == pytest.approx(1.0)
-
-    def test_rejects_nonpositive_norm(self):
-        c = pam_constellation(2)
-        with pytest.raises(ValueError):
-            normalize_and_slice(np.array([0.5]), 0.0, c)
-
-    def test_decode_dispatches_on_request_shape(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((8, 4))
-        y = rng.standard_normal(8)
-        c = pam_constellation(2)
-        res_ridge = decode(DecodeRequest(a=a, y=y, lam_rho_d=0.5), c)
-        assert res_ridge.kkt_residual is None
-        res_box = decode(DecodeRequest(a=a, y=y, lam_rho_d=0.5, t_box=0.4), c)
-        assert res_box.kkt_residual is not None
-        assert np.abs(res_box.x_hat).max() <= 0.4 + 1e-12
-        assert set(np.unique(res_box.x_star)) <= {-1.0, 1.0}

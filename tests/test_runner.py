@@ -1,5 +1,6 @@
 """Sweep configs, CSV schema and determinism, CLI exit codes."""
 
+import csv
 import math
 
 import pytest
@@ -238,6 +239,37 @@ class TestCli:
         assert cli_main(["predict", "--config", str(path), "--out", out]) == 3
         body = open(out).read()
         assert "degenerate" in body  # error column carries the reason
+
+    def test_fat_system_runs_when_every_decoder_regularizes(self, tmp_path, capsys):
+        # n < k is fine for ridge and box at the closed-form coefficient
+        path = tmp_path / "fat.cfg"
+        path.write_text(
+            "k = 32\nn = 28\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\nsweep_axis = rho_db\nvalues = 10\ndecoders = rls,box\ntrials = 2\n"
+            "power_convention = direct\nlambda_policy = closed_form_optimal\n"
+        )
+        out = str(tmp_path / "fat.csv")
+        assert cli_main(["simulate", "--config", str(path), "--out", out]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["decoder"] for r in rows] == ["rls", "box"]
+        for row in rows:
+            assert not row["error"]
+            assert math.isfinite(float(row["mse_theory"])) and math.isfinite(float(row["mse_sim"]))
+
+    @pytest.mark.parametrize("decoder_lines", [
+        "decoders = ls\n",
+        "decoders = rls\nlambda_policy = fixed\nlambda = 0\n",
+    ])
+    def test_unregularized_fat_system_is_exit_2(self, tmp_path, capsys, decoder_lines):
+        path = tmp_path / "fat.cfg"
+        path.write_text(
+            "k = 32\nn = 28\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\nsweep_axis = rho_db\nvalues = 10\ntrials = 0\n" + decoder_lines
+        )
+        out = str(tmp_path / "fat.csv")
+        assert cli_main(["predict", "--config", str(path), "--out", out]) == 2
+        assert "n > k" in capsys.readouterr().err
 
     def test_flagged_compare_is_exit_4(self, tmp_path, capsys):
         # two trials give a noisy stderr estimate; this pinned seed is a known

@@ -4,10 +4,12 @@ The ridge/plain least-squares predictors are closed forms in the effective
 SNR. The box-constrained decoder has no closed form: its limiting MSE/SEP come
 from a two-variable scalar saddle problem sup_beta min_theta D(theta, beta)
 whose Gaussian integrals are evaluated in closed form via partial second
-moments of a standard normal. The saddle is solved by golden-section searches:
-the theta profile is minimized after bracketing a derivative sign change from
-a coarse scan, and the beta profile (which is strictly concave) is maximized
-over an expanding bracket.
+moments of a standard normal. One pure-math kernel returns D together with its
+exact gradient, and the saddle is found by bracketed root finding on that
+gradient: the inner minimum in theta is the root of dD/dtheta, and the root
+of the concave beta profile's slope, which equals dD/dbeta at the inner
+minimum, gives beta*. The numeric searches for the ridge coefficient and the
+box threshold sample a grid and refine the best interval by golden section.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-GOLDEN_REL_TOL = 1e-12
 SCALAR_SEARCH_TOL = 1e-6
-STATIONARITY_STEP = 1e-5
-STATIONARITY_SOFT = 1e-6
+ROOT_REL_TOL = 4.5e-16  # just over 2^-52: adjacent doubles always satisfy it
+ROOT_MAX_ITER = 100
+BRACKET_STEPS = 8  # the last step multiplies by 2^128; 2^255 in all
 STATIONARITY_HARD = 1e-4
 DEGENERATE_T_TOL = 1e-9
 
@@ -187,6 +189,20 @@ def rls_stationarity_residuals(
 # ---------------------------------------------------------------------------
 
 
+def _tail_moment(a: float, b: float, x: float) -> tuple[float, float, float]:
+    """(int_x^inf (a + b h)^2 p(h) dh, Q(x), p(x)) in closed form.
+
+    The integral is (a^2+b^2) Q(x) + b(bx+2a) p(x); x = +/-inf is legal and
+    drops the density term.
+    """
+    q = 0.5 * math.erfc(x / _SQRT2)
+    dens = math.exp(-0.5 * x * x) / _SQRT2PI
+    val = (a * a + b * b) * q
+    if dens > 0.0:
+        val += b * (b * x + 2.0 * a) * dens
+    return val, q, dens
+
+
 def gaussian_partial_second_moment(a: float, b: float, lower: float, upper: float) -> float:
     """int_lower^upper (a + b h)^2 p(h) dh in closed form.
 
@@ -195,12 +211,7 @@ def gaussian_partial_second_moment(a: float, b: float, lower: float, upper: floa
     """
     if lower > upper:
         raise ValueError("need lower <= upper")
-    val = (a * a + b * b) * (float(qfunc(lower)) - float(qfunc(upper)))
-    if math.isfinite(lower):
-        val += b * (b * lower + 2.0 * a) * gauss_pdf(lower)
-    if math.isfinite(upper):
-        val -= b * (b * upper + 2.0 * a) * gauss_pdf(upper)
-    return val
+    return _tail_moment(a, b, lower)[0] - _tail_moment(a, b, upper)[0]
 
 
 @dataclass(frozen=True)
@@ -241,35 +252,51 @@ class BoxObjectiveParams:
         )
 
 
-def _objective_grid(thetas: np.ndarray, beta: float, p: BoxObjectiveParams) -> np.ndarray:
-    """Vectorized D(theta, beta) over an array of theta values.
+def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float, float, float]:
+    """D(theta, beta) and its partial derivatives in theta and beta.
 
-    The +i / -i symbol contributions are equal by symmetry of the Gaussian, so
-    only positive offsets are summed and doubled.
+    D is the ridge objective plus a box correction
+        P xi^2 ((2/M) sum_s [h(w + g_s) + h(w - g_s)] - 1 - xi^2/theta^2)
+    with P = beta^2 theta / (2 (beta xi^2 + 2 lam rho_d theta)), box half-width
+    w = t (xi/theta + 2 lam rho_d / (xi beta)) and drift g_s = xi s / theta for
+    the offsets s = i/sqrt(E), i = 1, 3, .., M-1 (the -s offsets are their
+    mirror images). h(x) = E[(Z - x)_+^2] = (1 + x^2) Q(x) - x p(x) is the
+    upper-tail second moment at the box edges -l = w + g and mu = w - g, and
+    h'(x) = 2 (x Q(x) - p(x)). The sum over offsets only sees the Gaussian
+    tails beyond the edges, so a wide box leaves the ridge objective exactly
+    rather than cancelling large terms against it.
     """
-    th = np.asarray(thetas, dtype=float)
     xi = p.xi
+    xi2 = xi * xi
     lr = p.lam_rho_d
-    sqrt_e = math.sqrt(p.energy_e)
-    base = beta * p.delta * th / 2.0 + beta * (1.0 + p.rho_d) / (2.0 * th) - beta * beta / 4.0
-    pref = beta * beta / (2.0 * xi * xi * beta / th + 4.0 * lr)
-    i = np.arange(1, p.m, 2, dtype=float).reshape(-1, *([1] * th.ndim))
-    width = p.t * (xi / th + 2.0 * lr / (xi * beta))
-    drift = xi * i / (th * sqrt_e)
-    ell = -width - drift
-    mu = width - drift
-    c = (beta * xi / 2.0) * (drift - ell)
-    d = (beta * xi / 2.0) * (mu - drift)
-    q_ell, q_mu = qfunc(ell), qfunc(mu)
-    p_ell, p_mu = gauss_pdf(ell), gauss_pdf(mu)
-    a_m = xi * drift
-    moment = (
-        (a_m * a_m + xi * xi) * (q_ell - q_mu)
-        + xi * (xi * ell + 2.0 * a_m) * p_ell
-        - xi * (xi * mu + 2.0 * a_m) * p_mu
-    )
-    psi = p.t * (c * qfunc(-ell) + d * q_mu) - beta * xi * p.t * (p_ell + p_mu) - pref * moment
-    return base + 2.0 * psi.sum(axis=0) / p.m
+    k = beta * xi2 + 2.0 * lr * theta
+    pref = beta * beta * theta / (2.0 * k)
+    pref_t = beta * beta * beta * xi2 / (2.0 * k * k)
+    pref_b = beta * theta * (beta * xi2 + 4.0 * lr * theta) / (2.0 * k * k)
+    width = p.t * (xi / theta + 2.0 * lr / (xi * beta))
+    width_t = -p.t * xi / (theta * theta)
+    width_b = -2.0 * p.t * lr / (xi * beta * beta)
+    step = xi / (math.sqrt(p.energy_e) * theta)
+    tails = tails_t = tails_b = 0.0
+    for i in range(1, p.m, 2):
+        drift = i * step
+        for x, x_t in ((width + drift, width_t - drift / theta),
+                       (width - drift, width_t + drift / theta)):
+            h, q, dens = _tail_moment(-x, 1.0, x)
+            dh = 2.0 * (x * q - dens)
+            tails += h
+            tails_t += dh * x_t
+            tails_b += dh * width_b
+    scale = 2.0 / p.m
+    excess = scale * tails - 1.0 - xi2 / (theta * theta)
+    excess_t = scale * tails_t + 2.0 * xi2 / (theta * theta * theta)
+    val = (beta * p.delta * theta / 2.0 + beta * (1.0 + p.rho_d) / (2.0 * theta)
+           - beta * beta / 4.0 + xi2 * pref * excess)
+    d_theta = (beta * p.delta / 2.0 - beta * (1.0 + p.rho_d) / (2.0 * theta * theta)
+               + xi2 * (pref_t * excess + pref * excess_t))
+    d_beta = (p.delta * theta / 2.0 + (1.0 + p.rho_d) / (2.0 * theta) - beta / 2.0
+              + xi2 * (pref_b * excess + pref * scale * tails_b))
+    return val, d_theta, d_beta
 
 
 def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> float:
@@ -281,8 +308,7 @@ def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> floa
     """
     if theta <= 0 or beta <= 0:
         raise ValueError("theta and beta must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = float(_objective_grid(np.asarray(theta, dtype=float), beta, params))
+    val = _box_terms(theta, beta, params)[0]
     if math.isnan(val):
         raise ValueError(f"objective not representable at theta={theta!r}, beta={beta!r}")
     return val
@@ -293,7 +319,7 @@ def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(f, lo: float, hi: float, rel_tol: float = GOLDEN_REL_TOL, max_iter: int = 400):
+def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iter: int = 400):
     """Golden-section minimization on a bracketed unimodal interval."""
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
@@ -313,41 +339,84 @@ def _golden_min(f, lo: float, hi: float, rel_tol: float = GOLDEN_REL_TOL, max_it
     return x, f(x)
 
 
+def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f between a and b by the Illinois variant of regula falsi.
+
+    The secant point replaces the endpoint whose value has its sign; an
+    endpoint kept twice in a row has its value halved, so both ends close in.
+    Stops when the bracket is a few ulps wide. Raises ConvergenceError on a
+    bracket without a sign change and after ROOT_MAX_ITER steps.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ConvergenceError(f"no sign change on [{a:.6g}, {b:.6g}] ({fa:.3g}, {fb:.3g})")
+    kept = 0
+    for _ in range(ROOT_MAX_ITER):
+        c = b - fb * (b - a) / (fb - fa)
+        if abs(b - a) <= ROOT_REL_TOL * abs(c):
+            return c
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if math.isnan(fc):
+            raise ConvergenceError(f"derivative not representable at {c!r}")
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        else:
+            a, fa = c, fc
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+    raise ConvergenceError(f"root not found in {ROOT_MAX_ITER} steps (bracket [{a:.6g}, {b:.6g}])")
+
+
+def _bracket_root(f, x: float) -> float:
+    """Root on (0, inf) of f, which is negative left of its root and positive
+    right of it.
+
+    From x the search steps away from the sign of f(x) by factors 2, 4, 16,
+    256, ... (each the square of the last) until f changes sign, then hands
+    the last step to _find_root.
+    """
+    fx = f(x)
+    factor = 2.0
+    for _ in range(BRACKET_STEPS):
+        if fx == 0.0:
+            return x
+        y = x * factor if fx < 0.0 else x / factor
+        fy = f(y)
+        if not (fy < 0.0) == (fx < 0.0):
+            return _find_root(f, x, y, fx, fy)
+        x, fx = y, fy
+        factor *= factor
+    raise ConvergenceError(f"no sign change within {BRACKET_STEPS} bracket steps (last x={x:.3e})")
+
+
 def box_theta_min(
     params: BoxObjectiveParams,
     beta: float,
     theta_hint: float | None = None,
-    rel_tol: float = GOLDEN_REL_TOL,
 ) -> tuple[float, float]:
-    """Inner minimization min_theta D(theta, beta).
+    """Inner minimization min_theta D(theta, beta); returns (theta, D).
 
-    A geometric scan locates the sign change of the theta-derivative (as a
-    discrete descent-then-ascent pattern); golden section refines inside that
-    bracket. D diverges at both ends of (0, inf), so the scan window is grown
-    until the minimum is interior.
+    D is convex in theta and diverges at both ends of (0, inf), so the
+    minimizer is the root of dD/dtheta, bracketed outward from theta_hint
+    (default: the ridge closed form).
     """
     hint = theta_hint
-    if hint is None or not np.isfinite(hint) or hint <= 0:
+    if hint is None or not math.isfinite(hint) or hint <= 0:
         hint = rls_theta_star(
             params.rho_d, params.sigma_hhat_sq, params.sigma_delta_sq,
             max(params.lam, 1e-12), params.delta,
         )
-    lo, hi = hint / 16.0, hint * 16.0
-    for _ in range(12):
-        grid = np.geomspace(lo, hi, 41)
-        vals = _objective_grid(grid, beta, params)
-        j = int(np.argmin(vals))
-        if j == 0:
-            lo, hi = lo / 256.0, grid[2]
-        elif j == len(grid) - 1:
-            lo, hi = grid[-3], hi * 256.0
-        else:
-            f = lambda th: float(_objective_grid(np.float64(th), beta, params))
-            theta, val = _golden_min(f, grid[j - 1], grid[j + 1], rel_tol=rel_tol)
-            return float(theta), float(val)
-    raise ConvergenceError(
-        f"could not bracket the inner minimum in theta (beta={beta}, window=[{lo:.3e},{hi:.3e}])"
-    )
+    theta = _bracket_root(lambda th: _box_terms(th, beta, params)[1], hint)
+    return theta, _box_terms(theta, beta, params)[0]
 
 
 @dataclass(frozen=True)
@@ -366,61 +435,36 @@ class ScalarSolution:
     stationarity_residual: float | None = None
 
 
-def box_saddle_solve(
-    params: BoxObjectiveParams,
-    rel_tol: float = GOLDEN_REL_TOL,
-    beta_hint: float | None = None,
-) -> ScalarSolution:
+def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None) -> ScalarSolution:
     """Solve sup_beta min_theta D(theta, beta) for the box decoder.
 
-    The beta profile g(beta) = min_theta D is strictly concave, so an
-    expanding geometric bracket plus golden section is reliable. beta_hint
-    narrows the initial bracket (useful when sweeping a knob); the bracket
-    still expands if the hint is off. The returned solution carries a central
-    finite-difference stationarity residual; a residual above the hard
-    threshold raises ConvergenceError.
+    The beta profile g(beta) = min_theta D is strictly concave, and by
+    Danskin's theorem g'(beta) = dD/dbeta at the inner minimizer. Its root is
+    bracketed outward from beta_hint (default: the ridge closed form; pass the
+    last beta* when sweeping a knob); each evaluation of g' runs box_theta_min
+    warm-started at the last theta. The returned solution carries the analytic
+    stationarity residual max(|dD/dtheta|, |dD/dbeta|); a residual above the
+    hard threshold raises ConvergenceError.
     """
     if params.lam < 0 or params.t <= 0 or params.delta <= 0:
         raise ValueError("need lam >= 0, t > 0, delta > 0")
     lam_safe = max(params.lam, 1e-12)
-    theta_hint = rls_theta_star(
+    theta = rls_theta_star(
         params.rho_d, params.sigma_hhat_sq, params.sigma_delta_sq, lam_safe, params.delta
     )
     if beta_hint is None:
-        beta_hint = max(rls_beta_star(theta_hint, lam_safe, params.sigma_hhat_sq, params.delta), 1e-8)
-        spread = 32.0
-    else:
-        spread = 4.0
+        beta_hint = max(rls_beta_star(theta, lam_safe, params.sigma_hhat_sq, params.delta), 1e-8)
 
-    last_theta = [theta_hint]
+    def neg_slope(beta: float) -> float:
+        nonlocal theta
+        theta, _ = box_theta_min(params, beta, theta_hint=theta)
+        return -_box_terms(theta, beta, params)[2]
 
-    def profile(beta: float) -> float:
-        th, val = box_theta_min(params, beta, theta_hint=last_theta[0], rel_tol=rel_tol)
-        last_theta[0] = th
-        return val
-
-    lo, hi = beta_hint / spread, beta_hint * spread
-    for _ in range(12):
-        grid = np.geomspace(lo, hi, 17)
-        vals = np.array([profile(b) for b in grid])
-        j = int(np.argmax(vals))
-        if j == 0:
-            lo, hi = lo / 256.0, grid[2]
-        elif j == len(grid) - 1:
-            lo, hi = grid[-3], hi * 256.0
-        else:
-            beta_star, _ = _golden_min(
-                lambda b: -profile(b), grid[j - 1], grid[j + 1], rel_tol=max(rel_tol, 1e-11)
-            )
-            break
-    else:
-        raise ConvergenceError("could not bracket the concave beta profile")
-
-    theta_star, objective = box_theta_min(
-        params, beta_star, theta_hint=last_theta[0], rel_tol=rel_tol
-    )
-    resid = _box_stationarity_residual(params, theta_star, beta_star)
-    if resid > STATIONARITY_HARD:
+    beta_star = _bracket_root(neg_slope, beta_hint)
+    theta_star, objective = box_theta_min(params, beta_star, theta_hint=theta)
+    _, d_theta, d_beta = _box_terms(theta_star, beta_star, params)
+    resid = max(abs(d_theta), abs(d_beta))
+    if not resid <= STATIONARITY_HARD:
         raise ConvergenceError(
             f"box saddle stationarity residual {resid:.3e} > {STATIONARITY_HARD:.0e} "
             f"(theta*={theta_star:.6g}, beta*={beta_star:.6g}, lam={params.lam}, t={params.t})"
@@ -434,15 +478,6 @@ def box_saddle_solve(
         objective=float(objective),
         stationarity_residual=float(resid),
     )
-
-
-def _box_stationarity_residual(params: BoxObjectiveParams, theta: float, beta: float) -> float:
-    """max(|dD/dtheta|, |dD/dbeta|) by central differences."""
-    h_t = STATIONARITY_STEP * max(1.0, abs(theta))
-    h_b = STATIONARITY_STEP * max(1.0, abs(beta))
-    d_t = (box_objective(theta + h_t, beta, params) - box_objective(theta - h_t, beta, params)) / (2 * h_t)
-    d_b = (box_objective(theta, beta + h_b, params) - box_objective(theta, beta - h_b, params)) / (2 * h_b)
-    return max(abs(d_t), abs(d_b))
 
 
 def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> float:
@@ -495,7 +530,7 @@ def _theta_of_lambda(cfg: SystemConfig, kind: DecoderKind, t_box: float | None):
 
         def f(lam: float) -> float:
             p = BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
-            sol = box_saddle_solve(p, rel_tol=1e-10, beta_hint=last_beta[0])
+            sol = box_saddle_solve(p, beta_hint=last_beta[0])
             last_beta[0] = sol.beta_star
             return sol.theta_star
         return f
@@ -563,7 +598,7 @@ def t_star_numeric(
 
     def f(t: float) -> float:
         p = BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
-        sol = box_saddle_solve(p, rel_tol=1e-10, beta_hint=last_beta[0])
+        sol = box_saddle_solve(p, beta_hint=last_beta[0])
         last_beta[0] = sol.beta_star
         return sol.theta_star
 

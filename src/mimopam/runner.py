@@ -21,6 +21,7 @@ from .asymptotics import (
     lambda_star_numeric,
     lambda_star_rls,
     predict,
+    ridge_coefficient,
     scalar_solution,
     t_star_numeric,
 )
@@ -336,8 +337,7 @@ def _evaluate_point(
         dspec = resolve_decoder(spec, cfg, kind)
     except _SOLVER_ERRORS as exc:
         return replace(shell, error=str(exc))
-    shell = replace(shell, lam=dspec.lam if kind is not DecoderKind.LMMSE else None,
-                    t_box=dspec.t_box)
+    shell = replace(shell, lam=ridge_coefficient(cfg, dspec), t_box=dspec.t_box)
     try:
         sol: ScalarSolution = scalar_solution(cfg, dspec)
         pred: Prediction = predict(cfg, dspec, solution=sol)

@@ -147,7 +147,7 @@ class TestCriterion2:
                                          lam, dp.delta)
                 params = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=1e6)
                 sol = mp.box_saddle_solve(params)
-                assert sol.theta_star == pytest.approx(want, rel=1e-4), f"rho={rho_db}dB"
+                assert sol.theta_star == pytest.approx(want, rel=1e-9), f"rho={rho_db}dB"
 
 
 class TestCriterion3:

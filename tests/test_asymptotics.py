@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from mimopam import (
     BoxObjectiveParams,
+    ConvergenceError,
     DecoderKind,
     DecoderSpec,
     DegenerateThresholdError,
@@ -42,6 +43,8 @@ from mimopam import (
     scalar_solution,
     upsilon,
 )
+from mimopam import asymptotics
+from mimopam.asymptotics import _box_terms, _bracket_root, _find_root
 
 # Published theory values for the K=400, N=480, T=1000, T_p=456, alpha=0.5,
 # BPSK scenario under the direct power split, ridge decoder at the optimal
@@ -55,6 +58,17 @@ FIG2_RLS_MSE = {
 }
 # Same scenario, box decoder with t = 1 and the same closed-form coefficient.
 FIG2_BOX_MSE_20DB = 0.0422767820546166
+# The same box curve at 40 digits: D written in mpmath (mp.dps = 40) in the
+# unsimplified partial-moment form of the quadrature oracle below, its
+# gradient taken with mp.diff, and the saddle solved with mp.findroot from the
+# double-precision solution.
+FIG2_BOX_MSE_MPMATH = {
+    5: 0.633901262880954,
+    15: 0.141747458444321,
+    20: 0.0422767820546167,
+    25: 0.0115315743646758,
+    35: 0.000945311881560561,
+}
 
 
 def fig2_cfg(rho_db):
@@ -273,6 +287,24 @@ class TestBoxObjective:
                        / (2 * beta * s2 / theta + 4 * p.lam))
             assert box_objective(theta, beta, p) == pytest.approx(unboxed, abs=1e-6)
 
+    def test_gradient_matches_central_differences(self):
+        # relative 1e-6, with an absolute floor of 1e-6 where the slope is ~0
+        rng = np.random.default_rng(41)
+        for j in range(200):
+            m = int(rng.choice([2, 4, 8]))
+            lam = 0.0 if j % 4 == 0 else float(rng.uniform(0, 2))
+            p = box_params(float(rng.uniform(0, 30)), lam=lam, t=float(rng.uniform(0.2, 3)), m=m)
+            theta, beta = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
+            val, d_theta, d_beta = _box_terms(theta, beta, p)
+            assert val == box_objective(theta, beta, p)
+            h_t, h_b = 1e-5 * theta, 1e-5 * beta
+            fd_theta = (box_objective(theta + h_t, beta, p)
+                        - box_objective(theta - h_t, beta, p)) / (2 * h_t)
+            fd_beta = (box_objective(theta, beta + h_b, p)
+                       - box_objective(theta, beta - h_b, p)) / (2 * h_b)
+            assert d_theta == pytest.approx(fd_theta, rel=1e-6, abs=1e-6)
+            assert d_beta == pytest.approx(fd_beta, rel=1e-6, abs=1e-6)
+
     def test_rejects_nonpositive_arguments(self):
         p = box_params(10, lam=0.5, t=1.0)
         with pytest.raises(ValueError):
@@ -288,7 +320,7 @@ class TestBoxSaddle:
             lam = lambda_star_rls(rho_d, s_d2)
             sol = box_saddle_solve(box_params(rho_db, lam=lam, t=1e6))
             want = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
-            assert sol.theta_star == pytest.approx(want, rel=1e-4)
+            assert sol.theta_star == pytest.approx(want, rel=1e-9)
 
     def test_reference_box_mse_at_20db(self):
         # the published box curve is generated with the closed-form ridge
@@ -298,6 +330,26 @@ class TestBoxSaddle:
         sol = box_saddle_solve(box_params(20, lam=lam, t=1.0))
         mse = mse_from_theta(sol.theta_star, rho_d, s_h2, s_d2, delta)
         assert mse == pytest.approx(FIG2_BOX_MSE_20DB, rel=1e-5)
+
+    @pytest.mark.parametrize("rho_db,want", sorted(FIG2_BOX_MSE_MPMATH.items()))
+    def test_box_mse_matches_mpmath_references(self, rho_db, want):
+        rho_d, s_h2, s_d2, delta, _ = fig2_scalars(rho_db)
+        sol = box_saddle_solve(box_params(rho_db, lam=lambda_star_rls(rho_d, s_d2), t=1.0))
+        mse = mse_from_theta(sol.theta_star, rho_d, s_h2, s_d2, delta)
+        assert mse == pytest.approx(want, rel=1e-9)
+
+    def test_inner_solves_are_bounded(self, monkeypatch):
+        calls = []
+        inner = asymptotics.box_theta_min
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "box_theta_min", counted)
+        rho_d, _, s_d2, _, _ = fig2_scalars(20)
+        box_saddle_solve(box_params(20, lam=lambda_star_rls(rho_d, s_d2), t=1.0))
+        assert 0 < len(calls) <= 64
 
     def test_stationarity_and_norm_range(self):
         sol = box_saddle_solve(box_params(10, lam=0.4, t=1.0))
@@ -311,6 +363,30 @@ class TestBoxSaddle:
         profile = np.array([box_theta_min(p, b)[1] for b in betas])
         second_diff = profile[:-2] - 2 * profile[1:-1] + profile[2:]
         assert np.all(second_diff <= 1e-8)
+
+
+class TestRootFinder:
+    def test_brackets_outward_and_converges_to_ulps(self):
+        for start in (1e-3, 1.0, 1e3):
+            root = _bracket_root(lambda x: x * x * x - 2.0, start)
+            assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+
+    def test_rejects_bracket_without_sign_change(self):
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            _find_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "ROOT_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="3 steps"):
+            _find_root(math.atan, -1.0, 1e3, -math.pi / 4, math.atan(1e3))
+
+    def test_bracket_search_is_capped(self):
+        with pytest.raises(ConvergenceError, match="bracket steps"):
+            _bracket_root(lambda x: -1.0, 1.0)
+
+    def test_unrepresentable_derivative_raises(self):
+        with pytest.raises(ConvergenceError):
+            _bracket_root(lambda x: x - 1.0 if x < 1.5 else math.nan, 0.1)
 
 
 class TestBoxSep:

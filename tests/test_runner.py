@@ -2,9 +2,14 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mimopam
 from mimopam import (
     CSV_COLUMNS,
     ConfigError,
@@ -166,6 +171,13 @@ class TestRunModes:
             value = float(row[col])
             assert math.isfinite(value)
 
+    def test_every_decoder_reports_its_ridge_coefficient(self):
+        spec = small_spec(values=(10.0,), decoders=(DecoderKind.LS, DecoderKind.LMMSE))
+        ls_row, lmmse_row = run(spec, "predict").records
+        dp = derive_params(apply_sweep_value(spec, 10.0))
+        assert ls_row.lam == 0.0
+        assert lmmse_row.lam == lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+
     def test_optimize_power_reports_reference_alpha(self):
         spec = load_config(preset_path("fig6"))
         result = run(spec, "optimize_power")
@@ -200,6 +212,14 @@ class TestCli:
         assert lines[0].split(",")[0] == "k"
         assert len(lines) == 3
         assert "wrote 2 rows" in capsys.readouterr().out
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize alone adds about a third to the CLI's start-up time
+        code = "import sys, mimopam.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(mimopam.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert cli_main(["predict", "--config", str(tmp_path / "nope.cfg")]) == 2

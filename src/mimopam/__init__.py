@@ -4,12 +4,9 @@ performance predictors, and pilot/data resource optimizers."""
 
 from .allocation import (
     AllocationResult,
-    MonotonicityReport,
     alpha_star,
     alpha_star_for_config,
-    goodput_grid,
     optimize_goodput,
-    verify_monotone_mse_sep,
 )
 from .asymptotics import (
     BoxObjectiveParams,
@@ -19,14 +16,10 @@ from .asymptotics import (
     box_saddle_solve,
     box_sep,
     box_theta_min,
-    gauss_pdf,
     gaussian_partial_second_moment,
     lambda_star_numeric,
     lambda_star_rls,
-    ls_mse,
-    ls_sep,
     mse_from_theta,
-    mse_rls_opt_lambda,
     predict,
     qfunc,
     rls_beta_star,

@@ -3,17 +3,17 @@
 The optimal data power ratio maximizes the effective SNR and has an exact
 branch formula in vartheta = (1 + rho*tau) / (rho*tau*(1 - 1/tau_d)); the
 goodput-optimal training duration is found by exhaustive search over integer
-pilot counts (pilots are whole symbols).
+pilot counts (pilots are whole symbols), each count scored by predict, the
+same call that fills the goodput column of a sweep row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .asymptotics import ls_sep, mse_rls_opt_lambda, qfunc
+from .asymptotics import predict
+from .decoders import DecoderSpec
 from .errors import ConfigError
 from .system import PowerConvention, SystemConfig, rho_eff_of_alpha
 
@@ -24,9 +24,8 @@ class AllocationResult:
     vartheta: float
     branch: str
     rho_eff_at_star: float
-    tau_p_star: float | None = None
+    t_pilot_star: int | None = None
     goodput: float | None = None
-    conjecture_based: bool = False
 
 
 def alpha_star(rho: float, tau: float, tau_d: float) -> AllocationResult:
@@ -77,83 +76,19 @@ def alpha_star_for_config(cfg: SystemConfig) -> AllocationResult:
     return alpha_star(cfg.rho, tau, tau_d)
 
 
-def _sep_at(rho_eff: float, delta: float, m: int, decoder: str) -> float:
-    if decoder == "ls":
-        return ls_sep(rho_eff, delta, m)
-    # ridge decoder at its optimal coefficient; also the conjectured optimum
-    # shape for the box decoder
-    energy_e = (m * m - 1) / 3.0
-    mse = mse_rls_opt_lambda(rho_eff, delta)
-    return float(2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(delta / (energy_e * (mse + 1.0 / rho_eff)))))
+def optimize_goodput(cfg: SystemConfig) -> AllocationResult:
+    """Jointly optimal (t_pilot, alpha) in the goodput sense.
 
-
-def goodput_grid(
-    rho: float, k: int, t_total: int, delta: float, m: int = 2, decoder: str = "rls"
-):
-    """Goodput at every feasible integer pilot count, with alpha optimized at
-    each point. Returns (t_pilot values, alpha*, goodput) arrays."""
-    if t_total <= k:
-        raise ConfigError("t_total must exceed k")
-    tau = t_total / k
-    t_pilots = np.arange(k, t_total)
-    alphas = np.empty(len(t_pilots))
-    goodputs = np.empty(len(t_pilots))
-    for idx, t_p in enumerate(t_pilots):
-        tau_p = t_p / k
-        tau_d = tau - tau_p
-        res = alpha_star(rho, tau, tau_d)
-        sep = _sep_at(res.rho_eff_at_star, delta, m, decoder)
-        alphas[idx] = res.alpha_star
-        goodputs[idx] = (1.0 - tau_p / tau) * (1.0 - sep)
-    return t_pilots, alphas, goodputs
-
-
-def optimize_goodput(
-    rho: float, k: int, t_total: int, delta: float, m: int = 2, decoder: str = "rls"
-) -> AllocationResult:
-    """Jointly optimal (tau_p, alpha) in the goodput sense, by grid search
-    over integer pilot counts with the closed-form alpha* at each count.
-
-    For the box decoder the alpha* formula rests on a conjecture (its MSE/SEP
-    monotonicity in effective SNR is verified numerically, not proved), which
-    the result flags.
+    Walks every pilot count from k to t_total - 1, sets alpha to the
+    closed-form alpha* at that count and scores the point by the goodput that
+    predict gives for LMMSE (ridge at its optimal coefficient). The first best
+    count wins. Direct-split configs are refused, as by alpha_star_for_config.
     """
-    if decoder not in ("ls", "rls", "box"):
-        raise ConfigError(f"unknown decoder for goodput optimization: {decoder}")
-    t_pilots, alphas, goodputs = goodput_grid(
-        rho, k, t_total, delta, m, "rls" if decoder == "box" else decoder
-    )
-    j = int(np.argmax(goodputs))
-    tau = t_total / k
-    tau_d = tau - t_pilots[j] / k
-    base = alpha_star(rho, tau, tau_d)
-    return AllocationResult(
-        alpha_star=float(alphas[j]),
-        vartheta=base.vartheta,
-        branch=base.branch,
-        rho_eff_at_star=base.rho_eff_at_star,
-        tau_p_star=float(t_pilots[j] / k),
-        goodput=float(goodputs[j]),
-        conjecture_based=(decoder == "box"),
-    )
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    all_monotone: bool
-    mse_margins: np.ndarray
-    sep_margins: np.ndarray
-
-
-def verify_monotone_mse_sep(rho_eff_grid, delta: float, m: int) -> MonotonicityReport:
-    """Check that optimal-coefficient MSE and SEP are non-increasing along an
-    increasing effective-SNR grid; margins are the per-step decrements."""
-    grid = np.asarray(rho_eff_grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigError("rho_eff_grid must be strictly increasing")
-    mse = np.array([mse_rls_opt_lambda(r, delta) for r in grid])
-    sep = np.array([_sep_at(r, delta, m, "rls") for r in grid])
-    mse_margins = -np.diff(mse)
-    sep_margins = -np.diff(sep)
-    ok = bool(np.all(mse_margins >= 0) and np.all(sep_margins >= 0))
-    return MonotonicityReport(all_monotone=ok, mse_margins=mse_margins, sep_margins=sep_margins)
+    best = None
+    for t_pilot in range(cfg.k, cfg.t_total):
+        point = replace(cfg, t_pilot=t_pilot)
+        res = alpha_star_for_config(point)
+        goodput = predict(replace(point, alpha=res.alpha_star), DecoderSpec.lmmse()).goodput
+        if best is None or goodput > best.goodput:
+            best = replace(res, t_pilot_star=t_pilot, goodput=goodput)
+    return best

@@ -1,15 +1,17 @@
 """Deterministic large-system predictors for the linear and box decoders.
 
-The ridge/plain least-squares predictors are closed forms in the effective
-SNR. The box-constrained decoder has no closed form: its limiting MSE/SEP come
-from a two-variable scalar saddle problem sup_beta min_theta D(theta, beta)
-whose Gaussian integrals are evaluated in closed form via partial second
-moments of a standard normal. One pure-math kernel returns D together with its
-exact gradient, and the saddle is found by bracketed root finding on that
-gradient: the inner minimum in theta is the root of dD/dtheta, and the root
-of the concave beta profile's slope, which equals dD/dbeta at the inner
-minimum, gives beta*. The numeric searches for the ridge coefficient and the
-box threshold sample a grid and refine the best interval by golden section.
+The ridge decoder (plain least squares is ridge at lambda = 0, LMMSE ridge at
+lambda*) has a closed-form scalar solution, and predict turns any scalar
+solution into MSE, SEP and goodput. The box-constrained decoder has no closed
+form: its limiting MSE/SEP come from a two-variable scalar saddle problem
+sup_beta min_theta D(theta, beta) whose Gaussian integrals are evaluated in
+closed form via partial second moments of a standard normal. One pure-math
+kernel returns D together with its exact gradient, and the saddle is found by
+bracketed root finding on that gradient: the inner minimum in theta is the
+root of dD/dtheta, and the root of the concave beta profile's slope, which
+equals dD/dbeta at the inner minimum, gives beta*. The numeric searches for
+the ridge coefficient and the box threshold sample a grid and refine the best
+interval by golden section.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
@@ -37,29 +38,13 @@ STATIONARITY_HARD = 1e-4
 DEGENERATE_T_TOL = 1e-9
 
 
-def qfunc(x):
-    """Standard normal tail probability Q(x); array-safe, Q(-inf)=1, Q(inf)=0."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
-
-
-def gauss_pdf(x):
-    """Standard normal density with p(+/-inf) = 0 (no nan from the sentinel).
-
-    Arguments beyond |x| = 40 map to exactly 0 (the true value underflows
-    double precision well before that), which also keeps the squaring safe
-    for arbitrarily large finite inputs.
-    """
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    small = np.isfinite(arr) & (np.abs(arr) < 40.0)
-    out[small] = np.exp(-0.5 * arr[small] ** 2) / _SQRT2PI
-    if arr.ndim == 0:
-        return float(out)
-    return out
+def qfunc(x: float) -> float:
+    """Standard normal tail probability Q(x); Q(-inf) = 1, Q(inf) = 0."""
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 # ---------------------------------------------------------------------------
-# Ridge (RLS) and plain LS closed forms
+# Ridge closed forms (plain LS is ridge at lambda = 0)
 # ---------------------------------------------------------------------------
 
 
@@ -120,7 +105,7 @@ def rls_sep(theta_star: float, rho_d: float, sigma_hhat_sq: float, m: int) -> fl
     if theta_star <= 0:
         raise ValueError("theta_star must be positive")
     energy_e = (m * m - 1) / 3.0
-    return float(2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_d * sigma_hhat_sq / energy_e) / theta_star))
+    return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_d * sigma_hhat_sq / energy_e) / theta_star)
 
 
 def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
@@ -128,31 +113,6 @@ def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
     if rho_d <= 0:
         raise ValueError("rho_d must be positive")
     return 1.0 / rho_d + sigma_delta_sq
-
-
-def mse_rls_opt_lambda(rho_eff: float, delta: float) -> float:
-    """Limiting MSE of the ridge decoder at the optimal coefficient, written
-    directly in the effective SNR."""
-    if rho_eff <= 0:
-        raise ValueError("rho_eff must be positive")
-    a = delta - 1.0 + 1.0 / rho_eff
-    return 0.5 * (-a + math.sqrt(a * a + 4.0 / rho_eff))
-
-
-def ls_mse(rho_eff: float, delta: float) -> float:
-    """Limiting MSE of the unregularized decoder: 1 / ((delta - 1) rho_eff)."""
-    if delta <= 1:
-        raise InfeasibleError("plain least squares needs delta > 1")
-    return 1.0 / ((delta - 1.0) * rho_eff)
-
-
-def ls_sep(rho_eff: float, delta: float, m: int) -> float:
-    """Limiting SEP of the unregularized decoder:
-    2(1 - 1/M) Q(sqrt((delta - 1) rho_eff / E))."""
-    if delta <= 1:
-        raise InfeasibleError("plain least squares needs delta > 1")
-    energy_e = (m * m - 1) / 3.0
-    return float(2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt((delta - 1.0) * rho_eff / energy_e)))
 
 
 def rls_stationarity_residuals(
@@ -195,7 +155,7 @@ def _tail_moment(a: float, b: float, x: float) -> tuple[float, float, float]:
     The integral is (a^2+b^2) Q(x) + b(bx+2a) p(x); x = +/-inf is legal and
     drops the density term.
     """
-    q = 0.5 * math.erfc(x / _SQRT2)
+    q = qfunc(x)
     dens = math.exp(-0.5 * x * x) / _SQRT2PI
     val = (a * a + b * b) * q
     if dens > 0.0:
@@ -423,15 +383,14 @@ def box_theta_min(
 class ScalarSolution:
     """Solution of a scalar saddle problem (closed form or numeric).
 
-    upsilon is set on the ridge path only; objective and stationarity_residual
-    on the box path only.
+    upsilon is set on the ridge path only; stationarity_residual on the box
+    path only.
     """
 
     theta_star: float
     beta_star: float
     b_norm: float
     upsilon: float | None = None
-    objective: float | None = None
     stationarity_residual: float | None = None
 
 
@@ -461,7 +420,7 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
         return -_box_terms(theta, beta, params)[2]
 
     beta_star = _bracket_root(neg_slope, beta_hint)
-    theta_star, objective = box_theta_min(params, beta_star, theta_hint=theta)
+    theta_star, _ = box_theta_min(params, beta_star, theta_hint=theta)
     _, d_theta, d_beta = _box_terms(theta_star, beta_star, params)
     resid = max(abs(d_theta), abs(d_beta))
     if not resid <= STATIONARITY_HARD:
@@ -475,7 +434,6 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
         theta_star=float(theta_star),
         beta_star=float(beta_star),
         b_norm=float(b_norm),
-        objective=float(objective),
         stationarity_residual=float(resid),
     )
 
@@ -496,7 +454,7 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
             raise DegenerateThresholdError(
                 f"t / B = {ratio!r} sits on the degenerate lattice point {i}/sqrt(E)"
             )
-    q = float(qfunc(math.sqrt(params.rho_d * params.sigma_hhat_sq / params.energy_e) / theta_star))
+    q = qfunc(math.sqrt(params.rho_d * params.sigma_hhat_sq / params.energy_e) / theta_star)
     sep = 0.0
     for i in range(1, m - 2, 2):
         if ratio >= (i + 1) / sqrt_e:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ConvergenceError
 
@@ -67,10 +66,10 @@ class DecoderSpec:
 
 
 def rls_solve(a: np.ndarray, y: np.ndarray, lam_rho_d: float) -> np.ndarray:
-    """Solve (A'A + lam_rho_d I) x = A'y through a Cholesky factorization.
+    """Solve (A'A + lam_rho_d I) x = A'y.
 
-    Raises ConvergenceError if the system is not positive definite (e.g.
-    lam_rho_d = 0 with a wide A) or if the solve residual is out of tolerance.
+    Raises ConvergenceError if the system is singular (e.g. lam_rho_d = 0
+    with a wide A) or if the solve residual is out of tolerance.
     """
     return _ridge_from_gram(a.T @ a, a.T @ y, lam_rho_d, a.shape[0])
 
@@ -84,10 +83,9 @@ def _ridge_from_gram(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: 
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
     gram[np.diag_indices_from(gram)] += lam_rho_d
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        x = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"normal-equations matrix is singular: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     resid = np.abs(gram @ x - rhs).max()
     scale = max(np.abs(rhs).max(), 1e-300)
     if resid > RLS_RESIDUAL_RTOL * scale:

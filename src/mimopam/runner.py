@@ -418,11 +418,9 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                 lines.append(f"rho_db={rho_db}: alpha_star={alloc.alpha_star:.6f} "
                              f"branch={alloc.branch} rho_eff={alloc.rho_eff_at_star:.6g}")
             else:
-                dp = derive_params(cfg)
-                alloc = optimize_goodput(cfg.rho, cfg.k, cfg.t_total, dp.delta, cfg.m)
-                t_pilot_star = int(round(alloc.tau_p_star * cfg.k))
-                cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=t_pilot_star)
-                lines.append(f"rho_db={rho_db}: t_pilot_star={t_pilot_star} "
+                alloc = optimize_goodput(cfg)
+                cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
+                lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
                              f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
             for kind in spec.decoders:
                 rec = _evaluate_point(spec, cfg, kind, False, workers)

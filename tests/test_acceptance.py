@@ -51,6 +51,10 @@ def criterion(num: int, title: str):
     print(f"[ACCEPTANCE] criterion {num} ({title}): PASS")
 
 
+def gauss_pdf(h):
+    return math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+
+
 def fig2_cfg(rho_db, **kw):
     args = dict(k=400, n=480, t_total=1000, t_pilot=456, rho=10 ** (rho_db / 10),
                 alpha=0.5, m=2, power_convention=mp.PowerConvention.DIRECT_SPLIT)
@@ -205,11 +209,11 @@ class TestCriterion5:
 class TestCriterion6:
     def test_goodput_training_floor(self):
         with criterion(6, "goodput-optimal training duration"):
-            for k, t_total, delta in ((400, 1000, 1.2), (256, 1000, 2.0)):
+            for k, t_total, n in ((400, 1000, 480), (256, 1000, 512)):
                 for rho_db in (0, 10, 20):
-                    res = mp.optimize_goodput(10 ** (rho_db / 10), k=k, t_total=t_total,
-                                              delta=delta)
-                    assert int(round(res.tau_p_star * k)) == k, (k, rho_db)
+                    cfg = mp.SystemConfig(k=k, n=n, t_total=t_total, t_pilot=k,
+                                          rho=10 ** (rho_db / 10), alpha=0.5)
+                    assert mp.optimize_goodput(cfg).t_pilot_star == k, (k, rho_db)
 
 
 class TestCriterion7:
@@ -239,7 +243,7 @@ class TestCriterion7:
                     lo, hi = float(rng.normal()), np.inf
                 else:
                     lo, hi = np.sort(rng.normal(size=2) * 2)
-                want, _ = quad(lambda h: (a_c + b_c * h) ** 2 * mp.gauss_pdf(h), lo, hi,
+                want, _ = quad(lambda h: (a_c + b_c * h) ** 2 * gauss_pdf(h), lo, hi,
                                epsabs=1e-13, epsrel=1e-13)
                 got = mp.gaussian_partial_second_moment(a_c, b_c, lo, hi)
                 assert got == pytest.approx(want, abs=1e-10)
@@ -275,8 +279,8 @@ class TestCriterion7:
                 mse = mp.mse_from_theta(theta, dp.rho_d, dp.sigma_hhat_sq,
                                         dp.sigma_delta_sq, dp.delta)
                 direct = mp.rls_sep(theta, dp.rho_d, dp.sigma_hhat_sq, cfg.m)
-                via_mse = 2 * (1 - 1 / cfg.m) * float(mp.qfunc(
-                    math.sqrt(dp.delta / (dp.energy_e * (mse + 1 / dp.rho_eff)))))
+                via_mse = 2 * (1 - 1 / cfg.m) * mp.qfunc(
+                    math.sqrt(dp.delta / (dp.energy_e * (mse + 1 / dp.rho_eff))))
                 assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
 
 
@@ -357,9 +361,9 @@ def _box_objective_quadrature(theta, beta, p):
             lo, hi = -width - drift, width - drift
             c = (beta * xi / 2) * (drift - lo)
             d = (beta * xi / 2) * (hi - drift)
-            integral, _ = quad(lambda h: (xi * drift + xi * h) ** 2 * mp.gauss_pdf(h),
+            integral, _ = quad(lambda h: (xi * drift + xi * h) ** 2 * gauss_pdf(h),
                                lo, hi, epsabs=1e-12, epsrel=1e-12)
-            acc += (p.t * (c * float(mp.qfunc(-lo)) + d * float(mp.qfunc(hi)))
-                    - beta * xi * p.t * (mp.gauss_pdf(lo) + mp.gauss_pdf(hi))
+            acc += (p.t * (c * mp.qfunc(-lo) + d * mp.qfunc(hi))
+                    - beta * xi * p.t * (gauss_pdf(lo) + gauss_pdf(hi))
                     - pref * integral)
     return val + acc / p.m

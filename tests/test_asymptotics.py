@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from mimopam import (
     BoxObjectiveParams,
+    ConfigError,
     ConvergenceError,
     DecoderKind,
     DecoderSpec,
@@ -26,14 +27,10 @@ from mimopam import (
     box_sep,
     box_theta_min,
     derive_params,
-    gauss_pdf,
     gaussian_partial_second_moment,
     lambda_star_numeric,
     lambda_star_rls,
-    ls_mse,
-    ls_sep,
     mse_from_theta,
-    mse_rls_opt_lambda,
     predict,
     qfunc,
     rls_beta_star,
@@ -83,6 +80,31 @@ def fig2_scalars(rho_db):
     return dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, dp.delta, dp.rho_eff
 
 
+def gauss_pdf(h):
+    return math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+
+
+# Closed forms in the effective SNR, kept here as oracles for predict.
+def ls_mse_closed_form(rho_eff, delta):
+    return 1.0 / ((delta - 1.0) * rho_eff)
+
+
+def ls_sep_closed_form(rho_eff, delta, m):
+    energy_e = (m * m - 1) / 3.0
+    return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt((delta - 1.0) * rho_eff / energy_e))
+
+
+def lmmse_mse_closed_form(rho_eff, delta):
+    a = delta - 1.0 + 1.0 / rho_eff
+    return 0.5 * (-a + math.sqrt(a * a + 4.0 / rho_eff))
+
+
+def unit_ls(rho_eff, delta, m=2):
+    # sigma_delta_sq = 0 and sigma_hhat_sq = 1 make rho_d = rho_eff
+    theta = rls_theta_star(rho_eff, 1.0, 0.0, 0.0, delta)
+    return mse_from_theta(theta, rho_eff, 1.0, 0.0, delta), rls_sep(theta, rho_eff, 1.0, m)
+
+
 class TestUpsilon:
     def test_vanishes_without_regularization_in_tall_systems(self):
         assert upsilon(0.0, 1.2) == 0.0
@@ -109,13 +131,13 @@ class TestRlsClosedForms:
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_RLS_MSE.items()))
     def test_reference_mse_via_effective_snr(self, rho_db, want):
         _, _, _, delta, rho_eff = fig2_scalars(rho_db)
-        assert mse_rls_opt_lambda(rho_eff, delta) == pytest.approx(want, rel=1e-10)
+        assert lmmse_mse_closed_form(rho_eff, delta) == pytest.approx(want, rel=1e-10)
 
     def test_unit_plugin_matches_ls(self):
         # sigma_delta_sq = 0, rho_d = 1 makes rho_eff = 1; delta = 2
         theta = rls_theta_star(1.0, 1.0, 0.0, 0.0, 2.0)
         assert mse_from_theta(theta, 1.0, 1.0, 0.0, 2.0) == pytest.approx(1.0, rel=1e-12)
-        assert ls_mse(1.0, 2.0) == pytest.approx(1.0)
+        assert ls_mse_closed_form(1.0, 2.0) == pytest.approx(1.0)
 
     def test_infeasible_square_system_without_regularization(self):
         with pytest.raises(InfeasibleError):
@@ -131,7 +153,7 @@ class TestRlsClosedForms:
             theta = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
             mse = mse_from_theta(theta, rho_d, s_h2, s_d2, delta)
             direct = rls_sep(theta, rho_d, s_h2, 2)
-            via_mse = 2 * (1 - 0.5) * float(qfunc(math.sqrt(delta / (1.0 * (mse + 1.0 / rho_eff)))))
+            via_mse = 2 * (1 - 0.5) * qfunc(math.sqrt(delta / (1.0 * (mse + 1.0 / rho_eff))))
             assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
 
     def test_stationarity_system_at_closed_form_solution(self):
@@ -174,7 +196,7 @@ class TestLambdaStar:
         lam = lambda_star_rls(rho_d, s_d2)
         theta = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
         via_theta = mse_from_theta(theta, rho_d, s_h2, s_d2, delta)
-        assert mse_rls_opt_lambda(rho_eff, delta) == pytest.approx(via_theta, rel=1e-10)
+        assert lmmse_mse_closed_form(rho_eff, delta) == pytest.approx(via_theta, rel=1e-10)
 
     def test_non_unimodal_sampling_falls_back_to_dense_grid(self):
         from mimopam.asymptotics import _scan_minimize
@@ -189,25 +211,40 @@ class TestLambdaStar:
 
 class TestLsForms:
     def test_unit_example(self):
-        assert ls_mse(1.0, 2.0) == pytest.approx(1.0)
+        mse, sep = unit_ls(1.0, 2.0)
+        assert mse == pytest.approx(1.0)
         # Q(1) frozen from the complementary error function
-        assert ls_sep(1.0, 2.0, 2) == pytest.approx(0.15865525393145707, rel=1e-12)
+        assert sep == pytest.approx(0.15865525393145707, rel=1e-12)
 
     def test_limits(self):
-        assert ls_mse(1e9, 2.0) == pytest.approx(0.0, abs=1e-8)
-        assert ls_sep(1e4, 2.0, 2) == pytest.approx(0.0, abs=1e-300)
-        assert ls_mse(1.0, 1.0 + 1e-12) > 1e11
+        assert unit_ls(1e9, 2.0)[0] == pytest.approx(0.0, abs=1e-8)
+        assert unit_ls(1e4, 2.0)[1] == pytest.approx(0.0, abs=1e-300)
+        assert unit_ls(1.0, 1.0 + 1e-12)[0] > 1e11
 
     def test_sep_consistent_with_mse_form(self):
         energy_e = 5.0  # (M^2 - 1) / 3 for M = 4
         for rho_eff in (0.3, 2.0, 40.0):
-            mse = ls_mse(rho_eff, 1.5)
-            via_mse = 2 * (1 - 0.25) * float(qfunc(math.sqrt(1.0 / (energy_e * mse))))
-            assert ls_sep(rho_eff, 1.5, 4) == pytest.approx(via_mse, rel=1e-12)
+            mse, sep = unit_ls(rho_eff, 1.5, m=4)
+            via_mse = 2 * (1 - 0.25) * qfunc(math.sqrt(1.0 / (energy_e * mse)))
+            assert sep == pytest.approx(via_mse, rel=1e-12)
 
     def test_rejects_delta_at_most_one(self):
-        with pytest.raises(InfeasibleError):
-            ls_mse(1.0, 1.0)
+        cfg = SystemConfig(k=100, n=100, t_total=400, t_pilot=100, rho=10.0, alpha=0.5)
+        with pytest.raises(ConfigError, match="n > k"):
+            predict(cfg, DecoderSpec.ls())
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_closed_forms_match_predict(self, m):
+        for rho_db in np.linspace(-5.0, 35.0, 41):
+            cfg = SystemConfig(k=100, n=150, t_total=400, t_pilot=130,
+                               rho=10 ** (rho_db / 10), alpha=0.5, m=m)
+            dp = derive_params(cfg)
+            ls = predict(cfg, DecoderSpec.ls())
+            assert ls.mse == pytest.approx(ls_mse_closed_form(dp.rho_eff, dp.delta), rel=1e-10)
+            assert ls.sep == pytest.approx(ls_sep_closed_form(dp.rho_eff, dp.delta, m), rel=1e-10)
+            lmmse = predict(cfg, DecoderSpec.lmmse())
+            assert lmmse.mse == pytest.approx(lmmse_mse_closed_form(dp.rho_eff, dp.delta),
+                                              rel=1e-10)
 
 
 class TestGaussianPartialMoment:
@@ -259,7 +296,7 @@ def box_objective_quadrature(theta, beta, p):
             d = (beta * xi / 2) * (hi - drift)
             integral, _ = quad(lambda h: (xi * drift + xi * h) ** 2 * gauss_pdf(h), lo, hi,
                                epsabs=1e-12, epsrel=1e-12)
-            acc += (p.t * (c * float(qfunc(-lo)) + d * float(qfunc(hi)))
+            acc += (p.t * (c * qfunc(-lo) + d * qfunc(hi))
                     - beta * xi * p.t * (gauss_pdf(lo) + gauss_pdf(hi))
                     - pref * integral)
     return val + acc / p.m
@@ -393,7 +430,7 @@ class TestBoxSep:
     def test_bpsk_collapses_to_single_q_term(self):
         p = box_params(10, lam=0.3, t=1.0, m=2)
         sol = box_saddle_solve(p)
-        want = float(qfunc(math.sqrt(p.rho_d * p.sigma_hhat_sq) / sol.theta_star))
+        want = qfunc(math.sqrt(p.rho_d * p.sigma_hhat_sq) / sol.theta_star)
         assert box_sep(sol.theta_star, sol.b_norm, p) == pytest.approx(want, rel=1e-12)
 
     def test_small_threshold_floor_for_4pam(self):
@@ -406,7 +443,7 @@ class TestBoxSep:
         p = box_params(10, lam=0.3, t=3.0 / math.sqrt(5.0), m=4)
         theta = 0.7
         b_norm = 0.95
-        want = 2 * (1 - 0.25) * float(qfunc(math.sqrt(p.rho_d * p.sigma_hhat_sq / 5.0) / theta))
+        want = 2 * (1 - 0.25) * qfunc(math.sqrt(p.rho_d * p.sigma_hhat_sq / 5.0) / theta)
         assert box_sep(theta, b_norm, p) == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_lattice_threshold_rejected(self):

@@ -3,8 +3,10 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -185,9 +187,24 @@ class TestRunModes:
         assert all(abs(rec.alpha - 0.629) <= 1e-3 for rec in result.records)
 
     def test_optimize_goodput_pins_training_to_antenna_count(self):
-        result = run(small_spec(values=(10.0,), decoders=(DecoderKind.RLS,)), "optimize_goodput")
+        base = replace(small_spec().base, power_convention=PowerConvention.ENERGY_CONSERVING)
+        spec = small_spec(base=base, values=(10.0,), decoders=(DecoderKind.RLS,))
+        result = run(spec, "optimize_goodput")
         assert result.records[0].t_pilot == 32
         assert "t_pilot_star=32" in result.report
+
+    def test_optimize_goodput_report_matches_rows(self):
+        spec = load_config(preset_path("prop1"))
+        result = run(spec, "optimize_goodput")
+        reported = [float(g) for g in re.findall(r"goodput=(\S+)", result.report)]
+        rows = [rec for rec in result.records if rec.decoder == "rls"]
+        assert len(reported) == len(rows) == len(spec.values)
+        for want, rec in zip(reported, rows):
+            assert rec.goodput_theory == pytest.approx(want, abs=5e-7)
+
+    def test_optimize_goodput_refuses_direct_split(self):
+        with pytest.raises(ConfigError, match="energy-conserving"):
+            run(small_spec(values=(10.0,)), "optimize_goodput")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -214,12 +231,20 @@ class TestCli:
         assert "wrote 2 rows" in capsys.readouterr().out
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize alone adds about a third to the CLI's start-up time
-        code = "import sys, mimopam.cli; print('scipy.optimize' in sys.modules)"
+        # the runtime needs numpy only; importing scipy would more than double
+        # the CLI's start-up time
+        code = ("import sys, mimopam.cli; "
+                "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
         env = {**os.environ, "PYTHONPATH": str(Path(mimopam.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_optimize_goodput_on_direct_split_is_exit_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        out = str(tmp_path / "goodput.csv")
+        assert cli_main(["optimize-goodput", "--config", cfg, "--out", out]) == 2
+        assert "energy-conserving" in capsys.readouterr().err
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert cli_main(["predict", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -15,7 +15,6 @@ from mimopam import (
     estimate_channel,
     lambda_star_rls,
     make_pilots,
-    mse_rls_opt_lambda,
     predict,
     run_batch,
     run_trial,
@@ -134,11 +133,10 @@ class TestTheoryAgreement:
         cfg = scaled_cfg(20.0)
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        want = mse_rls_opt_lambda(dp.rho_eff, dp.delta)
-        assert want == pytest.approx(0.10918244834212, rel=1e-10)
-        stats = run_batch(cfg, DecoderSpec.rls(lam), trials=150, master_seed=424)
-        assert abs(stats.mean_mse - want) <= 3 * stats.stderr_mse
         pred = predict(cfg, DecoderSpec.rls(lam))
+        assert pred.mse == pytest.approx(0.10918244834212, rel=1e-10)
+        stats = run_batch(cfg, DecoderSpec.rls(lam), trials=150, master_seed=424)
+        assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
         assert abs(stats.mean_ser - pred.sep) <= 3 * max(
             stats.stderr_ser, math.sqrt(pred.sep * (1 - pred.sep) / (150 * cfg.k))
         )

@@ -1,24 +1,25 @@
 """Deterministic large-system predictors for the linear and box decoders.
 
 The ridge decoder (plain least squares is ridge at lambda = 0, LMMSE ridge at
-lambda*) has a closed-form scalar solution, and predict turns any scalar
-solution into MSE, SEP and goodput. The box-constrained decoder has no closed
-form: its limiting MSE/SEP come from a two-variable scalar saddle problem
-sup_beta min_theta D(theta, beta) whose Gaussian integrals are evaluated in
-closed form via partial second moments of a standard normal. One pure-math
-kernel returns D together with its exact gradient, and the saddle is found by
-bracketed root finding on that gradient: the inner minimum in theta is the
-root of dD/dtheta, and the root of the concave beta profile's slope, which
-equals dD/dbeta at the inner minimum, gives beta*. The numeric searches for
-the ridge coefficient and the box threshold sample a grid and refine the best
-interval by golden section.
+lambda*) has a closed-form scalar solution; it is the box decoder at threshold
+t = inf. predict returns one record per scenario and decoder: the scalar
+solution, its debias constant, and the MSE, SEP and goodput it implies. The
+box-constrained decoder has no closed form: its limiting MSE/SEP come from a
+two-variable scalar saddle problem sup_beta min_theta D(theta, beta) whose
+Gaussian integrals are evaluated in closed form via partial second moments of
+a standard normal. One pure-math kernel returns D together with its exact
+gradient, and the saddle is found by bracketed root finding on that gradient:
+the inner minimum in theta is the root of dD/dtheta, and the root of the
+concave beta profile's slope, which equals dD/dbeta at the inner minimum,
+gives beta*. The numeric searches for the ridge coefficient and the box
+threshold sample a grid and refine the best interval by golden section.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -279,7 +280,7 @@ def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iter: int = 400):
+def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iter: int = 400) -> float:
     """Golden-section minimization on a bracketed unimodal interval."""
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
@@ -295,8 +296,7 @@ def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iter: int = 400):
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    return 0.5 * (lo + hi)
 
 
 def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -362,8 +362,9 @@ def box_theta_min(
     params: BoxObjectiveParams,
     beta: float,
     theta_hint: float | None = None,
-) -> tuple[float, float]:
-    """Inner minimization min_theta D(theta, beta); returns (theta, D).
+) -> tuple[float, float, float]:
+    """Inner minimization min_theta D(theta, beta); returns (theta, D, dD/dbeta)
+    at the minimizer.
 
     D is convex in theta and diverges at both ends of (0, inf), so the
     minimizer is the root of dD/dtheta, bracketed outward from theta_hint
@@ -376,21 +377,20 @@ def box_theta_min(
             max(params.lam, 1e-12), params.delta,
         )
     theta = _bracket_root(lambda th: _box_terms(th, beta, params)[1], hint)
-    return theta, _box_terms(theta, beta, params)[0]
+    val, _, d_beta = _box_terms(theta, beta, params)
+    return theta, val, d_beta
 
 
 @dataclass(frozen=True)
 class ScalarSolution:
     """Solution of a scalar saddle problem (closed form or numeric).
 
-    upsilon is set on the ridge path only; stationarity_residual on the box
-    path only.
+    stationarity_residual is set on the box path only.
     """
 
     theta_star: float
     beta_star: float
     b_norm: float
-    upsilon: float | None = None
     stationarity_residual: float | None = None
 
 
@@ -416,11 +416,11 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
 
     def neg_slope(beta: float) -> float:
         nonlocal theta
-        theta, _ = box_theta_min(params, beta, theta_hint=theta)
-        return -_box_terms(theta, beta, params)[2]
+        theta, _, d_beta = box_theta_min(params, beta, theta_hint=theta)
+        return -d_beta
 
     beta_star = _bracket_root(neg_slope, beta_hint)
-    theta_star, _ = box_theta_min(params, beta_star, theta_hint=theta)
+    theta_star = box_theta_min(params, beta_star, theta_hint=theta)[0]
     _, d_theta, d_beta = _box_terms(theta_star, beta_star, params)
     resid = max(abs(d_theta), abs(d_beta))
     if not resid <= STATIONARITY_HARD:
@@ -444,7 +444,8 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
     Four indicator groups cover inner symbols whose decision region is fully
     inside the box, partially clipped, or entirely outside, plus the edge
     symbols. Thresholds exactly on the odd lattice t/B = i/sqrt(E) are
-    rejected as degenerate.
+    rejected as degenerate. At t = inf every symbol is inside the box and the
+    sum is the ridge decoder's 2(1 - 1/M) Q(sqrt(rho_d sH2 / E) / theta*).
     """
     m = params.m
     sqrt_e = math.sqrt(params.energy_e)
@@ -475,24 +476,26 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _theta_of_lambda(cfg: SystemConfig, kind: DecoderKind, t_box: float | None):
-    dp = derive_params(cfg)
+def _box_theta_of(params: BoxObjectiveParams, knob: str):
+    """theta* of the box saddle as a function of one knob ("lam" or "t") of
+    params; each solve starts from the beta* of the one before."""
+    last_beta = None
 
-    if kind is DecoderKind.RLS:
-        def f(lam: float) -> float:
-            return rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
-        return f
-    if kind is DecoderKind.BOX:
-        t = t_box if t_box is not None else float(pam_constellation(cfg.m).points[-1])
-        last_beta: list[float | None] = [None]
+    def f(x: float) -> float:
+        nonlocal last_beta
+        sol = box_saddle_solve(replace(params, **{knob: x}), beta_hint=last_beta)
+        last_beta = sol.beta_star
+        return sol.theta_star
+    return f
 
-        def f(lam: float) -> float:
-            p = BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
-            sol = box_saddle_solve(p, beta_hint=last_beta[0])
-            last_beta[0] = sol.beta_star
-            return sol.theta_star
-        return f
-    raise ValueError(f"no lambda to optimize for decoder {kind}")
+
+def _expand_bracket(f, hi: float, knob: str) -> float:
+    """Multiply hi by 4 until f(hi) > f(hi / 2), so [0, hi] holds the minimum."""
+    for _ in range(10):
+        if f(hi) > f(hi / 2.0):
+            return hi
+        hi *= 4.0
+    raise ConvergenceError(f"{knob} bracket kept expanding without an interior minimum")
 
 
 def _scan_minimize(f, grid: np.ndarray, tol: float, label: str) -> float:
@@ -517,15 +520,13 @@ def _scan_minimize(f, grid: np.ndarray, tol: float, label: str) -> float:
         j = int(np.argmin(vals))
         lo = grid[max(j - 1, 0)]
         hi = grid[min(j + 1, len(grid) - 1)]
-    x, _ = _golden_min(f, lo, hi, rel_tol=tol)
-    return float(x)
+    return float(_golden_min(f, lo, hi, rel_tol=tol))
 
 
 def lambda_star_numeric(
     cfg: SystemConfig,
     kind: DecoderKind = DecoderKind.RLS,
     t_box: float | None = None,
-    tol: float = SCALAR_SEARCH_TOL,
 ) -> float:
     """argmin over lam >= 0 of theta*(lam) for the requested decoder.
 
@@ -533,48 +534,37 @@ def lambda_star_numeric(
     ridge optimum and expands until the objective is increasing.
     """
     dp = derive_params(cfg)
-    f = _theta_of_lambda(cfg, kind, t_box)
-    hi = 4.0 * lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-    for _ in range(10):
-        if f(hi) > f(hi / 2.0):
-            break
-        hi *= 4.0
+    if kind is DecoderKind.RLS:
+        def f(lam: float) -> float:
+            return rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
+    elif kind is DecoderKind.BOX:
+        t = t_box if t_box is not None else float(pam_constellation(cfg.m).points[-1])
+        f = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=0.0, t=t), "lam")
     else:
-        raise ConvergenceError("lambda bracket kept expanding without an interior minimum")
+        raise ValueError(f"no lambda to optimize for decoder {kind}")
+    hi = _expand_bracket(f, 4.0 * lambda_star_rls(dp.rho_d, dp.sigma_delta_sq), "lambda")
     grid = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 25)])
-    return _scan_minimize(f, grid, tol, "lambda_star_numeric")
+    return _scan_minimize(f, grid, SCALAR_SEARCH_TOL, "lambda_star_numeric")
 
 
-def t_star_numeric(
-    cfg: SystemConfig,
-    lam: float,
-    tol: float = SCALAR_SEARCH_TOL,
-) -> float:
+def t_star_numeric(cfg: SystemConfig, lam: float) -> float:
     """argmin over t > 0 of the box decoder's theta*(t) at fixed lam."""
     t_ref = float(pam_constellation(cfg.m).points[-1])
-    last_beta: list[float | None] = [None]
-
-    def f(t: float) -> float:
-        p = BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
-        sol = box_saddle_solve(p, beta_hint=last_beta[0])
-        last_beta[0] = sol.beta_star
-        return sol.theta_star
-
-    hi = 2.0 * t_ref
-    for _ in range(10):
-        if f(hi) > f(hi / 2.0):
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError("t bracket kept expanding without an interior minimum")
+    f = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=lam, t=t_ref), "t")
+    hi = _expand_bracket(f, 2.0 * t_ref, "t")
     grid = np.geomspace(t_ref / 8.0, hi, 25)
-    return _scan_minimize(f, grid, tol, "t_star_numeric")
+    return _scan_minimize(f, grid, SCALAR_SEARCH_TOL, "t_star_numeric")
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Asymptotic performance triple for one scenario and decoder."""
+    """Asymptotic record for one scenario and decoder: the scalar solution
+    (theta*, beta*) with the debias constant B that divides the estimate
+    before slicing, and the MSE, SEP and goodput they imply."""
 
+    theta_star: float
+    beta_star: float
+    b_norm: float
     mse: float
     sep: float
     goodput: float
@@ -599,30 +589,26 @@ def ridge_coefficient(cfg: SystemConfig, spec: DecoderSpec) -> float:
     return lam
 
 
-def scalar_solution(cfg: SystemConfig, spec: DecoderSpec) -> ScalarSolution:
-    """Scalar saddle solution (theta*, beta*, B) for any decoder spec."""
-    lam = ridge_coefficient(cfg, spec)
-    if spec.t_box is not None:
-        return box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=lam, t=spec.t_box))
+def scalar_solution(p: BoxObjectiveParams) -> ScalarSolution:
+    """Scalar saddle solution (theta*, beta*, B); t = inf is the ridge decoder."""
+    if math.isfinite(p.t):
+        return box_saddle_solve(p)
+    theta = rls_theta_star(p.rho_d, p.sigma_hhat_sq, p.sigma_delta_sq, p.lam, p.delta)
+    beta = rls_beta_star(theta, p.lam, p.sigma_hhat_sq, p.delta)
+    u = upsilon(p.lam / p.sigma_hhat_sq, p.delta)
+    return ScalarSolution(theta_star=theta, beta_star=beta, b_norm=1.0 / (1.0 + u))
+
+
+def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
+    """Asymptotic theta*, beta*, B, MSE, SEP and goodput for one scenario and
+    decoder."""
     dp = derive_params(cfg)
-    theta = rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
-    beta = rls_beta_star(theta, lam, dp.sigma_hhat_sq, dp.delta)
-    u = upsilon(lam / dp.sigma_hhat_sq, dp.delta)
-    return ScalarSolution(theta_star=theta, beta_star=beta, b_norm=1.0 / (1.0 + u), upsilon=u)
-
-
-def predict(cfg: SystemConfig, spec: DecoderSpec, solution: ScalarSolution | None = None) -> Prediction:
-    """Asymptotic MSE, SEP and goodput for one scenario and decoder.
-
-    Pass a precomputed scalar_solution to avoid re-solving the box saddle.
-    """
-    dp = derive_params(cfg)
-    sol = solution if solution is not None else scalar_solution(cfg, spec)
+    t = spec.t_box if spec.t_box is not None else math.inf
+    params = BoxObjectiveParams(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq,
+                                ridge_coefficient(cfg, spec), dp.delta, t, cfg.m)
+    sol = scalar_solution(params)
     mse = mse_from_theta(sol.theta_star, dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, dp.delta)
-    if spec.t_box is not None:
-        params = BoxObjectiveParams.from_config(cfg, lam=spec.lam, t=spec.t_box)
-        sep = box_sep(sol.theta_star, sol.b_norm, params)
-    else:
-        sep = rls_sep(sol.theta_star, dp.rho_d, dp.sigma_hhat_sq, cfg.m)
+    sep = box_sep(sol.theta_star, sol.b_norm, params)
     goodput = (1.0 - dp.tau_p / dp.tau) * (1.0 - sep)
-    return Prediction(mse=mse, sep=sep, goodput=goodput)
+    return Prediction(theta_star=sol.theta_star, beta_star=sol.beta_star, b_norm=sol.b_norm,
+                      mse=mse, sep=sep, goodput=goodput)

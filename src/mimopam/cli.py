@@ -2,7 +2,7 @@
 
     mimopam predict|simulate|compare|optimize-power|optimize-goodput
             --config PATH [--out CSV] [--report PATH] [--trials N]
-            [--seed S] [--convention energy|direct] [--workers W]
+            [--seed S] [--workers W]
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence in any row,
 4 theory/simulation disagreement flagged in compare mode.
@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from .errors import ConfigError
 from .runner import load_config, run, write_outputs
-from .system import PowerConvention
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", default=None, help="also write the text report here")
         p.add_argument("--trials", type=int, default=None, help="override trial count")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--convention", choices=("energy", "direct"), default=None,
-                       help="override the power convention")
         p.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
     return parser
 
@@ -59,10 +56,6 @@ def main(argv: list[str] | None = None) -> int:
             spec = replace(spec, trials=args.trials)
         if args.seed is not None:
             spec = replace(spec, master_seed=args.seed)
-        if args.convention is not None:
-            conv = PowerConvention.ENERGY_CONSERVING if args.convention == "energy" \
-                else PowerConvention.DIRECT_SPLIT
-            spec = replace(spec, base=replace(spec.base, power_convention=conv))
         mode = _MODE_NAMES[args.mode]
         result = run(spec, mode, workers=max(1, args.workers))
     except (ConfigError, OSError) as exc:

@@ -16,13 +16,10 @@ from dataclasses import dataclass, replace
 
 from .allocation import alpha_star_for_config, optimize_goodput
 from .asymptotics import (
-    Prediction,
-    ScalarSolution,
     lambda_star_numeric,
     lambda_star_rls,
     predict,
     ridge_coefficient,
-    scalar_solution,
     t_star_numeric,
 )
 from .decoders import DecoderKind, DecoderSpec
@@ -339,20 +336,18 @@ def _evaluate_point(
         return replace(shell, error=str(exc))
     shell = replace(shell, lam=ridge_coefficient(cfg, dspec), t_box=dspec.t_box)
     try:
-        sol: ScalarSolution = scalar_solution(cfg, dspec)
-        pred: Prediction = predict(cfg, dspec, solution=sol)
+        pred = predict(cfg, dspec)
     except _SOLVER_ERRORS as exc:
         return replace(shell, error=str(exc))
     shell = replace(
         shell,
-        theta_star=sol.theta_star, beta_star=sol.beta_star, b_norm=sol.b_norm,
+        theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
     )
     if not simulate or spec.trials == 0:
         return shell
     try:
-        stats = run_batch(cfg, dspec, spec.trials, spec.master_seed,
-                          workers=workers, b_norm=sol.b_norm)
+        stats = run_batch(cfg, dspec, spec.trials, spec.master_seed, workers=workers)
     except _SOLVER_ERRORS as exc:
         return replace(shell, error=str(exc))
     return replace(

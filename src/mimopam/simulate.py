@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ridge_coefficient, scalar_solution
+from .asymptotics import predict, ridge_coefficient
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
@@ -92,21 +92,16 @@ def run_trial(
     decoder_spec: DecoderSpec,
     seed: int,
     trial_idx: int,
-    pilots: np.ndarray | None = None,
-    b_norm: float | None = None,
+    pilots: np.ndarray,
+    b_norm: float,
 ) -> TrialOutcome:
     """One full pilot + data transmission, ridge or box solve, normalize and slice.
 
-    Deterministic given (seed, trial_idx). pilots and b_norm can be passed in
-    to amortize their construction across a batch; when omitted they are
-    derived from the same seed and config, so results are unchanged.
+    Deterministic given (seed, trial_idx). pilots is the batch's pilot matrix
+    (make_pilots) and b_norm the debias constant B of the decoder (predict).
     """
     dp = derive_params(cfg)
     constellation = pam_constellation(cfg.m)
-    if pilots is None:
-        pilots = make_pilots(cfg.k, cfg.t_pilot, seed)
-    if b_norm is None:
-        b_norm = scalar_solution(cfg, decoder_spec).b_norm
     lam_rho_d = ridge_coefficient(cfg, decoder_spec) * dp.rho_d
 
     rng = trial_stream(seed, trial_idx)
@@ -134,20 +129,17 @@ def run_batch(
     trials: int,
     master_seed: int,
     workers: int = 1,
-    b_norm: float | None = None,
 ) -> BatchStats:
     """Aggregate independent trials into sample means and standard errors.
 
     Trials are indexed 0..trials-1 and aggregated in index order, so the
     result is identical whether they were computed sequentially or by a
-    thread pool. b_norm may be supplied when the caller already solved for
-    the debias constant.
+    thread pool. The debias constant B comes from predict.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     pilots = make_pilots(cfg.k, cfg.t_pilot, master_seed)
-    if b_norm is None:
-        b_norm = scalar_solution(cfg, decoder_spec).b_norm
+    b_norm = predict(cfg, decoder_spec).b_norm
 
     def one(idx: int) -> TrialOutcome:
         return run_trial(cfg, decoder_spec, master_seed, idx, pilots=pilots, b_norm=b_norm)

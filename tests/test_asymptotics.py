@@ -388,6 +388,20 @@ class TestBoxSaddle:
         box_saddle_solve(box_params(20, lam=lambda_star_rls(rho_d, s_d2), t=1.0))
         assert 0 < len(calls) <= 64
 
+    def test_kernel_not_reevaluated_at_inner_roots(self, monkeypatch):
+        # box_theta_min hands back dD/dbeta at its root, so the outer slope
+        # needs no second kernel call there (that call would make it 99)
+        calls = []
+        kernel = asymptotics._box_terms
+
+        def counted(theta, beta, p):
+            calls.append((theta, beta))
+            return kernel(theta, beta, p)
+
+        monkeypatch.setattr(asymptotics, "_box_terms", counted)
+        box_saddle_solve(box_params(20, lam=0.02, t=1.0))
+        assert 0 < len(calls) <= 90
+
     def test_stationarity_and_norm_range(self):
         sol = box_saddle_solve(box_params(10, lam=0.4, t=1.0))
         assert sol.stationarity_residual <= 1e-6
@@ -470,10 +484,29 @@ class TestPredict:
 
     def test_ridge_norm_identity(self):
         cfg = fig2_cfg(10)
-        sol = scalar_solution(cfg, DecoderSpec.rls(0.8))
-        assert sol.b_norm == pytest.approx(1.0 / (1.0 + sol.upsilon), rel=1e-12)
-        ls_sol = scalar_solution(cfg, DecoderSpec.ls())
+        dp = derive_params(cfg)
+        sol = scalar_solution(BoxObjectiveParams.from_config(cfg, lam=0.8, t=math.inf))
+        u = upsilon(0.8 / dp.sigma_hhat_sq, dp.delta)
+        assert sol.b_norm == pytest.approx(1.0 / (1.0 + u), rel=1e-12)
+        ls_sol = scalar_solution(BoxObjectiveParams.from_config(cfg, lam=0.0, t=math.inf))
         assert ls_sol.b_norm == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("spec,most", [(DecoderSpec.ls(), 1), (DecoderSpec.rls(0.5), 1),
+                                           (DecoderSpec.box(0.5, 1.0), 1),
+                                           (DecoderSpec.lmmse(), 2)],
+                             ids=["ls", "rls", "box", "lmmse"])
+    def test_scenario_derived_once(self, monkeypatch, spec, most):
+        # lmmse derives once more inside ridge_coefficient for lambda*
+        calls = []
+        inner = asymptotics.derive_params
+
+        def counted(cfg):
+            calls.append(cfg)
+            return inner(cfg)
+
+        monkeypatch.setattr(asymptotics, "derive_params", counted)
+        predict(fig2_cfg(10), spec)
+        assert 0 < len(calls) <= most
 
     def test_monotone_in_effective_snr_at_optimal_lambda(self):
         mses, seps = [], []

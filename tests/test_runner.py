@@ -1,6 +1,7 @@
 """Sweep configs, CSV schema and determinism, CLI exit codes."""
 
 import csv
+import io
 import math
 import os
 import re
@@ -24,6 +25,7 @@ from mimopam import (
     TPolicy,
     lambda_star_rls,
     load_config,
+    predict,
     records_to_csv,
     resolve_decoder,
     run,
@@ -179,6 +181,21 @@ class TestRunModes:
         dp = derive_params(apply_sweep_value(spec, 10.0))
         assert ls_row.lam == 0.0
         assert lmmse_row.lam == lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+
+    def test_theory_cells_are_the_predict_record(self):
+        kinds = (DecoderKind.LS, DecoderKind.RLS, DecoderKind.BOX, DecoderKind.LMMSE)
+        spec = small_spec(decoders=kinds)
+        rows = csv.DictReader(io.StringIO(records_to_csv(run(spec, "predict").records)))
+        cells = {"theta_star": "theta_star", "beta_star": "beta_star", "b_norm": "b_norm",
+                 "mse_theory": "mse", "sep_theory": "sep", "goodput_theory": "goodput"}
+        for value in spec.values:
+            cfg = apply_sweep_value(spec, value)
+            for kind in kinds:
+                row = next(rows)
+                assert row["decoder"] == kind.value
+                pred = predict(cfg, resolve_decoder(spec, cfg, kind))
+                for col, field in cells.items():
+                    assert float(row[col]) == getattr(pred, field), (value, kind, col)
 
     def test_optimize_power_reports_reference_alpha(self):
         spec = load_config(preset_path("fig6"))

@@ -27,6 +27,11 @@ from mimopam import (
 SCALED = dict(k=200, n=240, t_total=500, t_pilot=228)
 
 
+def batch_inputs(cfg, spec, seed):
+    """The pilot matrix and debias constant run_batch hands to run_trial."""
+    return make_pilots(cfg.k, cfg.t_pilot, seed), predict(cfg, spec).b_norm
+
+
 def scaled_cfg(rho_db, **kw):
     args = dict(SCALED, rho=10 ** (rho_db / 10), alpha=0.5, m=2,
                 power_convention=PowerConvention.DIRECT_SPLIT)
@@ -100,22 +105,23 @@ class TestRunTrial:
     def test_exact_inversion_regime(self):
         # enormous power: near-perfect estimate, noise negligible after scaling
         cfg = scaled_cfg(300.0, lam=0.0)
-        out = run_trial(cfg, DecoderSpec.ls(), seed=5, trial_idx=0)
+        out = run_trial(cfg, DecoderSpec.ls(), 5, 0, *batch_inputs(cfg, DecoderSpec.ls(), 5))
         assert out.ser == 0.0
         assert out.mse <= 1e-18
 
     def test_deterministic_given_seed_path(self):
         cfg = scaled_cfg(10.0)
         spec = DecoderSpec.rls(0.5)
-        a = run_trial(cfg, spec, seed=12, trial_idx=3)
-        b = run_trial(cfg, spec, seed=12, trial_idx=3)
+        inputs = batch_inputs(cfg, spec, 12)
+        a = run_trial(cfg, spec, 12, 3, *inputs)
+        b = run_trial(cfg, spec, 12, 3, *inputs)
         assert (a.mse, a.ser) == (b.mse, b.ser)
-        c = run_trial(cfg, spec, seed=12, trial_idx=4)
+        c = run_trial(cfg, spec, 12, 4, *inputs)
         assert (a.mse, a.ser) != (c.mse, c.ser)
 
     def test_ser_is_integer_multiple_of_inverse_k(self):
         cfg = scaled_cfg(5.0)
-        out = run_trial(cfg, DecoderSpec.lmmse(), seed=2, trial_idx=0)
+        out = run_trial(cfg, DecoderSpec.lmmse(), 2, 0, *batch_inputs(cfg, DecoderSpec.lmmse(), 2))
         assert out.mse >= 0
         assert 0.0 <= out.ser <= 1.0
         assert (out.ser * cfg.k) == pytest.approx(round(out.ser * cfg.k), abs=1e-9)
@@ -156,8 +162,9 @@ class TestTheoryAgreement:
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         spec = DecoderSpec.rls(lam)
-        debiased = [run_trial(cfg, spec, 3, i) for i in range(40)]
-        raw = [run_trial(cfg, spec, 3, i, b_norm=1.0) for i in range(40)]
+        pilots, b_norm = batch_inputs(cfg, spec, 3)
+        debiased = [run_trial(cfg, spec, 3, i, pilots, b_norm) for i in range(40)]
+        raw = [run_trial(cfg, spec, 3, i, pilots, 1.0) for i in range(40)]
         assert np.mean([o.ser for o in debiased]) < np.mean([o.ser for o in raw])
 
     def test_box_no_worse_than_ridge_at_shared_settings(self):
@@ -176,7 +183,7 @@ class TestRunBatch:
     def test_single_trial_stats(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         stats = run_batch(cfg, DecoderSpec.lmmse(), trials=1, master_seed=9)
-        single = run_trial(cfg, DecoderSpec.lmmse(), seed=9, trial_idx=0)
+        single = run_trial(cfg, DecoderSpec.lmmse(), 9, 0, *batch_inputs(cfg, DecoderSpec.lmmse(), 9))
         assert stats.mean_mse == single.mse
         assert stats.stderr_mse == 0.0
         assert stats.stderr_ser == 0.0
@@ -201,7 +208,8 @@ class TestRunBatch:
 
     def test_aggregate_order_invariance(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        outs = [run_trial(cfg, DecoderSpec.rls(0.4), 5, i) for i in range(8)]
+        inputs = batch_inputs(cfg, DecoderSpec.rls(0.4), 5)
+        outs = [run_trial(cfg, DecoderSpec.rls(0.4), 5, i, *inputs) for i in range(8)]
         a = aggregate(outs)
         rng = np.random.default_rng(3)
         for _ in range(5):

@@ -18,7 +18,6 @@ from .asymptotics import (
     box_theta_min,
     gaussian_partial_second_moment,
     lambda_star_numeric,
-    lambda_star_rls,
     mse_from_theta,
     predict,
     qfunc,
@@ -69,6 +68,7 @@ from .system import (
     SystemConfig,
     db_to_linear,
     derive_params,
+    lambda_star_rls,
     linear_to_db,
     pam_constellation,
     rho_eff_of_alpha,

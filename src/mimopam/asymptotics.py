@@ -1,7 +1,14 @@
 """Deterministic large-system predictors for the linear and box decoders.
 
-The ridge decoder (plain least squares is ridge at lambda = 0, LMMSE ridge at
-lambda*) has a closed-form scalar solution; it is the box decoder at threshold
+The LMMSE estimation error is Gaussian and independent of the estimate, so
+the data model is a known channel at the effective SNR rho_eff, the error
+counted as noise of standard deviation s (DerivedParams.noise_std). Every
+predictor is therefore a function of (rho_eff, lam~, delta, t, M), where
+lam~ = lam / lambda* (LMMSE is lam~ = 1); a fixed raw lam changes lam~
+whenever alpha or rho moves. The raw saddle point is s times the one here.
+
+The ridge decoder (plain least squares is ridge at lam~ = 0) has a
+closed-form scalar solution; it is the box decoder at threshold
 t = inf. predict returns one record per scenario and decoder: the scalar
 solution, its debias constant, and the MSE, SEP and goodput it implies. The
 box-constrained decoder has no closed form: its limiting MSE/SEP come from a
@@ -45,16 +52,16 @@ def qfunc(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ridge closed forms (plain LS is ridge at lambda = 0)
+# Ridge closed forms (plain LS is ridge at lam~ = 0, LMMSE at lam~ = 1)
 # ---------------------------------------------------------------------------
 
 
 def upsilon(lambda_prime: float, delta: float) -> float:
     """Positive root of delta*u^2 + (delta - lambda' - 1)*u - lambda' = 0.
 
-    lambda_prime is the regularization coefficient normalized by the channel
-    estimate variance. Vanishes at lambda_prime = 0 when delta >= 1 and grows
-    like lambda_prime / delta for large regularization.
+    lambda_prime is lam~ / rho_eff, the ridge coefficient in units of the
+    effective noise-to-signal ratio. Vanishes at lambda_prime = 0 when
+    delta >= 1 and grows like lambda_prime / delta for large regularization.
     """
     if lambda_prime < 0 or delta <= 0:
         raise ValueError("need lambda_prime >= 0 and delta > 0")
@@ -62,85 +69,66 @@ def upsilon(lambda_prime: float, delta: float) -> float:
     return (-a + math.sqrt(a * a + 4.0 * lambda_prime * delta)) / (2.0 * delta)
 
 
-def rls_theta_star(
-    rho_d: float, sigma_hhat_sq: float, sigma_delta_sq: float, lam: float, delta: float
-) -> float:
+def rls_theta_star(rho_eff: float, lam_tilde: float, delta: float) -> float:
     """Closed-form scalar solution for the ridge decoder.
 
-    theta* = sqrt((rho_d sH2 (u/(1+u))^2 + rho_d sD2 + 1) / (delta - 1/(1+u)^2))
-    with u = upsilon(lam / sH2, delta). The denominator must be positive,
-    which holds for any lam > 0 and for lam = 0 when delta > 1.
+    theta* = sqrt((rho_eff (u/(1+u))^2 + 1) / (delta - 1/(1+u)^2)) with
+    u = upsilon(lam~ / rho_eff, delta). The denominator must be positive,
+    which holds for any lam~ > 0 and for lam~ = 0 when delta > 1.
     """
-    u = upsilon(lam / sigma_hhat_sq, delta)
+    u = upsilon(lam_tilde / rho_eff, delta)
     shrink = u / (1.0 + u)
     den = delta - 1.0 / (1.0 + u) ** 2
     if den <= 0:
         raise InfeasibleError(
-            f"theta* undefined: delta={delta} <= 1/(1+upsilon)^2 at lam={lam}"
+            f"theta* undefined: delta={delta} <= 1/(1+upsilon)^2 at lam~={lam_tilde}"
         )
-    num = rho_d * sigma_hhat_sq * shrink * shrink + rho_d * sigma_delta_sq + 1.0
-    return math.sqrt(num / den)
+    return math.sqrt((rho_eff * shrink * shrink + 1.0) / den)
 
 
-def rls_beta_star(theta_star: float, lam: float, sigma_hhat_sq: float, delta: float) -> float:
-    """Companion dual scalar: beta* = 2((delta - lam' - 1) + delta*u) theta*.
+def rls_beta_star(theta_star: float, rho_eff: float, lam_tilde: float, delta: float) -> float:
+    """Companion dual scalar: beta* = 2((delta - lam' - 1) + delta*u) theta*
+    with lam' = lam~ / rho_eff.
 
-    Equals 2 lam theta* / (sH2 u) when lam > 0, but this form stays finite in
-    the lam -> 0 limit as well.
+    Equals 2 lam' theta* / u when lam~ > 0, but this form stays finite in the
+    lam~ -> 0 limit as well.
     """
-    lp = lam / sigma_hhat_sq
+    lp = lam_tilde / rho_eff
     u = upsilon(lp, delta)
     return 2.0 * ((delta - lp - 1.0) + delta * u) * theta_star
 
 
-def mse_from_theta(
-    theta_star: float, rho_d: float, sigma_hhat_sq: float, sigma_delta_sq: float, delta: float
-) -> float:
+def mse_from_theta(theta_star: float, rho_eff: float, delta: float) -> float:
     """Limiting per-antenna MSE implied by the scalar solution."""
-    return (delta * theta_star**2 - rho_d * sigma_delta_sq - 1.0) / (rho_d * sigma_hhat_sq)
+    return (delta * theta_star**2 - 1.0) / rho_eff
 
 
-def rls_sep(theta_star: float, rho_d: float, sigma_hhat_sq: float, m: int) -> float:
+def rls_sep(theta_star: float, rho_eff: float, m: int) -> float:
     """Limiting symbol error probability of the debiased ridge decoder:
-    2(1 - 1/M) Q(sqrt(rho_d sH2) / (sqrt(E) theta*))."""
+    2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*)."""
     if theta_star <= 0:
         raise ValueError("theta_star must be positive")
     energy_e = (m * m - 1) / 3.0
-    return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_d * sigma_hhat_sq / energy_e) / theta_star)
-
-
-def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
-    """MSE- and SEP-optimal ridge coefficient: 1/rho_d + sigma_delta_sq."""
-    if rho_d <= 0:
-        raise ValueError("rho_d must be positive")
-    return 1.0 / rho_d + sigma_delta_sq
+    return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_eff / energy_e) / theta_star)
 
 
 def rls_stationarity_residuals(
-    theta: float,
-    beta: float,
-    rho_d: float,
-    sigma_hhat_sq: float,
-    sigma_delta_sq: float,
-    lam: float,
-    delta: float,
+    theta: float, beta: float, rho_eff: float, lam_tilde: float, delta: float
 ) -> tuple[float, float]:
     """Analytic first-order system for the unboxed scalar saddle; both
     components vanish at (theta*, beta*)."""
-    s2 = sigma_hhat_sq
-    den = (beta * s2 + 2.0 * lam * theta) ** 2
+    den = (beta * rho_eff + 2.0 * lam_tilde * theta) ** 2
     f_theta = (
         delta * beta
         - beta / theta**2
-        - rho_d * sigma_delta_sq * beta / theta**2
-        - beta * s2 * (beta**2 * s2 + 4.0 * rho_d * lam**2) / den
+        - beta * rho_eff * (beta**2 * rho_eff + 4.0 * lam_tilde**2) / den
     )
     f_beta = (
         delta * theta
         + 1.0 / theta
         - beta
-        + rho_d * sigma_delta_sq / theta
-        - s2 * theta * (beta**2 * s2 + 4.0 * lam * theta * beta - 4.0 * rho_d * lam**2) / den
+        - rho_eff * theta * (beta**2 * rho_eff + 4.0 * lam_tilde * theta * beta
+                             - 4.0 * lam_tilde**2) / den
     )
     return f_theta, f_beta
 
@@ -177,23 +165,15 @@ def gaussian_partial_second_moment(a: float, b: float, lower: float, upper: floa
 
 @dataclass(frozen=True)
 class BoxObjectiveParams:
-    """Scenario constants entering the box-decoder saddle objective."""
+    """Scenario point of the saddle objective: effective SNR rho_eff, ridge
+    coefficient lam_tilde = lam / lambda*, delta = N/K, box threshold t
+    (t = inf is the ridge decoder) and PAM order m."""
 
-    rho_d: float
-    sigma_hhat_sq: float
-    sigma_delta_sq: float
-    lam: float
+    rho_eff: float
+    lam_tilde: float
     delta: float
     t: float
     m: int
-
-    @property
-    def xi(self) -> float:
-        return math.sqrt(self.rho_d * self.sigma_hhat_sq)
-
-    @property
-    def lam_rho_d(self) -> float:
-        return self.lam * self.rho_d
 
     @property
     def energy_e(self) -> float:
@@ -201,25 +181,20 @@ class BoxObjectiveParams:
 
     @staticmethod
     def from_config(cfg: SystemConfig, lam: float, t: float) -> "BoxObjectiveParams":
+        """The theory point of a scenario at raw ridge coefficient lam."""
         dp = derive_params(cfg)
-        return BoxObjectiveParams(
-            rho_d=dp.rho_d,
-            sigma_hhat_sq=dp.sigma_hhat_sq,
-            sigma_delta_sq=dp.sigma_delta_sq,
-            lam=lam,
-            delta=dp.delta,
-            t=t,
-            m=cfg.m,
-        )
+        return BoxObjectiveParams(dp.rho_eff, lam / dp.lambda_star, dp.delta, t, cfg.m)
 
 
 def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float, float, float]:
     """D(theta, beta) and its partial derivatives in theta and beta.
 
-    D is the ridge objective plus a box correction
+    With xi^2 = rho_eff and lam~ = lam_tilde, D is the ridge objective
+    beta delta theta / 2 + beta (1 + xi^2) / (2 theta) - beta^2 / 4 plus a box
+    correction
         P xi^2 ((2/M) sum_s [h(w + g_s) + h(w - g_s)] - 1 - xi^2/theta^2)
-    with P = beta^2 theta / (2 (beta xi^2 + 2 lam rho_d theta)), box half-width
-    w = t (xi/theta + 2 lam rho_d / (xi beta)) and drift g_s = xi s / theta for
+    with P = beta^2 theta / (2 (beta xi^2 + 2 lam~ theta)), box half-width
+    w = t (xi/theta + 2 lam~ / (xi beta)) and drift g_s = xi s / theta for
     the offsets s = i/sqrt(E), i = 1, 3, .., M-1 (the -s offsets are their
     mirror images). h(x) = E[(Z - x)_+^2] = (1 + x^2) Q(x) - x p(x) is the
     upper-tail second moment at the box edges -l = w + g and mu = w - g, and
@@ -227,9 +202,9 @@ def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float,
     tails beyond the edges, so a wide box leaves the ridge objective exactly
     rather than cancelling large terms against it.
     """
-    xi = p.xi
-    xi2 = xi * xi
-    lr = p.lam_rho_d
+    xi2 = p.rho_eff
+    xi = math.sqrt(xi2)
+    lr = p.lam_tilde
     k = beta * xi2 + 2.0 * lr * theta
     pref = beta * beta * theta / (2.0 * k)
     pref_t = beta * beta * beta * xi2 / (2.0 * k * k)
@@ -251,11 +226,11 @@ def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float,
     scale = 2.0 / p.m
     excess = scale * tails - 1.0 - xi2 / (theta * theta)
     excess_t = scale * tails_t + 2.0 * xi2 / (theta * theta * theta)
-    val = (beta * p.delta * theta / 2.0 + beta * (1.0 + p.rho_d) / (2.0 * theta)
+    val = (beta * p.delta * theta / 2.0 + beta * (1.0 + xi2) / (2.0 * theta)
            - beta * beta / 4.0 + xi2 * pref * excess)
-    d_theta = (beta * p.delta / 2.0 - beta * (1.0 + p.rho_d) / (2.0 * theta * theta)
+    d_theta = (beta * p.delta / 2.0 - beta * (1.0 + xi2) / (2.0 * theta * theta)
                + xi2 * (pref_t * excess + pref * excess_t))
-    d_beta = (p.delta * theta / 2.0 + (1.0 + p.rho_d) / (2.0 * theta) - beta / 2.0
+    d_beta = (p.delta * theta / 2.0 + (1.0 + xi2) / (2.0 * theta) - beta / 2.0
               + xi2 * (pref_b * excess + pref * scale * tails_b))
     return val, d_theta, d_beta
 
@@ -300,12 +275,16 @@ def _golden_min(f, lo: float, hi: float, rel_tol: float, max_iter: int = 400) ->
 
 
 def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of f between a and b by the Illinois variant of regula falsi.
+    """Root between a and b of f, which increases through it, by the Illinois
+    variant of regula falsi.
 
     The secant point replaces the endpoint whose value has its sign; an
     endpoint kept twice in a row has its value halved, so both ends close in.
-    Stops when the bracket is a few ulps wide. Raises ConvergenceError on a
-    bracket without a sign change and after ROOT_MAX_ITER steps.
+    Stops when the bracket is a few ulps wide, or when two successive values
+    go against the direction of f, which puts the last point in f's rounding
+    noise, and returns the last point it evaluated (or the given end where
+    f = 0). Raises ConvergenceError on a bracket without a sign change and
+    after ROOT_MAX_ITER steps.
     """
     if fa == 0.0:
         return a
@@ -313,16 +292,18 @@ def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
         return b
     if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise ConvergenceError(f"no sign change on [{a:.6g}, {b:.6g}] ({fa:.3g}, {fb:.3g})")
-    kept = 0
+    last, f_last, kept = b, fb, 0
     for _ in range(ROOT_MAX_ITER):
         c = b - fb * (b - a) / (fb - fa)
         if abs(b - a) <= ROOT_REL_TOL * abs(c):
-            return c
+            return last
         fc = f(c)
-        if fc == 0.0:
-            return c
         if math.isnan(fc):
             raise ConvergenceError(f"derivative not representable at {c!r}")
+        # two values against the direction of f put c inside f's rounding noise
+        if fc == 0.0 or (fc > f_last) != (c > last):
+            return c
+        last, f_last = c, fc
         if (fc < 0.0) == (fb < 0.0):
             b, fb = c, fc
             if kept == -1:
@@ -337,12 +318,13 @@ def _find_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def _bracket_root(f, x: float) -> float:
-    """Root on (0, inf) of f, which is negative left of its root and positive
-    right of it.
+    """Root on (0, inf) of f, which increases through it from negative to
+    positive values.
 
     From x the search steps away from the sign of f(x) by factors 2, 4, 16,
     256, ... (each the square of the last) until f changes sign, then hands
-    the last step to _find_root.
+    the last step to _find_root. The root returned is always the last point
+    at which f was evaluated.
     """
     fx = f(x)
     factor = 2.0
@@ -362,23 +344,27 @@ def box_theta_min(
     params: BoxObjectiveParams,
     beta: float,
     theta_hint: float | None = None,
-) -> tuple[float, float, float]:
-    """Inner minimization min_theta D(theta, beta); returns (theta, D, dD/dbeta)
-    at the minimizer.
+) -> tuple[float, float, float, float]:
+    """Inner minimization min_theta D(theta, beta); returns the minimizer theta
+    and (D, dD/dtheta, dD/dbeta) there.
 
     D is convex in theta and diverges at both ends of (0, inf), so the
     minimizer is the root of dD/dtheta, bracketed outward from theta_hint
-    (default: the ridge closed form).
+    (default: the ridge closed form). The root is the last point the search
+    evaluated, so its kernel terms are the last ones computed.
     """
     hint = theta_hint
     if hint is None or not math.isfinite(hint) or hint <= 0:
-        hint = rls_theta_star(
-            params.rho_d, params.sigma_hhat_sq, params.sigma_delta_sq,
-            max(params.lam, 1e-12), params.delta,
-        )
-    theta = _bracket_root(lambda th: _box_terms(th, beta, params)[1], hint)
-    val, _, d_beta = _box_terms(theta, beta, params)
-    return theta, val, d_beta
+        hint = rls_theta_star(params.rho_eff, max(params.lam_tilde, 1e-12), params.delta)
+    terms = None
+
+    def slope(th: float) -> float:
+        nonlocal terms
+        terms = _box_terms(th, beta, params)
+        return terms[1]
+
+    theta = _bracket_root(slope, hint)
+    return (theta, *terms)
 
 
 @dataclass(frozen=True)
@@ -405,33 +391,32 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
     stationarity residual max(|dD/dtheta|, |dD/dbeta|); a residual above the
     hard threshold raises ConvergenceError.
     """
-    if params.lam < 0 or params.t <= 0 or params.delta <= 0:
-        raise ValueError("need lam >= 0, t > 0, delta > 0")
-    lam_safe = max(params.lam, 1e-12)
-    theta = rls_theta_star(
-        params.rho_d, params.sigma_hhat_sq, params.sigma_delta_sq, lam_safe, params.delta
-    )
+    if params.lam_tilde < 0 or params.t <= 0 or params.delta <= 0:
+        raise ValueError("need lam_tilde >= 0, t > 0, delta > 0")
+    lam_safe = max(params.lam_tilde, 1e-12)
+    theta = rls_theta_star(params.rho_eff, lam_safe, params.delta)
     if beta_hint is None:
-        beta_hint = max(rls_beta_star(theta, lam_safe, params.sigma_hhat_sq, params.delta), 1e-8)
+        beta_hint = max(rls_beta_star(theta, params.rho_eff, lam_safe, params.delta), 1e-8)
+    terms = None
 
     def neg_slope(beta: float) -> float:
-        nonlocal theta
-        theta, _, d_beta = box_theta_min(params, beta, theta_hint=theta)
-        return -d_beta
+        nonlocal theta, terms
+        theta, *terms = box_theta_min(params, beta, theta_hint=theta)
+        return -terms[2]
 
+    # beta* is the last point neg_slope saw, so theta and terms belong to it
     beta_star = _bracket_root(neg_slope, beta_hint)
-    theta_star = box_theta_min(params, beta_star, theta_hint=theta)[0]
-    _, d_theta, d_beta = _box_terms(theta_star, beta_star, params)
+    _, d_theta, d_beta = terms
     resid = max(abs(d_theta), abs(d_beta))
     if not resid <= STATIONARITY_HARD:
         raise ConvergenceError(
             f"box saddle stationarity residual {resid:.3e} > {STATIONARITY_HARD:.0e} "
-            f"(theta*={theta_star:.6g}, beta*={beta_star:.6g}, lam={params.lam}, t={params.t})"
+            f"(theta*={theta:.6g}, beta*={beta_star:.6g}, lam~={params.lam_tilde}, t={params.t})"
         )
-    ratio = params.sigma_hhat_sq * beta_star / theta_star
-    b_norm = ratio / (ratio + 2.0 * params.lam)
+    ratio = params.rho_eff * beta_star / theta
+    b_norm = ratio / (ratio + 2.0 * params.lam_tilde)
     return ScalarSolution(
-        theta_star=float(theta_star),
+        theta_star=float(theta),
         beta_star=float(beta_star),
         b_norm=float(b_norm),
         stationarity_residual=float(resid),
@@ -445,7 +430,7 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
     inside the box, partially clipped, or entirely outside, plus the edge
     symbols. Thresholds exactly on the odd lattice t/B = i/sqrt(E) are
     rejected as degenerate. At t = inf every symbol is inside the box and the
-    sum is the ridge decoder's 2(1 - 1/M) Q(sqrt(rho_d sH2 / E) / theta*).
+    sum is the ridge decoder's 2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*).
     """
     m = params.m
     sqrt_e = math.sqrt(params.energy_e)
@@ -455,7 +440,7 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
             raise DegenerateThresholdError(
                 f"t / B = {ratio!r} sits on the degenerate lattice point {i}/sqrt(E)"
             )
-    q = qfunc(math.sqrt(params.rho_d * params.sigma_hhat_sq / params.energy_e) / theta_star)
+    q = qfunc(math.sqrt(params.rho_eff / params.energy_e) / theta_star)
     sep = 0.0
     for i in range(1, m - 2, 2):
         if ratio >= (i + 1) / sqrt_e:
@@ -477,7 +462,7 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
 
 
 def _box_theta_of(params: BoxObjectiveParams, knob: str):
-    """theta* of the box saddle as a function of one knob ("lam" or "t") of
+    """theta* of the box saddle as a function of one knob ("lam_tilde" or "t") of
     params; each solve starts from the beta* of the one before."""
     last_beta = None
 
@@ -528,21 +513,23 @@ def lambda_star_numeric(
     kind: DecoderKind = DecoderKind.RLS,
     t_box: float | None = None,
 ) -> float:
-    """argmin over lam >= 0 of theta*(lam) for the requested decoder.
-
-    The upper end of the bracket starts at a multiple of the closed-form
-    ridge optimum and expands until the objective is increasing.
+    """argmin over raw lam >= 0 of theta*(lam / lambda*) for the requested
+    decoder. The upper end of the bracket starts at 4 lambda* and expands
+    until the objective is increasing.
     """
     dp = derive_params(cfg)
     if kind is DecoderKind.RLS:
-        def f(lam: float) -> float:
-            return rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
+        def theta_of(lam_tilde: float) -> float:
+            return rls_theta_star(dp.rho_eff, lam_tilde, dp.delta)
     elif kind is DecoderKind.BOX:
         t = t_box if t_box is not None else float(pam_constellation(cfg.m).points[-1])
-        f = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=0.0, t=t), "lam")
+        theta_of = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=0.0, t=t), "lam_tilde")
     else:
         raise ValueError(f"no lambda to optimize for decoder {kind}")
-    hi = _expand_bracket(f, 4.0 * lambda_star_rls(dp.rho_d, dp.sigma_delta_sq), "lambda")
+
+    def f(lam: float) -> float:
+        return theta_of(lam / dp.lambda_star)
+    hi = _expand_bracket(f, 4.0 * dp.lambda_star, "lambda")
     grid = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 25)])
     return _scan_minimize(f, grid, SCALAR_SEARCH_TOL, "lambda_star_numeric")
 
@@ -571,8 +558,8 @@ class Prediction:
 
 
 def ridge_coefficient(cfg: SystemConfig, spec: DecoderSpec) -> float:
-    """The ridge coefficient a decoder applies: 0 for LS, lambda* for LMMSE,
-    the spec's own lam for RLS and box.
+    """The raw ridge coefficient a decoder applies: 0 for LS, lambda* for
+    LMMSE, the spec's own lam for RLS and box.
 
     The unregularized decoder needs delta > 1, so a zero coefficient with
     n <= k is a configuration error.
@@ -580,8 +567,7 @@ def ridge_coefficient(cfg: SystemConfig, spec: DecoderSpec) -> float:
     if spec.kind is DecoderKind.LS:
         lam = 0.0
     elif spec.kind is DecoderKind.LMMSE:
-        dp = derive_params(cfg)
-        lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+        lam = derive_params(cfg).lambda_star
     else:
         lam = spec.lam
     if lam == 0 and cfg.n <= cfg.k:
@@ -593,22 +579,28 @@ def scalar_solution(p: BoxObjectiveParams) -> ScalarSolution:
     """Scalar saddle solution (theta*, beta*, B); t = inf is the ridge decoder."""
     if math.isfinite(p.t):
         return box_saddle_solve(p)
-    theta = rls_theta_star(p.rho_d, p.sigma_hhat_sq, p.sigma_delta_sq, p.lam, p.delta)
-    beta = rls_beta_star(theta, p.lam, p.sigma_hhat_sq, p.delta)
-    u = upsilon(p.lam / p.sigma_hhat_sq, p.delta)
+    theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+    beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
+    u = upsilon(p.lam_tilde / p.rho_eff, p.delta)
     return ScalarSolution(theta_star=theta, beta_star=beta, b_norm=1.0 / (1.0 + u))
 
 
 def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
     """Asymptotic theta*, beta*, B, MSE, SEP and goodput for one scenario and
-    decoder."""
+    decoder.
+
+    theta* and beta* are reported in the raw scenario's units, s times the
+    saddle point at the effective SNR. LMMSE is lam~ = 1 exactly.
+    """
     dp = derive_params(cfg)
+    lam_tilde = (1.0 if spec.kind is DecoderKind.LMMSE
+                 else ridge_coefficient(cfg, spec) / dp.lambda_star)
     t = spec.t_box if spec.t_box is not None else math.inf
-    params = BoxObjectiveParams(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq,
-                                ridge_coefficient(cfg, spec), dp.delta, t, cfg.m)
+    params = BoxObjectiveParams(dp.rho_eff, lam_tilde, dp.delta, t, cfg.m)
     sol = scalar_solution(params)
-    mse = mse_from_theta(sol.theta_star, dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, dp.delta)
+    mse = mse_from_theta(sol.theta_star, dp.rho_eff, dp.delta)
     sep = box_sep(sol.theta_star, sol.b_norm, params)
     goodput = (1.0 - dp.tau_p / dp.tau) * (1.0 - sep)
-    return Prediction(theta_star=sol.theta_star, beta_star=sol.beta_star, b_norm=sol.b_norm,
+    return Prediction(theta_star=dp.noise_std * sol.theta_star,
+                      beta_star=dp.noise_std * sol.beta_star, b_norm=sol.b_norm,
                       mse=mse, sep=sep, goodput=goodput)

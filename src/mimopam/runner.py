@@ -15,13 +15,7 @@ import io
 from dataclasses import dataclass, replace
 
 from .allocation import alpha_star_for_config, optimize_goodput
-from .asymptotics import (
-    lambda_star_numeric,
-    lambda_star_rls,
-    predict,
-    ridge_coefficient,
-    t_star_numeric,
-)
+from .asymptotics import lambda_star_numeric, predict, ridge_coefficient, t_star_numeric
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import run_batch
@@ -284,7 +278,6 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     optimized first at the max-symbol threshold, then the threshold at that
     lambda.
     """
-    dp = derive_params(cfg)
     if kind is DecoderKind.LS:
         return DecoderSpec.ls()
     if kind is DecoderKind.LMMSE:
@@ -306,7 +299,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     elif spec.lambda_policy is LambdaPolicy.FIXED:
         lam = cfg.lam
     elif spec.lambda_policy is LambdaPolicy.CLOSED_FORM_OPTIMAL:
-        lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+        lam = derive_params(cfg).lambda_star
     else:
         lam = lambda_star_numeric(cfg, kind, t_box=t_box)
 

@@ -102,13 +102,17 @@ class DerivedParams:
     sigma_delta_sq: float
     sigma_hhat_sq: float
     rho_eff: float
+    lambda_star: float
+    noise_std: float
 
 
 def derive_params(cfg: SystemConfig) -> DerivedParams:
     """Populate all derived scalars for a validated config.
 
     The estimation-error variance is sigma_delta_sq = 1 / (1 + rho_p * T_p / K)
-    and the effective SNR is rho_d * sigma_hhat_sq / (1 + rho_d * sigma_delta_sq).
+    and the effective SNR is rho_d * sigma_hhat_sq / s^2, where s = noise_std =
+    sqrt(1 + rho_d * sigma_delta_sq) is the standard deviation of the data noise
+    with the estimation error counted in it. lambda_star is LMMSE's ridge coefficient.
     """
     k = cfg.k
     delta = cfg.n / k
@@ -138,7 +142,16 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
         sigma_delta_sq=sigma_delta_sq,
         sigma_hhat_sq=sigma_hhat_sq,
         rho_eff=rho_eff,
+        lambda_star=lambda_star_rls(rho_d, sigma_delta_sq),
+        noise_std=math.sqrt(1.0 + rho_d * sigma_delta_sq),
     )
+
+
+def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
+    """MSE- and SEP-optimal ridge coefficient: 1/rho_d + sigma_delta_sq."""
+    if rho_d <= 0:
+        raise ValueError("rho_d must be positive")
+    return 1.0 / rho_d + sigma_delta_sq
 
 
 def rho_eff_of_alpha(rho: float, tau: float, tau_d: float, alpha: float) -> float:

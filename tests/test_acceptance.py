@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import box_objective_quadrature, gauss_pdf
 from scipy.integrate import quad
 
 import mimopam as mp
@@ -49,10 +50,6 @@ def criterion(num: int, title: str):
         print(f"[ACCEPTANCE] criterion {num} ({title}): FAIL")
         raise
     print(f"[ACCEPTANCE] criterion {num} ({title}): PASS")
-
-
-def gauss_pdf(h):
-    return math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
 
 
 def fig2_cfg(rho_db, **kw):
@@ -147,31 +144,39 @@ class TestCriterion2:
                 cfg = fig2_cfg(rho_db)
                 dp = mp.derive_params(cfg)
                 lam = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                want = mp.rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq,
-                                         lam, dp.delta)
                 params = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=1e6)
+                want = mp.rls_theta_star(params.rho_eff, params.lam_tilde, params.delta)
                 sol = mp.box_saddle_solve(params)
                 assert sol.theta_star == pytest.approx(want, rel=1e-9), f"rho={rho_db}dB"
 
 
+def box_soft_gate_holds(box_lambda_numeric):
+    """Does the numerically optimal box coefficient reproduce the published
+    20 dB point within 2%?"""
+    pred = mp.predict(fig2_cfg(20), mp.DecoderSpec.box(box_lambda_numeric[20], 1.0))
+    return abs(pred.mse - FIG2_BOX_MSE_20DB) <= 0.02 * FIG2_BOX_MSE_20DB
+
+
 class TestCriterion3:
-    def test_box_figure_target_soft_gate(self, box_lambda_numeric, full_consistency):
+    def test_box_figure_target_soft_gate(self, box_lambda_numeric):
         with criterion(3, "Box figure target at 20 dB (soft gate)"):
-            cfg = fig2_cfg(20)
-            dp = mp.derive_params(cfg)
-            spec = mp.DecoderSpec.box(box_lambda_numeric[20], 1.0)
-            pred = mp.predict(cfg, spec)
-            soft_gate_ok = abs(pred.mse - FIG2_BOX_MSE_20DB) <= 0.02 * FIG2_BOX_MSE_20DB
-            if not soft_gate_ok:
+            if not box_soft_gate_holds(box_lambda_numeric):
                 # The numerically optimal coefficient does not reproduce the
                 # published point; the curve turns out to be generated with
                 # the closed-form ridge coefficient instead (criterion 4 is
-                # the mandatory fallback and must hold).
+                # the mandatory fallback and must hold, see the next test).
+                cfg = fig2_cfg(20)
+                dp = mp.derive_params(cfg)
                 lam_cf = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                sol = mp.box_saddle_solve(mp.BoxObjectiveParams.from_config(cfg, lam=lam_cf, t=1.0))
-                mse_cf = mp.mse_from_theta(sol.theta_star, dp.rho_d, dp.sigma_hhat_sq,
-                                           dp.sigma_delta_sq, dp.delta)
+                params = mp.BoxObjectiveParams.from_config(cfg, lam=lam_cf, t=1.0)
+                sol = mp.box_saddle_solve(params)
+                mse_cf = mp.mse_from_theta(sol.theta_star, params.rho_eff, params.delta)
                 assert mse_cf == pytest.approx(FIG2_BOX_MSE_20DB, rel=2e-5)
+
+    @pytest.mark.slow
+    def test_box_figure_fallback_full_consistency(self, box_lambda_numeric, full_consistency):
+        with criterion(3, "Box figure target at 20 dB (full-size fallback)"):
+            if not box_soft_gate_holds(box_lambda_numeric):
                 assert_consistency_gates(full_consistency)
 
 
@@ -252,12 +257,16 @@ class TestCriterion7:
             for _ in range(100):
                 m = int(rng.choice([2, 4]))
                 cfg = fig2_cfg(10, m=m)
-                p = mp.BoxObjectiveParams.from_config(
-                    cfg, lam=float(rng.uniform(0, 2)), t=float(rng.uniform(0.3, 3)))
+                dp = mp.derive_params(cfg)
+                s = math.sqrt(1 + dp.rho_d * dp.sigma_delta_sq)
+                lam, t = float(rng.uniform(0, 2)), float(rng.uniform(0.3, 3))
+                p = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
                 theta = float(rng.uniform(0.1, 2.5))
                 beta = float(rng.uniform(0.1, 2.5))
-                want = _box_objective_quadrature(theta, beta, p)
-                assert mp.box_objective(theta, beta, p) == pytest.approx(want, abs=1e-9)
+                want = box_objective_quadrature(theta, beta, dp.rho_d, dp.sigma_hhat_sq,
+                                                dp.sigma_delta_sq, lam, dp.delta, t, m)
+                got = s * s * mp.box_objective(theta / s, beta / s, p)
+                assert got == pytest.approx(want, abs=1e-9)
 
             # (d) coordinate descent == projected gradient
             for _ in range(50):
@@ -274,11 +283,10 @@ class TestCriterion7:
             cfg = fig2_cfg(10)
             dp = mp.derive_params(cfg)
             for lam in np.geomspace(0.02, 8.0, 30):
-                theta = mp.rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq,
-                                          lam, dp.delta)
-                mse = mp.mse_from_theta(theta, dp.rho_d, dp.sigma_hhat_sq,
-                                        dp.sigma_delta_sq, dp.delta)
-                direct = mp.rls_sep(theta, dp.rho_d, dp.sigma_hhat_sq, cfg.m)
+                p = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=math.inf)
+                theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+                mse = mp.mse_from_theta(theta, p.rho_eff, p.delta)
+                direct = mp.rls_sep(theta, p.rho_eff, cfg.m)
                 via_mse = 2 * (1 - 1 / cfg.m) * mp.qfunc(
                     math.sqrt(dp.delta / (dp.energy_e * (mse + 1 / dp.rho_eff))))
                 assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
@@ -288,13 +296,12 @@ class TestCriterion8:
     def test_stationarity_and_concavity_diagnostics(self):
         with criterion(8, "stationarity and uniqueness diagnostics"):
             cfg = fig2_cfg(10)
-            dp = mp.derive_params(cfg)
             for lam in (0.2, 0.8, 2.5):
-                theta = mp.rls_theta_star(dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq,
-                                          lam, dp.delta)
-                beta = mp.rls_beta_star(theta, lam, dp.sigma_hhat_sq, dp.delta)
-                f_t, f_b = mp.rls_stationarity_residuals(
-                    theta, beta, dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, lam, dp.delta)
+                p = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=math.inf)
+                theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+                beta = mp.rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
+                f_t, f_b = mp.rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde,
+                                                         p.delta)
                 assert max(abs(f_t), abs(f_b)) <= 1e-8
 
             params = mp.BoxObjectiveParams.from_config(cfg, lam=0.4, t=1.0)
@@ -345,25 +352,3 @@ def _projected_gradient(a, y, lam_rho_d, t, max_iter=500_000, tol=1e-15):
             return x_new
         x = x_new
     return x
-
-
-def _box_objective_quadrature(theta, beta, p):
-    xi = p.xi
-    lr = p.lam_rho_d
-    sqrt_e = math.sqrt(p.energy_e)
-    val = beta * p.delta * theta / 2 + beta * (1 + p.rho_d) / (2 * theta) - beta**2 / 4
-    pref = beta**2 / (2 * xi**2 * beta / theta + 4 * lr)
-    acc = 0.0
-    for i in range(1, p.m, 2):
-        for sign in (1, -1):
-            drift = xi * sign * i / (theta * sqrt_e)
-            width = p.t * (xi / theta + 2 * lr / (xi * beta))
-            lo, hi = -width - drift, width - drift
-            c = (beta * xi / 2) * (drift - lo)
-            d = (beta * xi / 2) * (hi - drift)
-            integral, _ = quad(lambda h: (xi * drift + xi * h) ** 2 * gauss_pdf(h),
-                               lo, hi, epsabs=1e-12, epsrel=1e-12)
-            acc += (p.t * (c * mp.qfunc(-lo) + d * mp.qfunc(hi))
-                    - beta * xi * p.t * (gauss_pdf(lo) + gauss_pdf(hi))
-                    - pref * integral)
-    return val + acc / p.m

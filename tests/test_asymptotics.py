@@ -7,10 +7,13 @@ grid searches, back-substitution into defining equations).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import box_objective_quadrature, gauss_pdf
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mimopam import (
     BoxObjectiveParams,
@@ -80,10 +83,6 @@ def fig2_scalars(rho_db):
     return dp.rho_d, dp.sigma_hhat_sq, dp.sigma_delta_sq, dp.delta, dp.rho_eff
 
 
-def gauss_pdf(h):
-    return math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
-
-
 # Closed forms in the effective SNR, kept here as oracles for predict.
 def ls_mse_closed_form(rho_eff, delta):
     return 1.0 / ((delta - 1.0) * rho_eff)
@@ -100,9 +99,18 @@ def lmmse_mse_closed_form(rho_eff, delta):
 
 
 def unit_ls(rho_eff, delta, m=2):
-    # sigma_delta_sq = 0 and sigma_hhat_sq = 1 make rho_d = rho_eff
-    theta = rls_theta_star(rho_eff, 1.0, 0.0, 0.0, delta)
-    return mse_from_theta(theta, rho_eff, 1.0, 0.0, delta), rls_sep(theta, rho_eff, 1.0, m)
+    theta = rls_theta_star(rho_eff, 0.0, delta)
+    return mse_from_theta(theta, rho_eff, delta), rls_sep(theta, rho_eff, m)
+
+
+def box_params(rho_db, lam, t, m=2):
+    cfg = fig2_cfg(rho_db)
+    cfg = SystemConfig(**{**cfg.__dict__, "m": m})
+    return BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
+
+
+def fig2_lambda_star(rho_db):
+    return derive_params(fig2_cfg(rho_db)).lambda_star
 
 
 class TestUpsilon:
@@ -123,10 +131,9 @@ class TestUpsilon:
 class TestRlsClosedForms:
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_RLS_MSE.items()))
     def test_reference_mse_via_theta(self, rho_db, want):
-        rho_d, s_h2, s_d2, delta, _ = fig2_scalars(rho_db)
-        lam = lambda_star_rls(rho_d, s_d2)
-        theta = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
-        assert mse_from_theta(theta, rho_d, s_h2, s_d2, delta) == pytest.approx(want, rel=1e-10)
+        p = box_params(rho_db, lam=fig2_lambda_star(rho_db), t=math.inf)
+        theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+        assert mse_from_theta(theta, p.rho_eff, p.delta) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_RLS_MSE.items()))
     def test_reference_mse_via_effective_snr(self, rho_db, want):
@@ -134,35 +141,36 @@ class TestRlsClosedForms:
         assert lmmse_mse_closed_form(rho_eff, delta) == pytest.approx(want, rel=1e-10)
 
     def test_unit_plugin_matches_ls(self):
-        # sigma_delta_sq = 0, rho_d = 1 makes rho_eff = 1; delta = 2
-        theta = rls_theta_star(1.0, 1.0, 0.0, 0.0, 2.0)
-        assert mse_from_theta(theta, 1.0, 1.0, 0.0, 2.0) == pytest.approx(1.0, rel=1e-12)
+        # rho_eff = 1, lam~ = 0, delta = 2
+        theta = rls_theta_star(1.0, 0.0, 2.0)
+        assert mse_from_theta(theta, 1.0, 2.0) == pytest.approx(1.0, rel=1e-12)
         assert ls_mse_closed_form(1.0, 2.0) == pytest.approx(1.0)
 
     def test_infeasible_square_system_without_regularization(self):
         with pytest.raises(InfeasibleError):
-            rls_theta_star(1.0, 1.0, 0.0, 0.0, 1.0)
+            rls_theta_star(1.0, 0.0, 1.0)
 
     def test_sep_limits(self):
-        assert rls_sep(1e12, 1.0, 1.0, 4) == pytest.approx(2 * (1 - 0.25) * 0.5, rel=1e-9)
-        assert rls_sep(1e-9, 1.0, 1.0, 4) == pytest.approx(0.0, abs=1e-300)
+        assert rls_sep(1e12, 1.0, 4) == pytest.approx(2 * (1 - 0.25) * 0.5, rel=1e-9)
+        assert rls_sep(1e-9, 1.0, 4) == pytest.approx(0.0, abs=1e-300)
 
     def test_mse_sep_bridge_across_lambda_grid(self):
-        rho_d, s_h2, s_d2, delta, rho_eff = fig2_scalars(10)
+        _, _, _, delta, rho_eff = fig2_scalars(10)
         for lam in np.geomspace(0.01, 10.0, 25):
-            theta = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
-            mse = mse_from_theta(theta, rho_d, s_h2, s_d2, delta)
-            direct = rls_sep(theta, rho_d, s_h2, 2)
+            p = box_params(10, lam=lam, t=math.inf)
+            theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+            mse = mse_from_theta(theta, p.rho_eff, p.delta)
+            direct = rls_sep(theta, p.rho_eff, 2)
             via_mse = 2 * (1 - 0.5) * qfunc(math.sqrt(delta / (1.0 * (mse + 1.0 / rho_eff))))
             assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
 
     def test_stationarity_system_at_closed_form_solution(self):
         for rho_db in (0, 10, 20):
-            rho_d, s_h2, s_d2, delta, _ = fig2_scalars(rho_db)
             for lam in (0.3, 1.0, 2.7):
-                theta = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
-                beta = rls_beta_star(theta, lam, s_h2, delta)
-                f_t, f_b = rls_stationarity_residuals(theta, beta, rho_d, s_h2, s_d2, lam, delta)
+                p = box_params(rho_db, lam=lam, t=math.inf)
+                theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+                beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
+                f_t, f_b = rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde, p.delta)
                 assert abs(f_t) <= 1e-8 and abs(f_b) <= 1e-8
 
 
@@ -178,10 +186,10 @@ class TestLambdaStar:
 
     def test_matches_dense_grid_argmin(self):
         # 200k-point grid oracle gave 0.3492525 for the 10 dB scenario
-        rho_d, s_h2, s_d2, delta, _ = fig2_scalars(10)
+        rho_d, _, s_d2, delta, rho_eff = fig2_scalars(10)
         lam_star = lambda_star_rls(rho_d, s_d2)
         grid = np.linspace(1e-4, 2.0, 20_001)
-        thetas = [rls_theta_star(rho_d, s_h2, s_d2, l, delta) for l in grid]
+        thetas = [rls_theta_star(rho_eff, l / lam_star, delta) for l in grid]
         assert grid[int(np.argmin(thetas))] == pytest.approx(lam_star, abs=2e-4)
 
     def test_numeric_search_agrees_with_closed_form(self):
@@ -192,11 +200,10 @@ class TestLambdaStar:
         assert got == pytest.approx(want, abs=1e-4)
 
     def test_optimal_mse_forms_agree_off_the_reference_grid(self):
-        rho_d, s_h2, s_d2, delta, rho_eff = fig2_scalars(7)
-        lam = lambda_star_rls(rho_d, s_d2)
-        theta = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
-        via_theta = mse_from_theta(theta, rho_d, s_h2, s_d2, delta)
-        assert lmmse_mse_closed_form(rho_eff, delta) == pytest.approx(via_theta, rel=1e-10)
+        p = box_params(7, lam=fig2_lambda_star(7), t=math.inf)
+        theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+        via_theta = mse_from_theta(theta, p.rho_eff, p.delta)
+        assert lmmse_mse_closed_form(p.rho_eff, p.delta) == pytest.approx(via_theta, rel=1e-10)
 
     def test_non_unimodal_sampling_falls_back_to_dense_grid(self):
         from mimopam.asymptotics import _scan_minimize
@@ -273,55 +280,43 @@ class TestGaussianPartialMoment:
             gaussian_partial_second_moment(0.0, 1.0, 1.0, -1.0)
 
 
-def box_params(rho_db, lam, t, m=2):
-    cfg = fig2_cfg(rho_db)
-    cfg = SystemConfig(**{**cfg.__dict__, "m": m})
-    return BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
-
-
-def box_objective_quadrature(theta, beta, p):
-    """Direct quadrature of the saddle objective's Gaussian integrals."""
-    xi = p.xi
-    lr = p.lam_rho_d
-    sqrt_e = math.sqrt(p.energy_e)
-    val = beta * p.delta * theta / 2 + beta * (1 + p.rho_d) / (2 * theta) - beta**2 / 4
-    pref = beta**2 / (2 * xi**2 * beta / theta + 4 * lr)
-    acc = 0.0
-    for i in range(1, p.m, 2):
-        for sign in (1, -1):
-            drift = xi * sign * i / (theta * sqrt_e)
-            width = p.t * (xi / theta + 2 * lr / (xi * beta))
-            lo, hi = -width - drift, width - drift
-            c = (beta * xi / 2) * (drift - lo)
-            d = (beta * xi / 2) * (hi - drift)
-            integral, _ = quad(lambda h: (xi * drift + xi * h) ** 2 * gauss_pdf(h), lo, hi,
-                               epsabs=1e-12, epsrel=1e-12)
-            acc += (p.t * (c * qfunc(-lo) + d * qfunc(hi))
-                    - beta * xi * p.t * (gauss_pdf(lo) + gauss_pdf(hi))
-                    - pref * integral)
-    return val + acc / p.m
-
-
 class TestBoxObjective:
     def test_matches_quadrature_on_random_points(self):
+        rho_d, s_h2, s_d2, delta, _ = fig2_scalars(10)
+        s = math.sqrt(1 + rho_d * s_d2)
         rng = np.random.default_rng(33)
         for _ in range(25):
             m = int(rng.choice([2, 4, 8]))
-            p = box_params(10, lam=float(rng.uniform(0, 2)), t=float(rng.uniform(0.3, 3)), m=m)
+            lam, t = float(rng.uniform(0, 2)), float(rng.uniform(0.3, 3))
+            p = box_params(10, lam=lam, t=t, m=m)
             theta = float(rng.uniform(0.05, 3))
             beta = float(rng.uniform(0.05, 3))
-            want = box_objective_quadrature(theta, beta, p)
-            assert box_objective(theta, beta, p) == pytest.approx(want, abs=1e-9)
+            want = box_objective_quadrature(theta, beta, rho_d, s_h2, s_d2, lam, delta, t, m)
+            assert s * s * box_objective(theta / s, beta / s, p) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_raw_objective_is_the_effective_snr_objective_scaled(self, m):
+        # D_raw(s theta~, s beta~) = s^2 D(theta~, beta~; rho_eff, lam~) with
+        # s^2 = 1 + rho_d sD2, for any variance split, also sH2 + sD2 != 1
+        rng = np.random.default_rng(60 + m)
+        for rho_d, s_h2, s_d2 in ((3.0, 0.5, 0.3), (0.7, 0.25, 0.35), (20.0, 0.9, 0.6)):
+            s2 = 1 + rho_d * s_d2
+            for _ in range(4):
+                lam, t, delta = (float(v) for v in rng.uniform([0, 0.3, 0.8], [2, 3, 2]))
+                p = BoxObjectiveParams(rho_d * s_h2 / s2, lam * rho_d / s2, delta, t, m)
+                theta, beta = (float(v) for v in rng.uniform(0.1, 3, size=2))
+                want = box_objective_quadrature(theta, beta, rho_d, s_h2, s_d2, lam, delta, t, m)
+                got = s2 * box_objective(theta / math.sqrt(s2), beta / math.sqrt(s2), p)
+                assert got == pytest.approx(want, abs=1e-9)
 
     def test_unboxed_limit_matches_closed_expression(self):
         # at t -> inf the objective collapses to the unconstrained saddle form
         p = box_params(10, lam=0.35, t=1e6, m=2)
         for theta, beta in ((0.6, 0.8), (1.4, 0.5), (0.9, 2.0)):
-            s2 = p.sigma_hhat_sq
-            unboxed = (beta * p.delta * theta / 2 + beta * (1 + p.rho_d) / (2 * theta)
+            unboxed = (beta * p.delta * theta / 2 + beta * (1 + p.rho_eff) / (2 * theta)
                        - beta**2 / 4
-                       - beta**2 * s2 * (1 + p.rho_d * s2 / theta**2)
-                       / (2 * beta * s2 / theta + 4 * p.lam))
+                       - beta**2 * (1 + p.rho_eff / theta**2)
+                       / (2 * beta / theta + 4 * p.lam_tilde / p.rho_eff))
             assert box_objective(theta, beta, p) == pytest.approx(unboxed, abs=1e-6)
 
     def test_gradient_matches_central_differences(self):
@@ -353,26 +348,24 @@ class TestBoxObjective:
 class TestBoxSaddle:
     def test_reduces_to_ridge_for_huge_threshold(self):
         for rho_db in (0, 20):
-            rho_d, s_h2, s_d2, delta, _ = fig2_scalars(rho_db)
-            lam = lambda_star_rls(rho_d, s_d2)
-            sol = box_saddle_solve(box_params(rho_db, lam=lam, t=1e6))
-            want = rls_theta_star(rho_d, s_h2, s_d2, lam, delta)
+            p = box_params(rho_db, lam=fig2_lambda_star(rho_db), t=1e6)
+            sol = box_saddle_solve(p)
+            want = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
             assert sol.theta_star == pytest.approx(want, rel=1e-9)
 
     def test_reference_box_mse_at_20db(self):
         # the published box curve is generated with the closed-form ridge
         # coefficient, not with a per-point numeric optimum
-        rho_d, s_h2, s_d2, delta, _ = fig2_scalars(20)
-        lam = lambda_star_rls(rho_d, s_d2)
-        sol = box_saddle_solve(box_params(20, lam=lam, t=1.0))
-        mse = mse_from_theta(sol.theta_star, rho_d, s_h2, s_d2, delta)
+        p = box_params(20, lam=fig2_lambda_star(20), t=1.0)
+        sol = box_saddle_solve(p)
+        mse = mse_from_theta(sol.theta_star, p.rho_eff, p.delta)
         assert mse == pytest.approx(FIG2_BOX_MSE_20DB, rel=1e-5)
 
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_BOX_MSE_MPMATH.items()))
     def test_box_mse_matches_mpmath_references(self, rho_db, want):
-        rho_d, s_h2, s_d2, delta, _ = fig2_scalars(rho_db)
-        sol = box_saddle_solve(box_params(rho_db, lam=lambda_star_rls(rho_d, s_d2), t=1.0))
-        mse = mse_from_theta(sol.theta_star, rho_d, s_h2, s_d2, delta)
+        p = box_params(rho_db, lam=fig2_lambda_star(rho_db), t=1.0)
+        sol = box_saddle_solve(p)
+        mse = mse_from_theta(sol.theta_star, p.rho_eff, p.delta)
         assert mse == pytest.approx(want, rel=1e-9)
 
     def test_inner_solves_are_bounded(self, monkeypatch):
@@ -389,8 +382,8 @@ class TestBoxSaddle:
         assert 0 < len(calls) <= 64
 
     def test_kernel_not_reevaluated_at_inner_roots(self, monkeypatch):
-        # box_theta_min hands back dD/dbeta at its root, so the outer slope
-        # needs no second kernel call there (that call would make it 99)
+        # box_theta_min hands back the kernel terms at its root, so neither
+        # the outer slope nor the residual evaluates a point twice
         calls = []
         kernel = asymptotics._box_terms
 
@@ -401,6 +394,7 @@ class TestBoxSaddle:
         monkeypatch.setattr(asymptotics, "_box_terms", counted)
         box_saddle_solve(box_params(20, lam=0.02, t=1.0))
         assert 0 < len(calls) <= 90
+        assert len(set(calls)) == len(calls)
 
     def test_stationarity_and_norm_range(self):
         sol = box_saddle_solve(box_params(10, lam=0.4, t=1.0))
@@ -421,6 +415,32 @@ class TestRootFinder:
         for start in (1e-3, 1.0, 1e3):
             root = _bracket_root(lambda x: x * x * x - 2.0, start)
             assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+
+    def test_root_is_the_last_point_evaluated(self):
+        # box_theta_min and box_saddle_solve keep the kernel terms of the
+        # last evaluation as those of the root
+        for f, want in ((lambda x: x * x - 3.0, math.sqrt(3.0)),
+                        (lambda x: math.log(x) + 0.3, math.exp(-0.3))):
+            for start in (1e-3, 0.7, 3.0, 1e3):
+                seen = []
+                root = _bracket_root(lambda x: seen.append(x) or f(x), start)
+                assert root == seen[-1]
+                assert root == pytest.approx(want, rel=1e-15)
+
+    def test_stops_inside_rounding_noise(self):
+        # the sine term stands for rounding noise of amplitude 1e-9 around
+        # the root of x - 1; the search stops once values contradict the
+        # direction of f instead of narrowing the bracket to two ulps
+        seen = []
+
+        def noisy(x):
+            seen.append(x)
+            return x - 1.0 + 1e-9 * math.sin(1e12 * x)
+
+        root = _bracket_root(noisy, 0.3)
+        assert root == seen[-1]
+        assert abs(root - 1.0) <= 2e-9
+        assert len(seen) <= 12
 
     def test_rejects_bracket_without_sign_change(self):
         with pytest.raises(ConvergenceError, match="no sign change"):
@@ -444,7 +464,7 @@ class TestBoxSep:
     def test_bpsk_collapses_to_single_q_term(self):
         p = box_params(10, lam=0.3, t=1.0, m=2)
         sol = box_saddle_solve(p)
-        want = qfunc(math.sqrt(p.rho_d * p.sigma_hhat_sq) / sol.theta_star)
+        want = qfunc(math.sqrt(p.rho_eff) / sol.theta_star)
         assert box_sep(sol.theta_star, sol.b_norm, p) == pytest.approx(want, rel=1e-12)
 
     def test_small_threshold_floor_for_4pam(self):
@@ -457,7 +477,7 @@ class TestBoxSep:
         p = box_params(10, lam=0.3, t=3.0 / math.sqrt(5.0), m=4)
         theta = 0.7
         b_norm = 0.95
-        want = 2 * (1 - 0.25) * qfunc(math.sqrt(p.rho_d * p.sigma_hhat_sq / 5.0) / theta)
+        want = 2 * (1 - 0.25) * qfunc(math.sqrt(p.rho_eff / 5.0) / theta)
         assert box_sep(theta, b_norm, p) == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_lattice_threshold_rejected(self):
@@ -493,10 +513,10 @@ class TestPredict:
 
     @pytest.mark.parametrize("spec,most", [(DecoderSpec.ls(), 1), (DecoderSpec.rls(0.5), 1),
                                            (DecoderSpec.box(0.5, 1.0), 1),
-                                           (DecoderSpec.lmmse(), 2)],
+                                           (DecoderSpec.lmmse(), 1)],
                              ids=["ls", "rls", "box", "lmmse"])
     def test_scenario_derived_once(self, monkeypatch, spec, most):
-        # lmmse derives once more inside ridge_coefficient for lambda*
+        # lmmse is lam~ = 1, so its lambda* is not derived a second time
         calls = []
         inner = asymptotics.derive_params
 
@@ -507,6 +527,32 @@ class TestPredict:
         monkeypatch.setattr(asymptotics, "derive_params", counted)
         predict(fig2_cfg(10), spec)
         assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_depends_on_the_variance_split_only_through_rho_eff(self, m):
+        # a direct-split and an energy-split config at one (rho_eff, lam~, delta)
+        direct = SystemConfig(k=400, n=480, t_total=1000, t_pilot=456, rho=10.0, alpha=0.5,
+                              m=m, power_convention=PowerConvention.DIRECT_SPLIT)
+        target = derive_params(direct).rho_eff
+
+        def energy(rho):
+            return replace(direct, rho=rho, power_convention=PowerConvention.ENERGY_CONSERVING)
+        rho = brentq(lambda r: derive_params(energy(r)).rho_eff - target, 1.0, 100.0,
+                     xtol=1e-300, rtol=1e-15)
+        cfgs = (direct, energy(rho))
+        dps = [derive_params(c) for c in cfgs]
+        assert dps[1].sigma_delta_sq != pytest.approx(dps[0].sigma_delta_sq, rel=1e-3)
+        for lam_tilde, t in ((0.0, None), (0.4, None), (1.0, 1.0), (0.3, 0.8)):
+            preds = []
+            for cfg, dp in zip(cfgs, dps):
+                lam = lam_tilde * dp.lambda_star
+                spec = DecoderSpec.rls(lam) if t is None else DecoderSpec.box(lam, t)
+                preds.append(predict(cfg, spec))
+            for field in ("mse", "sep", "b_norm"):
+                a, b = (getattr(pr, field) for pr in preds)
+                assert b == pytest.approx(a, rel=1e-12), (lam_tilde, t, field)
+        a, b = (predict(cfg, DecoderSpec.lmmse()) for cfg in cfgs)
+        assert (b.mse, b.sep, b.b_norm) == pytest.approx((a.mse, a.sep, a.b_norm), rel=1e-12)
 
     def test_monotone_in_effective_snr_at_optimal_lambda(self):
         mses, seps = [], []

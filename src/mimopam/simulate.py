@@ -8,6 +8,7 @@ order is fixed: channel, pilot noise, data symbols, data noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,13 +44,15 @@ def trial_stream(master_seed: int, trial_idx: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(trial_idx)])
 
 
+@functools.lru_cache(maxsize=1)
 def make_pilots(k: int, t_pilot: int, seed: int) -> np.ndarray:
     """K x T_p pilot matrix with X X' = T_p I, deterministic given seed.
 
     Built as sqrt(T_p) times the first K rows of an orthonormal matrix
     obtained by orthonormalizing a seeded Gaussian square matrix; column signs
     are fixed from the factorization so the result does not depend on LAPACK
-    sign choices.
+    sign choices. The last result is cached, so the batches of a sweep share
+    one matrix; it is read-only.
     """
     if t_pilot < k:
         raise ConfigError(f"pilot orthogonality requires t_pilot >= k (got {t_pilot} < {k})")
@@ -61,6 +64,7 @@ def make_pilots(k: int, t_pilot: int, seed: int) -> np.ndarray:
     err = np.abs(x_p @ x_p.T - t_pilot * np.eye(k)).max()
     if err > PILOT_ORTH_TOL:
         raise ConfigError(f"pilot orthogonalization residual {err:.3e} out of tolerance")
+    x_p.flags.writeable = False
     return x_p
 
 

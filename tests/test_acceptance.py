@@ -268,16 +268,17 @@ class TestCriterion7:
                 got = s * s * mp.box_objective(theta / s, beta / s, p)
                 assert got == pytest.approx(want, abs=1e-9)
 
-            # (d) coordinate descent == projected gradient
+            # (d) active set == coordinate descent == projected gradient
             for _ in range(50):
                 n, k = 16, 8
                 a = rng.standard_normal((n, k))
                 y = rng.standard_normal(n) * 2
                 lr = float(rng.uniform(0.0, 1.5))
                 t = float(rng.uniform(0.3, 1.5))
-                x_cd, _ = mp.box_rls_solve(a, y, lr, t)
                 x_pg = _projected_gradient(a, y, lr, t)
-                np.testing.assert_allclose(x_cd, x_pg, atol=1e-8)
+                for solve in (mp.box_rls_solve, mp.decoders._box_cd):
+                    x_box, _ = solve(a, y, lr, t)
+                    np.testing.assert_allclose(x_box, x_pg, atol=1e-8)
 
             # (e) SEP <-> MSE bridge across a lambda grid
             cfg = fig2_cfg(10)

@@ -11,6 +11,7 @@ from mimopam import (
     PowerConvention,
     SystemConfig,
     aggregate,
+    decoders,
     derive_params,
     estimate_channel,
     lambda_star_rls,
@@ -56,6 +57,13 @@ class TestMakePilots:
     def test_deterministic_given_seed(self):
         np.testing.assert_array_equal(make_pilots(4, 8, 9), make_pilots(4, 8, 9))
         assert not np.array_equal(make_pilots(4, 8, 9), make_pilots(4, 8, 10))
+
+    def test_cached_matrix_is_read_only_and_unchanged(self):
+        fresh = make_pilots.__wrapped__(6, 9, 4)
+        cached = make_pilots(6, 9, 4)
+        assert make_pilots(6, 9, 4) is cached
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, fresh)
 
     def test_rejects_short_block(self):
         with pytest.raises(ConfigError):
@@ -194,10 +202,16 @@ class TestRunBatch:
         b = run_batch(cfg, DecoderSpec.rls(0.4), trials=20, master_seed=5)
         assert a == b
 
-    def test_parallel_reduction_matches_sequential(self):
+    def test_parallel_reduction_matches_sequential(self, monkeypatch):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        seq = run_batch(cfg, DecoderSpec.rls(0.4), trials=16, master_seed=5, workers=1)
-        par = run_batch(cfg, DecoderSpec.rls(0.4), trials=16, master_seed=5, workers=4)
+        for spec in (DecoderSpec.rls(0.4), DecoderSpec.box(0.4, 1.0)):
+            seq = run_batch(cfg, spec, trials=16, master_seed=5, workers=1)
+            par = run_batch(cfg, spec, trials=16, master_seed=5, workers=4)
+            assert seq == par
+        # the box decoder once more on its coordinate-descent fallback
+        monkeypatch.setattr(decoders, "AS_MAX_ITER", 0)
+        seq = run_batch(cfg, DecoderSpec.box(0.4, 1.0), trials=16, master_seed=5, workers=1)
+        par = run_batch(cfg, DecoderSpec.box(0.4, 1.0), trials=16, master_seed=5, workers=4)
         assert seq == par
 
     def test_stderr_shrinks_with_more_trials(self):

@@ -515,7 +515,9 @@ def lambda_star_numeric(
 ) -> float:
     """argmin over raw lam >= 0 of theta*(lam / lambda*) for the requested
     decoder. The upper end of the bracket starts at 4 lambda* and expands
-    until the objective is increasing.
+    until the objective is increasing. The grid holds lam = 0 only when
+    n > k, the rule of ridge_coefficient: with n <= k the unregularized
+    decoder, and the box saddle at lam = 0, do not exist.
     """
     dp = derive_params(cfg)
     if kind is DecoderKind.RLS:
@@ -530,7 +532,9 @@ def lambda_star_numeric(
     def f(lam: float) -> float:
         return theta_of(lam / dp.lambda_star)
     hi = _expand_bracket(f, 4.0 * dp.lambda_star, "lambda")
-    grid = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 25)])
+    grid = np.geomspace(hi * 1e-6, hi, 25)
+    if cfg.n > cfg.k:
+        grid = np.concatenate([[0.0], grid])
     return _scan_minimize(f, grid, SCALAR_SEARCH_TOL, "lambda_star_numeric")
 
 

@@ -4,9 +4,8 @@ LS and LMMSE are ridge at lambda = 0 and lambda = lambda*, so two solvers
 cover all four decoders. All solvers are pure functions of their inputs. The
 box-constrained solver is a primal-dual active set (semismooth Newton) method
 (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002): a few exact
-free-block solves whose time is spent in LAPACK, outside the GIL. Cyclic
-coordinate descent with exact per-coordinate minimization and clipping is
-kept as its fallback and test oracle.
+free-block solves whose time is spent in LAPACK, outside the GIL, with
+single-index set changes once the predicted sets repeat.
 """
 
 from __future__ import annotations
@@ -20,10 +19,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 
 RLS_RESIDUAL_RTOL = 1e-8
-CD_STEP_TOL = 1e-10
-CD_MAX_SWEEPS = 10_000
-CD_FAIL_RESIDUAL = 1e-6
-AS_MAX_ITER = 30
+AS_MAX_ITER = 500
 BOX_KKT_RTOL = 1e-12  # active-set stop: KKT residual relative to max(1, |A'y|)
 
 
@@ -102,124 +98,70 @@ def box_rls_solve(
 ) -> tuple[np.ndarray, float]:
     """Minimize ||y - A x||^2 + lam_rho_d ||x||^2 over the box [-t, t]^K.
 
-    Primal-dual active set method, handing over to coordinate descent
-    (_box_cd) when it gives up; either way the solution is checked against
-    the projected-gradient fixed-point condition. Returns (x_hat,
-    kkt_residual).
+    Primal-dual active set iteration from the clipped ridge solution. Each
+    step predicts the clipped coordinates from the Jacobi-scaled test
+    z = x - grad/diag(G), G = A'A + lam_rho_d I (unscaled, the sets cycle when
+    most coordinates are clipped), pins them at +-t and solves the free block
+    exactly. Once a predicted (upper, lower) pair repeats, the sets change by
+    single-index steps instead (Murty's rule, Judice & Pires, Comput. Oper.
+    Res. 21(5), 1994): the largest index that violates the sets of the last
+    solve moves, a free coordinate outside the box to the bound it crossed, a
+    pinned coordinate whose gradient points into the box to the free block.
+    Returns (x_hat, kkt_residual) once the projected-gradient residual meets
+    BOX_KKT_RTOL; raises ConvergenceError with the residual when the ridge
+    warm start does not exist (lam_rho_d = 0 with fewer rows than columns), on
+    a singular free block, after AS_MAX_ITER steps, or when no index violates
+    the sets while the residual is above tolerance.
     """
     if t_box is None or not t_box > 0:
         raise ValueError("box_rls_solve needs a positive t_box")
-    solved = _box_active_set(a, y, float(lam_rho_d), float(t_box))
-    return solved if solved is not None else _box_cd(a, y, lam_rho_d, t_box)
-
-
-def _box_active_set(
-    a: np.ndarray, y: np.ndarray, lr: float, t: float
-) -> tuple[np.ndarray, float] | None:
-    """Primal-dual active set iteration from the clipped ridge solution.
-
-    Each step predicts the clipped coordinates from the Jacobi-scaled test
-    z = x - grad/diag(G), G = A'A + lr I (unscaled, the sets cycle when most
-    coordinates are clipped), pins them at +-t and solves the free block
-    exactly. Returns None, for coordinate descent to take over, when the
-    ridge warm start is unavailable (lr = 0 with fewer rows than columns), on
-    a singular free block, on a repeated active-set pair (cycling) and after
-    AS_MAX_ITER steps.
-    """
+    t = float(t_box)
     gram = a.T @ a
     rhs = a.T @ y
-    try:
-        # regularizes gram in place: from here on it is G
-        x = np.clip(_ridge_from_gram(gram, rhs, lr, a.shape[0]), -t, t)
-    except ConvergenceError:
-        return None
+    # regularizes gram in place: from here on it is G
+    x = np.clip(_ridge_from_gram(gram, rhs, float(lam_rho_d), a.shape[0]), -t, t)
     diag = np.diag(gram)
     tol = BOX_KKT_RTOL * max(1.0, float(np.abs(rhs).max()))
     seen: set[tuple[bytes, bytes]] = set()
-    while True:
+    single_index = False
+    for step in range(AS_MAX_ITER + 1):
         half_grad = gram @ x - rhs
         kkt = _projected_gradient_residual(x, half_grad, t)
         if kkt <= tol:
             return x, kkt
-        z = x - half_grad / diag
-        upper, lower = z > t, z < -t
-        pair = (upper.tobytes(), lower.tobytes())
-        if pair in seen or len(seen) >= AS_MAX_ITER:
-            return None
-        seen.add(pair)
+        if step == AS_MAX_ITER:
+            raise ConvergenceError(
+                f"box active set hit its {AS_MAX_ITER}-step cap with KKT residual {kkt:.3e}"
+            )
+        if not single_index:
+            z = x - half_grad / diag
+            predicted = (z > t, z < -t)
+            pair = (predicted[0].tobytes(), predicted[1].tobytes())
+            single_index = pair in seen
+            seen.add(pair)
+        if single_index:
+            was_free = ~(upper | lower)
+            violated = np.flatnonzero(
+                np.where(was_free, np.abs(x) > t, np.where(upper, half_grad > 0, half_grad < 0))
+            )
+            if violated.size == 0:
+                raise ConvergenceError(
+                    f"box active set: no violated index with KKT residual {kkt:.3e}"
+                )
+            j = violated[-1]
+            upper[j], lower[j] = was_free[j] and x[j] > t, was_free[j] and x[j] < -t
+        else:
+            upper, lower = predicted
         free = np.flatnonzero(~(upper | lower))
         x = np.where(upper, t, np.where(lower, -t, 0.0))
         # numpy has no triangular solve and scipy is no runtime dependency,
         # so the SPD free block is factored by LU (LAPACK gesv)
         try:
             x[free] = np.linalg.solve(gram[np.ix_(free, free)], rhs[free] - (gram @ x)[free])
-        except np.linalg.LinAlgError:
-            return None
-
-
-def _box_cd(
-    a: np.ndarray, y: np.ndarray, lam_rho_d: float, t_box: float
-) -> tuple[np.ndarray, float]:
-    """box_rls_solve by cyclic coordinate descent with exact coordinate updates.
-
-    The fallback of the active set method and its test oracle. The running
-    objective must be non-increasing every sweep, and the solution is checked
-    against the projected-gradient fixed-point condition on exit.
-    """
-    if t_box is None or not t_box > 0:
-        raise ValueError("box_rls_solve needs a positive t_box")
-    t, lr = float(t_box), float(lam_rho_d)
-    k = a.shape[1]
-    gram = a.T @ a
-    rhs = a.T @ y
-    diag = np.diag(gram) + lr
-    if np.any(diag <= 0):
-        raise ConvergenceError("objective is not strongly convex coordinate-wise")
-    cols = [np.ascontiguousarray(gram[:, j]) for j in range(k)]
-
-    # Warm start from the clipped unconstrained solution when it is available;
-    # fall back to zero otherwise.
-    try:
-        x = np.clip(_ridge_from_gram(gram.copy(), rhs, lr, a.shape[0]), -t, t)
-    except ConvergenceError:
-        x = np.zeros(k)
-    half_grad = gram @ x + lr * x - rhs
-
-    def objective() -> float:
-        # ||y - Ax||^2 + lr||x||^2 = y'y - x'rhs + x'half_grad
-        return float(y @ y - x @ rhs + x @ half_grad)
-
-    prev_obj = objective()
-    converged = False
-    for _ in range(CD_MAX_SWEEPS):
-        largest_step = 0.0
-        for j in range(k):
-            xj = x[j] - half_grad[j] / diag[j]
-            if xj > t:
-                xj = t
-            elif xj < -t:
-                xj = -t
-            step = xj - x[j]
-            if step != 0.0:
-                half_grad += step * cols[j]
-                half_grad[j] += step * lr
-                x[j] = xj
-                if abs(step) > largest_step:
-                    largest_step = abs(step)
-        obj = objective()
-        if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-            raise ConvergenceError("coordinate-descent objective increased within a sweep")
-        prev_obj = obj
-        if largest_step < CD_STEP_TOL:
-            converged = True
-            break
-
-    kkt = _projected_gradient_residual(x, half_grad, t)
-    if not converged and kkt > CD_FAIL_RESIDUAL:
-        raise ConvergenceError(
-            f"coordinate descent hit the sweep cap with KKT residual {kkt:.3e}"
-        )
-    return x, kkt
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"box active set: singular free block with KKT residual {kkt:.3e}"
+            ) from exc
 
 
 def _projected_gradient_residual(x: np.ndarray, half_grad: np.ndarray, t: float) -> float:

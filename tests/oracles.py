@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from mimopam import qfunc
@@ -39,3 +40,20 @@ def box_objective_quadrature(theta, beta, rho_d, s_h2, s_d2, lam, delta, t, m):
                     - beta * xi * t * (gauss_pdf(lo) + gauss_pdf(hi))
                     - pref * integral)
     return val + acc / m
+
+
+def projected_gradient_oracle(a, y, lam_rho_d, t, max_iter=500_000, tol=1e-15):
+    """Fixed-step projected gradient on the box decoder's objective
+    ||y - A x||^2 + lam_rho_d ||x||^2 over [-t, t]^K; independent of the
+    active set method under test."""
+    gram = a.T @ a
+    rhs = a.T @ y
+    lip = 2.0 * (np.linalg.eigvalsh(gram)[-1] + lam_rho_d)
+    x = np.zeros(a.shape[1])
+    for _ in range(max_iter):
+        grad = 2.0 * (gram @ x + lam_rho_d * x - rhs)
+        x_new = np.clip(x - grad / lip, -t, t)
+        if np.abs(x_new - x).max() < tol:
+            return x_new
+        x = x_new
+    return x

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import box_objective_quadrature, gauss_pdf
+from oracles import box_objective_quadrature, gauss_pdf, projected_gradient_oracle
 from scipy.integrate import quad
 
 import mimopam as mp
@@ -268,17 +268,15 @@ class TestCriterion7:
                 got = s * s * mp.box_objective(theta / s, beta / s, p)
                 assert got == pytest.approx(want, abs=1e-9)
 
-            # (d) active set == coordinate descent == projected gradient
+            # (d) active set == projected gradient
             for _ in range(50):
                 n, k = 16, 8
                 a = rng.standard_normal((n, k))
                 y = rng.standard_normal(n) * 2
                 lr = float(rng.uniform(0.0, 1.5))
                 t = float(rng.uniform(0.3, 1.5))
-                x_pg = _projected_gradient(a, y, lr, t)
-                for solve in (mp.box_rls_solve, mp.decoders._box_cd):
-                    x_box, _ = solve(a, y, lr, t)
-                    np.testing.assert_allclose(x_box, x_pg, atol=1e-8)
+                x_box, _ = mp.box_rls_solve(a, y, lr, t)
+                np.testing.assert_allclose(x_box, projected_gradient_oracle(a, y, lr, t), atol=1e-8)
 
             # (e) SEP <-> MSE bridge across a lambda grid
             cfg = fig2_cfg(10)
@@ -340,16 +338,3 @@ class TestCriterion9:
             sqrt_e = 1.0  # BPSK
             assert sqrt_e * t_star == pytest.approx(0.9996, abs=1e-2)
 
-
-def _projected_gradient(a, y, lam_rho_d, t, max_iter=500_000, tol=1e-15):
-    gram = a.T @ a
-    rhs = a.T @ y
-    lip = 2.0 * (np.linalg.eigvalsh(gram)[-1] + lam_rho_d)
-    x = np.zeros(a.shape[1])
-    for _ in range(max_iter):
-        grad = 2.0 * (gram @ x + lam_rho_d * x - rhs)
-        x_new = np.clip(x - grad / lip, -t, t)
-        if np.abs(x_new - x).max() < tol:
-            return x_new
-        x = x_new
-    return x

@@ -34,6 +34,7 @@ from mimopam import (
     lambda_star_numeric,
     lambda_star_rls,
     mse_from_theta,
+    pam_constellation,
     predict,
     qfunc,
     rls_beta_star,
@@ -198,6 +199,17 @@ class TestLambdaStar:
         want = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         got = lambda_star_numeric(cfg, DecoderKind.RLS)
         assert got == pytest.approx(want, abs=1e-4)
+
+    def test_box_search_without_zero_when_n_below_k(self):
+        # delta < 1: the box saddle at lam = 0 has no solution, so the grid must skip it
+        cfg = SystemConfig(k=128, n=80, t_total=512, t_pilot=128, rho=100.0, alpha=0.5, m=16)
+        lam = lambda_star_numeric(cfg, DecoderKind.BOX)
+        assert lam == pytest.approx(0.00645, rel=1e-2)
+        t = float(pam_constellation(16).points[-1])
+        at_lam = box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=lam, t=t))
+        for other in (0.5 * lam, 2.0 * lam):
+            near = box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=other, t=t))
+            assert at_lam.theta_star <= near.theta_star
 
     def test_optimal_mse_forms_agree_off_the_reference_grid(self):
         p = box_params(7, lam=fig2_lambda_star(7), t=math.inf)

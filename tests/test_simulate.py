@@ -11,7 +11,6 @@ from mimopam import (
     PowerConvention,
     SystemConfig,
     aggregate,
-    decoders,
     derive_params,
     estimate_channel,
     lambda_star_rls,
@@ -202,17 +201,12 @@ class TestRunBatch:
         b = run_batch(cfg, DecoderSpec.rls(0.4), trials=20, master_seed=5)
         assert a == b
 
-    def test_parallel_reduction_matches_sequential(self, monkeypatch):
+    def test_parallel_reduction_matches_sequential(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         for spec in (DecoderSpec.rls(0.4), DecoderSpec.box(0.4, 1.0)):
             seq = run_batch(cfg, spec, trials=16, master_seed=5, workers=1)
             par = run_batch(cfg, spec, trials=16, master_seed=5, workers=4)
             assert seq == par
-        # the box decoder once more on its coordinate-descent fallback
-        monkeypatch.setattr(decoders, "AS_MAX_ITER", 0)
-        seq = run_batch(cfg, DecoderSpec.box(0.4, 1.0), trials=16, master_seed=5, workers=1)
-        par = run_batch(cfg, DecoderSpec.box(0.4, 1.0), trials=16, master_seed=5, workers=4)
-        assert seq == par
 
     def test_stderr_shrinks_with_more_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)

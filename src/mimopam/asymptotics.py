@@ -19,16 +19,16 @@ gradient, and the saddle is found by bracketed root finding on that gradient:
 the inner minimum in theta is the root of dD/dtheta, and the root of the
 concave beta profile's slope, which equals dD/dbeta at the inner minimum,
 gives beta*. The numeric searches for the ridge coefficient and the box
-threshold sample a grid and refine the best interval by golden section.
+threshold sample theta* on a fixed grid of the knob in its own units
+(LAM_TILDE_GRID, T_GRID), since theta*(t) has several local minima for
+M >= 4, and refine the best interior sample by golden section between its
+neighbours.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
@@ -44,6 +44,9 @@ ROOT_MAX_ITER = 100
 BRACKET_STEPS = 8  # the last step multiplies by 2^128; 2^255 in all
 STATIONARITY_HARD = 1e-4
 DEGENERATE_T_TOL = 1e-9
+# knob grids: lam~ = lam / lambda* (0 kept only when n > k) and t / t_ref
+LAM_TILDE_GRID = (0.0,) + tuple(10.0 ** (e / 4.0) for e in range(-24, 25))
+T_GRID = tuple(2.0 ** (e / 5.0) for e in range(-15, 21))
 
 
 def qfunc(x: float) -> float:
@@ -415,12 +418,8 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
         )
     ratio = params.rho_eff * beta_star / theta
     b_norm = ratio / (ratio + 2.0 * params.lam_tilde)
-    return ScalarSolution(
-        theta_star=float(theta),
-        beta_star=float(beta_star),
-        b_norm=float(b_norm),
-        stationarity_residual=float(resid),
-    )
+    return ScalarSolution(theta_star=theta, beta_star=beta_star, b_norm=b_norm,
+                          stationarity_residual=resid)
 
 
 def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> float:
@@ -428,17 +427,18 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
 
     Four indicator groups cover inner symbols whose decision region is fully
     inside the box, partially clipped, or entirely outside, plus the edge
-    symbols. Thresholds exactly on the odd lattice t/B = i/sqrt(E) are
-    rejected as degenerate. At t = inf every symbol is inside the box and the
-    sum is the ridge decoder's 2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*).
+    symbols. The SEP jumps where t/B crosses a decision boundary 2j/sqrt(E),
+    j = 1..M/2-1, so thresholds exactly there are rejected as degenerate (BPSK
+    has none). At t = inf every symbol is inside the box and the sum is the
+    ridge decoder's 2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*).
     """
     m = params.m
     sqrt_e = math.sqrt(params.energy_e)
     ratio = params.t / b_norm
-    for i in range(1, m, 2):
-        if abs(ratio - i / sqrt_e) < DEGENERATE_T_TOL:
+    for j in range(2, m - 1, 2):
+        if abs(ratio - j / sqrt_e) < DEGENERATE_T_TOL:
             raise DegenerateThresholdError(
-                f"t / B = {ratio!r} sits on the degenerate lattice point {i}/sqrt(E)"
+                f"t / B = {ratio!r} sits on the degenerate decision boundary {j}/sqrt(E)"
             )
     q = qfunc(math.sqrt(params.rho_eff / params.energy_e) / theta_star)
     sep = 0.0
@@ -474,38 +474,15 @@ def _box_theta_of(params: BoxObjectiveParams, knob: str):
     return f
 
 
-def _expand_bracket(f, hi: float, knob: str) -> float:
-    """Multiply hi by 4 until f(hi) > f(hi / 2), so [0, hi] holds the minimum."""
-    for _ in range(10):
-        if f(hi) > f(hi / 2.0):
-            return hi
-        hi *= 4.0
-    raise ConvergenceError(f"{knob} bracket kept expanding without an interior minimum")
-
-
-def _scan_minimize(f, grid: np.ndarray, tol: float, label: str) -> float:
-    """Sample f on grid, detect non-unimodality, refine the best interval by
-    golden section. Falls back to a dense global scan when the sampled shape
-    is not unimodal."""
-    vals = np.array([f(g) for g in grid])
-    diffs = np.sign(np.diff(vals))
-    descents = np.where((diffs[:-1] < 0) & (diffs[1:] > 0))[0]
-    if len(descents) > 1:
-        warnings.warn(
-            f"{label}: sampled objective is not unimodal; using dense-grid fallback",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        dense = np.linspace(grid[0], grid[-1], 1201)
-        dvals = np.array([f(g) for g in dense])
-        j = int(np.argmin(dvals))
-        lo = dense[max(j - 1, 0)]
-        hi = dense[min(j + 1, len(dense) - 1)]
-    else:
-        j = int(np.argmin(vals))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, len(grid) - 1)]
-    return float(_golden_min(f, lo, hi, rel_tol=tol))
+def _grid_argmin(f, grid) -> float:
+    """argmin of f over the sorted grid, refined by golden section between the
+    neighbours of the best sample; a best sample at either end is returned as
+    is. Sampling the whole grid finds the best of several local minima."""
+    vals = [f(x) for x in grid]
+    j = vals.index(min(vals))
+    if j == 0 or j == len(grid) - 1:
+        return grid[j]
+    return _golden_min(f, grid[j - 1], grid[j + 1], rel_tol=SCALAR_SEARCH_TOL)
 
 
 def lambda_star_numeric(
@@ -514,10 +491,11 @@ def lambda_star_numeric(
     t_box: float | None = None,
 ) -> float:
     """argmin over raw lam >= 0 of theta*(lam / lambda*) for the requested
-    decoder. The upper end of the bracket starts at 4 lambda* and expands
-    until the objective is increasing. The grid holds lam = 0 only when
-    n > k, the rule of ridge_coefficient: with n <= k the unregularized
-    decoder, and the box saddle at lam = 0, do not exist.
+    decoder, searched over lam~ = lam / lambda* on LAM_TILDE_GRID. The grid
+    holds lam = 0 only when n > k, the rule of ridge_coefficient: with
+    n <= k the unregularized decoder, and the box saddle at lam = 0, do not
+    exist, and when theta* still falls at the lowest grid point that point
+    (lam = 1e-6 lambda*) is returned.
     """
     dp = derive_params(cfg)
     if kind is DecoderKind.RLS:
@@ -528,23 +506,16 @@ def lambda_star_numeric(
         theta_of = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=0.0, t=t), "lam_tilde")
     else:
         raise ValueError(f"no lambda to optimize for decoder {kind}")
-
-    def f(lam: float) -> float:
-        return theta_of(lam / dp.lambda_star)
-    hi = _expand_bracket(f, 4.0 * dp.lambda_star, "lambda")
-    grid = np.geomspace(hi * 1e-6, hi, 25)
-    if cfg.n > cfg.k:
-        grid = np.concatenate([[0.0], grid])
-    return _scan_minimize(f, grid, SCALAR_SEARCH_TOL, "lambda_star_numeric")
+    grid = LAM_TILDE_GRID if cfg.n > cfg.k else LAM_TILDE_GRID[1:]
+    return _grid_argmin(theta_of, grid) * dp.lambda_star
 
 
 def t_star_numeric(cfg: SystemConfig, lam: float) -> float:
-    """argmin over t > 0 of the box decoder's theta*(t) at fixed lam."""
+    """argmin over t > 0 of the box decoder's theta*(t) at fixed lam, searched
+    over t / t_ref on T_GRID with t_ref the largest symbol."""
     t_ref = float(pam_constellation(cfg.m).points[-1])
-    f = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=lam, t=t_ref), "t")
-    hi = _expand_bracket(f, 2.0 * t_ref, "t")
-    grid = np.geomspace(t_ref / 8.0, hi, 25)
-    return _scan_minimize(f, grid, SCALAR_SEARCH_TOL, "t_star_numeric")
+    theta_of = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=lam, t=t_ref), "t")
+    return _grid_argmin(lambda r: theta_of(r * t_ref), T_GRID) * t_ref
 
 
 @dataclass(frozen=True)

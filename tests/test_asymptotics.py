@@ -42,10 +42,11 @@ from mimopam import (
     rls_stationarity_residuals,
     rls_theta_star,
     scalar_solution,
+    t_star_numeric,
     upsilon,
 )
 from mimopam import asymptotics
-from mimopam.asymptotics import _box_terms, _bracket_root, _find_root
+from mimopam.asymptotics import _box_terms, _bracket_root, _find_root, _grid_argmin
 
 # Published theory values for the K=400, N=480, T=1000, T_p=456, alpha=0.5,
 # BPSK scenario under the direct power split, ridge decoder at the optimal
@@ -217,15 +218,43 @@ class TestLambdaStar:
         via_theta = mse_from_theta(theta, p.rho_eff, p.delta)
         assert lmmse_mse_closed_form(p.rho_eff, p.delta) == pytest.approx(via_theta, rel=1e-10)
 
-    def test_non_unimodal_sampling_falls_back_to_dense_grid(self):
-        from mimopam.asymptotics import _scan_minimize
 
-        # two local minima at 1 and 3, global at 3
+def fig4_cfg(rho_db, m):
+    return SystemConfig(
+        k=400, n=480, t_total=1000, t_pilot=400, rho=10 ** (rho_db / 10),
+        alpha=0.5, m=m, power_convention=PowerConvention.DIRECT_SPLIT,
+    )
+
+
+class TestKnobSearch:
+    def test_grid_search_finds_the_global_of_two_minima(self):
+        # local minima at 1 and 3, global at 3
         f = lambda x: min((x - 1.0) ** 2 + 0.2, (x - 3.0) ** 2)
         grid = np.linspace(0.0, 4.0, 33)
-        with pytest.warns(RuntimeWarning, match="not unimodal"):
-            x = _scan_minimize(f, grid, 1e-6, "test")
-        assert x == pytest.approx(3.0, abs=1e-4)
+        assert _grid_argmin(f, grid) == pytest.approx(3.0, abs=1e-5)
+
+    def test_grid_end_is_returned_as_is(self):
+        grid = (0.0, 0.5, 1.0, 2.0)
+        assert _grid_argmin(lambda x: x, grid) == 0.0
+        assert _grid_argmin(lambda x: -x, grid) == 2.0
+
+    def test_box_lambda_at_the_boundary_is_exactly_zero(self):
+        # BPSK box decoding at high power wants no ridge term at all
+        assert lambda_star_numeric(fig2_cfg(15), DecoderKind.BOX) == 0.0
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_threshold_search_where_theta_is_flat_in_t(self, m):
+        # theta*(t) has its minimum near 0.4 t_ref here and is flat from about
+        # 2 t_ref on, so no bracket that waits for theta* to rise would close
+        cfg = fig4_cfg(-5.0, m)
+        lam = lambda_star_numeric(cfg, DecoderKind.BOX)
+        t = t_star_numeric(cfg, lam)
+        t_ref = float(pam_constellation(m).points[-1])
+
+        def theta(x):
+            return box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=lam, t=x)).theta_star
+        best = theta(t)
+        assert all(best <= theta(r * t_ref) * (1 + 1e-12) for r in asymptotics.T_GRID)
 
 
 class TestLsForms:
@@ -493,9 +522,24 @@ class TestBoxSep:
         assert box_sep(theta, b_norm, p) == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_lattice_threshold_rejected(self):
-        p = box_params(10, lam=0.3, t=1.0 / math.sqrt(5.0), m=4)
+        # t / B on the decision boundary 2/sqrt(E), where the SEP jumps
+        p = box_params(10, lam=0.3, t=2.0 / math.sqrt(5.0), m=4)
         with pytest.raises(DegenerateThresholdError):
             box_sep(0.8, 1.0, p)
+
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_continuous_across_the_odd_lattice(self, m):
+        # no decision boundary sits at t / B = i / sqrt(E), i odd
+        sqrt_e = math.sqrt((m * m - 1) / 3.0)
+        for i in range(1, m, 2):
+            seps = [box_sep(0.8, 1.0, box_params(10, lam=0.3, t=i / sqrt_e + d, m=m))
+                    for d in (-1e-7, 0.0, 1e-7)]
+            assert seps[0] == seps[1] == seps[2]
+
+    def test_bpsk_has_no_degenerate_threshold(self):
+        # t / B = 1 is the symbol itself, a legal threshold
+        p = box_params(10, lam=0.0, t=1.0)
+        assert box_sep(0.8, 1.0, p) == pytest.approx(qfunc(math.sqrt(p.rho_eff) / 0.8), rel=1e-12)
 
 
 class TestPredict:

@@ -242,7 +242,7 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         out = str(tmp_path / "out.csv")
         assert cli_main(["predict", "--config", cfg, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].split(",")[0] == "k"
         assert len(lines) == 3
         assert "wrote 2 rows" in capsys.readouterr().out
@@ -284,23 +284,36 @@ class TestCli:
         out = str(tmp_path / "sim.csv")
         assert cli_main(["simulate", "--config", cfg, "--out", out,
                          "--trials", "5", "--seed", "99"]) == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         assert ",5,99," in body
 
     def test_solver_error_row_is_exit_3(self, tmp_path, capsys):
-        # lambda = 0 makes the debias norm exactly 1, so t_box = 1 for BPSK
-        # sits on the degenerate threshold lattice and the predictor refuses
+        # lambda = 0 makes the debias norm exactly 1, so t_box = 2/sqrt(5) for
+        # 4-PAM sits on a decision boundary, where the SEP jumps, and the
+        # predictor refuses
         path = tmp_path / "degen.cfg"
         path.write_text(
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
-            "m = 2\nsweep_axis = rho_db\nvalues = 10\ndecoders = box\ntrials = 0\n"
+            "m = 4\nsweep_axis = rho_db\nvalues = 10\ndecoders = box\ntrials = 0\n"
             "power_convention = direct\nlambda_policy = fixed\nlambda = 0\n"
-            "t_policy = fixed\nt_box = 1.0\n"
+            f"t_policy = fixed\nt_box = {2.0 / math.sqrt(5.0)!r}\n"
         )
         out = str(tmp_path / "degen.csv")
         assert cli_main(["predict", "--config", str(path), "--out", out]) == 3
-        body = open(out).read()
+        body = Path(out).read_text()
         assert "degenerate" in body  # error column carries the reason
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_knob_search_presets_predict_without_error_rows(self, name, tmp_path, capsys):
+        out = str(tmp_path / f"{name}.csv")
+        assert cli_main(["predict", "--config", str(preset_path(name)), "--out", out]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and not any(r["error"] for r in rows)
+        # the BPSK box decoder wants no ridge term from rho_d = 10 dB up
+        box_lams = [float(r["lambda"]) for r in rows
+                    if r["decoder"] == "box" and float(r["rho_db"]) > 13.0]
+        assert box_lams and all(lam == 0.0 for lam in box_lams)
 
     def test_fat_system_runs_when_every_decoder_regularizes(self, tmp_path, capsys):
         # n < k is fine for ridge and box at the closed-form coefficient

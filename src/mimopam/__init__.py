@@ -55,8 +55,6 @@ from .simulate import (
     BatchStats,
     TrialOutcome,
     aggregate,
-    estimate_channel,
-    make_pilots,
     run_batch,
     run_trial,
     trial_stream,

@@ -34,8 +34,8 @@ class DecoderKind(str, enum.Enum):
 class DecoderSpec:
     """Which decoder to run and with what knobs.
 
-    lam is the ridge coefficient of RLS and BOX (multiplied by rho_d inside
-    the solvers); LS and LMMSE fix theirs at 0 and lambda*, see
+    lam is the raw ridge coefficient of RLS and BOX (the simulator solves
+    with lam / lambda*); LS and LMMSE fix theirs at 0 and lambda*, see
     asymptotics.ridge_coefficient. t_box is the box half-width, set exactly
     for BOX.
     """

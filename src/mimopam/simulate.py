@@ -1,14 +1,21 @@
-"""Seeded Monte Carlo link simulation.
+"""Seeded Monte Carlo link simulation on the effective data model.
+
+LMMSE training leaves an estimation error that is Gaussian and independent
+of the estimate, so the data phase divided by s = sqrt(1 + c), c =
+rho_d sigma_delta^2, is y = A x0 + w: A has iid N(0, rho_eff/K) entries and,
+given x0, w has iid entries of variance (1 + c |x0|^2/K) / (1 + c), exactly 1
+for BPSK (Hassibi & Hochwald, IEEE T-IT 49(4), 2003). Decoding (A, y) with
+lam~ = lam / lambda* has the minimizer of the raw problem with lam rho_d.
+make_pilots and estimate_channel are the explicit training phase it replaces.
 
 Per-trial randomness comes from an independent stream keyed by
 (master_seed, trial_index), so a batch is reproducible bit-for-bit and its
 trials can be evaluated in any order or in parallel. Within a trial the draw
-order is fixed: channel, pilot noise, data symbols, data noise.
+order is fixed: effective channel A, data symbols x0, noise w.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,15 +51,13 @@ def trial_stream(master_seed: int, trial_idx: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(trial_idx)])
 
 
-@functools.lru_cache(maxsize=1)
 def make_pilots(k: int, t_pilot: int, seed: int) -> np.ndarray:
     """K x T_p pilot matrix with X X' = T_p I, deterministic given seed.
 
     Built as sqrt(T_p) times the first K rows of an orthonormal matrix
     obtained by orthonormalizing a seeded Gaussian square matrix; column signs
     are fixed from the factorization so the result does not depend on LAPACK
-    sign choices. The last result is cached, so the batches of a sweep share
-    one matrix; it is read-only.
+    sign choices.
     """
     if t_pilot < k:
         raise ConfigError(f"pilot orthogonality requires t_pilot >= k (got {t_pilot} < {k})")
@@ -64,7 +69,6 @@ def make_pilots(k: int, t_pilot: int, seed: int) -> np.ndarray:
     err = np.abs(x_p @ x_p.T - t_pilot * np.eye(k)).max()
     if err > PILOT_ORTH_TOL:
         raise ConfigError(f"pilot orthogonalization residual {err:.3e} out of tolerance")
-    x_p.flags.writeable = False
     return x_p
 
 
@@ -96,30 +100,29 @@ def run_trial(
     decoder_spec: DecoderSpec,
     seed: int,
     trial_idx: int,
-    pilots: np.ndarray,
     b_norm: float,
 ) -> TrialOutcome:
-    """One full pilot + data transmission, ridge or box solve, normalize and slice.
+    """One data transmission on the effective model, ridge or box solve,
+    normalize and slice.
 
-    Deterministic given (seed, trial_idx). pilots is the batch's pilot matrix
-    (make_pilots) and b_norm the debias constant B of the decoder (predict).
+    Deterministic given (seed, trial_idx). b_norm is the debias constant B
+    of the decoder (predict).
     """
     dp = derive_params(cfg)
     constellation = pam_constellation(cfg.m)
-    lam_rho_d = ridge_coefficient(cfg, decoder_spec) * dp.rho_d
+    lam_tilde = ridge_coefficient(cfg, decoder_spec) / dp.lambda_star
+    c = dp.rho_d * dp.sigma_delta_sq
 
     rng = trial_stream(seed, trial_idx)
-    h = rng.standard_normal((cfg.n, cfg.k))
-    hhat, _ = estimate_channel(h, pilots, dp.rho_p, rng)
+    a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
     x0 = constellation.points[rng.integers(0, cfg.m, size=cfg.k)]
-    z = rng.standard_normal(cfg.n)
-    y = math.sqrt(dp.rho_d / cfg.k) * h @ x0 + z
+    w_std = math.sqrt((1.0 + c * (x0 @ x0) / cfg.k) / (1.0 + c))
+    y = a @ x0 + w_std * rng.standard_normal(cfg.n)
 
-    a = math.sqrt(dp.rho_d / cfg.k) * hhat
     if decoder_spec.t_box is not None:
-        x_hat, _ = box_rls_solve(a, y, lam_rho_d, decoder_spec.t_box)
+        x_hat, _ = box_rls_solve(a, y, lam_tilde, decoder_spec.t_box)
     else:
-        x_hat = rls_solve(a, y, lam_rho_d)
+        x_hat = rls_solve(a, y, lam_tilde)
 
     x_star = slice_symbols(x_hat / b_norm, constellation)
     mse = float(np.mean((x_hat - x0) ** 2))
@@ -142,11 +145,10 @@ def run_batch(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    pilots = make_pilots(cfg.k, cfg.t_pilot, master_seed)
     b_norm = predict(cfg, decoder_spec).b_norm
 
     def one(idx: int) -> TrialOutcome:
-        return run_trial(cfg, decoder_spec, master_seed, idx, pilots=pilots, b_norm=b_norm)
+        return run_trial(cfg, decoder_spec, master_seed, idx, b_norm=b_norm)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,11 +1,20 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against,
+and the false-alarm arithmetic of their Monte Carlo gates."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 from scipy.integrate import quad
 
-from mimopam import qfunc
+from mimopam import derive_params, pam_constellation, qfunc
+from mimopam.simulate import estimate_channel
+
+
+def bonferroni_z(family_false_alarm, tests):
+    """Two-sided per-test z so that `tests` Gaussian z-gates together raise
+    a false alarm with probability at most family_false_alarm (Bonferroni)."""
+    return NormalDist().inv_cdf(1.0 - family_false_alarm / (2.0 * tests))
 
 
 def gauss_pdf(h):
@@ -69,3 +78,19 @@ def projected_gradient_oracle(a, y, lam_rho_d, t, max_iter=100_000, tol=1e-14):
         if lip * np.abs(x - np.clip(x - grad / lip, -t, t)).max() <= stop:
             break
     return x
+
+
+def explicit_training_trial(cfg, pilots, rng):
+    """One trial's data model drawn through the training phase: channel H,
+    its LMMSE estimate from the orthogonal pilots (estimate_channel), data
+    symbols x0 and y = sqrt(rho_d/K) H x0 + z.
+
+    Returns (a, y, x0) with a = sqrt(rho_d/K) Hhat, on which a decoder
+    solves with the raw coefficient lam rho_d.
+    """
+    dp = derive_params(cfg)
+    h = rng.standard_normal((cfg.n, cfg.k))
+    hhat, _ = estimate_channel(h, pilots, dp.rho_p, rng)
+    x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
+    y = math.sqrt(dp.rho_d / cfg.k) * h @ x0 + rng.standard_normal(cfg.n)
+    return math.sqrt(dp.rho_d / cfg.k) * hhat, y, x0

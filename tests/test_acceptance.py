@@ -1,9 +1,9 @@
 """Acceptance suite: one test per exit criterion, printed as PASS/FAIL lines.
 
 Published reference values are quoted at the precision of the source tables.
-Monte Carlo gates use the pinned master seed 20260808; the full-size checks
-take a few minutes, and each has a seconds-scale smoke variant where the
-criterion calls for one.
+The full-size Monte Carlo gates use the pinned master seed 20260808 and take
+under two minutes; each has a seconds-scale smoke variant on fixed seeds
+where the criterion calls for one.
 """
 
 import math
@@ -12,7 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import box_objective_quadrature, gauss_pdf, projected_gradient_oracle
+from oracles import (
+    bonferroni_z,
+    box_objective_quadrature,
+    gauss_pdf,
+    projected_gradient_oracle,
+)
 from scipy.integrate import quad
 
 import mimopam as mp
@@ -20,11 +25,18 @@ from mimopam.presets import preset_path
 
 MASTER_SEED = 20260808
 FULL_TRIALS = 500
-# The K=100 smoke scenario uses its own pinned seed: the unregularized decoder
-# carries an O(1/K) bias relative to the asymptote that eats into the 3-sigma
-# budget at this size, so seeds were scanned once for a representative draw.
-SMOKE_SEED = 987651
+MPAM_TRIALS = 300  # the K=400 4-PAM cells
+# The K=100 smoke gate runs on each of these seeds, fixed before any run.
+SMOKE_SEEDS = (1, 2, 3)
 SMOKE_TRIALS = 100
+RHO_DB_CELLS = (5, 15, 25)
+# Criterion 4 gates every (cell, metric, seed) with one z, set so that the
+# whole family - 3 decoders x 3 rho x 2 metrics x 3 seeds at K=100 and
+# 5 decoders x 3 rho x 2 metrics at K=400 - raises a false alarm with
+# probability at most GATE_FALSE_ALARM (Bonferroni): z = 3.85.
+GATE_FALSE_ALARM = 0.01
+GATE_Z = bonferroni_z(GATE_FALSE_ALARM,
+                      2 * len(RHO_DB_CELLS) * (3 * len(SMOKE_SEEDS) + 5))
 
 # Published theory curve for the ridge decoder at its optimal coefficient
 # (K=400, N=480, T=1000, T_p=456, alpha=0.5, BPSK, direct split), 0..35 dB.
@@ -78,43 +90,67 @@ def box_lambda_numeric():
     return out
 
 
-def consistency_cells(cfg_of_rho, trials, box_lams, seed):
-    """(decoder, rho) -> (prediction, batch stats, config) for criterion 4."""
+def ls_exact_mse(cfg):
+    """Exact per-antenna LS MSE of the effective model, K/(rho_eff (N-K-1)):
+    the inverse-Wishart mean, with E|x0|^2/K = 1 and the noise independent
+    of the channel, at any M."""
+    return cfg.k / (mp.derive_params(cfg).rho_eff * (cfg.n - cfg.k - 1))
+
+
+def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
+    """(decoder, M, rho) -> (reference MSE, prediction, batch stats, config)
+    for criterion 4.
+
+    BPSK on the direct split for LS, RLS and box; with mpam_trials > 0 also
+    4-PAM on the energy-conserving split for RLS and box at lambda* and
+    t = 3/sqrt(5), the largest symbol. LS is referenced to its exact finite-K
+    MSE, the others to the asymptote.
+    """
     cells = {}
-    for rho_db in (5, 15, 25):
+    for rho_db in RHO_DB_CELLS:
         cfg = cfg_of_rho(rho_db)
-        dp = mp.derive_params(cfg)
-        lam_r = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        for name, spec in (
-            ("ls", mp.DecoderSpec.ls()),
-            ("rls", mp.DecoderSpec.rls(lam_r)),
-            ("box", mp.DecoderSpec.box(box_lams[rho_db], 1.0)),
-        ):
-            pred = mp.predict(cfg, spec)
-            stats = mp.run_batch(cfg, spec, trials=trials, master_seed=seed, workers=4)
-            cells[(name, rho_db)] = (pred, stats, cfg)
+        lam_r = mp.derive_params(cfg).lambda_star
+        decoders = [
+            (cfg, trials, "ls", mp.DecoderSpec.ls()),
+            (cfg, trials, "rls", mp.DecoderSpec.rls(lam_r)),
+            (cfg, trials, "box", mp.DecoderSpec.box(box_lams[rho_db], 1.0)),
+        ]
+        if mpam_trials:
+            cfg4 = replace(cfg, m=4, power_convention=mp.PowerConvention.ENERGY_CONSERVING)
+            lam4 = mp.derive_params(cfg4).lambda_star
+            decoders += [(cfg4, mpam_trials, "rls", mp.DecoderSpec.rls(lam4)),
+                         (cfg4, mpam_trials, "box", mp.DecoderSpec.box(lam4, 3 / math.sqrt(5)))]
+        for c, n_trials, name, spec in decoders:
+            pred = mp.predict(c, spec)
+            stats = mp.run_batch(c, spec, trials=n_trials, master_seed=seed, workers=2)
+            ref = ls_exact_mse(c) if name == "ls" else pred.mse
+            cells[(name, c.m, rho_db)] = (ref, pred, stats, c)
     return cells
 
 
-def assert_consistency_gates(cells):
-    for (name, rho_db), (pred, stats, cfg) in cells.items():
-        mse_gap = abs(stats.mean_mse - pred.mse)
-        assert mse_gap <= 3 * stats.stderr_mse, (
-            f"{name}@{rho_db}dB MSE gap {mse_gap:.3g} > 3*stderr {3 * stats.stderr_mse:.3g}"
-        )
-        # standard-error gate with a binomial floor implied by the predicted
-        # rate, so a correctly observed zero-error batch is not rejected
-        n_symbols = stats.trials * cfg.k
-        floor = math.sqrt(pred.sep * (1.0 - pred.sep) / n_symbols)
-        ser_gap = abs(stats.mean_ser - pred.sep)
-        assert ser_gap <= 3 * max(stats.stderr_ser, floor), (
-            f"{name}@{rho_db}dB SER gap {ser_gap:.3g} > gate"
-        )
+def consistency_z(cells):
+    """(decoder, M, rho, metric) -> z of the simulation against its
+    reference; SER is scaled by max(stderr, the binomial floor implied by
+    the predicted rate), so a correctly observed zero-error batch is not
+    rejected."""
+    zs = {}
+    for key, (ref, pred, stats, cfg) in cells.items():
+        zs[(*key, "mse")] = (stats.mean_mse - ref) / stats.stderr_mse
+        floor = math.sqrt(pred.sep * (1.0 - pred.sep) / (stats.trials * cfg.k))
+        gap = stats.mean_ser - pred.sep
+        zs[(*key, "ser")] = gap / max(stats.stderr_ser, floor) if gap else 0.0
+    return zs
+
+
+def assert_consistency_gates(cells, seed):
+    over = {key: round(z, 2) for key, z in consistency_z(cells).items() if not abs(z) <= GATE_Z}
+    assert not over, f"seed {seed}: |z| > {GATE_Z:.3g}: {over}"
 
 
 @pytest.fixture(scope="module")
 def full_consistency(box_lambda_numeric):
-    return consistency_cells(fig2_cfg, FULL_TRIALS, box_lambda_numeric, MASTER_SEED)
+    return consistency_cells(fig2_cfg, FULL_TRIALS, box_lambda_numeric, MASTER_SEED,
+                             mpam_trials=MPAM_TRIALS)
 
 
 class TestCriterion1:
@@ -177,19 +213,20 @@ class TestCriterion3:
     def test_box_figure_fallback_full_consistency(self, box_lambda_numeric, full_consistency):
         with criterion(3, "Box figure target at 20 dB (full-size fallback)"):
             if not box_soft_gate_holds(box_lambda_numeric):
-                assert_consistency_gates(full_consistency)
+                assert_consistency_gates(full_consistency, MASTER_SEED)
 
 
 class TestCriterion4:
     def test_theory_simulation_smoke_k100(self, box_lambda_numeric):
         with criterion(4, "theory vs simulation self-consistency (K=100 smoke)"):
-            cells = consistency_cells(smoke_cfg, SMOKE_TRIALS, box_lambda_numeric, SMOKE_SEED)
-            assert_consistency_gates(cells)
+            for seed in SMOKE_SEEDS:
+                cells = consistency_cells(smoke_cfg, SMOKE_TRIALS, box_lambda_numeric, seed)
+                assert_consistency_gates(cells, seed)
 
     @pytest.mark.slow
     def test_theory_simulation_full_k400(self, full_consistency):
         with criterion(4, "theory vs simulation self-consistency (K=400 full)"):
-            assert_consistency_gates(full_consistency)
+            assert_consistency_gates(full_consistency, MASTER_SEED)
 
 
 class TestCriterion5:

@@ -1,25 +1,32 @@
-"""Monte Carlo machinery: pilots, channel estimation, trials, batches."""
+"""Monte Carlo machinery: the effective-model sampler against the explicit
+training phase (pilots, channel estimation), trials, batches."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import bonferroni_z, explicit_training_trial
 
 from mimopam import (
     ConfigError,
     DecoderSpec,
     PowerConvention,
     SystemConfig,
+    TrialOutcome,
     aggregate,
+    box_rls_solve,
     derive_params,
-    estimate_channel,
     lambda_star_rls,
-    make_pilots,
+    pam_constellation,
     predict,
+    rls_solve,
     run_batch,
     run_trial,
+    slice_symbols,
     trial_stream,
 )
+from mimopam.asymptotics import ridge_coefficient
+from mimopam.simulate import estimate_channel, make_pilots
 
 # Same antenna/training ratios as the published K=400 scenario, downsized for
 # test runtime; every derived constant (delta, sigma_delta_sq, rho_eff) and
@@ -27,9 +34,9 @@ from mimopam import (
 SCALED = dict(k=200, n=240, t_total=500, t_pilot=228)
 
 
-def batch_inputs(cfg, spec, seed):
-    """The pilot matrix and debias constant run_batch hands to run_trial."""
-    return make_pilots(cfg.k, cfg.t_pilot, seed), predict(cfg, spec).b_norm
+def b_norm_of(cfg, spec):
+    """The debias constant run_batch hands to run_trial."""
+    return predict(cfg, spec).b_norm
 
 
 def scaled_cfg(rho_db, **kw):
@@ -56,13 +63,6 @@ class TestMakePilots:
     def test_deterministic_given_seed(self):
         np.testing.assert_array_equal(make_pilots(4, 8, 9), make_pilots(4, 8, 9))
         assert not np.array_equal(make_pilots(4, 8, 9), make_pilots(4, 8, 10))
-
-    def test_cached_matrix_is_read_only_and_unchanged(self):
-        fresh = make_pilots.__wrapped__(6, 9, 4)
-        cached = make_pilots(6, 9, 4)
-        assert make_pilots(6, 9, 4) is cached
-        assert not cached.flags.writeable
-        np.testing.assert_array_equal(cached, fresh)
 
     def test_rejects_short_block(self):
         with pytest.raises(ConfigError):
@@ -112,23 +112,23 @@ class TestRunTrial:
     def test_exact_inversion_regime(self):
         # enormous power: near-perfect estimate, noise negligible after scaling
         cfg = scaled_cfg(300.0, lam=0.0)
-        out = run_trial(cfg, DecoderSpec.ls(), 5, 0, *batch_inputs(cfg, DecoderSpec.ls(), 5))
+        out = run_trial(cfg, DecoderSpec.ls(), 5, 0, b_norm_of(cfg, DecoderSpec.ls()))
         assert out.ser == 0.0
         assert out.mse <= 1e-18
 
     def test_deterministic_given_seed_path(self):
         cfg = scaled_cfg(10.0)
         spec = DecoderSpec.rls(0.5)
-        inputs = batch_inputs(cfg, spec, 12)
-        a = run_trial(cfg, spec, 12, 3, *inputs)
-        b = run_trial(cfg, spec, 12, 3, *inputs)
+        b_norm = b_norm_of(cfg, spec)
+        a = run_trial(cfg, spec, 12, 3, b_norm)
+        b = run_trial(cfg, spec, 12, 3, b_norm)
         assert (a.mse, a.ser) == (b.mse, b.ser)
-        c = run_trial(cfg, spec, 12, 4, *inputs)
+        c = run_trial(cfg, spec, 12, 4, b_norm)
         assert (a.mse, a.ser) != (c.mse, c.ser)
 
     def test_ser_is_integer_multiple_of_inverse_k(self):
         cfg = scaled_cfg(5.0)
-        out = run_trial(cfg, DecoderSpec.lmmse(), 2, 0, *batch_inputs(cfg, DecoderSpec.lmmse(), 2))
+        out = run_trial(cfg, DecoderSpec.lmmse(), 2, 0, b_norm_of(cfg, DecoderSpec.lmmse()))
         assert out.mse >= 0
         assert 0.0 <= out.ser <= 1.0
         assert (out.ser * cfg.k) == pytest.approx(round(out.ser * cfg.k), abs=1e-9)
@@ -138,6 +138,119 @@ class TestRunTrial:
         s = trial_stream(42, 0)
         t = trial_stream(42, 1)
         assert s.integers(0, 2**31) != t.integers(0, 2**31)
+
+
+# The equivalence scenario: the published ratios at K=50.
+EQUIV = dict(k=50, n=60, t_total=125, t_pilot=57)
+# family-wise false-alarm budget of each equivalence test below
+EQUIV_FALSE_ALARM = 1e-3
+
+
+def effective_draw(cfg, seed, idx):
+    """(A, x0, w) replayed from a trial stream in run_trial's draw order."""
+    dp = derive_params(cfg)
+    rng = trial_stream(seed, idx)
+    a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
+    x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
+    c = dp.rho_d * dp.sigma_delta_sq
+    w = math.sqrt((1.0 + c * float(x0 @ x0) / cfg.k) / (1.0 + c)) * rng.standard_normal(cfg.n)
+    return a, x0, w
+
+
+def explicit_draw(cfg, pilots, seed, idx):
+    """(A, x0, w) of the training-phase model, divided by s = noise_std."""
+    s = derive_params(cfg).noise_std
+    a, y, x0 = explicit_training_trial(cfg, pilots, trial_stream(seed, idx))
+    return a / s, x0, (y - a @ x0) / s
+
+
+def z_of(samples, target):
+    samples = np.asarray(samples)
+    return (samples.mean() - target) / (samples.std(ddof=1) / math.sqrt(len(samples)))
+
+
+class TestEffectiveModel:
+    def test_run_trial_decodes_the_replayed_draw(self):
+        # the raw coefficient enters as lam / lambda*, LMMSE's as 1 exactly
+        cfg = scaled_cfg(5.0, m=4, **EQUIV)
+        ridge = 0.3 / derive_params(cfg).lambda_star
+        for spec, lam_tilde in ((DecoderSpec.rls(0.3), ridge), (DecoderSpec.lmmse(), 1.0),
+                                (DecoderSpec.box(0.3, 3 / math.sqrt(5)), ridge)):
+            b_norm = b_norm_of(cfg, spec)
+            for idx in range(3):
+                a, x0, w = effective_draw(cfg, 8, idx)
+                if spec.t_box is None:
+                    x_hat = rls_solve(a, a @ x0 + w, lam_tilde)
+                else:
+                    x_hat, _ = box_rls_solve(a, a @ x0 + w, lam_tilde, spec.t_box)
+                assert run_trial(cfg, spec, 8, idx, b_norm).mse == float(np.mean((x_hat - x0) ** 2))
+
+    @pytest.mark.parametrize("draw", ["effective", "explicit"])
+    def test_moments_of_the_effective_model(self, draw):
+        # 4-PAM, energy split, 0 dB: c = rho_d sigma_delta^2 = 0.41, so the
+        # noise variance moves with |x0|^2 by c / (1 + c) = 0.29 per unit
+        cfg = scaled_cfg(0.0, m=4, power_convention=PowerConvention.ENERGY_CONSERVING, **EQUIV)
+        dp = derive_params(cfg)
+        c = dp.rho_d * dp.sigma_delta_sq
+        var_a = dp.rho_eff / cfg.k
+        pilots = make_pilots(cfg.k, cfg.t_pilot, 4)
+        stats = {name: [] for name in ("a2", "a4", "w2", "cross", "slope")}
+        for idx in range(2000):
+            if draw == "effective":
+                a, x0, w = effective_draw(cfg, 4, idx)
+            else:
+                a, x0, w = explicit_draw(cfg, pilots, 4, idx)
+            q = float(x0 @ x0) / cfg.k
+            w_var = (1.0 + c * q) / (1.0 + c)
+            stats["a2"].append(np.mean(a * a) / var_a)
+            stats["a4"].append(np.mean(a**4) / var_a**2)
+            stats["w2"].append(np.mean(w * w) / w_var)
+            stats["cross"].append(np.mean(a * w[:, None]) / math.sqrt(var_a))
+            # a noise variance that ignored |x0|^2 would tilt this by -c/(1+c) var(q)
+            stats["slope"].append((np.mean(w * w) - w_var) * (q - 1.0))
+        targets = {"a2": 1.0, "a4": 3.0, "w2": 1.0, "cross": 0.0, "slope": 0.0}
+        z_gate = bonferroni_z(EQUIV_FALSE_ALARM, len(targets))
+        zs = {name: z_of(stats[name], targets[name]) for name in targets}
+        assert all(abs(z) <= z_gate for z in zs.values()), zs
+
+    @pytest.mark.slow
+    def test_batch_means_match_the_training_phase(self):
+        # LS is left out: at N - K = 10 its MSE is heavy-tailed, and a z on
+        # a few thousand trials says little about it. Each cell and path has
+        # its own master seed, so the cells are independent.
+        trials = 2000
+        cells = [(m, conv, spec_of)
+                 for m in (2, 4) for conv in PowerConvention
+                 for spec_of in ("rls", "box")]
+        z_gate = bonferroni_z(EQUIV_FALSE_ALARM, 2 * len(cells))
+        zs = {}
+        for i, (m, conv, spec_of) in enumerate(cells):
+            cfg = scaled_cfg(10.0, m=m, power_convention=conv, **EQUIV)
+            dp = derive_params(cfg)
+            constellation = pam_constellation(m)
+            spec = (DecoderSpec.rls(dp.lambda_star) if spec_of == "rls"
+                    else DecoderSpec.box(dp.lambda_star, constellation.points[-1]))
+            b_norm = b_norm_of(cfg, spec)
+            effective = run_batch(cfg, spec, trials=trials, master_seed=2 * i + 1)
+            pilots = make_pilots(cfg.k, cfg.t_pilot, 2 * i + 2)
+            lam_rho_d = ridge_coefficient(cfg, spec) * dp.rho_d
+            outcomes = []
+            for idx in range(trials):
+                a, y, x0 = explicit_training_trial(cfg, pilots, trial_stream(2 * i + 2, idx))
+                if spec.t_box is None:
+                    x_hat = rls_solve(a, y, lam_rho_d)
+                else:
+                    x_hat, _ = box_rls_solve(a, y, lam_rho_d, spec.t_box)
+                x_star = slice_symbols(x_hat / b_norm, constellation)
+                outcomes.append(TrialOutcome(mse=float(np.mean((x_hat - x0) ** 2)),
+                                             ser=float(np.mean(x_star != x0))))
+            explicit = aggregate(outcomes)
+            for metric in ("mse", "ser"):
+                gap = getattr(effective, f"mean_{metric}") - getattr(explicit, f"mean_{metric}")
+                se = math.hypot(getattr(effective, f"stderr_{metric}"),
+                                getattr(explicit, f"stderr_{metric}"))
+                zs[(m, conv.value, spec_of, metric)] = gap / se
+        assert all(abs(z) <= z_gate for z in zs.values()), zs
 
 
 class TestTheoryAgreement:
@@ -169,9 +282,9 @@ class TestTheoryAgreement:
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         spec = DecoderSpec.rls(lam)
-        pilots, b_norm = batch_inputs(cfg, spec, 3)
-        debiased = [run_trial(cfg, spec, 3, i, pilots, b_norm) for i in range(40)]
-        raw = [run_trial(cfg, spec, 3, i, pilots, 1.0) for i in range(40)]
+        b_norm = b_norm_of(cfg, spec)
+        debiased = [run_trial(cfg, spec, 3, i, b_norm) for i in range(40)]
+        raw = [run_trial(cfg, spec, 3, i, 1.0) for i in range(40)]
         assert np.mean([o.ser for o in debiased]) < np.mean([o.ser for o in raw])
 
     def test_box_no_worse_than_ridge_at_shared_settings(self):
@@ -190,7 +303,7 @@ class TestRunBatch:
     def test_single_trial_stats(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         stats = run_batch(cfg, DecoderSpec.lmmse(), trials=1, master_seed=9)
-        single = run_trial(cfg, DecoderSpec.lmmse(), 9, 0, *batch_inputs(cfg, DecoderSpec.lmmse(), 9))
+        single = run_trial(cfg, DecoderSpec.lmmse(), 9, 0, b_norm_of(cfg, DecoderSpec.lmmse()))
         assert stats.mean_mse == single.mse
         assert stats.stderr_mse == 0.0
         assert stats.stderr_ser == 0.0
@@ -216,8 +329,8 @@ class TestRunBatch:
 
     def test_aggregate_order_invariance(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        inputs = batch_inputs(cfg, DecoderSpec.rls(0.4), 5)
-        outs = [run_trial(cfg, DecoderSpec.rls(0.4), 5, i, *inputs) for i in range(8)]
+        b_norm = b_norm_of(cfg, DecoderSpec.rls(0.4))
+        outs = [run_trial(cfg, DecoderSpec.rls(0.4), 5, i, b_norm) for i in range(8)]
         a = aggregate(outs)
         rng = np.random.default_rng(3)
         for _ in range(5):

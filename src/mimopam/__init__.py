@@ -54,10 +54,8 @@ from .runner import (
 from .simulate import (
     BatchStats,
     TrialOutcome,
-    aggregate,
     run_batch,
     run_trial,
-    trial_stream,
 )
 from .system import (
     Constellation,

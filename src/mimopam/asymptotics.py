@@ -6,6 +6,8 @@ counted as noise of standard deviation s (DerivedParams.noise_std). Every
 predictor is therefore a function of (rho_eff, lam~, delta, t, M), where
 lam~ = lam / lambda* (LMMSE is lam~ = 1); a fixed raw lam changes lam~
 whenever alpha or rho moves. The raw saddle point is s times the one here.
+A DecoderSpec carries (lam~, t) itself, so the scenario supplies only
+(rho_eff, delta, M) and no raw ridge coefficient enters this module.
 
 The ridge decoder (plain least squares is ridge at lam~ = 0) has a
 closed-form scalar solution; it is the box decoder at threshold
@@ -18,8 +20,8 @@ a standard normal. One pure-math kernel returns D together with its exact
 gradient, and the saddle is found by bracketed root finding on that gradient:
 the inner minimum in theta is the root of dD/dtheta, and the root of the
 concave beta profile's slope, which equals dD/dbeta at the inner minimum,
-gives beta*. The numeric searches for the ridge coefficient and the box
-threshold sample theta* on a fixed grid of the knob in its own units
+gives beta*. The numeric searches for lam~* and t* sample theta* of
+scalar_solution, warm-started, on a fixed grid of the knob in its own units
 (LAM_TILDE_GRID, T_GRID), since theta*(t) has several local minima for
 M >= 4, and refine the best interior sample by golden section between its
 neighbours.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .decoders import DecoderKind, DecoderSpec
+from .decoders import DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .system import SystemConfig, derive_params, pam_constellation
 
@@ -181,12 +183,6 @@ class BoxObjectiveParams:
     @property
     def energy_e(self) -> float:
         return (self.m * self.m - 1) / 3.0
-
-    @staticmethod
-    def from_config(cfg: SystemConfig, lam: float, t: float) -> "BoxObjectiveParams":
-        """The theory point of a scenario at raw ridge coefficient lam."""
-        dp = derive_params(cfg)
-        return BoxObjectiveParams(dp.rho_eff, lam / dp.lambda_star, dp.delta, t, cfg.m)
 
 
 def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float, float, float]:
@@ -461,14 +457,14 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _box_theta_of(params: BoxObjectiveParams, knob: str):
-    """theta* of the box saddle as a function of one knob ("lam_tilde" or "t") of
-    params; each solve starts from the beta* of the one before."""
+def _theta_of(params: BoxObjectiveParams, knob: str):
+    """theta* of scalar_solution as a function of one knob ("lam_tilde" or "t")
+    of params; each box solve starts from the beta* of the one before."""
     last_beta = None
 
     def f(x: float) -> float:
         nonlocal last_beta
-        sol = box_saddle_solve(replace(params, **{knob: x}), beta_hint=last_beta)
+        sol = scalar_solution(replace(params, **{knob: x}), beta_hint=last_beta)
         last_beta = sol.beta_star
         return sol.theta_star
     return f
@@ -485,36 +481,23 @@ def _grid_argmin(f, grid) -> float:
     return _golden_min(f, grid[j - 1], grid[j + 1], rel_tol=SCALAR_SEARCH_TOL)
 
 
-def lambda_star_numeric(
-    cfg: SystemConfig,
-    kind: DecoderKind = DecoderKind.RLS,
-    t_box: float | None = None,
-) -> float:
-    """argmin over raw lam >= 0 of theta*(lam / lambda*) for the requested
-    decoder, searched over lam~ = lam / lambda* on LAM_TILDE_GRID. The grid
-    holds lam = 0 only when n > k, the rule of ridge_coefficient: with
-    n <= k the unregularized decoder, and the box saddle at lam = 0, do not
-    exist, and when theta* still falls at the lowest grid point that point
-    (lam = 1e-6 lambda*) is returned.
+def lambda_star_numeric(params: BoxObjectiveParams) -> float:
+    """argmin over lam~ >= 0 of theta*(lam~) at the other coordinates of
+    params (t = inf is the ridge decoder), searched on LAM_TILDE_GRID. The
+    grid holds lam~ = 0 only when delta > 1: with n <= k the unregularized
+    decoder, and the box saddle at lam~ = 0, do not exist, and when theta*
+    still falls at the lowest grid point that point (lam~ = 1e-6) is
+    returned.
     """
-    dp = derive_params(cfg)
-    if kind is DecoderKind.RLS:
-        def theta_of(lam_tilde: float) -> float:
-            return rls_theta_star(dp.rho_eff, lam_tilde, dp.delta)
-    elif kind is DecoderKind.BOX:
-        t = t_box if t_box is not None else float(pam_constellation(cfg.m).points[-1])
-        theta_of = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=0.0, t=t), "lam_tilde")
-    else:
-        raise ValueError(f"no lambda to optimize for decoder {kind}")
-    grid = LAM_TILDE_GRID if cfg.n > cfg.k else LAM_TILDE_GRID[1:]
-    return _grid_argmin(theta_of, grid) * dp.lambda_star
+    grid = LAM_TILDE_GRID if params.delta > 1 else LAM_TILDE_GRID[1:]
+    return _grid_argmin(_theta_of(params, "lam_tilde"), grid)
 
 
-def t_star_numeric(cfg: SystemConfig, lam: float) -> float:
-    """argmin over t > 0 of the box decoder's theta*(t) at fixed lam, searched
-    over t / t_ref on T_GRID with t_ref the largest symbol."""
-    t_ref = float(pam_constellation(cfg.m).points[-1])
-    theta_of = _box_theta_of(BoxObjectiveParams.from_config(cfg, lam=lam, t=t_ref), "t")
+def t_star_numeric(params: BoxObjectiveParams) -> float:
+    """argmin over t > 0 of the box decoder's theta*(t) at params.lam_tilde,
+    searched over t / t_ref on T_GRID with t_ref the largest symbol."""
+    t_ref = float(pam_constellation(params.m).points[-1])
+    theta_of = _theta_of(params, "t")
     return _grid_argmin(lambda r: theta_of(r * t_ref), T_GRID) * t_ref
 
 
@@ -532,28 +515,11 @@ class Prediction:
     goodput: float
 
 
-def ridge_coefficient(cfg: SystemConfig, spec: DecoderSpec) -> float:
-    """The raw ridge coefficient a decoder applies: 0 for LS, lambda* for
-    LMMSE, the spec's own lam for RLS and box.
-
-    The unregularized decoder needs delta > 1, so a zero coefficient with
-    n <= k is a configuration error.
-    """
-    if spec.kind is DecoderKind.LS:
-        lam = 0.0
-    elif spec.kind is DecoderKind.LMMSE:
-        lam = derive_params(cfg).lambda_star
-    else:
-        lam = spec.lam
-    if lam == 0 and cfg.n <= cfg.k:
-        raise ConfigError("lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
-    return lam
-
-
-def scalar_solution(p: BoxObjectiveParams) -> ScalarSolution:
-    """Scalar saddle solution (theta*, beta*, B); t = inf is the ridge decoder."""
+def scalar_solution(p: BoxObjectiveParams, beta_hint: float | None = None) -> ScalarSolution:
+    """Scalar saddle solution (theta*, beta*, B); t = inf is the ridge decoder,
+    solved in closed form. beta_hint starts the box saddle search."""
     if math.isfinite(p.t):
-        return box_saddle_solve(p)
+        return box_saddle_solve(p, beta_hint=beta_hint)
     theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
     beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
     u = upsilon(p.lam_tilde / p.rho_eff, p.delta)
@@ -565,13 +531,13 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
     decoder.
 
     theta* and beta* are reported in the raw scenario's units, s times the
-    saddle point at the effective SNR. LMMSE is lam~ = 1 exactly.
+    saddle point at the effective SNR. The unregularized decoder needs
+    delta > 1, so lam~ = 0 with n <= k is a configuration error.
     """
     dp = derive_params(cfg)
-    lam_tilde = (1.0 if spec.kind is DecoderKind.LMMSE
-                 else ridge_coefficient(cfg, spec) / dp.lambda_star)
-    t = spec.t_box if spec.t_box is not None else math.inf
-    params = BoxObjectiveParams(dp.rho_eff, lam_tilde, dp.delta, t, cfg.m)
+    if spec.lam_tilde == 0 and dp.delta <= 1:
+        raise ConfigError("lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
+    params = BoxObjectiveParams(dp.rho_eff, spec.lam_tilde, dp.delta, spec.t_box, cfg.m)
     sol = scalar_solution(params)
     mse = mse_from_theta(sol.theta_star, dp.rho_eff, dp.delta)
     sep = box_sep(sol.theta_star, sol.b_norm, params)

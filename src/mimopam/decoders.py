@@ -1,11 +1,13 @@
 """Ridge and box-constrained ridge decoders.
 
 LS and LMMSE are ridge at lambda = 0 and lambda = lambda*, so two solvers
-cover all four decoders. All solvers are pure functions of their inputs. The
-box-constrained solver is a primal-dual active set (semismooth Newton) method
-(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002): a few exact
-free-block solves whose time is spent in LAPACK, outside the GIL, with
-single-index set changes once the predicted sets repeat.
+cover all four decoders, and a DecoderSpec names a decoder by its point
+(lam~ = lambda / lambda*, t) of the theory, free of any scenario. All
+solvers are pure functions of their inputs. The box-constrained solver is
+a primal-dual active set (semismooth Newton) method (Hintermueller, Ito &
+Kunisch, SIAM J. Optim. 13(3), 2002): a few exact free-block solves whose
+time is spent in LAPACK, outside the GIL, with single-index set changes
+once the predicted sets repeat.
 """
 
 from __future__ import annotations
@@ -32,37 +34,45 @@ class DecoderKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DecoderSpec:
-    """Which decoder to run and with what knobs.
+    """Which decoder to run, at which point of the theory.
 
-    lam is the raw ridge coefficient of RLS and BOX (the simulator solves
-    with lam / lambda*); LS and LMMSE fix theirs at 0 and lambda*, see
-    asymptotics.ridge_coefficient. t_box is the box half-width, set exactly
-    for BOX.
+    lam_tilde = lam / lambda* is the ridge coefficient in units of LMMSE's,
+    so LS is lam~ = 0 and LMMSE lam~ = 1 at every scenario; the simulator
+    solves with lam~ and the raw coefficient is lam~ lambda*. t_box is the
+    box half-width: finite for BOX only, inf (no box) for the ridge decoders.
     """
 
     kind: DecoderKind
-    lam: float = 0.0
-    t_box: float | None = None
+    lam_tilde: float
+    t_box: float = math.inf
 
     def __post_init__(self) -> None:
-        if (self.kind is DecoderKind.BOX) != (self.t_box is not None):
-            raise ConfigError("t_box must be set for the box decoder and only for it")
+        if not 0.0 <= self.lam_tilde < math.inf:
+            raise ConfigError(f"lam~ must be finite and nonnegative, got {self.lam_tilde!r}")
+        if not self.t_box > 0:
+            raise ConfigError(f"t_box must be positive, got {self.t_box!r}")
+        if (self.kind is DecoderKind.BOX) != math.isfinite(self.t_box):
+            raise ConfigError("t_box must be finite for the box decoder and only for it")
+        if self.kind is DecoderKind.LS and self.lam_tilde != 0.0:
+            raise ConfigError("the LS decoder is lam~ = 0")
+        if self.kind is DecoderKind.LMMSE and self.lam_tilde != 1.0:
+            raise ConfigError("the LMMSE decoder is lam~ = 1")
 
     @staticmethod
     def ls() -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.LS, lam=0.0)
+        return DecoderSpec(DecoderKind.LS, 0.0)
 
     @staticmethod
-    def rls(lam: float) -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.RLS, lam=lam)
+    def rls(lam_tilde: float) -> "DecoderSpec":
+        return DecoderSpec(DecoderKind.RLS, lam_tilde)
 
     @staticmethod
-    def box(lam: float, t_box: float) -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.BOX, lam=lam, t_box=t_box)
+    def box(lam_tilde: float, t_box: float) -> "DecoderSpec":
+        return DecoderSpec(DecoderKind.BOX, lam_tilde, t_box)
 
     @staticmethod
     def lmmse() -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.LMMSE)
+        return DecoderSpec(DecoderKind.LMMSE, 1.0)
 
 
 def rls_solve(a: np.ndarray, y: np.ndarray, lam_rho_d: float) -> np.ndarray:

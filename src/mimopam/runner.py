@@ -5,6 +5,10 @@ data power ratio, the ridge coefficient, the box threshold, or the normalized
 training duration) and evaluates each requested decoder at every point,
 joining the asymptotic predictions with Monte Carlo statistics in one CSV row
 per (value, decoder).
+
+This is the only module that sees the raw ridge coefficient lambda: the
+config key, the lambda axis and the CSV lambda cell. resolve_decoder turns it
+into the decoder's lam~ = lambda / lambda* at each sweep point.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .allocation import alpha_star_for_config, optimize_goodput
-from .asymptotics import lambda_star_numeric, predict, ridge_coefficient, t_star_numeric
+from .asymptotics import BoxObjectiveParams, lambda_star_numeric, predict, t_star_numeric
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import run_batch
@@ -50,6 +55,10 @@ class TPolicy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep: the base scenario, the axis and its values, the decoders and
+    how their knobs are set. lam is the raw ridge coefficient and t_box the
+    box threshold that the fixed policies use."""
+
     base: SystemConfig
     sweep_axis: SweepAxis
     values: tuple[float, ...]
@@ -58,6 +67,8 @@ class SweepSpec:
     master_seed: int = DEFAULT_MASTER_SEED
     lambda_policy: LambdaPolicy = LambdaPolicy.CLOSED_FORM_OPTIMAL
     t_policy: TPolicy = TPolicy.MAX_SYMBOL
+    lam: float | None = None
+    t_box: float | None = None
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -68,6 +79,14 @@ class SweepSpec:
             raise ConfigError("decoders must be non-empty")
         if self.trials < 0:
             raise ConfigError("trials must be nonnegative")
+        if self.lam is not None and not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam!r}")
+        if self.t_box is not None and not 0.0 < self.t_box < math.inf:
+            raise ConfigError(f"t_box must be finite and positive, got {self.t_box!r}")
+        if self.lambda_policy is LambdaPolicy.FIXED and self.lam is None:
+            raise ConfigError("lambda_policy = fixed requires an explicit 'lambda' key")
+        if self.t_policy is TPolicy.FIXED and self.t_box is None:
+            raise ConfigError("t_policy = fixed requires an explicit 't_box' key")
 
 
 _REQUIRED_KEYS = (
@@ -123,7 +142,6 @@ def load_config(path: str) -> SweepSpec:
     convention = pairs.get("power_convention", "energy").lower()
     if convention not in _CONVENTIONS:
         raise ConfigError(f"key 'power_convention': expected energy|direct, got {convention!r}")
-    t_box = _parse_float(pairs["t_box"], "t_box") if "t_box" in pairs else None
     base = SystemConfig(
         k=_parse_int(pairs["k"], "k"),
         n=_parse_int(pairs["n"], "n"),
@@ -132,8 +150,6 @@ def load_config(path: str) -> SweepSpec:
         rho=db_to_linear(_parse_float(pairs["rho_db"], "rho_db")),
         alpha=_parse_float(pairs["alpha"], "alpha"),
         m=_parse_int(pairs["m"], "m"),
-        lam=_parse_float(pairs.get("lambda", "0"), "lambda"),
-        t_box=t_box,
         power_convention=_CONVENTIONS[convention],
     )
     try:
@@ -150,10 +166,6 @@ def load_config(path: str) -> SweepSpec:
         t_policy = TPolicy(pairs.get("t_policy", "max_symbol").lower())
     except ValueError as exc:
         raise ConfigError(f"bad policy value: {exc}") from exc
-    if lambda_policy is LambdaPolicy.FIXED and "lambda" not in pairs:
-        raise ConfigError("lambda_policy = fixed requires an explicit 'lambda' key")
-    if t_policy is TPolicy.FIXED and t_box is None:
-        raise ConfigError("t_policy = fixed requires an explicit 't_box' key")
     return SweepSpec(
         base=base,
         sweep_axis=axis,
@@ -163,6 +175,8 @@ def load_config(path: str) -> SweepSpec:
         master_seed=_parse_int(pairs.get("master_seed", str(DEFAULT_MASTER_SEED)), "master_seed"),
         lambda_policy=lambda_policy,
         t_policy=t_policy,
+        lam=_parse_float(pairs["lambda"], "lambda") if "lambda" in pairs else None,
+        t_box=_parse_float(pairs["t_box"], "t_box") if "t_box" in pairs else None,
     )
 
 
@@ -177,7 +191,6 @@ def write_config(spec: SweepSpec, path: str) -> None:
         f"rho_db = {linear_to_db(base.rho)!r}",
         f"alpha = {base.alpha!r}",
         f"m = {base.m}",
-        f"lambda = {base.lam!r}",
         f"power_convention = {base.power_convention.value}",
         f"sweep_axis = {spec.sweep_axis.value}",
         "values = " + ",".join(repr(v) for v in spec.values),
@@ -187,8 +200,10 @@ def write_config(spec: SweepSpec, path: str) -> None:
         f"lambda_policy = {spec.lambda_policy.value}",
         f"t_policy = {spec.t_policy.value}",
     ]
-    if base.t_box is not None:
-        lines.append(f"t_box = {base.t_box!r}")
+    if spec.lam is not None:
+        lines.append(f"lambda = {spec.lam!r}")
+    if spec.t_box is not None:
+        lines.append(f"t_box = {spec.t_box!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -252,63 +267,55 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return buf.getvalue()
 
 
-def apply_sweep_value(spec: SweepSpec, value: float) -> SystemConfig:
-    """Instantiate the base config at one sweep point."""
+def apply_sweep_value(spec: SweepSpec, value: float) -> tuple[SweepSpec, SystemConfig]:
+    """The sweep spec and the config at one sweep point. A knob axis fixes
+    that knob at the swept value, whatever its policy."""
     base = spec.base
     axis = spec.sweep_axis
-    if axis is SweepAxis.RHO_DB:
-        return replace(base, rho=db_to_linear(value))
-    if axis is SweepAxis.ALPHA:
-        return replace(base, alpha=value)
     if axis is SweepAxis.LAMBDA:
-        return replace(base, lam=value)
+        return replace(spec, lam=value, lambda_policy=LambdaPolicy.FIXED), base
     if axis is SweepAxis.T_BOX:
-        return replace(base, t_box=value)
+        return replace(spec, t_box=value, t_policy=TPolicy.FIXED), base
+    if axis is SweepAxis.RHO_DB:
+        return spec, replace(base, rho=db_to_linear(value))
+    if axis is SweepAxis.ALPHA:
+        return spec, replace(base, alpha=value)
     t_pilot = value * base.k
     if abs(t_pilot - round(t_pilot)) > 1e-9:
         raise ConfigError(f"tau_p value {value} does not give an integer pilot count")
-    return replace(base, t_pilot=int(round(t_pilot)))
+    return spec, replace(base, t_pilot=int(round(t_pilot)))
 
 
 def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> DecoderSpec:
-    """Pin lambda and the box threshold for one decoder at one sweep point.
+    """Pin lam~ = lambda / lambda* and the box threshold for one decoder at
+    one sweep point; a fixed lambda is divided by this point's lambda*.
 
-    Sweeping the lambda (resp. t_box) axis overrides the corresponding policy
-    at the swept value. When both knobs are numeric-optimal, lambda is
-    optimized first at the max-symbol threshold, then the threshold at that
-    lambda.
+    When both knobs are numeric-optimal, lam~ is optimized first at the
+    max-symbol threshold, then the threshold at that lam~.
     """
     if kind is DecoderKind.LS:
         return DecoderSpec.ls()
     if kind is DecoderKind.LMMSE:
         return DecoderSpec.lmmse()
 
-    t_box = None
+    dp = derive_params(cfg)
+    t_box = math.inf
     if kind is DecoderKind.BOX:
-        if spec.sweep_axis is SweepAxis.T_BOX:
-            t_box = cfg.t_box
-        elif spec.t_policy is TPolicy.FIXED:
-            if cfg.t_box is None:
-                raise ConfigError("t_policy = fixed needs t_box in the config")
-            t_box = cfg.t_box
-        else:
-            t_box = float(pam_constellation(cfg.m).points[-1])
+        t_box = (spec.t_box if spec.t_policy is TPolicy.FIXED
+                 else float(pam_constellation(cfg.m).points[-1]))
+    point = BoxObjectiveParams(dp.rho_eff, 0.0, dp.delta, t_box, cfg.m)
 
-    if spec.sweep_axis is SweepAxis.LAMBDA:
-        lam = cfg.lam
-    elif spec.lambda_policy is LambdaPolicy.FIXED:
-        lam = cfg.lam
+    if spec.lambda_policy is LambdaPolicy.FIXED:
+        lam_tilde = spec.lam / dp.lambda_star
     elif spec.lambda_policy is LambdaPolicy.CLOSED_FORM_OPTIMAL:
-        lam = derive_params(cfg).lambda_star
+        lam_tilde = 1.0
     else:
-        lam = lambda_star_numeric(cfg, kind, t_box=t_box)
+        lam_tilde = lambda_star_numeric(point)
 
-    if kind is DecoderKind.BOX and spec.t_policy is TPolicy.NUMERIC_OPTIMAL and spec.sweep_axis is not SweepAxis.T_BOX:
-        t_box = t_star_numeric(cfg, lam)
+    if kind is DecoderKind.BOX and spec.t_policy is TPolicy.NUMERIC_OPTIMAL:
+        t_box = t_star_numeric(replace(point, lam_tilde=lam_tilde))
 
-    if kind is DecoderKind.BOX:
-        return DecoderSpec.box(lam, t_box)
-    return DecoderSpec.rls(lam)
+    return DecoderSpec(kind, lam_tilde, t_box)
 
 
 _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
@@ -327,7 +334,10 @@ def _evaluate_point(
         dspec = resolve_decoder(spec, cfg, kind)
     except _SOLVER_ERRORS as exc:
         return replace(shell, error=str(exc))
-    shell = replace(shell, lam=ridge_coefficient(cfg, dspec), t_box=dspec.t_box)
+    # a fixed lambda is echoed as configured, not as lam~ lambda*
+    fixed = spec.lambda_policy is LambdaPolicy.FIXED and kind in (DecoderKind.RLS, DecoderKind.BOX)
+    lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
+    shell = replace(shell, lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
     try:
         pred = predict(cfg, dspec)
     except _SOLVER_ERRORS as exc:
@@ -378,9 +388,9 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     if mode in ("predict", "simulate", "compare"):
         simulate = mode != "predict"
         for value in spec.values:
-            cfg = apply_sweep_value(spec, value)
+            point, cfg = apply_sweep_value(spec, value)
             for kind in spec.decoders:
-                rec = _evaluate_point(spec, cfg, kind, simulate, workers)
+                rec = _evaluate_point(point, cfg, kind, simulate, workers)
                 records.append(rec)
                 if rec.error:
                     lines.append(f"{spec.sweep_axis.value}={value} {kind.value}: ERROR {rec.error}")

@@ -5,7 +5,8 @@ of the estimate, so the data phase divided by s = sqrt(1 + c), c =
 rho_d sigma_delta^2, is y = A x0 + w: A has iid N(0, rho_eff/K) entries and,
 given x0, w has iid entries of variance (1 + c |x0|^2/K) / (1 + c), exactly 1
 for BPSK (Hassibi & Hochwald, IEEE T-IT 49(4), 2003). Decoding (A, y) with
-lam~ = lam / lambda* has the minimizer of the raw problem with lam rho_d.
+the spec's lam~ = lam / lambda* has the minimizer of the raw problem with
+lam rho_d, so a trial never needs the raw coefficient.
 make_pilots and estimate_channel are the explicit training phase it replaces.
 
 Per-trial randomness comes from an independent stream keyed by
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import predict, ridge_coefficient
+from .asymptotics import predict
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
@@ -110,7 +111,6 @@ def run_trial(
     """
     dp = derive_params(cfg)
     constellation = pam_constellation(cfg.m)
-    lam_tilde = ridge_coefficient(cfg, decoder_spec) / dp.lambda_star
     c = dp.rho_d * dp.sigma_delta_sq
 
     rng = trial_stream(seed, trial_idx)
@@ -119,10 +119,10 @@ def run_trial(
     w_std = math.sqrt((1.0 + c * (x0 @ x0) / cfg.k) / (1.0 + c))
     y = a @ x0 + w_std * rng.standard_normal(cfg.n)
 
-    if decoder_spec.t_box is not None:
-        x_hat, _ = box_rls_solve(a, y, lam_tilde, decoder_spec.t_box)
+    if math.isfinite(decoder_spec.t_box):
+        x_hat, _ = box_rls_solve(a, y, decoder_spec.lam_tilde, decoder_spec.t_box)
     else:
-        x_hat = rls_solve(a, y, lam_tilde)
+        x_hat = rls_solve(a, y, decoder_spec.lam_tilde)
 
     x_star = slice_symbols(x_hat / b_norm, constellation)
     mse = float(np.mean((x_hat - x0) ** 2))

@@ -52,8 +52,8 @@ class SystemConfig:
     rho:           average power, linear
     alpha:         data power ratio in (0, 1)
     m:             PAM order, power of two
-    lam:           ridge regularization coefficient (>= 0)
-    t_box:         box threshold for the box-constrained decoder, if fixed
+
+    The decoder and its knobs are not part of the scenario (DecoderSpec).
     """
 
     k: int
@@ -63,8 +63,6 @@ class SystemConfig:
     rho: float
     alpha: float
     m: int = 2
-    lam: float = 0.0
-    t_box: float | None = None
     power_convention: PowerConvention = PowerConvention.ENERGY_CONSERVING
 
     def __post_init__(self) -> None:
@@ -82,10 +80,6 @@ class SystemConfig:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         if self.m < 2 or (self.m & (self.m - 1)) != 0:
             raise ConfigError(f"m must be a power of two >= 2, got {self.m}")
-        if self.lam < 0:
-            raise ConfigError("lam must be nonnegative")
-        if self.t_box is not None and not self.t_box > 0:
-            raise ConfigError("t_box must be positive")
 
 
 @dataclass(frozen=True)

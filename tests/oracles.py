@@ -7,7 +7,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.integrate import quad
 
-from mimopam import derive_params, pam_constellation, qfunc
+from mimopam import BoxObjectiveParams, derive_params, pam_constellation, qfunc
 from mimopam.simulate import estimate_channel
 
 
@@ -15,6 +15,13 @@ def bonferroni_z(family_false_alarm, tests):
     """Two-sided per-test z so that `tests` Gaussian z-gates together raise
     a false alarm with probability at most family_false_alarm (Bonferroni)."""
     return NormalDist().inv_cdf(1.0 - family_false_alarm / (2.0 * tests))
+
+
+def theory_point(cfg, lam=0.0, t=math.inf):
+    """The theory point of a scenario at raw ridge coefficient lam and box
+    threshold t (t = inf is the ridge decoder): lam~ = lam / lambda*."""
+    dp = derive_params(cfg)
+    return BoxObjectiveParams(dp.rho_eff, lam / dp.lambda_star, dp.delta, t, cfg.m)
 
 
 def gauss_pdf(h):

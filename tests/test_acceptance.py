@@ -17,6 +17,7 @@ from oracles import (
     box_objective_quadrature,
     gauss_pdf,
     projected_gradient_oracle,
+    theory_point,
 )
 from scipy.integrate import quad
 
@@ -79,14 +80,15 @@ def smoke_cfg(rho_db):
 
 @pytest.fixture(scope="module")
 def box_lambda_numeric():
-    """Numerically optimal box coefficient per rho point (t = largest symbol).
+    """Numerically optimal box coefficient lam~* = lam* / lambda* per rho
+    point (t = largest symbol).
 
     Derived parameters depend only on the antenna/training ratios, so these
     values are shared by the full-size and smoke scenarios.
     """
     out = {}
     for rho_db in (5, 15, 20, 25):
-        out[rho_db] = mp.lambda_star_numeric(fig2_cfg(rho_db), mp.DecoderKind.BOX, t_box=1.0)
+        out[rho_db] = mp.lambda_star_numeric(theory_point(fig2_cfg(rho_db), t=1.0))
     return out
 
 
@@ -109,17 +111,15 @@ def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
     cells = {}
     for rho_db in RHO_DB_CELLS:
         cfg = cfg_of_rho(rho_db)
-        lam_r = mp.derive_params(cfg).lambda_star
         decoders = [
             (cfg, trials, "ls", mp.DecoderSpec.ls()),
-            (cfg, trials, "rls", mp.DecoderSpec.rls(lam_r)),
+            (cfg, trials, "rls", mp.DecoderSpec.rls(1.0)),
             (cfg, trials, "box", mp.DecoderSpec.box(box_lams[rho_db], 1.0)),
         ]
         if mpam_trials:
             cfg4 = replace(cfg, m=4, power_convention=mp.PowerConvention.ENERGY_CONSERVING)
-            lam4 = mp.derive_params(cfg4).lambda_star
-            decoders += [(cfg4, mpam_trials, "rls", mp.DecoderSpec.rls(lam4)),
-                         (cfg4, mpam_trials, "box", mp.DecoderSpec.box(lam4, 3 / math.sqrt(5)))]
+            decoders += [(cfg4, mpam_trials, "rls", mp.DecoderSpec.rls(1.0)),
+                         (cfg4, mpam_trials, "box", mp.DecoderSpec.box(1.0, 3 / math.sqrt(5)))]
         for c, n_trials, name, spec in decoders:
             pred = mp.predict(c, spec)
             stats = mp.run_batch(c, spec, trials=n_trials, master_seed=seed, workers=2)
@@ -161,7 +161,7 @@ class TestCriterion1:
                 cfg = fig2_cfg(rho_db)
                 dp = mp.derive_params(cfg)
                 lam = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                pred = mp.predict(cfg, mp.DecoderSpec.rls(lam))
+                pred = mp.predict(cfg, mp.DecoderSpec.rls(lam / dp.lambda_star))
                 assert pred.mse == pytest.approx(want, rel=1e-4)
 
     def test_full_table_through_runner(self):
@@ -180,7 +180,7 @@ class TestCriterion2:
                 cfg = fig2_cfg(rho_db)
                 dp = mp.derive_params(cfg)
                 lam = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                params = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=1e6)
+                params = theory_point(cfg, lam=lam, t=1e6)
                 want = mp.rls_theta_star(params.rho_eff, params.lam_tilde, params.delta)
                 sol = mp.box_saddle_solve(params)
                 assert sol.theta_star == pytest.approx(want, rel=1e-9), f"rho={rho_db}dB"
@@ -204,7 +204,7 @@ class TestCriterion3:
                 cfg = fig2_cfg(20)
                 dp = mp.derive_params(cfg)
                 lam_cf = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                params = mp.BoxObjectiveParams.from_config(cfg, lam=lam_cf, t=1.0)
+                params = theory_point(cfg, lam=lam_cf, t=1.0)
                 sol = mp.box_saddle_solve(params)
                 mse_cf = mp.mse_from_theta(sol.theta_star, params.rho_eff, params.delta)
                 assert mse_cf == pytest.approx(FIG2_BOX_MSE_20DB, rel=2e-5)
@@ -297,7 +297,7 @@ class TestCriterion7:
                 dp = mp.derive_params(cfg)
                 s = math.sqrt(1 + dp.rho_d * dp.sigma_delta_sq)
                 lam, t = float(rng.uniform(0, 2)), float(rng.uniform(0.3, 3))
-                p = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
+                p = theory_point(cfg, lam=lam, t=t)
                 theta = float(rng.uniform(0.1, 2.5))
                 beta = float(rng.uniform(0.1, 2.5))
                 want = box_objective_quadrature(theta, beta, dp.rho_d, dp.sigma_hhat_sq,
@@ -319,7 +319,7 @@ class TestCriterion7:
             cfg = fig2_cfg(10)
             dp = mp.derive_params(cfg)
             for lam in np.geomspace(0.02, 8.0, 30):
-                p = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=math.inf)
+                p = theory_point(cfg, lam=lam)
                 theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
                 mse = mp.mse_from_theta(theta, p.rho_eff, p.delta)
                 direct = mp.rls_sep(theta, p.rho_eff, cfg.m)
@@ -333,14 +333,14 @@ class TestCriterion8:
         with criterion(8, "stationarity and uniqueness diagnostics"):
             cfg = fig2_cfg(10)
             for lam in (0.2, 0.8, 2.5):
-                p = mp.BoxObjectiveParams.from_config(cfg, lam=lam, t=math.inf)
+                p = theory_point(cfg, lam=lam)
                 theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
                 beta = mp.rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
                 f_t, f_b = mp.rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde,
                                                          p.delta)
                 assert max(abs(f_t), abs(f_b)) <= 1e-8
 
-            params = mp.BoxObjectiveParams.from_config(cfg, lam=0.4, t=1.0)
+            params = theory_point(cfg, lam=0.4, t=1.0)
             sol = mp.box_saddle_solve(params)
             assert sol.stationarity_residual <= 1e-6
 
@@ -357,21 +357,23 @@ class TestCriterion9:
             cfg = fig2_cfg(10)
             dp = mp.derive_params(cfg)
             want = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            got = mp.lambda_star_numeric(cfg, mp.DecoderKind.RLS)
+            got = mp.lambda_star_numeric(theory_point(cfg)) * dp.lambda_star
             assert got == pytest.approx(want, abs=1e-4)
 
             # box BPSK coefficient collapses to zero at high data power
             # (the 15/25 dB reference cells have rho_d of 12 / 22 dB)
-            assert box_lambda_numeric[15] < 1e-3
-            assert box_lambda_numeric[25] < 1e-3
+            for rho_db in (15, 25):
+                lam_star = mp.derive_params(fig2_cfg(rho_db)).lambda_star
+                assert box_lambda_numeric[rho_db] * lam_star < 1e-3
             fig4_cfg = mp.SystemConfig(
                 k=400, n=480, t_total=1000, t_pilot=400, rho=20.0, alpha=0.5, m=2,
                 power_convention=mp.PowerConvention.DIRECT_SPLIT)  # rho_d = 10 dB
-            lam_fig4 = mp.lambda_star_numeric(fig4_cfg, mp.DecoderKind.BOX, t_box=1.0)
-            assert lam_fig4 < 1e-3
+            point = theory_point(fig4_cfg, t=1.0)
+            point = replace(point, lam_tilde=mp.lambda_star_numeric(point))
+            assert point.lam_tilde * mp.derive_params(fig4_cfg).lambda_star < 1e-3
 
             # optimal threshold at rho_d = 10 dB, coefficient optimized first
-            t_star = mp.t_star_numeric(fig4_cfg, lam_fig4)
+            t_star = mp.t_star_numeric(point)
             sqrt_e = 1.0  # BPSK
             assert sqrt_e * t_star == pytest.approx(0.9996, abs=1e-2)
 

@@ -131,7 +131,8 @@ class TestMonotonicity:
                     spec = DecoderSpec.lmmse()
                 else:
                     dp = derive_params(cfg)
-                    spec = DecoderSpec.box(lambda_star_rls(dp.rho_d, dp.sigma_delta_sq), t_max)
+                    lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+                    spec = DecoderSpec.box(lam / dp.lambda_star, t_max)
                 pred = predict(cfg, spec)
                 mse.append(pred.mse)
                 sep.append(pred.sep)

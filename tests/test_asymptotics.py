@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import box_objective_quadrature, gauss_pdf
+from oracles import box_objective_quadrature, gauss_pdf, theory_point
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -23,8 +23,12 @@ from mimopam import (
     DecoderSpec,
     DegenerateThresholdError,
     InfeasibleError,
+    LambdaPolicy,
     PowerConvention,
+    SweepAxis,
+    SweepSpec,
     SystemConfig,
+    TPolicy,
     box_objective,
     box_saddle_solve,
     box_sep,
@@ -37,6 +41,7 @@ from mimopam import (
     pam_constellation,
     predict,
     qfunc,
+    resolve_decoder,
     rls_beta_star,
     rls_sep,
     rls_stationarity_residuals,
@@ -46,7 +51,9 @@ from mimopam import (
     upsilon,
 )
 from mimopam import asymptotics
-from mimopam.asymptotics import _box_terms, _bracket_root, _find_root, _grid_argmin
+from mimopam.asymptotics import (
+    SCALAR_SEARCH_TOL, _box_terms, _bracket_root, _find_root, _grid_argmin,
+)
 
 # Published theory values for the K=400, N=480, T=1000, T_p=456, alpha=0.5,
 # BPSK scenario under the direct power split, ridge decoder at the optimal
@@ -108,7 +115,7 @@ def unit_ls(rho_eff, delta, m=2):
 def box_params(rho_db, lam, t, m=2):
     cfg = fig2_cfg(rho_db)
     cfg = SystemConfig(**{**cfg.__dict__, "m": m})
-    return BoxObjectiveParams.from_config(cfg, lam=lam, t=t)
+    return theory_point(cfg, lam=lam, t=t)
 
 
 def fig2_lambda_star(rho_db):
@@ -198,18 +205,19 @@ class TestLambdaStar:
         cfg = fig2_cfg(10)
         dp = derive_params(cfg)
         want = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        got = lambda_star_numeric(cfg, DecoderKind.RLS)
+        got = lambda_star_numeric(theory_point(cfg)) * dp.lambda_star
         assert got == pytest.approx(want, abs=1e-4)
 
     def test_box_search_without_zero_when_n_below_k(self):
         # delta < 1: the box saddle at lam = 0 has no solution, so the grid must skip it
         cfg = SystemConfig(k=128, n=80, t_total=512, t_pilot=128, rho=100.0, alpha=0.5, m=16)
-        lam = lambda_star_numeric(cfg, DecoderKind.BOX)
-        assert lam == pytest.approx(0.00645, rel=1e-2)
         t = float(pam_constellation(16).points[-1])
-        at_lam = box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=lam, t=t))
-        for other in (0.5 * lam, 2.0 * lam):
-            near = box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=other, t=t))
+        point = theory_point(cfg, t=t)
+        lam_tilde = lambda_star_numeric(point)
+        assert lam_tilde * derive_params(cfg).lambda_star == pytest.approx(0.00645, rel=1e-2)
+        at_lam = box_saddle_solve(replace(point, lam_tilde=lam_tilde))
+        for other in (0.5 * lam_tilde, 2.0 * lam_tilde):
+            near = box_saddle_solve(replace(point, lam_tilde=other))
             assert at_lam.theta_star <= near.theta_star
 
     def test_optimal_mse_forms_agree_off_the_reference_grid(self):
@@ -240,19 +248,19 @@ class TestKnobSearch:
 
     def test_box_lambda_at_the_boundary_is_exactly_zero(self):
         # BPSK box decoding at high power wants no ridge term at all
-        assert lambda_star_numeric(fig2_cfg(15), DecoderKind.BOX) == 0.0
+        assert lambda_star_numeric(theory_point(fig2_cfg(15), t=1.0)) == 0.0
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_threshold_search_where_theta_is_flat_in_t(self, m):
         # theta*(t) has its minimum near 0.4 t_ref here and is flat from about
         # 2 t_ref on, so no bracket that waits for theta* to rise would close
-        cfg = fig4_cfg(-5.0, m)
-        lam = lambda_star_numeric(cfg, DecoderKind.BOX)
-        t = t_star_numeric(cfg, lam)
         t_ref = float(pam_constellation(m).points[-1])
+        point = theory_point(fig4_cfg(-5.0, m), t=t_ref)
+        point = replace(point, lam_tilde=lambda_star_numeric(point))
+        t = t_star_numeric(point)
 
         def theta(x):
-            return box_saddle_solve(BoxObjectiveParams.from_config(cfg, lam=lam, t=x)).theta_star
+            return box_saddle_solve(replace(point, t=x)).theta_star
         best = theta(t)
         assert all(best <= theta(r * t_ref) * (1 + 1e-12) for r in asymptotics.T_GRID)
 
@@ -545,8 +553,8 @@ class TestBoxSep:
 class TestPredict:
     def test_goodput_composition(self):
         cfg = fig2_cfg(10)
-        pred = predict(cfg, DecoderSpec.rls(0.5))
         dp = derive_params(cfg)
+        pred = predict(cfg, DecoderSpec.rls(0.5 / dp.lambda_star))
         assert pred.goodput == pytest.approx((1 - dp.tau_p / dp.tau) * (1 - pred.sep), rel=1e-12)
 
     def test_lmmse_equals_optimal_ridge(self):
@@ -554,17 +562,17 @@ class TestPredict:
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         a = predict(cfg, DecoderSpec.lmmse())
-        b = predict(cfg, DecoderSpec.rls(lam))
+        b = predict(cfg, DecoderSpec.rls(lam / dp.lambda_star))
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
         assert a.sep == pytest.approx(b.sep, rel=1e-12)
 
     def test_ridge_norm_identity(self):
         cfg = fig2_cfg(10)
         dp = derive_params(cfg)
-        sol = scalar_solution(BoxObjectiveParams.from_config(cfg, lam=0.8, t=math.inf))
+        sol = scalar_solution(theory_point(cfg, lam=0.8))
         u = upsilon(0.8 / dp.sigma_hhat_sq, dp.delta)
         assert sol.b_norm == pytest.approx(1.0 / (1.0 + u), rel=1e-12)
-        ls_sol = scalar_solution(BoxObjectiveParams.from_config(cfg, lam=0.0, t=math.inf))
+        ls_sol = scalar_solution(theory_point(cfg, lam=0.0))
         assert ls_sol.b_norm == pytest.approx(1.0)
 
     @pytest.mark.parametrize("spec,most", [(DecoderSpec.ls(), 1), (DecoderSpec.rls(0.5), 1),
@@ -600,22 +608,33 @@ class TestPredict:
         assert dps[1].sigma_delta_sq != pytest.approx(dps[0].sigma_delta_sq, rel=1e-3)
         for lam_tilde, t in ((0.0, None), (0.4, None), (1.0, 1.0), (0.3, 0.8)):
             preds = []
-            for cfg, dp in zip(cfgs, dps):
-                lam = lam_tilde * dp.lambda_star
-                spec = DecoderSpec.rls(lam) if t is None else DecoderSpec.box(lam, t)
+            for cfg in cfgs:
+                spec = DecoderSpec.rls(lam_tilde) if t is None else DecoderSpec.box(lam_tilde, t)
                 preds.append(predict(cfg, spec))
             for field in ("mse", "sep", "b_norm"):
                 a, b = (getattr(pr, field) for pr in preds)
                 assert b == pytest.approx(a, rel=1e-12), (lam_tilde, t, field)
         a, b = (predict(cfg, DecoderSpec.lmmse()) for cfg in cfgs)
         assert (b.mse, b.sep, b.b_norm) == pytest.approx((a.mse, a.sep, a.b_norm), rel=1e-12)
+        # so are the knob optima: the searches see the theory point only
+        knobs = []
+        for cfg in cfgs:
+            sweep = SweepSpec(base=cfg, sweep_axis=SweepAxis.RHO_DB, values=(10.0,),
+                              decoders=(DecoderKind.RLS, DecoderKind.BOX), trials=0,
+                              lambda_policy=LambdaPolicy.NUMERIC_OPTIMAL,
+                              t_policy=TPolicy.NUMERIC_OPTIMAL)
+            rls = resolve_decoder(sweep, cfg, DecoderKind.RLS)
+            box = resolve_decoder(sweep, cfg, DecoderKind.BOX)
+            knobs.append((rls.lam_tilde, box.lam_tilde, box.t_box))
+        assert knobs[1] == pytest.approx(knobs[0], rel=SCALAR_SEARCH_TOL, abs=SCALAR_SEARCH_TOL)
 
     def test_monotone_in_effective_snr_at_optimal_lambda(self):
         mses, seps = [], []
         for rho_db in range(0, 36, 5):
             cfg = fig2_cfg(rho_db)
             dp = derive_params(cfg)
-            pred = predict(cfg, DecoderSpec.rls(lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)))
+            lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+            pred = predict(cfg, DecoderSpec.rls(lam / dp.lambda_star))
             mses.append(pred.mse)
             seps.append(pred.sep)
         assert all(b < a for a, b in zip(mses, mses[1:]))

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from oracles import projected_gradient_oracle
 
-from mimopam import ConvergenceError, box_rls_solve, decoders, lmmse_decode, pam_constellation, rls_solve
+from mimopam import (
+    ConfigError,
+    ConvergenceError,
+    DecoderKind,
+    DecoderSpec,
+    box_rls_solve,
+    decoders,
+    lmmse_decode,
+    pam_constellation,
+    rls_solve,
+)
 
 
 def box_objective_value(a, y, lam_rho_d, x):
@@ -180,3 +190,43 @@ class TestLmmseDecode:
             want = c_xy @ np.linalg.solve(c_yy, y)
             np.testing.assert_allclose(lmmse_decode(hhat, y, rho_d, s_d2), want, atol=1e-8)
 
+
+
+class TestDecoderSpec:
+    def test_constructors_are_theory_points(self):
+        inf = math.inf
+        assert DecoderSpec.ls() == DecoderSpec(DecoderKind.LS, 0.0, inf)
+        assert DecoderSpec.lmmse() == DecoderSpec(DecoderKind.LMMSE, 1.0, inf)
+        assert DecoderSpec.rls(0.4) == DecoderSpec(DecoderKind.RLS, 0.4, inf)
+        assert DecoderSpec.box(0.4, 1.5) == DecoderSpec(DecoderKind.BOX, 0.4, 1.5)
+
+    @pytest.mark.parametrize("lam_tilde", [-0.5, -1e-300, math.inf, math.nan])
+    def test_rejects_bad_ridge_coefficient(self, lam_tilde):
+        with pytest.raises(ConfigError, match="lam~"):
+            DecoderSpec.rls(lam_tilde)
+        with pytest.raises(ConfigError, match="lam~"):
+            DecoderSpec.box(lam_tilde, 1.0)
+
+    @pytest.mark.parametrize("t_box", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_threshold(self, t_box):
+        with pytest.raises(ConfigError, match="t_box"):
+            DecoderSpec.box(0.3, t_box)
+
+    def test_threshold_is_finite_exactly_for_the_box_decoder(self):
+        # an infinite box is the ridge decoder, which is DecoderSpec.rls
+        with pytest.raises(ConfigError, match="box decoder"):
+            DecoderSpec.box(0.3, math.inf)
+        for kind in (DecoderKind.LS, DecoderKind.RLS, DecoderKind.LMMSE):
+            lam_tilde = 1.0 if kind is DecoderKind.LMMSE else 0.0
+            with pytest.raises(ConfigError, match="box decoder"):
+                DecoderSpec(kind, lam_tilde, 1.0)
+
+    def test_ls_and_lmmse_fix_their_coefficient(self):
+        with pytest.raises(ConfigError, match="LS"):
+            DecoderSpec(DecoderKind.LS, 0.5)
+        for lam_tilde in (0.0, 0.999):
+            with pytest.raises(ConfigError, match="LMMSE"):
+                DecoderSpec(DecoderKind.LMMSE, lam_tilde)
+        # the ridge decoder may sit at either point
+        assert DecoderSpec.rls(0.0).lam_tilde == 0.0
+        assert DecoderSpec.rls(1.0).lam_tilde == 1.0

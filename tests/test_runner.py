@@ -106,12 +106,12 @@ class TestConfigFile:
 
 class TestSweepMechanics:
     def test_apply_rho_axis(self):
-        cfg = apply_sweep_value(small_spec(), 20.0)
+        _, cfg = apply_sweep_value(small_spec(), 20.0)
         assert cfg.rho == pytest.approx(100.0)
 
     def test_apply_tau_p_axis_requires_integer_pilots(self):
         spec = small_spec(sweep_axis=SweepAxis.TAU_P, values=(1.25, 1.5))
-        cfg = apply_sweep_value(spec, 1.25)
+        _, cfg = apply_sweep_value(spec, 1.25)
         assert cfg.t_pilot == 40
         with pytest.raises(ConfigError, match="integer pilot count"):
             apply_sweep_value(spec, 1.3)
@@ -122,14 +122,15 @@ class TestSweepMechanics:
 
     def test_resolve_closed_form_lambda(self):
         spec = small_spec()
-        cfg = apply_sweep_value(spec, 10.0)
+        _, cfg = apply_sweep_value(spec, 10.0)
         dspec = resolve_decoder(spec, cfg, DecoderKind.RLS)
         dp = derive_params(cfg)
-        assert dspec.lam == pytest.approx(lambda_star_rls(dp.rho_d, dp.sigma_delta_sq))
+        assert dspec.lam_tilde * dp.lambda_star == pytest.approx(
+            lambda_star_rls(dp.rho_d, dp.sigma_delta_sq))
 
     def test_resolve_box_threshold_default_is_largest_symbol(self):
         spec = small_spec(decoders=(DecoderKind.BOX,))
-        cfg = apply_sweep_value(spec, 10.0)
+        _, cfg = apply_sweep_value(spec, 10.0)
         dspec = resolve_decoder(spec, cfg, DecoderKind.BOX)
         assert dspec.t_box == pytest.approx((cfg.m - 1) / math.sqrt((cfg.m**2 - 1) / 3))
 
@@ -179,7 +180,7 @@ class TestRunModes:
     def test_every_decoder_reports_its_ridge_coefficient(self):
         spec = small_spec(values=(10.0,), decoders=(DecoderKind.LS, DecoderKind.LMMSE))
         ls_row, lmmse_row = run(spec, "predict").records
-        dp = derive_params(apply_sweep_value(spec, 10.0))
+        dp = derive_params(apply_sweep_value(spec, 10.0)[1])
         assert ls_row.lam == 0.0
         assert lmmse_row.lam == lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
 
@@ -190,11 +191,11 @@ class TestRunModes:
         cells = {"theta_star": "theta_star", "beta_star": "beta_star", "b_norm": "b_norm",
                  "mse_theory": "mse", "sep_theory": "sep", "goodput_theory": "goodput"}
         for value in spec.values:
-            cfg = apply_sweep_value(spec, value)
+            point, cfg = apply_sweep_value(spec, value)
             for kind in kinds:
                 row = next(rows)
                 assert row["decoder"] == kind.value
-                pred = predict(cfg, resolve_decoder(spec, cfg, kind))
+                pred = predict(cfg, resolve_decoder(point, cfg, kind))
                 for col, field in cells.items():
                     assert float(row[col]) == getattr(pred, field), (value, kind, col)
 
@@ -346,6 +347,33 @@ class TestCli:
         out = str(tmp_path / "fat.csv")
         assert cli_main(["predict", "--config", str(path), "--out", out]) == 2
         assert "n > k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob_lines", [
+        "sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
+        "sweep_axis = lambda\nvalues = -0.1,0.5\n",
+        "sweep_axis = t_box\nvalues = 0,1\n",
+    ], ids=["fixed-lambda", "lambda-axis", "t-axis"])
+    def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines):
+        path = tmp_path / "knob.cfg"
+        path.write_text(
+            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\ndecoders = rls,box\ntrials = 0\n" + knob_lines
+        )
+        out = tmp_path / "knob.csv"
+        assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_lambda_is_echoed_exactly(self):
+        # lambda = 0.37 is not lam~ lambda* / lambda* read back, it is the
+        # configured value; ridge rows leave t_box empty
+        spec = small_spec(decoders=(DecoderKind.RLS, DecoderKind.BOX),
+                          lambda_policy=LambdaPolicy.FIXED, lam=0.37)
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(run(spec, "predict").records))))
+        assert [r["lambda"] for r in rows] == ["0.37"] * 4
+        assert [r["t_box"] == "" for r in rows] == [True, False, True, False]
+        axis = small_spec(sweep_axis=SweepAxis.LAMBDA, values=(0.1, 0.37))
+        assert [rec.lam for rec in run(axis, "predict").records] == [0.1, 0.37]
 
     def test_flagged_compare_is_exit_4(self, tmp_path, capsys, monkeypatch):
         # the simulation is replaced by stats far outside 3 sigma of theory,

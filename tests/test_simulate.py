@@ -13,7 +13,6 @@ from mimopam import (
     PowerConvention,
     SystemConfig,
     TrialOutcome,
-    aggregate,
     box_rls_solve,
     derive_params,
     lambda_star_rls,
@@ -23,15 +22,18 @@ from mimopam import (
     run_batch,
     run_trial,
     slice_symbols,
-    trial_stream,
 )
-from mimopam.asymptotics import ridge_coefficient
-from mimopam.simulate import estimate_channel, make_pilots
+from mimopam.simulate import aggregate, estimate_channel, make_pilots, trial_stream
 
 # Same antenna/training ratios as the published K=400 scenario, downsized for
 # test runtime; every derived constant (delta, sigma_delta_sq, rho_eff) and
 # hence every asymptotic value is unchanged.
 SCALED = dict(k=200, n=240, t_total=500, t_pilot=228)
+
+
+def tilde(cfg, lam):
+    """lam~ = lam / lambda* of a raw ridge coefficient lam."""
+    return lam / derive_params(cfg).lambda_star
 
 
 def b_norm_of(cfg, spec):
@@ -111,14 +113,14 @@ class TestEstimateChannel:
 class TestRunTrial:
     def test_exact_inversion_regime(self):
         # enormous power: near-perfect estimate, noise negligible after scaling
-        cfg = scaled_cfg(300.0, lam=0.0)
+        cfg = scaled_cfg(300.0)
         out = run_trial(cfg, DecoderSpec.ls(), 5, 0, b_norm_of(cfg, DecoderSpec.ls()))
         assert out.ser == 0.0
         assert out.mse <= 1e-18
 
     def test_deterministic_given_seed_path(self):
         cfg = scaled_cfg(10.0)
-        spec = DecoderSpec.rls(0.5)
+        spec = DecoderSpec.rls(tilde(cfg, 0.5))
         b_norm = b_norm_of(cfg, spec)
         a = run_trial(cfg, spec, 12, 3, b_norm)
         b = run_trial(cfg, spec, 12, 3, b_norm)
@@ -171,15 +173,15 @@ def z_of(samples, target):
 
 class TestEffectiveModel:
     def test_run_trial_decodes_the_replayed_draw(self):
-        # the raw coefficient enters as lam / lambda*, LMMSE's as 1 exactly
+        # the decoder solves with its lam~, LMMSE's 1 exactly
         cfg = scaled_cfg(5.0, m=4, **EQUIV)
-        ridge = 0.3 / derive_params(cfg).lambda_star
-        for spec, lam_tilde in ((DecoderSpec.rls(0.3), ridge), (DecoderSpec.lmmse(), 1.0),
-                                (DecoderSpec.box(0.3, 3 / math.sqrt(5)), ridge)):
+        ridge = tilde(cfg, 0.3)
+        for spec, lam_tilde in ((DecoderSpec.rls(ridge), ridge), (DecoderSpec.lmmse(), 1.0),
+                                (DecoderSpec.box(ridge, 3 / math.sqrt(5)), ridge)):
             b_norm = b_norm_of(cfg, spec)
             for idx in range(3):
                 a, x0, w = effective_draw(cfg, 8, idx)
-                if spec.t_box is None:
+                if spec.t_box == math.inf:
                     x_hat = rls_solve(a, a @ x0 + w, lam_tilde)
                 else:
                     x_hat, _ = box_rls_solve(a, a @ x0 + w, lam_tilde, spec.t_box)
@@ -228,16 +230,16 @@ class TestEffectiveModel:
             cfg = scaled_cfg(10.0, m=m, power_convention=conv, **EQUIV)
             dp = derive_params(cfg)
             constellation = pam_constellation(m)
-            spec = (DecoderSpec.rls(dp.lambda_star) if spec_of == "rls"
-                    else DecoderSpec.box(dp.lambda_star, constellation.points[-1]))
+            spec = (DecoderSpec.rls(1.0) if spec_of == "rls"
+                    else DecoderSpec.box(1.0, constellation.points[-1]))
             b_norm = b_norm_of(cfg, spec)
             effective = run_batch(cfg, spec, trials=trials, master_seed=2 * i + 1)
             pilots = make_pilots(cfg.k, cfg.t_pilot, 2 * i + 2)
-            lam_rho_d = ridge_coefficient(cfg, spec) * dp.rho_d
+            lam_rho_d = spec.lam_tilde * dp.lambda_star * dp.rho_d
             outcomes = []
             for idx in range(trials):
                 a, y, x0 = explicit_training_trial(cfg, pilots, trial_stream(2 * i + 2, idx))
-                if spec.t_box is None:
+                if spec.t_box == math.inf:
                     x_hat = rls_solve(a, y, lam_rho_d)
                 else:
                     x_hat, _ = box_rls_solve(a, y, lam_rho_d, spec.t_box)
@@ -259,9 +261,9 @@ class TestTheoryAgreement:
         cfg = scaled_cfg(20.0)
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        pred = predict(cfg, DecoderSpec.rls(lam))
+        pred = predict(cfg, DecoderSpec.rls(tilde(cfg, lam)))
         assert pred.mse == pytest.approx(0.10918244834212, rel=1e-10)
-        stats = run_batch(cfg, DecoderSpec.rls(lam), trials=150, master_seed=424)
+        stats = run_batch(cfg, DecoderSpec.rls(tilde(cfg, lam)), trials=150, master_seed=424)
         assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
         assert abs(stats.mean_ser - pred.sep) <= 3 * max(
             stats.stderr_ser, math.sqrt(pred.sep * (1 - pred.sep) / (150 * cfg.k))
@@ -270,7 +272,7 @@ class TestTheoryAgreement:
     def test_box_agrees_with_saddle_prediction(self):
         cfg = scaled_cfg(10.0, k=100, n=120, t_total=250, t_pilot=114)
         dp = derive_params(cfg)
-        spec = DecoderSpec.box(lambda_star_rls(dp.rho_d, dp.sigma_delta_sq), 1.0)
+        spec = DecoderSpec.box(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)), 1.0)
         pred = predict(cfg, spec)
         stats = run_batch(cfg, spec, trials=200, master_seed=77)
         assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
@@ -281,7 +283,7 @@ class TestTheoryAgreement:
         cfg = scaled_cfg(10.0, m=4, k=100, n=120, t_total=250, t_pilot=114)
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        spec = DecoderSpec.rls(lam)
+        spec = DecoderSpec.rls(tilde(cfg, lam))
         b_norm = b_norm_of(cfg, spec)
         debiased = [run_trial(cfg, spec, 3, i, b_norm) for i in range(40)]
         raw = [run_trial(cfg, spec, 3, i, 1.0) for i in range(40)]
@@ -293,8 +295,9 @@ class TestTheoryAgreement:
             cfg = scaled_cfg(rho_db, k=100, n=120, t_total=250, t_pilot=114)
             dp = derive_params(cfg)
             lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            rls_stats = run_batch(cfg, DecoderSpec.rls(lam), trials=150, master_seed=31)
-            box_stats = run_batch(cfg, DecoderSpec.box(lam, 1.0), trials=150, master_seed=31)
+            rls_stats = run_batch(cfg, DecoderSpec.rls(tilde(cfg, lam)), trials=150, master_seed=31)
+            box_stats = run_batch(cfg, DecoderSpec.box(tilde(cfg, lam), 1.0), trials=150,
+                                  master_seed=31)
             gate = 2 * math.hypot(rls_stats.stderr_mse, box_stats.stderr_mse)
             assert box_stats.mean_mse <= rls_stats.mean_mse + gate
 
@@ -310,27 +313,28 @@ class TestRunBatch:
 
     def test_reproducible_bitwise(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        a = run_batch(cfg, DecoderSpec.rls(0.4), trials=20, master_seed=5)
-        b = run_batch(cfg, DecoderSpec.rls(0.4), trials=20, master_seed=5)
+        a = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=20, master_seed=5)
+        b = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=20, master_seed=5)
         assert a == b
 
     def test_parallel_reduction_matches_sequential(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        for spec in (DecoderSpec.rls(0.4), DecoderSpec.box(0.4, 1.0)):
+        for spec in (DecoderSpec.rls(tilde(cfg, 0.4)), DecoderSpec.box(tilde(cfg, 0.4), 1.0)):
             seq = run_batch(cfg, spec, trials=16, master_seed=5, workers=1)
             par = run_batch(cfg, spec, trials=16, master_seed=5, workers=4)
             assert seq == par
 
     def test_stderr_shrinks_with_more_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        small = run_batch(cfg, DecoderSpec.rls(0.4), trials=40, master_seed=6)
-        large = run_batch(cfg, DecoderSpec.rls(0.4), trials=160, master_seed=6)
+        small = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=40, master_seed=6)
+        large = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=160, master_seed=6)
         assert large.stderr_mse < small.stderr_mse
 
     def test_aggregate_order_invariance(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        b_norm = b_norm_of(cfg, DecoderSpec.rls(0.4))
-        outs = [run_trial(cfg, DecoderSpec.rls(0.4), 5, i, b_norm) for i in range(8)]
+        spec = DecoderSpec.rls(tilde(cfg, 0.4))
+        b_norm = b_norm_of(cfg, spec)
+        outs = [run_trial(cfg, spec, 5, i, b_norm) for i in range(8)]
         a = aggregate(outs)
         rng = np.random.default_rng(3)
         for _ in range(5):

@@ -14,10 +14,10 @@ from mimopam import (
     SystemConfig,
     derive_params,
     pam_constellation,
+    predict,
     rho_eff_of_alpha,
     slice_symbols,
 )
-from mimopam.asymptotics import ridge_coefficient
 
 FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
 
@@ -77,11 +77,11 @@ class TestDeriveParams:
             fig2_cfg(t_pilot=399)
 
     def test_rejects_unregularized_fat_system(self):
-        cfg = SystemConfig(k=400, n=400, t_total=1000, t_pilot=456, rho=1.0, alpha=0.5, lam=0.0)
+        cfg = SystemConfig(k=400, n=400, t_total=1000, t_pilot=456, rho=1.0, alpha=0.5)
         for spec in (DecoderSpec.ls(), DecoderSpec.rls(0.0), DecoderSpec.box(0.0, 1.0)):
             with pytest.raises(ConfigError, match="n > k"):
-                ridge_coefficient(cfg, spec)
-        assert ridge_coefficient(cfg, DecoderSpec.rls(0.3)) == 0.3
+                predict(cfg, spec)
+        assert predict(cfg, DecoderSpec.rls(0.3)).mse > 0
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.2, 1.7):

@@ -54,6 +54,7 @@ from .runner import (
 from .simulate import (
     BatchStats,
     TrialOutcome,
+    draw_trial,
     run_batch,
     run_trial,
 )

@@ -2,8 +2,11 @@
 
 LS and LMMSE are ridge at lambda = 0 and lambda = lambda*, so two solvers
 cover all four decoders, and a DecoderSpec names a decoder by its point
-(lam~ = lambda / lambda*, t) of the theory, free of any scenario. All
-solvers are pure functions of their inputs. The box-constrained solver is
+(lam~ = lambda / lambda*, t) of the theory, free of any scenario. Both
+solvers read the data (A, y) only through its Gram form G = A'A, r = A'y,
+so one draw's (G, r) serves every decoder, and the box solver starts from
+the ridge solution it is given. All solvers are pure functions of their
+inputs and never write into G. The box-constrained solver is
 a primal-dual active set (semismooth Newton) method (Hintermueller, Ito &
 Kunisch, SIAM J. Optim. 13(3), 2002): a few exact free-block solves whose
 time is spent in LAPACK, outside the GIL, with single-index set changes
@@ -75,38 +78,43 @@ class DecoderSpec:
         return DecoderSpec(DecoderKind.LMMSE, 1.0)
 
 
-def rls_solve(a: np.ndarray, y: np.ndarray, lam_rho_d: float) -> np.ndarray:
-    """Solve (A'A + lam_rho_d I) x = A'y.
+def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: int) -> np.ndarray:
+    """Solve (G + lam_rho_d I) x = r from gram = G = A'A, rhs = r = A'y and
+    the row count of A. gram is left as it is.
 
     Raises ConvergenceError if the system is singular (e.g. lam_rho_d = 0
-    with a wide A) or if the solve residual is out of tolerance.
+    with fewer rows than columns) or if the solve residual is out of
+    tolerance.
     """
-    return _ridge_from_gram(a.T @ a, a.T @ y, lam_rho_d, a.shape[0])
-
-
-def _ridge_from_gram(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: int) -> np.ndarray:
-    """rls_solve from gram = A'A, rhs = A'y and A's row count; gram is
-    regularized in place."""
     if lam_rho_d < 0:
         raise ValueError("lam_rho_d must be nonnegative")
     if lam_rho_d == 0 and rows < len(gram):
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
-    gram[np.diag_indices_from(gram)] += lam_rho_d
+    reg = _regularized(gram, lam_rho_d)
     try:
-        x = np.linalg.solve(gram, rhs)
+        x = np.linalg.solve(reg, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"normal-equations matrix is singular: {exc}") from exc
-    resid = np.abs(gram @ x - rhs).max()
+    resid = np.abs(reg @ x - rhs).max()
     scale = max(np.abs(rhs).max(), 1e-300)
     if resid > RLS_RESIDUAL_RTOL * scale:
         raise ConvergenceError(f"linear solve residual {resid:.3e} exceeds tolerance")
     return x
 
 
+def _regularized(gram: np.ndarray, lam_rho_d: float) -> np.ndarray:
+    """A copy of gram with lam_rho_d added to its diagonal."""
+    reg = gram.copy()
+    reg[np.diag_indices_from(reg)] += lam_rho_d
+    return reg
+
+
 def box_rls_solve(
-    a: np.ndarray, y: np.ndarray, lam_rho_d: float, t_box: float
+    gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, t_box: float, ridge: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Minimize ||y - A x||^2 + lam_rho_d ||x||^2 over the box [-t, t]^K.
+    """Minimize ||y - A x||^2 + lam_rho_d ||x||^2 over the box [-t, t]^K,
+    given gram = A'A, rhs = A'y and ridge, the rls_solve solution at the
+    same lam_rho_d. gram is left as it is.
 
     Primal-dual active set iteration from the clipped ridge solution. Each
     step predicts the clipped coordinates from the Jacobi-scaled test
@@ -118,18 +126,15 @@ def box_rls_solve(
     solve moves, a free coordinate outside the box to the bound it crossed, a
     pinned coordinate whose gradient points into the box to the free block.
     Returns (x_hat, kkt_residual) once the projected-gradient residual meets
-    BOX_KKT_RTOL; raises ConvergenceError with the residual when the ridge
-    warm start does not exist (lam_rho_d = 0 with fewer rows than columns), on
-    a singular free block, after AS_MAX_ITER steps, or when no index violates
-    the sets while the residual is above tolerance.
+    BOX_KKT_RTOL; raises ConvergenceError with the residual on a singular
+    free block, after AS_MAX_ITER steps, or when no index violates the sets
+    while the residual is above tolerance.
     """
     if t_box is None or not t_box > 0:
         raise ValueError("box_rls_solve needs a positive t_box")
     t = float(t_box)
-    gram = a.T @ a
-    rhs = a.T @ y
-    # regularizes gram in place: from here on it is G
-    x = np.clip(_ridge_from_gram(gram, rhs, float(lam_rho_d), a.shape[0]), -t, t)
+    gram = _regularized(gram, float(lam_rho_d))  # from here on gram is G
+    x = np.clip(ridge, -t, t)
     diag = np.diag(gram)
     tol = BOX_KKT_RTOL * max(1.0, float(np.abs(rhs).max()))
     seen: set[tuple[bytes, bytes]] = set()
@@ -189,4 +194,4 @@ def lmmse_decode(
     i.e. lam_rho_d = 1 + rho_d * sigma_delta_sq.
     """
     a = math.sqrt(rho_d / hhat.shape[1]) * hhat
-    return rls_solve(a, y, 1.0 + rho_d * sigma_delta_sq)
+    return rls_solve(a.T @ a, a.T @ y, 1.0 + rho_d * sigma_delta_sq, a.shape[0])

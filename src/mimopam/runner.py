@@ -321,9 +321,11 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
 _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
 
 
-def _evaluate_point(
-    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind, simulate: bool, workers: int
-) -> SweepRecord:
+def _theory_record(
+    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind
+) -> tuple[SweepRecord, DecoderSpec | None]:
+    """One decoder's row at one sweep point with its theory cells, and its
+    resolved spec, or None when resolving or predicting failed."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
         rho_db=linear_to_db(cfg.rho), alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
@@ -333,7 +335,7 @@ def _evaluate_point(
     try:
         dspec = resolve_decoder(spec, cfg, kind)
     except _SOLVER_ERRORS as exc:
-        return replace(shell, error=str(exc))
+        return replace(shell, error=str(exc)), None
     # a fixed lambda is echoed as configured, not as lam~ lambda*
     fixed = spec.lambda_policy is LambdaPolicy.FIXED and kind in (DecoderKind.RLS, DecoderKind.BOX)
     lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
@@ -341,24 +343,38 @@ def _evaluate_point(
     try:
         pred = predict(cfg, dspec)
     except _SOLVER_ERRORS as exc:
-        return replace(shell, error=str(exc))
-    shell = replace(
+        return replace(shell, error=str(exc)), None
+    return replace(
         shell,
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
-    )
-    if not simulate or spec.trials == 0:
-        return shell
-    try:
-        stats = run_batch(cfg, dspec, spec.trials, spec.master_seed, workers=workers)
-    except _SOLVER_ERRORS as exc:
-        return replace(shell, error=str(exc))
-    return replace(
-        shell,
-        mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
-        stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
-        trials=stats.trials,
-    )
+    ), dspec
+
+
+def _evaluate_point(
+    spec: SweepSpec, cfg: SystemConfig, simulate: bool, workers: int
+) -> list[SweepRecord]:
+    """One row per decoder of the sweep at one point. The decoders whose
+    theory succeeded share one run_batch call, so each trial is drawn once;
+    a solver error marks only its own row."""
+    theory = [_theory_record(spec, cfg, kind) for kind in spec.decoders]
+    records = [rec for rec, _ in theory]
+    live = [i for i, (_, dspec) in enumerate(theory) if dspec is not None]
+    if not simulate or spec.trials == 0 or not live:
+        return records
+    batch = run_batch(cfg, tuple(theory[i][1] for i in live), spec.trials, spec.master_seed,
+                      workers=workers)
+    for i, stats in zip(live, batch):
+        if isinstance(stats, ConvergenceError):
+            records[i] = replace(records[i], error=str(stats))
+        else:
+            records[i] = replace(
+                records[i],
+                mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
+                stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
+                trials=stats.trials,
+            )
+    return records
 
 
 @dataclass(frozen=True)
@@ -389,13 +405,12 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
         simulate = mode != "predict"
         for value in spec.values:
             point, cfg = apply_sweep_value(spec, value)
-            for kind in spec.decoders:
-                rec = _evaluate_point(point, cfg, kind, simulate, workers)
+            for rec in _evaluate_point(point, cfg, simulate, workers):
                 records.append(rec)
                 if rec.error:
-                    lines.append(f"{spec.sweep_axis.value}={value} {kind.value}: ERROR {rec.error}")
+                    lines.append(f"{spec.sweep_axis.value}={value} {rec.decoder}: ERROR {rec.error}")
                     continue
-                msg = (f"{spec.sweep_axis.value}={value} {kind.value}: "
+                msg = (f"{spec.sweep_axis.value}={value} {rec.decoder}: "
                        f"mse={rec.mse_theory:.6g} sep={rec.sep_theory:.6g}")
                 if rec.mse_sim is not None:
                     msg += f" mse_sim={rec.mse_sim:.6g} ser_sim={rec.ser_sim:.6g}"
@@ -420,11 +435,10 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                 cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
                 lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
                              f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
-            for kind in spec.decoders:
-                rec = _evaluate_point(spec, cfg, kind, False, workers)
+            for rec in _evaluate_point(spec, cfg, False, workers):
                 records.append(rec)
                 if rec.error:
-                    lines.append(f"  {kind.value}: ERROR {rec.error}")
+                    lines.append(f"  {rec.decoder}: ERROR {rec.error}")
 
     solver_errors = sum(1 for r in records if r.error)
     if mode == "compare":

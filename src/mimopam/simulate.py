@@ -12,20 +12,26 @@ make_pilots and estimate_channel are the explicit training phase it replaces.
 Per-trial randomness comes from an independent stream keyed by
 (master_seed, trial_index), so a batch is reproducible bit-for-bit and its
 trials can be evaluated in any order or in parallel. Within a trial the draw
-order is fixed: effective channel A, data symbols x0, noise w.
+order is fixed: effective channel A, data symbols x0, noise w. A trial index
+is drawn once and reduced to the Gram form G = A'A, r = A'y that the
+decoders read; every decoder of a batch (of a sweep point, in the runner)
+then decodes that one draw, with one ridge solve per lam~. The draw itself,
+and so every decoder's outcome, is the same as when each decoder drew it
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asymptotics import predict
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
 
 PILOT_ORTH_TOL = 1e-9
@@ -96,66 +102,112 @@ def estimate_channel(
     return hhat, h - hhat
 
 
+@dataclass
+class TrialDraw:
+    """One trial's draw reduced to what every decoder reads: the symbols x0,
+    G = A'A, r = A'y and A's row count. The ridge solution of each lam~ is
+    solved on first use and kept, so decoders sharing a lam~ share a solve
+    and the box decoder starts from it."""
+
+    x0: np.ndarray
+    gram: np.ndarray
+    rhs: np.ndarray
+    rows: int
+    ridges: dict[float, np.ndarray] = field(default_factory=dict)
+
+    def ridge(self, lam_tilde: float) -> np.ndarray:
+        x = self.ridges.get(lam_tilde)
+        if x is None:
+            x = self.ridges[lam_tilde] = rls_solve(self.gram, self.rhs, lam_tilde, self.rows)
+        return x
+
+
+def draw_trial(cfg: SystemConfig, seed: int, trial_idx: int) -> TrialDraw:
+    """Trial trial_idx of the effective model, deterministic given
+    (seed, trial_idx); A is dropped once G and r are formed."""
+    dp = derive_params(cfg)
+    c = dp.rho_d * dp.sigma_delta_sq
+    rng = trial_stream(seed, trial_idx)
+    a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
+    x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
+    w_std = math.sqrt((1.0 + c * (x0 @ x0) / cfg.k) / (1.0 + c))
+    y = a @ x0 + w_std * rng.standard_normal(cfg.n)
+    return TrialDraw(x0, a.T @ a, a.T @ y, cfg.n)
+
+
 def run_trial(
     cfg: SystemConfig,
     decoder_spec: DecoderSpec,
-    seed: int,
-    trial_idx: int,
+    draw: TrialDraw,
     b_norm: float,
 ) -> TrialOutcome:
-    """One data transmission on the effective model, ridge or box solve,
-    normalize and slice.
-
-    Deterministic given (seed, trial_idx). b_norm is the debias constant B
-    of the decoder (predict).
-    """
-    dp = derive_params(cfg)
+    """Decode one draw with one decoder (ridge or box solve), normalize and
+    slice. b_norm is the debias constant B of the decoder (predict)."""
     constellation = pam_constellation(cfg.m)
-    c = dp.rho_d * dp.sigma_delta_sq
-
-    rng = trial_stream(seed, trial_idx)
-    a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
-    x0 = constellation.points[rng.integers(0, cfg.m, size=cfg.k)]
-    w_std = math.sqrt((1.0 + c * (x0 @ x0) / cfg.k) / (1.0 + c))
-    y = a @ x0 + w_std * rng.standard_normal(cfg.n)
-
+    x_hat = draw.ridge(decoder_spec.lam_tilde)
     if math.isfinite(decoder_spec.t_box):
-        x_hat, _ = box_rls_solve(a, y, decoder_spec.lam_tilde, decoder_spec.t_box)
-    else:
-        x_hat = rls_solve(a, y, decoder_spec.lam_tilde)
-
+        x_hat, _ = box_rls_solve(
+            draw.gram, draw.rhs, decoder_spec.lam_tilde, decoder_spec.t_box, x_hat
+        )
     x_star = slice_symbols(x_hat / b_norm, constellation)
-    mse = float(np.mean((x_hat - x0) ** 2))
-    ser = float(np.mean(x_star != x0))
+    mse = float(np.mean((x_hat - draw.x0) ** 2))
+    ser = float(np.mean(x_star != draw.x0))
     return TrialOutcome(mse=mse, ser=ser)
 
 
 def run_batch(
     cfg: SystemConfig,
-    decoder_spec: DecoderSpec,
+    decoder_specs: tuple[DecoderSpec, ...],
     trials: int,
     master_seed: int,
     workers: int = 1,
-) -> BatchStats:
-    """Aggregate independent trials into sample means and standard errors.
+) -> list[BatchStats | ConvergenceError]:
+    """Aggregate independent trials of every decoder into sample means and
+    standard errors, one entry per spec.
 
-    Trials are indexed 0..trials-1 and aggregated in index order, so the
-    result is identical whether they were computed sequentially or by a
-    thread pool. The debias constant B comes from predict.
+    Trial i is drawn once and decoded by every spec. Trials are indexed
+    0..trials-1 and aggregated in index order, so the result is identical
+    whether they were computed sequentially or by a thread pool, and a
+    spec's entry does not depend on the other specs. A spec whose solver
+    fails gets the error of its lowest failing trial index instead; its
+    later trials are not decoded. The debias constant B comes from predict.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    b_norm = predict(cfg, decoder_spec).b_norm
+    if not decoder_specs:
+        raise ConfigError("decoder_specs must be non-empty")
+    b_norms = [predict(cfg, spec).b_norm for spec in decoder_specs]
+    # lowest failing index per spec; a stale read only decodes one more trial
+    first_failure = [trials] * len(decoder_specs)
+    lock = threading.Lock()
 
-    def one(idx: int) -> TrialOutcome:
-        return run_trial(cfg, decoder_spec, master_seed, idx, b_norm=b_norm)
+    def one(idx: int) -> list[TrialOutcome | ConvergenceError | None]:
+        draw = draw_trial(cfg, master_seed, idx)
+        out: list[TrialOutcome | ConvergenceError | None] = []
+        for j, (spec, b_norm) in enumerate(zip(decoder_specs, b_norms)):
+            if first_failure[j] < idx:
+                out.append(None)
+                continue
+            try:
+                out.append(run_trial(cfg, spec, draw, b_norm))
+            except ConvergenceError as exc:
+                with lock:
+                    first_failure[j] = min(first_failure[j], idx)
+                out.append(exc)
+        return out
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(trials)))
+            rows = list(pool.map(one, range(trials)))
     else:
-        outcomes = [one(i) for i in range(trials)]
-    return aggregate(outcomes)
+        rows = [one(i) for i in range(trials)]
+    results: list[BatchStats | ConvergenceError] = []
+    for column in zip(*rows):
+        # a skipped (None) trial lies above a failed one, so in index order
+        # the first entry that is not an outcome is the lowest failure
+        failed = next((o for o in column if not isinstance(o, TrialOutcome)), None)
+        results.append(aggregate(list(column)) if failed is None else failed)
+    return results
 
 
 def aggregate(outcomes: list[TrialOutcome]) -> BatchStats:

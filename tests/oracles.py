@@ -7,7 +7,14 @@ from statistics import NormalDist
 import numpy as np
 from scipy.integrate import quad
 
-from mimopam import BoxObjectiveParams, derive_params, pam_constellation, qfunc
+from mimopam import (
+    BoxObjectiveParams,
+    box_rls_solve,
+    derive_params,
+    pam_constellation,
+    qfunc,
+    rls_solve,
+)
 from mimopam.simulate import estimate_channel
 
 
@@ -56,6 +63,18 @@ def box_objective_quadrature(theta, beta, rho_d, s_h2, s_d2, lam, delta, t, m):
                     - beta * xi * t * (gauss_pdf(lo) + gauss_pdf(hi))
                     - pref * integral)
     return val + acc / m
+
+
+def ridge_decode(a, y, lam_rho_d):
+    """rls_solve on a data pair (A, y), through its Gram form."""
+    return rls_solve(a.T @ a, a.T @ y, lam_rho_d, a.shape[0])
+
+
+def box_decode(a, y, lam_rho_d, t):
+    """box_rls_solve on a data pair (A, y), through its Gram form and from
+    its ridge solution."""
+    gram, rhs = a.T @ a, a.T @ y
+    return box_rls_solve(gram, rhs, lam_rho_d, t, rls_solve(gram, rhs, lam_rho_d, a.shape[0]))
 
 
 def projected_gradient_oracle(a, y, lam_rho_d, t, max_iter=100_000, tol=1e-14):

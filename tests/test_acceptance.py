@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from oracles import (
     bonferroni_z,
+    box_decode,
     box_objective_quadrature,
     gauss_pdf,
     projected_gradient_oracle,
+    ridge_decode,
     theory_point,
 )
 from scipy.integrate import quad
@@ -106,25 +108,30 @@ def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
     BPSK on the direct split for LS, RLS and box; with mpam_trials > 0 also
     4-PAM on the energy-conserving split for RLS and box at lambda* and
     t = 3/sqrt(5), the largest symbol. LS is referenced to its exact finite-K
-    MSE, the others to the asymptote.
+    MSE, the others to the asymptote. The decoders of one config and trial
+    count share one run_batch call, which gives each the stats of its own
+    batch.
     """
     cells = {}
     for rho_db in RHO_DB_CELLS:
         cfg = cfg_of_rho(rho_db)
-        decoders = [
-            (cfg, trials, "ls", mp.DecoderSpec.ls()),
-            (cfg, trials, "rls", mp.DecoderSpec.rls(1.0)),
-            (cfg, trials, "box", mp.DecoderSpec.box(box_lams[rho_db], 1.0)),
-        ]
+        groups = [(cfg, trials, {"ls": mp.DecoderSpec.ls(),
+                                 "rls": mp.DecoderSpec.rls(1.0),
+                                 "box": mp.DecoderSpec.box(box_lams[rho_db], 1.0)})]
         if mpam_trials:
             cfg4 = replace(cfg, m=4, power_convention=mp.PowerConvention.ENERGY_CONSERVING)
-            decoders += [(cfg4, mpam_trials, "rls", mp.DecoderSpec.rls(1.0)),
-                         (cfg4, mpam_trials, "box", mp.DecoderSpec.box(1.0, 3 / math.sqrt(5)))]
-        for c, n_trials, name, spec in decoders:
-            pred = mp.predict(c, spec)
-            stats = mp.run_batch(c, spec, trials=n_trials, master_seed=seed, workers=2)
-            ref = ls_exact_mse(c) if name == "ls" else pred.mse
-            cells[(name, c.m, rho_db)] = (ref, pred, stats, c)
+            groups.append((cfg4, mpam_trials,
+                           {"rls": mp.DecoderSpec.rls(1.0),
+                            "box": mp.DecoderSpec.box(1.0, 3 / math.sqrt(5))}))
+        for c, n_trials, specs in groups:
+            batch = mp.run_batch(c, tuple(specs.values()), trials=n_trials, master_seed=seed,
+                                 workers=2)
+            for (name, spec), stats in zip(specs.items(), batch):
+                if isinstance(stats, mp.ConvergenceError):
+                    raise stats
+                pred = mp.predict(c, spec)
+                ref = ls_exact_mse(c) if name == "ls" else pred.mse
+                cells[(name, c.m, rho_db)] = (ref, pred, stats, c)
     return cells
 
 
@@ -272,7 +279,7 @@ class TestCriterion7:
                 s_d2 = float(rng.uniform(0.0, 0.9))
                 a = math.sqrt(rho_d / k) * hhat
                 lam_star = mp.lambda_star_rls(rho_d, s_d2)
-                want = mp.rls_solve(a, y, lam_star * rho_d)
+                want = ridge_decode(a, y, lam_star * rho_d)
                 got = mp.lmmse_decode(hhat, y, rho_d, s_d2)
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -312,7 +319,7 @@ class TestCriterion7:
                 y = rng.standard_normal(n) * 2
                 lr = float(rng.uniform(0.0, 1.5))
                 t = float(rng.uniform(0.3, 1.5))
-                x_box, _ = mp.box_rls_solve(a, y, lr, t)
+                x_box, _ = box_decode(a, y, lr, t)
                 np.testing.assert_allclose(x_box, projected_gradient_oracle(a, y, lr, t), atol=1e-8)
 
             # (e) SEP <-> MSE bridge across a lambda grid

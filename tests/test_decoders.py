@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import projected_gradient_oracle
+from oracles import box_decode, projected_gradient_oracle, ridge_decode
 
 from mimopam import (
     ConfigError,
@@ -27,12 +27,12 @@ def box_objective_value(a, y, lam_rho_d, x):
 class TestRlsSolve:
     def test_identity_matrix_passthrough(self):
         y = np.array([0.3, -1.2, 2.0])
-        x = rls_solve(np.eye(3), y, 0.0)
+        x = ridge_decode(np.eye(3), y, 0.0)
         np.testing.assert_allclose(x, y, atol=1e-12)
 
     def test_identity_matrix_shrinkage(self):
         y = np.array([0.3, -1.2, 2.0])
-        x = rls_solve(np.eye(3), y, 1.0)
+        x = ridge_decode(np.eye(3), y, 1.0)
         np.testing.assert_allclose(x, y / 2.0, atol=1e-12)
 
     def test_matches_pseudoinverse_oracle(self):
@@ -42,14 +42,14 @@ class TestRlsSolve:
             y = rng.standard_normal(8)
             lr = rng.uniform(0.0, 2.0)
             want = np.linalg.pinv(a.T @ a + lr * np.eye(4)) @ (a.T @ y)
-            got = rls_solve(a, y, lr)
+            got = ridge_decode(a, y, lr)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_singular_unregularized_system_fails(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 5))
         with pytest.raises(ConvergenceError):
-            rls_solve(a, rng.standard_normal(3), 0.0)
+            ridge_decode(a, rng.standard_normal(3), 0.0)
 
 
 def ill_conditioned_instance(seed=1):
@@ -68,7 +68,7 @@ def ill_conditioned_instance(seed=1):
 class TestBoxRlsSolve:
     def test_one_dimensional_clip(self):
         # unconstrained optimum of (2 - x)^2 + x^2 is 1; the box ends at 0.5
-        x, kkt = box_rls_solve(np.array([[1.0]]), np.array([2.0]), 1.0, 0.5)
+        x, kkt = box_decode(np.array([[1.0]]), np.array([2.0]), 1.0, 0.5)
         assert x[0] == pytest.approx(0.5, abs=1e-12)
         assert kkt <= 1e-8
 
@@ -76,8 +76,8 @@ class TestBoxRlsSolve:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((12, 6))
         y = rng.standard_normal(12)
-        ridge = rls_solve(a, y, 0.7)
-        boxed, _ = box_rls_solve(a, y, 0.7, 1e6)
+        ridge = ridge_decode(a, y, 0.7)
+        boxed, _ = box_decode(a, y, 0.7, 1e6)
         np.testing.assert_allclose(boxed, ridge, atol=1e-8)
 
     def test_matches_projected_gradient_oracle(self):
@@ -86,7 +86,7 @@ class TestBoxRlsSolve:
             a = rng.standard_normal((16, 8))
             y = rng.standard_normal(16) * 2.0
             lr = rng.uniform(0.0, 1.5)
-            x_box, kkt = box_rls_solve(a, y, lr, 1.0)
+            x_box, kkt = box_decode(a, y, lr, 1.0)
             x_pg = projected_gradient_oracle(a, y, lr, 1.0)
             np.testing.assert_allclose(x_box, x_pg, atol=1e-8)
             assert kkt <= 1e-8
@@ -99,7 +99,7 @@ class TestBoxRlsSolve:
             y = rng.standard_normal(n) * 3.0
             t = float(rng.uniform(0.2, 2.0))
             lr = float(rng.uniform(0.0, 1.0)) if n > k else float(rng.uniform(0.1, 1.0))
-            x, kkt = box_rls_solve(a, y, lr, t)
+            x, kkt = box_decode(a, y, lr, t)
             assert np.abs(x).max() <= t + 1e-12
             assert kkt <= 1e-8
 
@@ -109,26 +109,26 @@ class TestBoxRlsSolve:
             a = rng.standard_normal((10, 5))
             y = rng.standard_normal(10) * 2.0
             lr = 0.4
-            x_box, _ = box_rls_solve(a, y, lr, 0.6)
-            clipped = np.clip(rls_solve(a, y, lr), -0.6, 0.6)
+            x_box, _ = box_decode(a, y, lr, 0.6)
+            clipped = np.clip(ridge_decode(a, y, lr), -0.6, 0.6)
             assert box_objective_value(a, y, lr, x_box) <= box_objective_value(a, y, lr, clipped) + 1e-10
 
     def test_rejects_missing_threshold(self):
         with pytest.raises(ValueError):
-            box_rls_solve(np.eye(2), np.ones(2), 1.0, None)
+            box_rls_solve(np.eye(2), np.ones(2), 1.0, None, np.full(2, 0.5))
 
     def test_ill_conditioned_instance_meets_kkt(self):
         # seeds 3 and 7 cycle and finish by single-index steps
         for seed in (1, 3, 7):
             a, y, lr, t = ill_conditioned_instance(seed)
-            x, kkt = box_rls_solve(a, y, lr, t)
+            x, kkt = box_decode(a, y, lr, t)
             assert kkt <= 1e-8
             np.testing.assert_allclose(x, projected_gradient_oracle(a, y, lr, t), atol=1e-8)
 
     def test_every_ill_conditioned_seed_meets_kkt(self):
         for seed in range(200):
             a, y, lr, t = ill_conditioned_instance(seed)
-            x, kkt = box_rls_solve(a, y, lr, t)
+            x, kkt = box_decode(a, y, lr, t)
             assert np.abs(x).max() <= t, seed
             assert kkt <= 1e-8, seed
 
@@ -139,19 +139,32 @@ class TestBoxRlsSolve:
             a = rng.standard_normal((16, 8))
             y = rng.standard_normal(16) * 2.0
             with pytest.raises(ConvergenceError, match="cap with KKT residual"):
-                box_rls_solve(a, y, 0.3, 0.5)
+                box_decode(a, y, 0.3, 0.5)
         # seed 3 cycles and needs 13 steps, single-index ones included
         monkeypatch.setattr(decoders, "AS_MAX_ITER", 10)
         a, y, lr, t = ill_conditioned_instance(3)
         with pytest.raises(ConvergenceError, match="cap with KKT residual"):
-            box_rls_solve(a, y, lr, t)
+            box_decode(a, y, lr, t)
 
     def test_unregularized_wide_system_fails(self):
         # lambda = 0 with fewer rows than columns: no ridge solution to start from
         rng = np.random.default_rng(29)
         a = rng.standard_normal((6, 10))
         with pytest.raises(ConvergenceError):
-            box_rls_solve(a, rng.standard_normal(6) * 3.0, 0.0, 0.5)
+            box_decode(a, rng.standard_normal(6) * 3.0, 0.0, 0.5)
+
+
+class TestGramForm:
+    def test_solvers_leave_the_shared_gram_unchanged(self):
+        # one draw's (G, r) is shared by every decoder of a batch
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((12, 6))
+        y = rng.standard_normal(12) * 2.0
+        gram, rhs = a.T @ a, a.T @ y
+        before = gram.copy()
+        ridge = rls_solve(gram, rhs, 0.5, a.shape[0])
+        box_rls_solve(gram, rhs, 0.5, 0.4, ridge)
+        np.testing.assert_array_equal(gram, before)
 
 
 class TestLmmseDecode:
@@ -163,7 +176,7 @@ class TestLmmseDecode:
             rho_d = float(rng.uniform(0.2, 20.0))
             s_d2 = float(rng.uniform(0.0, 0.9))
             a = np.sqrt(rho_d / 4) * hhat
-            want = rls_solve(a, y, 1.0 + rho_d * s_d2)
+            want = ridge_decode(a, y, 1.0 + rho_d * s_d2)
             got = lmmse_decode(hhat, y, rho_d, s_d2)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -173,7 +186,7 @@ class TestLmmseDecode:
         y = rng.standard_normal(8)
         rho_d = 2.5
         a = np.sqrt(rho_d / 4) * hhat
-        want = rls_solve(a, y, (1.0 / rho_d) * rho_d)
+        want = ridge_decode(a, y, (1.0 / rho_d) * rho_d)
         np.testing.assert_allclose(lmmse_decode(hhat, y, rho_d, 0.0), want, atol=1e-10)
 
     def test_matches_covariance_form_oracle(self):

@@ -379,7 +379,8 @@ class TestCli:
         # the simulation is replaced by stats far outside 3 sigma of theory,
         # so the gate's exit code is tested, not a lucky draw
         far = BatchStats(trials=2, mean_mse=10.0, mean_ser=0.5, stderr_mse=1e-3, stderr_ser=1e-3)
-        monkeypatch.setattr(mimopam.runner, "run_batch", lambda *args, **kwargs: far)
+        monkeypatch.setattr(mimopam.runner, "run_batch",
+                            lambda cfg, specs, *args, **kwargs: [far] * len(specs))
         path = tmp_path / "flag.cfg"
         path.write_text(
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"

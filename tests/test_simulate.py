@@ -2,27 +2,29 @@
 training phase (pilots, channel estimation), trials, batches."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from oracles import bonferroni_z, explicit_training_trial
+from oracles import box_decode, bonferroni_z, explicit_training_trial, ridge_decode
 
 from mimopam import (
     ConfigError,
     DecoderSpec,
     PowerConvention,
     SystemConfig,
+    ConvergenceError,
     TrialOutcome,
-    box_rls_solve,
     derive_params,
+    draw_trial,
     lambda_star_rls,
     pam_constellation,
     predict,
-    rls_solve,
     run_batch,
     run_trial,
     slice_symbols,
 )
+from mimopam import simulate
 from mimopam.simulate import aggregate, estimate_channel, make_pilots, trial_stream
 
 # Same antenna/training ratios as the published K=400 scenario, downsized for
@@ -114,7 +116,8 @@ class TestRunTrial:
     def test_exact_inversion_regime(self):
         # enormous power: near-perfect estimate, noise negligible after scaling
         cfg = scaled_cfg(300.0)
-        out = run_trial(cfg, DecoderSpec.ls(), 5, 0, b_norm_of(cfg, DecoderSpec.ls()))
+        out = run_trial(cfg, DecoderSpec.ls(), draw_trial(cfg, 5, 0),
+                        b_norm_of(cfg, DecoderSpec.ls()))
         assert out.ser == 0.0
         assert out.mse <= 1e-18
 
@@ -122,15 +125,16 @@ class TestRunTrial:
         cfg = scaled_cfg(10.0)
         spec = DecoderSpec.rls(tilde(cfg, 0.5))
         b_norm = b_norm_of(cfg, spec)
-        a = run_trial(cfg, spec, 12, 3, b_norm)
-        b = run_trial(cfg, spec, 12, 3, b_norm)
+        a = run_trial(cfg, spec, draw_trial(cfg, 12, 3), b_norm)
+        b = run_trial(cfg, spec, draw_trial(cfg, 12, 3), b_norm)
         assert (a.mse, a.ser) == (b.mse, b.ser)
-        c = run_trial(cfg, spec, 12, 4, b_norm)
+        c = run_trial(cfg, spec, draw_trial(cfg, 12, 4), b_norm)
         assert (a.mse, a.ser) != (c.mse, c.ser)
 
     def test_ser_is_integer_multiple_of_inverse_k(self):
         cfg = scaled_cfg(5.0)
-        out = run_trial(cfg, DecoderSpec.lmmse(), 2, 0, b_norm_of(cfg, DecoderSpec.lmmse()))
+        out = run_trial(cfg, DecoderSpec.lmmse(), draw_trial(cfg, 2, 0),
+                        b_norm_of(cfg, DecoderSpec.lmmse()))
         assert out.mse >= 0
         assert 0.0 <= out.ser <= 1.0
         assert (out.ser * cfg.k) == pytest.approx(round(out.ser * cfg.k), abs=1e-9)
@@ -149,7 +153,7 @@ EQUIV_FALSE_ALARM = 1e-3
 
 
 def effective_draw(cfg, seed, idx):
-    """(A, x0, w) replayed from a trial stream in run_trial's draw order."""
+    """(A, x0, w) replayed from a trial stream in draw_trial's draw order."""
     dp = derive_params(cfg)
     rng = trial_stream(seed, idx)
     a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
@@ -182,10 +186,11 @@ class TestEffectiveModel:
             for idx in range(3):
                 a, x0, w = effective_draw(cfg, 8, idx)
                 if spec.t_box == math.inf:
-                    x_hat = rls_solve(a, a @ x0 + w, lam_tilde)
+                    x_hat = ridge_decode(a, a @ x0 + w, lam_tilde)
                 else:
-                    x_hat, _ = box_rls_solve(a, a @ x0 + w, lam_tilde, spec.t_box)
-                assert run_trial(cfg, spec, 8, idx, b_norm).mse == float(np.mean((x_hat - x0) ** 2))
+                    x_hat, _ = box_decode(a, a @ x0 + w, lam_tilde, spec.t_box)
+                draw = draw_trial(cfg, 8, idx)
+                assert run_trial(cfg, spec, draw, b_norm).mse == float(np.mean((x_hat - x0) ** 2))
 
     @pytest.mark.parametrize("draw", ["effective", "explicit"])
     def test_moments_of_the_effective_model(self, draw):
@@ -233,16 +238,16 @@ class TestEffectiveModel:
             spec = (DecoderSpec.rls(1.0) if spec_of == "rls"
                     else DecoderSpec.box(1.0, constellation.points[-1]))
             b_norm = b_norm_of(cfg, spec)
-            effective = run_batch(cfg, spec, trials=trials, master_seed=2 * i + 1)
+            [effective] = run_batch(cfg, (spec,), trials=trials, master_seed=2 * i + 1)
             pilots = make_pilots(cfg.k, cfg.t_pilot, 2 * i + 2)
             lam_rho_d = spec.lam_tilde * dp.lambda_star * dp.rho_d
             outcomes = []
             for idx in range(trials):
                 a, y, x0 = explicit_training_trial(cfg, pilots, trial_stream(2 * i + 2, idx))
                 if spec.t_box == math.inf:
-                    x_hat = rls_solve(a, y, lam_rho_d)
+                    x_hat = ridge_decode(a, y, lam_rho_d)
                 else:
-                    x_hat, _ = box_rls_solve(a, y, lam_rho_d, spec.t_box)
+                    x_hat, _ = box_decode(a, y, lam_rho_d, spec.t_box)
                 x_star = slice_symbols(x_hat / b_norm, constellation)
                 outcomes.append(TrialOutcome(mse=float(np.mean((x_hat - x0) ** 2)),
                                              ser=float(np.mean(x_star != x0))))
@@ -263,7 +268,7 @@ class TestTheoryAgreement:
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         pred = predict(cfg, DecoderSpec.rls(tilde(cfg, lam)))
         assert pred.mse == pytest.approx(0.10918244834212, rel=1e-10)
-        stats = run_batch(cfg, DecoderSpec.rls(tilde(cfg, lam)), trials=150, master_seed=424)
+        [stats] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150, master_seed=424)
         assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
         assert abs(stats.mean_ser - pred.sep) <= 3 * max(
             stats.stderr_ser, math.sqrt(pred.sep * (1 - pred.sep) / (150 * cfg.k))
@@ -274,7 +279,7 @@ class TestTheoryAgreement:
         dp = derive_params(cfg)
         spec = DecoderSpec.box(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)), 1.0)
         pred = predict(cfg, spec)
-        stats = run_batch(cfg, spec, trials=200, master_seed=77)
+        [stats] = run_batch(cfg, (spec,), trials=200, master_seed=77)
         assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
 
     def test_debias_norm_lowers_ser_for_multilevel_symbols(self):
@@ -285,8 +290,8 @@ class TestTheoryAgreement:
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         spec = DecoderSpec.rls(tilde(cfg, lam))
         b_norm = b_norm_of(cfg, spec)
-        debiased = [run_trial(cfg, spec, 3, i, b_norm) for i in range(40)]
-        raw = [run_trial(cfg, spec, 3, i, 1.0) for i in range(40)]
+        debiased = [run_trial(cfg, spec, draw_trial(cfg, 3, i), b_norm) for i in range(40)]
+        raw = [run_trial(cfg, spec, draw_trial(cfg, 3, i), 1.0) for i in range(40)]
         assert np.mean([o.ser for o in debiased]) < np.mean([o.ser for o in raw])
 
     def test_box_no_worse_than_ridge_at_shared_settings(self):
@@ -295,9 +300,10 @@ class TestTheoryAgreement:
             cfg = scaled_cfg(rho_db, k=100, n=120, t_total=250, t_pilot=114)
             dp = derive_params(cfg)
             lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            rls_stats = run_batch(cfg, DecoderSpec.rls(tilde(cfg, lam)), trials=150, master_seed=31)
-            box_stats = run_batch(cfg, DecoderSpec.box(tilde(cfg, lam), 1.0), trials=150,
-                                  master_seed=31)
+            [rls_stats] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150,
+                                    master_seed=31)
+            [box_stats] = run_batch(cfg, (DecoderSpec.box(tilde(cfg, lam), 1.0),), trials=150,
+                                    master_seed=31)
             gate = 2 * math.hypot(rls_stats.stderr_mse, box_stats.stderr_mse)
             assert box_stats.mean_mse <= rls_stats.mean_mse + gate
 
@@ -305,36 +311,37 @@ class TestTheoryAgreement:
 class TestRunBatch:
     def test_single_trial_stats(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        stats = run_batch(cfg, DecoderSpec.lmmse(), trials=1, master_seed=9)
-        single = run_trial(cfg, DecoderSpec.lmmse(), 9, 0, b_norm_of(cfg, DecoderSpec.lmmse()))
+        [stats] = run_batch(cfg, (DecoderSpec.lmmse(),), trials=1, master_seed=9)
+        single = run_trial(cfg, DecoderSpec.lmmse(), draw_trial(cfg, 9, 0),
+                           b_norm_of(cfg, DecoderSpec.lmmse()))
         assert stats.mean_mse == single.mse
         assert stats.stderr_mse == 0.0
         assert stats.stderr_ser == 0.0
 
     def test_reproducible_bitwise(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        a = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=20, master_seed=5)
-        b = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=20, master_seed=5)
+        a = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
+        b = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
         assert a == b
 
     def test_parallel_reduction_matches_sequential(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         for spec in (DecoderSpec.rls(tilde(cfg, 0.4)), DecoderSpec.box(tilde(cfg, 0.4), 1.0)):
-            seq = run_batch(cfg, spec, trials=16, master_seed=5, workers=1)
-            par = run_batch(cfg, spec, trials=16, master_seed=5, workers=4)
+            seq = run_batch(cfg, (spec,), trials=16, master_seed=5, workers=1)
+            par = run_batch(cfg, (spec,), trials=16, master_seed=5, workers=4)
             assert seq == par
 
     def test_stderr_shrinks_with_more_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        small = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=40, master_seed=6)
-        large = run_batch(cfg, DecoderSpec.rls(tilde(cfg, 0.4)), trials=160, master_seed=6)
+        [small] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=40, master_seed=6)
+        [large] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=160, master_seed=6)
         assert large.stderr_mse < small.stderr_mse
 
     def test_aggregate_order_invariance(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         spec = DecoderSpec.rls(tilde(cfg, 0.4))
         b_norm = b_norm_of(cfg, spec)
-        outs = [run_trial(cfg, spec, 5, i, b_norm) for i in range(8)]
+        outs = [run_trial(cfg, spec, draw_trial(cfg, 5, i), b_norm) for i in range(8)]
         a = aggregate(outs)
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -346,4 +353,95 @@ class TestRunBatch:
     def test_rejects_zero_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         with pytest.raises(ConfigError):
-            run_batch(cfg, DecoderSpec.ls(), trials=0, master_seed=1)
+            run_batch(cfg, (DecoderSpec.ls(),), trials=0, master_seed=1)
+
+
+def joint_specs(cfg):
+    """One spec of each decoder, the box at the largest symbol; rls off
+    lam~ = 1, so the four specs solve three distinct ridge systems."""
+    t_max = float(pam_constellation(cfg.m).points[-1])
+    return (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, t_max),
+            DecoderSpec.lmmse())
+
+
+class TestJointBatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_each_entry_equals_its_own_batch(self, m, workers):
+        cfg = scaled_cfg(10.0, m=m, k=64, n=77, t_total=160, t_pilot=73)
+        specs = joint_specs(cfg)
+        joint = run_batch(cfg, specs, trials=12, master_seed=3, workers=workers)
+        for spec, stats in zip(specs, joint):
+            assert stats == run_batch(cfg, (spec,), trials=12, master_seed=3)[0], spec.kind
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_error_marks_only_its_own_entry(self, monkeypatch, workers):
+        # the box solver fails on trials 3 and 5; its entry is the error of
+        # the lowest failing index, the ridge entries keep their stats
+        cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
+        specs = joint_specs(cfg)
+        alone = [run_batch(cfg, (spec,), trials=8, master_seed=4)[0] for spec in specs]
+        index_of = {draw_trial(cfg, 4, idx).rhs.tobytes(): idx for idx in range(8)}
+        real_box = simulate.box_rls_solve
+        decoded = []
+
+        def box_failing_at(gram, rhs, lam_rho_d, t_box, ridge):
+            idx = index_of[rhs.tobytes()]
+            decoded.append(idx)
+            if idx in (3, 5):
+                raise ConvergenceError(f"box fails on trial {idx}")
+            return real_box(gram, rhs, lam_rho_d, t_box, ridge)
+
+        monkeypatch.setattr(simulate, "box_rls_solve", box_failing_at)
+        joint = run_batch(cfg, specs, trials=8, master_seed=4, workers=workers)
+        assert isinstance(joint[2], ConvergenceError)
+        assert str(joint[2]) == "box fails on trial 3"
+        assert [joint[j] for j in (0, 1, 3)] == [alone[j] for j in (0, 1, 3)]
+        if workers == 1:
+            # in index order, no box trial after the first failure is decoded
+            assert decoded == [0, 1, 2, 3]
+
+    def test_lowest_failure_under_many_workers(self, monkeypatch):
+        # more workers than cores and a short switch interval: the box entry
+        # is still the error of its lowest failing trial, the others are the
+        # sequential stats
+        cfg = scaled_cfg(10.0, k=16, n=20, t_total=40, t_pilot=19)
+        specs = joint_specs(cfg)
+        trials = 48
+        index_of = {draw_trial(cfg, 6, idx).rhs.tobytes(): idx for idx in range(trials)}
+        real_box = simulate.box_rls_solve
+
+        def box_failing_at(gram, rhs, lam_rho_d, t_box, ridge):
+            idx = index_of[rhs.tobytes()]
+            if idx >= 5 and idx % 3 != 0:
+                raise ConvergenceError(f"box fails on trial {idx}")
+            return real_box(gram, rhs, lam_rho_d, t_box, ridge)
+
+        monkeypatch.setattr(simulate, "box_rls_solve", box_failing_at)
+        sequential = run_batch(cfg, specs, trials=trials, master_seed=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_batch(cfg, specs, trials=trials, master_seed=6, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert str(parallel[2]) == str(sequential[2]) == "box fails on trial 5"
+        assert [parallel[j] for j in (0, 1, 3)] == [sequential[j] for j in (0, 1, 3)]
+
+    def test_one_ridge_solve_per_distinct_lam_tilde(self, monkeypatch):
+        # the closed-form sweep: ls at lam~ = 0; rls, box and lmmse at 1
+        cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
+        specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
+                 DecoderSpec.lmmse())
+        solved = []
+        real_rls = simulate.rls_solve
+
+        def counting_rls(gram, rhs, lam_rho_d, rows):
+            solved.append(lam_rho_d)
+            return real_rls(gram, rhs, lam_rho_d, rows)
+
+        monkeypatch.setattr(simulate, "rls_solve", counting_rls)
+        draw = draw_trial(cfg, 7, 0)
+        for spec in specs:
+            run_trial(cfg, spec, draw, b_norm_of(cfg, spec))
+        assert solved == [0.0, 1.0]

@@ -56,8 +56,10 @@ def main(argv: list[str] | None = None) -> int:
             spec = replace(spec, trials=args.trials)
         if args.seed is not None:
             spec = replace(spec, master_seed=args.seed)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         mode = _MODE_NAMES[args.mode]
-        result = run(spec, mode, workers=max(1, args.workers))
+        result = run(spec, mode, workers=args.workers)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,6 +26,12 @@ from .errors import ConfigError, ConvergenceError
 RLS_RESIDUAL_RTOL = 1e-8
 AS_MAX_ITER = 500
 BOX_KKT_RTOL = 1e-12  # active-set stop: KKT residual relative to max(1, |A'y|)
+# numpy's linalg gufuncs release the GIL only when their core dimensions
+# cover more than 500 elements, n * columns for solve. Measured with numpy
+# 2.4.6, one BLAS thread and 2 cores: two threads ran a one-column solve at
+# n = 400 at 0.7-1.0x the serial speed, and a (400, 2) right-hand side at
+# 1.7-2.3x.
+_GIL_FREE_SIZE = 501
 
 
 class DecoderKind(str, enum.Enum):
@@ -92,7 +98,7 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: int) ->
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
     reg = _regularized(gram, lam_rho_d)
     try:
-        x = np.linalg.solve(reg, rhs)
+        x = _solve(reg, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"normal-equations matrix is singular: {exc}") from exc
     resid = np.abs(reg @ x - rhs).max()
@@ -100,6 +106,18 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: int) ->
     if resid > RLS_RESIDUAL_RTOL * scale:
         raise ConvergenceError(f"linear solve residual {resid:.3e} exceeds tolerance")
     return x
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for one right-hand side b, with LAPACK run
+    outside the GIL: b is padded with zero columns to at least _GIL_FREE_SIZE
+    elements, so worker threads solve in parallel. On one thread the padded
+    solve took 8-14% longer than the vector solve at n = 250-400, against
+    the 1.6-2.1x that two threads then gain on rls_solve at n = 400."""
+    n = len(b)
+    padded = np.zeros((n, math.ceil(_GIL_FREE_SIZE / max(n, 1))))
+    padded[:, 0] = b
+    return np.linalg.solve(a, padded)[:, 0].copy()
 
 
 def _regularized(gram: np.ndarray, lam_rho_d: float) -> np.ndarray:
@@ -172,7 +190,7 @@ def box_rls_solve(
         # numpy has no triangular solve and scipy is no runtime dependency,
         # so the SPD free block is factored by LU (LAPACK gesv)
         try:
-            x[free] = np.linalg.solve(gram[np.ix_(free, free)], rhs[free] - (gram @ x)[free])
+            x[free] = _solve(gram[np.ix_(free, free)], rhs[free] - (gram @ x)[free])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"box active set: singular free block with KKT residual {kkt:.3e}"

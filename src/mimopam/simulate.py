@@ -128,7 +128,8 @@ def draw_trial(cfg: SystemConfig, seed: int, trial_idx: int) -> TrialDraw:
     dp = derive_params(cfg)
     c = dp.rho_d * dp.sigma_delta_sq
     rng = trial_stream(seed, trial_idx)
-    a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
+    a = rng.standard_normal((cfg.n, cfg.k))
+    a *= math.sqrt(dp.rho_eff / cfg.k)  # in place: no second N x K array
     x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
     w_std = math.sqrt((1.0 + c * (x0 @ x0) / cfg.k) / (1.0 + c))
     y = a @ x0 + w_std * rng.standard_normal(cfg.n)

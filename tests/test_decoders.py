@@ -11,11 +11,14 @@ from mimopam import (
     ConvergenceError,
     DecoderKind,
     DecoderSpec,
+    PowerConvention,
+    SystemConfig,
     box_rls_solve,
     decoders,
     lmmse_decode,
     pam_constellation,
     rls_solve,
+    run_batch,
 )
 
 
@@ -165,6 +168,40 @@ class TestGramForm:
         ridge = rls_solve(gram, rhs, 0.5, a.shape[0])
         box_rls_solve(gram, rhs, 0.5, 0.4, ridge)
         np.testing.assert_array_equal(gram, before)
+
+
+class TestGilFreeSolve:
+    def test_every_trial_solve_is_large_enough_to_release_the_gil(self, monkeypatch):
+        # numpy's linalg gufuncs release the GIL only above 500 core elements;
+        # ls, rls at lam~ 0.4, lmmse and the box cover three ridge systems and
+        # the box free blocks
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            x = solve(a, b)
+            sizes.append(x.size)
+            return x
+
+        monkeypatch.setattr(decoders.np.linalg, "solve", recording_solve)
+        cfg = SystemConfig(k=64, n=77, t_total=160, t_pilot=73, rho=10.0, alpha=0.5, m=2,
+                           power_convention=PowerConvention.DIRECT_SPLIT)
+        specs = (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, 1.0),
+                 DecoderSpec.lmmse())
+        run_batch(cfg, specs, trials=6, master_seed=3, workers=2)
+        assert len(sizes) > 6 * 3  # three ridge solves per trial plus the box's
+        assert min(sizes) > 500
+
+    @pytest.mark.parametrize("n", [0, 1, 250, 251, 501])
+    def test_padded_solve_matches_the_vector_solve(self, n):
+        # n = 0 is an empty free block
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n + 8, n))
+        gram = a.T @ a + np.eye(n)
+        b = rng.standard_normal(n)
+        x = decoders._solve(gram, b)
+        assert x.shape == (n,)
+        np.testing.assert_allclose(x, np.linalg.solve(gram, b), rtol=1e-12, atol=0)
 
 
 class TestLmmseDecode:

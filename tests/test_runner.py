@@ -268,6 +268,15 @@ class TestCli:
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert cli_main(["predict", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_is_exit_2(self, workers, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, trials=2)
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_key_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense = 4\n")

@@ -84,19 +84,19 @@ class DecoderSpec:
         return DecoderSpec(DecoderKind.LMMSE, 1.0)
 
 
-def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, rows: int) -> np.ndarray:
-    """Solve (G + lam_rho_d I) x = r from gram = G = A'A, rhs = r = A'y and
-    the row count of A. gram is left as it is.
+def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.ndarray:
+    """Solve (G + lam I) x = r from gram = G = A'A, rhs = r = A'y and the
+    row count of A. lam is the ridge coefficient of the model (A, y): the
+    simulator passes lam~ on the effective model. gram is left as it is.
 
-    Raises ConvergenceError if the system is singular (e.g. lam_rho_d = 0
-    with fewer rows than columns) or if the solve residual is out of
-    tolerance.
+    Raises ConvergenceError if the system is singular (e.g. lam = 0 with
+    fewer rows than columns) or if the solve residual is out of tolerance.
     """
-    if lam_rho_d < 0:
-        raise ValueError("lam_rho_d must be nonnegative")
-    if lam_rho_d == 0 and rows < len(gram):
+    if lam < 0:
+        raise ValueError("the ridge coefficient lam must be nonnegative")
+    if lam == 0 and rows < len(gram):
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
-    reg = _regularized(gram, lam_rho_d)
+    reg = _regularized(gram, lam)
     try:
         x = _solve(reg, rhs)
     except np.linalg.LinAlgError as exc:
@@ -120,23 +120,23 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, padded)[:, 0].copy()
 
 
-def _regularized(gram: np.ndarray, lam_rho_d: float) -> np.ndarray:
-    """A copy of gram with lam_rho_d added to its diagonal."""
+def _regularized(gram: np.ndarray, lam: float) -> np.ndarray:
+    """A copy of gram with lam added to its diagonal."""
     reg = gram.copy()
-    reg[np.diag_indices_from(reg)] += lam_rho_d
+    reg[np.diag_indices_from(reg)] += lam
     return reg
 
 
 def box_rls_solve(
-    gram: np.ndarray, rhs: np.ndarray, lam_rho_d: float, t_box: float, ridge: np.ndarray
+    gram: np.ndarray, rhs: np.ndarray, lam: float, t_box: float, ridge: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Minimize ||y - A x||^2 + lam_rho_d ||x||^2 over the box [-t, t]^K,
-    given gram = A'A, rhs = A'y and ridge, the rls_solve solution at the
-    same lam_rho_d. gram is left as it is.
+    """Minimize ||y - A x||^2 + lam ||x||^2 over the box [-t, t]^K, given
+    gram = A'A, rhs = A'y and ridge, the rls_solve solution at the same
+    lam. gram is left as it is.
 
     Primal-dual active set iteration from the clipped ridge solution. Each
     step predicts the clipped coordinates from the Jacobi-scaled test
-    z = x - grad/diag(G), G = A'A + lam_rho_d I (unscaled, the sets cycle when
+    z = x - grad/diag(G), G = A'A + lam I (unscaled, the sets cycle when
     most coordinates are clipped), pins them at +-t and solves the free block
     exactly. Once a predicted (upper, lower) pair repeats, the sets change by
     single-index steps instead (Murty's rule, Judice & Pires, Comput. Oper.
@@ -151,7 +151,7 @@ def box_rls_solve(
     if t_box is None or not t_box > 0:
         raise ValueError("box_rls_solve needs a positive t_box")
     t = float(t_box)
-    gram = _regularized(gram, float(lam_rho_d))  # from here on gram is G
+    gram = _regularized(gram, float(lam))  # from here on gram is G
     x = np.clip(ridge, -t, t)
     diag = np.diag(gram)
     tol = BOX_KKT_RTOL * max(1.0, float(np.abs(rhs).max()))
@@ -209,7 +209,8 @@ def lmmse_decode(
     """Linear MMSE estimate of the data vector given the channel estimate.
 
     Algebraically identical to ridge at lambda* = 1/rho_d + sigma_delta_sq,
-    i.e. lam_rho_d = 1 + rho_d * sigma_delta_sq.
+    i.e. rls_solve on A = sqrt(rho_d/K) Hhat with lam = lambda* rho_d =
+    1 + rho_d sigma_delta_sq.
     """
     a = math.sqrt(rho_d / hhat.shape[1]) * hhat
     return rls_solve(a.T @ a, a.T @ y, 1.0 + rho_d * sigma_delta_sq, a.shape[0])

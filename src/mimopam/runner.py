@@ -20,17 +20,17 @@ import math
 from dataclasses import dataclass, replace
 
 from .allocation import alpha_star_for_config, optimize_goodput
-from .asymptotics import BoxObjectiveParams, lambda_star_numeric, predict, t_star_numeric
+from .asymptotics import BoxObjectiveParams, Prediction, lambda_star_numeric, predict, t_star_numeric
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
-from .simulate import run_batch
+from .simulate import bonferroni_z, consistency_z, run_batch
 from .system import (
     PowerConvention, SystemConfig, db_to_linear, derive_params, linear_to_db, pam_constellation,
 )
 
 DEFAULT_TRIALS = 500
 DEFAULT_MASTER_SEED = 1729
-COMPARE_SIGMAS = 3.0
+COMPARE_FALSE_ALARM = 0.01  # family-wise, over all z-scores of a compare run
 
 
 class SweepAxis(str, enum.Enum):
@@ -323,9 +323,9 @@ _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
 
 def _theory_record(
     spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind
-) -> tuple[SweepRecord, DecoderSpec | None]:
+) -> tuple[SweepRecord, tuple[DecoderSpec, Prediction] | None]:
     """One decoder's row at one sweep point with its theory cells, and its
-    resolved spec, or None when resolving or predicting failed."""
+    resolved spec and prediction, or None if resolving or predicting failed."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
         rho_db=linear_to_db(cfg.rho), alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
@@ -348,33 +348,35 @@ def _theory_record(
         shell,
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
-    ), dspec
+    ), (dspec, pred)
 
 
 def _evaluate_point(
     spec: SweepSpec, cfg: SystemConfig, simulate: bool, workers: int
-) -> list[SweepRecord]:
-    """One row per decoder of the sweep at one point. The decoders whose
+) -> list[tuple[SweepRecord, tuple[float | None, float] | None]]:
+    """One row per decoder of the sweep at one point, with its consistency_z
+    scores if it was simulated with more than one trial. The decoders whose
     theory succeeded share one run_batch call, so each trial is drawn once;
     a solver error marks only its own row."""
     theory = [_theory_record(spec, cfg, kind) for kind in spec.decoders]
-    records = [rec for rec, _ in theory]
-    live = [i for i, (_, dspec) in enumerate(theory) if dspec is not None]
+    rows = [(rec, None) for rec, _ in theory]
+    live = [i for i, (_, solved) in enumerate(theory) if solved is not None]
     if not simulate or spec.trials == 0 or not live:
-        return records
-    batch = run_batch(cfg, tuple(theory[i][1] for i in live), spec.trials, spec.master_seed,
+        return rows
+    batch = run_batch(cfg, tuple(theory[i][1][0] for i in live), spec.trials, spec.master_seed,
                       workers=workers)
     for i, stats in zip(live, batch):
+        rec, (dspec, pred) = theory[i]
         if isinstance(stats, ConvergenceError):
-            records[i] = replace(records[i], error=str(stats))
+            rows[i] = (replace(rec, error=str(stats)), None)
         else:
-            records[i] = replace(
-                records[i],
+            rows[i] = (replace(
+                rec,
                 mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
                 stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
                 trials=stats.trials,
-            )
-    return records
+            ), consistency_z(cfg, dspec, pred, stats) if stats.trials > 1 else None)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -392,7 +394,8 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     """Execute one mode over the sweep and build records plus a text report.
 
     Optimization modes sweep rho when the axis is rho_db and otherwise run a
-    single optimization at the base config's rho.
+    single optimization at the base config's rho. compare flags a row when
+    a z-score of it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -400,12 +403,13 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     lines: list[str] = [f"mode={mode} axis={spec.sweep_axis.value} decoders=" +
                         ",".join(d.value for d in spec.decoders)]
     flagged = 0
+    scored: list[tuple[int, tuple[float | None, float]]] = []  # (report line, z-scores)
 
     if mode in ("predict", "simulate", "compare"):
         simulate = mode != "predict"
         for value in spec.values:
             point, cfg = apply_sweep_value(spec, value)
-            for rec in _evaluate_point(point, cfg, simulate, workers):
+            for rec, zs in _evaluate_point(point, cfg, simulate, workers):
                 records.append(rec)
                 if rec.error:
                     lines.append(f"{spec.sweep_axis.value}={value} {rec.decoder}: ERROR {rec.error}")
@@ -414,11 +418,10 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                        f"mse={rec.mse_theory:.6g} sep={rec.sep_theory:.6g}")
                 if rec.mse_sim is not None:
                     msg += f" mse_sim={rec.mse_sim:.6g} ser_sim={rec.ser_sim:.6g}"
-                if mode == "compare" and rec.mse_sim is not None and rec.trials > 1:
-                    gap = abs(rec.mse_sim - rec.mse_theory)
-                    if gap > COMPARE_SIGMAS * rec.stderr_mse:
-                        flagged += 1
-                        msg += f"  FLAGGED |mse gap|={gap:.3g} > {COMPARE_SIGMAS}*stderr={COMPARE_SIGMAS * rec.stderr_mse:.3g}"
+                if mode == "compare" and zs is not None:
+                    z_mse, z_ser = zs
+                    msg += f" z_mse={'n/a' if z_mse is None else f'{z_mse:.3g}'} z_ser={z_ser:.3g}"
+                    scored.append((len(lines), zs))
                 lines.append(msg)
     else:
         rho_values = list(spec.values) if spec.sweep_axis is SweepAxis.RHO_DB \
@@ -435,14 +438,20 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                 cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
                 lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
                              f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
-            for rec in _evaluate_point(spec, cfg, False, workers):
+            for rec, _ in _evaluate_point(spec, cfg, False, workers):
                 records.append(rec)
                 if rec.error:
                     lines.append(f"  {rec.decoder}: ERROR {rec.error}")
 
     solver_errors = sum(1 for r in records if r.error)
     if mode == "compare":
-        lines.append(f"flagged points: {flagged}")
+        tests = sum(z is not None for _, zs in scored for z in zs)
+        gate = bonferroni_z(COMPARE_FALSE_ALARM, tests) if tests else math.inf
+        for line, zs in scored:
+            if any(z is not None and abs(z) > gate for z in zs):
+                flagged += 1
+                lines[line] += f"  FLAGGED |z| > {gate:.3g}"
+        lines.append(f"flagged points: {flagged} (gate |z| <= {gate:.3g} over {tests} z-scores)")
     if solver_errors:
         lines.append(f"solver errors: {solver_errors}")
     return RunResult(records=records, report="\n".join(lines) + "\n",

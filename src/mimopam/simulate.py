@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import predict
+from .asymptotics import Prediction, predict
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError, ConvergenceError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
@@ -228,3 +228,32 @@ def aggregate(outcomes: list[TrialOutcome]) -> BatchStats:
         stderr_mse=se_mse,
         stderr_ser=se_ser,
     )
+
+
+def bonferroni_z(family_false_alarm: float, tests: int) -> float:
+    """Two-sided per-test z so that `tests` Gaussian z-gates together raise
+    a false alarm with probability at most family_false_alarm (Bonferroni)."""
+    from statistics import NormalDist  # lazy: 6 ms and 0.5 MiB on every CLI start
+    return NormalDist().inv_cdf(1.0 - family_false_alarm / (2.0 * tests))
+
+
+def consistency_z(
+    cfg: SystemConfig, spec: DecoderSpec, pred: Prediction, stats: BatchStats
+) -> tuple[float | None, float]:
+    """(z_mse, z_ser) of a batch of more than one trial against its theory.
+
+    LS (ridge at lam~ = 0) is referred to its exact finite-K MSE, the
+    inverse-Wishart mean K/(rho_eff (N-K-1)) at any M; it has no finite
+    variance for N <= K+3, where z_mse is None. SER is scaled by
+    max(stderr, the binomial floor of the predicted SEP), so a correctly
+    observed zero-error batch is not rejected.
+    """
+    ls = spec.lam_tilde == 0.0 and math.isinf(spec.t_box)
+    if ls and cfg.n <= cfg.k + 3:
+        z_mse = None
+    else:
+        ref = cfg.k / (derive_params(cfg).rho_eff * (cfg.n - cfg.k - 1)) if ls else pred.mse
+        z_mse = (stats.mean_mse - ref) / stats.stderr_mse
+    floor = math.sqrt(pred.sep * (1.0 - pred.sep) / (stats.trials * cfg.k))
+    gap = stats.mean_ser - pred.sep
+    return z_mse, gap / max(stats.stderr_ser, floor) if gap else 0.0

@@ -1,8 +1,6 @@
-"""Reference implementations that the tests compare the package against,
-and the false-alarm arithmetic of their Monte Carlo gates."""
+"""Reference implementations that the tests compare the package against."""
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 from scipy.integrate import quad
@@ -16,12 +14,6 @@ from mimopam import (
     rls_solve,
 )
 from mimopam.simulate import estimate_channel
-
-
-def bonferroni_z(family_false_alarm, tests):
-    """Two-sided per-test z so that `tests` Gaussian z-gates together raise
-    a false alarm with probability at most family_false_alarm (Bonferroni)."""
-    return NormalDist().inv_cdf(1.0 - family_false_alarm / (2.0 * tests))
 
 
 def theory_point(cfg, lam=0.0, t=math.inf):

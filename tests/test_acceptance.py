@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
-    bonferroni_z,
     box_decode,
     box_objective_quadrature,
     gauss_pdf,
@@ -25,6 +24,7 @@ from scipy.integrate import quad
 
 import mimopam as mp
 from mimopam.presets import preset_path
+from mimopam.simulate import bonferroni_z, consistency_z
 
 MASTER_SEED = 20260808
 FULL_TRIALS = 500
@@ -94,23 +94,16 @@ def box_lambda_numeric():
     return out
 
 
-def ls_exact_mse(cfg):
-    """Exact per-antenna LS MSE of the effective model, K/(rho_eff (N-K-1)):
-    the inverse-Wishart mean, with E|x0|^2/K = 1 and the noise independent
-    of the channel, at any M."""
-    return cfg.k / (mp.derive_params(cfg).rho_eff * (cfg.n - cfg.k - 1))
-
-
 def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
-    """(decoder, M, rho) -> (reference MSE, prediction, batch stats, config)
-    for criterion 4.
+    """(decoder, M, rho, metric) -> z of the simulation against its theory
+    (consistency_z) for criterion 4.
 
     BPSK on the direct split for LS, RLS and box; with mpam_trials > 0 also
     4-PAM on the energy-conserving split for RLS and box at lambda* and
-    t = 3/sqrt(5), the largest symbol. LS is referenced to its exact finite-K
-    MSE, the others to the asymptote. The decoders of one config and trial
-    count share one run_batch call, which gives each the stats of its own
-    batch.
+    t = 3/sqrt(5), the largest symbol. consistency_z refers LS to its exact
+    finite-K MSE, the others to the asymptote. The decoders of one config
+    and trial count share one run_batch call, which gives each the stats of
+    its own batch.
     """
     cells = {}
     for rho_db in RHO_DB_CELLS:
@@ -129,28 +122,14 @@ def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
             for (name, spec), stats in zip(specs.items(), batch):
                 if isinstance(stats, mp.ConvergenceError):
                     raise stats
-                pred = mp.predict(c, spec)
-                ref = ls_exact_mse(c) if name == "ls" else pred.mse
-                cells[(name, c.m, rho_db)] = (ref, pred, stats, c)
+                z_mse, z_ser = consistency_z(c, spec, mp.predict(c, spec), stats)
+                cells[(name, c.m, rho_db, "mse")] = z_mse
+                cells[(name, c.m, rho_db, "ser")] = z_ser
     return cells
 
 
-def consistency_z(cells):
-    """(decoder, M, rho, metric) -> z of the simulation against its
-    reference; SER is scaled by max(stderr, the binomial floor implied by
-    the predicted rate), so a correctly observed zero-error batch is not
-    rejected."""
-    zs = {}
-    for key, (ref, pred, stats, cfg) in cells.items():
-        zs[(*key, "mse")] = (stats.mean_mse - ref) / stats.stderr_mse
-        floor = math.sqrt(pred.sep * (1.0 - pred.sep) / (stats.trials * cfg.k))
-        gap = stats.mean_ser - pred.sep
-        zs[(*key, "ser")] = gap / max(stats.stderr_ser, floor) if gap else 0.0
-    return zs
-
-
 def assert_consistency_gates(cells, seed):
-    over = {key: round(z, 2) for key, z in consistency_z(cells).items() if not abs(z) <= GATE_Z}
+    over = {key: round(z, 2) for key, z in cells.items() if not abs(z) <= GATE_Z}
     assert not over, f"seed {seed}: |z| > {GATE_Z:.3g}: {over}"
 
 

@@ -148,6 +148,19 @@ class TestRunModes:
         result = run(small_spec(trials=0), "simulate")
         assert all(r.mse_sim is None for r in result.records)
 
+    def test_compare_leaves_ls_mse_ungated_without_finite_variance(self):
+        # at N <= K+3 the exact LS MSE has no finite variance, so a stderr z
+        # says nothing about it; its SER is still scored
+        spec = small_spec(base=replace(small_spec().base, n=33), values=(5.0, 10.0),
+                          decoders=(DecoderKind.LS, DecoderKind.RLS), trials=30, master_seed=11)
+        report = run(spec, "compare").report
+        ls_rows = [line for line in report.splitlines() if " ls: " in line]
+        rls_rows = [line for line in report.splitlines() if " rls: " in line]
+        assert len(ls_rows) == len(rls_rows) == 2
+        assert all(re.search(r" z_mse=n/a z_ser=-?\d", line) for line in ls_rows)
+        assert all(re.search(r" z_mse=-?\d\S* z_ser=-?\d", line) for line in rls_rows)
+        assert "over 6 z-scores" in report
+
     def test_compare_fills_sim_columns(self):
         result = run(small_spec(values=(10.0,), trials=8), "compare")
         rec = result.records[0]
@@ -285,10 +298,9 @@ class TestCli:
     def test_compare_runs_clean_on_consistent_sim(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, trials=30)
         out = str(tmp_path / "cmp.csv")
-        code = cli_main(["compare", "--config", cfg, "--out", out, "--workers", "2"])
-        assert code in (0, 4)  # 4 only if a 3-sigma excursion happens
+        assert cli_main(["compare", "--config", cfg, "--out", out, "--workers", "2"]) == 0
         text = capsys.readouterr().out
-        assert "mse_sim=" in text
+        assert len(re.findall(r"mse_sim=\S+ ser_sim=\S+ z_mse=\S+ z_ser=\S+\n", text)) == 2
 
     def test_trials_and_seed_overrides(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
@@ -399,3 +411,46 @@ class TestCli:
         out = str(tmp_path / "flag.csv")
         assert cli_main(["compare", "--config", str(path), "--out", out]) == 4
         assert "FLAGGED" in capsys.readouterr().out
+
+    def _compare_on(self, tmp_path, monkeypatch, batch_of, decoder, rho_db):
+        """compare at K=32, N=48 with run_batch replaced by batch_of(cfg,
+        spec, prediction) for each spec; returns the exit code."""
+        monkeypatch.setattr(mimopam.runner, "run_batch", lambda cfg, specs, *args, **kwargs: [
+            batch_of(cfg, spec, predict(cfg, spec)) for spec in specs])
+        path = tmp_path / "gate.cfg"
+        path.write_text(
+            "k = 32\nn = 48\nt_total = 96\nt_pilot = 40\nrho_db = 0\nalpha = 0.5\n"
+            f"m = 2\nsweep_axis = rho_db\nvalues = {rho_db}\ndecoders = {decoder}\n"
+            "trials = 2\npower_convention = direct\nmaster_seed = 1\n"
+        )
+        return cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "gate.csv")])
+
+    def test_compare_refers_ls_to_its_exact_finite_k_mse(self, tmp_path, capsys, monkeypatch):
+        # the batch mean is K/(rho_eff (N-K-1)), 6.25 standard errors above
+        # the asymptote K/(rho_eff (N-K))
+        def exact(cfg, spec, pred):
+            mse = cfg.k / (derive_params(cfg).rho_eff * (cfg.n - cfg.k - 1))
+            return BatchStats(trials=400, mean_mse=mse, mean_ser=pred.sep,
+                              stderr_mse=0.01 * mse, stderr_ser=0.01)
+
+        assert self._compare_on(tmp_path, monkeypatch, exact, "ls", 10) == 0
+        assert "z_mse=0 z_ser=0" in capsys.readouterr().out
+
+    def test_compare_scores_a_zero_error_batch_by_its_binomial_floor(
+            self, tmp_path, capsys, monkeypatch):
+        # no symbol error in 100 trials of 32 symbols at a predicted SEP of
+        # 4.3e-5 is what the theory expects, although the SER stderr is 0
+        def error_free(cfg, spec, pred):
+            return BatchStats(trials=100, mean_mse=pred.mse, mean_ser=0.0,
+                              stderr_mse=0.01 * pred.mse, stderr_ser=0.0)
+
+        assert self._compare_on(tmp_path, monkeypatch, error_free, "rls", 20) == 0
+        assert "z_ser=-0.369" in capsys.readouterr().out
+
+    def test_compare_flags_a_ser_gap_alone(self, tmp_path, capsys, monkeypatch):
+        def wrong_ser(cfg, spec, pred):
+            return BatchStats(trials=100, mean_mse=pred.mse, mean_ser=pred.sep + 0.05,
+                              stderr_mse=0.01 * pred.mse, stderr_ser=0.01)
+
+        assert self._compare_on(tmp_path, monkeypatch, wrong_ser, "rls", 10) == 4
+        assert "z_mse=0 z_ser=5 " in capsys.readouterr().out

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import box_decode, bonferroni_z, explicit_training_trial, ridge_decode
+from oracles import box_decode, explicit_training_trial, ridge_decode
 
 from mimopam import (
     ConfigError,
@@ -25,7 +25,9 @@ from mimopam import (
     slice_symbols,
 )
 from mimopam import simulate
-from mimopam.simulate import aggregate, estimate_channel, make_pilots, trial_stream
+from mimopam.simulate import (
+    aggregate, bonferroni_z, estimate_channel, make_pilots, trial_stream,
+)
 
 # Same antenna/training ratios as the published K=400 scenario, downsized for
 # test runtime; every derived constant (delta, sigma_delta_sq, rho_eff) and
@@ -385,12 +387,12 @@ class TestJointBatch:
         real_box = simulate.box_rls_solve
         decoded = []
 
-        def box_failing_at(gram, rhs, lam_rho_d, t_box, ridge):
+        def box_failing_at(gram, rhs, lam, t_box, ridge):
             idx = index_of[rhs.tobytes()]
             decoded.append(idx)
             if idx in (3, 5):
                 raise ConvergenceError(f"box fails on trial {idx}")
-            return real_box(gram, rhs, lam_rho_d, t_box, ridge)
+            return real_box(gram, rhs, lam, t_box, ridge)
 
         monkeypatch.setattr(simulate, "box_rls_solve", box_failing_at)
         joint = run_batch(cfg, specs, trials=8, master_seed=4, workers=workers)
@@ -411,11 +413,11 @@ class TestJointBatch:
         index_of = {draw_trial(cfg, 6, idx).rhs.tobytes(): idx for idx in range(trials)}
         real_box = simulate.box_rls_solve
 
-        def box_failing_at(gram, rhs, lam_rho_d, t_box, ridge):
+        def box_failing_at(gram, rhs, lam, t_box, ridge):
             idx = index_of[rhs.tobytes()]
             if idx >= 5 and idx % 3 != 0:
                 raise ConvergenceError(f"box fails on trial {idx}")
-            return real_box(gram, rhs, lam_rho_d, t_box, ridge)
+            return real_box(gram, rhs, lam, t_box, ridge)
 
         monkeypatch.setattr(simulate, "box_rls_solve", box_failing_at)
         sequential = run_batch(cfg, specs, trials=trials, master_seed=6)
@@ -436,9 +438,9 @@ class TestJointBatch:
         solved = []
         real_rls = simulate.rls_solve
 
-        def counting_rls(gram, rhs, lam_rho_d, rows):
-            solved.append(lam_rho_d)
-            return real_rls(gram, rhs, lam_rho_d, rows)
+        def counting_rls(gram, rhs, lam, rows):
+            solved.append(lam)
+            return real_rls(gram, rhs, lam, rows)
 
         monkeypatch.setattr(simulate, "rls_solve", counting_rls)
         draw = draw_trial(cfg, 7, 0)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 from .decoders import DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
-from .system import SystemConfig, derive_params, pam_constellation
+from .system import SystemConfig, derive_params, largest_symbol
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -496,7 +496,7 @@ def lambda_star_numeric(params: BoxObjectiveParams) -> float:
 def t_star_numeric(params: BoxObjectiveParams) -> float:
     """argmin over t > 0 of the box decoder's theta*(t) at params.lam_tilde,
     searched over t / t_ref on T_GRID with t_ref the largest symbol."""
-    t_ref = float(pam_constellation(params.m).points[-1])
+    t_ref = largest_symbol(params.m)
     theta_of = _theta_of(params, "t")
     return _grid_argmin(lambda r: theta_of(r * t_ref), T_GRID) * t_ref
 

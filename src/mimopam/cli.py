@@ -6,11 +6,18 @@
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence in any row,
 4 theory/simulation disagreement flagged in compare mode.
+
+OpenBLAS, OpenMP and MKL read their thread counts once, when numpy loads,
+and the package loads numpy only on the first Monte Carlo trial. So main
+caps them at one thread before it runs: run_batch's worker threads each call
+into BLAS, and uncapped every call would start its own team of BLAS threads
+on top of them. A value set in the environment wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -21,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _MODE_NAMES = {
     "predict": "predict",
@@ -49,6 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         spec = load_config(args.config)

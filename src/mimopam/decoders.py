@@ -10,7 +10,9 @@ inputs and never write into G. The box-constrained solver is
 a primal-dual active set (semismooth Newton) method (Hintermueller, Ito &
 Kunisch, SIAM J. Optim. 13(3), 2002): a few exact free-block solves whose
 time is spent in LAPACK, outside the GIL, with single-index set changes
-once the predicted sets repeat.
+once the predicted sets repeat. numpy is imported inside the solvers, not at
+module level, so the theory, which imports DecoderSpec from here, runs
+without loading it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, ConvergenceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RLS_RESIDUAL_RTOL = 1e-8
 AS_MAX_ITER = 500
@@ -92,6 +96,8 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.nd
     Raises ConvergenceError if the system is singular (e.g. lam = 0 with
     fewer rows than columns) or if the solve residual is out of tolerance.
     """
+    import numpy as np
+
     if lam < 0:
         raise ValueError("the ridge coefficient lam must be nonnegative")
     if lam == 0 and rows < len(gram):
@@ -114,6 +120,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     elements, so worker threads solve in parallel. On one thread the padded
     solve took 8-14% longer than the vector solve at n = 250-400, against
     the 1.6-2.1x that two threads then gain on rls_solve at n = 400."""
+    import numpy as np
+
     n = len(b)
     padded = np.zeros((n, math.ceil(_GIL_FREE_SIZE / max(n, 1))))
     padded[:, 0] = b
@@ -122,6 +130,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _regularized(gram: np.ndarray, lam: float) -> np.ndarray:
     """A copy of gram with lam added to its diagonal."""
+    import numpy as np
+
     reg = gram.copy()
     reg[np.diag_indices_from(reg)] += lam
     return reg
@@ -148,6 +158,8 @@ def box_rls_solve(
     free block, after AS_MAX_ITER steps, or when no index violates the sets
     while the residual is above tolerance.
     """
+    import numpy as np
+
     if t_box is None or not t_box > 0:
         raise ValueError("box_rls_solve needs a positive t_box")
     t = float(t_box)
@@ -199,6 +211,8 @@ def box_rls_solve(
 
 def _projected_gradient_residual(x: np.ndarray, half_grad: np.ndarray, t: float) -> float:
     """Max-norm of x - clip(x - grad, -t, t); zero exactly at a KKT point."""
+    import numpy as np
+
     grad = 2.0 * half_grad
     return float(np.abs(x - np.clip(x - grad, -t, t)).max())
 

@@ -25,7 +25,7 @@ from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import bonferroni_z, consistency_z, run_batch
 from .system import (
-    PowerConvention, SystemConfig, db_to_linear, derive_params, linear_to_db, pam_constellation,
+    PowerConvention, SystemConfig, db_to_linear, derive_params, largest_symbol, linear_to_db,
 )
 
 DEFAULT_TRIALS = 500
@@ -301,8 +301,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     dp = derive_params(cfg)
     t_box = math.inf
     if kind is DecoderKind.BOX:
-        t_box = (spec.t_box if spec.t_policy is TPolicy.FIXED
-                 else float(pam_constellation(cfg.m).points[-1]))
+        t_box = spec.t_box if spec.t_policy is TPolicy.FIXED else largest_symbol(cfg.m)
     point = BoxObjectiveParams(dp.rho_eff, 0.0, dp.delta, t_box, cfg.m)
 
     if spec.lambda_policy is LambdaPolicy.FIXED:
@@ -322,10 +321,13 @@ _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
 
 
 def _theory_record(
-    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind
+    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind,
+    predictions: dict[tuple[float, float], Prediction],
 ) -> tuple[SweepRecord, tuple[DecoderSpec, Prediction] | None]:
     """One decoder's row at one sweep point with its theory cells, and its
-    resolved spec and prediction, or None if resolving or predicting failed."""
+    resolved spec and prediction, or None if resolving or predicting failed.
+    predictions holds this point's predict results by theory point (lam~, t):
+    predict reads nothing else of the spec, so decoders at one point share one."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
         rho_db=linear_to_db(cfg.rho), alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
@@ -340,10 +342,12 @@ def _theory_record(
     fixed = spec.lambda_policy is LambdaPolicy.FIXED and kind in (DecoderKind.RLS, DecoderKind.BOX)
     lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
     shell = replace(shell, lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
-    try:
-        pred = predict(cfg, dspec)
-    except _SOLVER_ERRORS as exc:
-        return replace(shell, error=str(exc)), None
+    pred = predictions.get((dspec.lam_tilde, dspec.t_box))
+    if pred is None:
+        try:
+            pred = predictions[dspec.lam_tilde, dspec.t_box] = predict(cfg, dspec)
+        except _SOLVER_ERRORS as exc:
+            return replace(shell, error=str(exc)), None
     return replace(
         shell,
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
@@ -353,13 +357,20 @@ def _theory_record(
 
 def _evaluate_point(
     spec: SweepSpec, cfg: SystemConfig, simulate: bool, workers: int
-) -> list[tuple[SweepRecord, tuple[float | None, float] | None]]:
+) -> list[tuple[SweepRecord, tuple[float | None, float] | None, bool]]:
     """One row per decoder of the sweep at one point, with its consistency_z
-    scores if it was simulated with more than one trial. The decoders whose
-    theory succeeded share one run_batch call, so each trial is drawn once;
-    a solver error marks only its own row."""
-    theory = [_theory_record(spec, cfg, kind) for kind in spec.decoders]
-    rows = [(rec, None) for rec, _ in theory]
+    scores if it was simulated with more than one trial, and whether an
+    earlier row of the point has the same theory point (lam~, t), e.g. rls
+    and lmmse at lam~ = 1: such rows get one predict, and their draws,
+    statistics and scores are the same. The decoders whose theory succeeded
+    share one run_batch call, so each trial is drawn once; a solver error
+    marks only its own row."""
+    predictions: dict[tuple[float, float], Prediction] = {}
+    theory = [_theory_record(spec, cfg, kind, predictions) for kind in spec.decoders]
+    points = [None if solved is None else (solved[0].lam_tilde, solved[0].t_box)
+              for _, solved in theory]
+    repeats = [p is not None and p in points[:i] for i, p in enumerate(points)]
+    rows = [(rec, None, repeat) for (rec, _), repeat in zip(theory, repeats)]
     live = [i for i, (_, solved) in enumerate(theory) if solved is not None]
     if not simulate or spec.trials == 0 or not live:
         return rows
@@ -368,14 +379,14 @@ def _evaluate_point(
     for i, stats in zip(live, batch):
         rec, (dspec, pred) = theory[i]
         if isinstance(stats, ConvergenceError):
-            rows[i] = (replace(rec, error=str(stats)), None)
+            rows[i] = (replace(rec, error=str(stats)), None, repeats[i])
         else:
             rows[i] = (replace(
                 rec,
                 mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
                 stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
                 trials=stats.trials,
-            ), consistency_z(cfg, dspec, pred, stats) if stats.trials > 1 else None)
+            ), consistency_z(cfg, dspec, pred, stats) if stats.trials > 1 else None, repeats[i])
     return rows
 
 
@@ -395,7 +406,8 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
 
     Optimization modes sweep rho when the axis is rho_db and otherwise run a
     single optimization at the base config's rho. compare flags a row when
-    a z-score of it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count).
+    a z-score of it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count),
+    where rows of one sweep point at one theory point (lam~, t) count once.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -403,13 +415,14 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     lines: list[str] = [f"mode={mode} axis={spec.sweep_axis.value} decoders=" +
                         ",".join(d.value for d in spec.decoders)]
     flagged = 0
-    scored: list[tuple[int, tuple[float | None, float]]] = []  # (report line, z-scores)
+    # (report line, z-scores, whether an earlier row of the point has the same scores)
+    scored: list[tuple[int, tuple[float | None, float], bool]] = []
 
     if mode in ("predict", "simulate", "compare"):
         simulate = mode != "predict"
         for value in spec.values:
             point, cfg = apply_sweep_value(spec, value)
-            for rec, zs in _evaluate_point(point, cfg, simulate, workers):
+            for rec, zs, repeat in _evaluate_point(point, cfg, simulate, workers):
                 records.append(rec)
                 if rec.error:
                     lines.append(f"{spec.sweep_axis.value}={value} {rec.decoder}: ERROR {rec.error}")
@@ -421,7 +434,7 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                 if mode == "compare" and zs is not None:
                     z_mse, z_ser = zs
                     msg += f" z_mse={'n/a' if z_mse is None else f'{z_mse:.3g}'} z_ser={z_ser:.3g}"
-                    scored.append((len(lines), zs))
+                    scored.append((len(lines), zs, repeat))
                 lines.append(msg)
     else:
         rho_values = list(spec.values) if spec.sweep_axis is SweepAxis.RHO_DB \
@@ -438,16 +451,16 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                 cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
                 lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
                              f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
-            for rec, _ in _evaluate_point(spec, cfg, False, workers):
+            for rec, _, _ in _evaluate_point(spec, cfg, False, workers):
                 records.append(rec)
                 if rec.error:
                     lines.append(f"  {rec.decoder}: ERROR {rec.error}")
 
     solver_errors = sum(1 for r in records if r.error)
     if mode == "compare":
-        tests = sum(z is not None for _, zs in scored for z in zs)
+        tests = sum(z is not None for _, zs, repeat in scored if not repeat for z in zs)
         gate = bonferroni_z(COMPARE_FALSE_ALARM, tests) if tests else math.inf
-        for line, zs in scored:
+        for line, zs, _ in scored:
             if any(z is not None and abs(z) > gate for z in zs):
                 flagged += 1
                 lines[line] += f"  FLAGGED |z| > {gate:.3g}"

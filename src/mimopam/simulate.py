@@ -18,6 +18,10 @@ decoders read; every decoder of a batch (of a sweep point, in the runner)
 then decodes that one draw, with one ridge solve per lam~. The draw itself,
 and so every decoder's outcome, is the same as when each decoder drew it
 alone.
+
+numpy is imported inside the functions that draw, decode and aggregate, not
+at module level, so importing the package and the theory modes, which use
+none of them, never load it.
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .asymptotics import Prediction, predict
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError, ConvergenceError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PILOT_ORTH_TOL = 1e-9
 _PILOT_STREAM_TAG = 0x50494C4F  # distinguishes the pilot stream from trial streams
@@ -55,6 +61,8 @@ class BatchStats:
 
 def trial_stream(master_seed: int, trial_idx: int) -> np.random.Generator:
     """Independent per-trial generator keyed by (master_seed, trial index)."""
+    import numpy as np
+
     return np.random.default_rng([int(master_seed), int(trial_idx)])
 
 
@@ -66,6 +74,8 @@ def make_pilots(k: int, t_pilot: int, seed: int) -> np.ndarray:
     are fixed from the factorization so the result does not depend on LAPACK
     sign choices.
     """
+    import numpy as np
+
     if t_pilot < k:
         raise ConfigError(f"pilot orthogonality requires t_pilot >= k (got {t_pilot} < {k})")
     rng = np.random.default_rng([int(seed), _PILOT_STREAM_TAG])
@@ -90,6 +100,8 @@ def estimate_channel(
     With orthogonal pilots the linear MMSE channel estimate collapses to a
     scalar multiple of Y_p X_p'. noise_seed may be an int or a Generator.
     """
+    import numpy as np
+
     if rho_p <= 0:
         raise ConfigError("rho_p must be positive")
     rng = np.random.default_rng(noise_seed)
@@ -144,6 +156,8 @@ def run_trial(
 ) -> TrialOutcome:
     """Decode one draw with one decoder (ridge or box solve), normalize and
     slice. b_norm is the debias constant B of the decoder (predict)."""
+    import numpy as np
+
     constellation = pam_constellation(cfg.m)
     x_hat = draw.ridge(decoder_spec.lam_tilde)
     if math.isfinite(decoder_spec.t_box):
@@ -213,6 +227,8 @@ def run_batch(
 
 def aggregate(outcomes: list[TrialOutcome]) -> BatchStats:
     """Sample means and standard errors; a single trial reports stderr 0."""
+    import numpy as np
+
     mses = np.array([o.mse for o in outcomes])
     sers = np.array([o.ser for o in outcomes])
     n = len(outcomes)

@@ -3,6 +3,8 @@
 Everything downstream (simulator, decoders, asymptotic predictors) consumes the
 values derived here, so this module is the single owner of the power-split
 arithmetic and of dB/linear conversion (stored powers are always linear).
+numpy is imported inside the constellation functions that use it, so the
+theory, which reads only largest_symbol, runs without loading it.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENERGY_IDENTITY_RTOL = 1e-12
 
@@ -78,8 +82,7 @@ class SystemConfig:
             raise ConfigError("rho must be positive (linear power)")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if self.m < 2 or (self.m & (self.m - 1)) != 0:
-            raise ConfigError(f"m must be a power of two >= 2, got {self.m}")
+        _check_pam_order(self.m)
 
 
 @dataclass(frozen=True)
@@ -173,12 +176,24 @@ class Constellation:
     energy_e: float
 
 
-def pam_constellation(m: int) -> Constellation:
+def _check_pam_order(m: int) -> None:
     if m < 2 or (m & (m - 1)) != 0:
         raise ConfigError(f"m must be a power of two >= 2, got {m}")
+
+
+def pam_constellation(m: int) -> Constellation:
+    import numpy as np
+
+    _check_pam_order(m)
     energy_e = (m**2 - 1) / 3.0
     points = (2.0 * np.arange(m) - (m - 1)) / math.sqrt(energy_e)
     return Constellation(points=points, m=m, energy_e=energy_e)
+
+
+def largest_symbol(m: int) -> float:
+    """(M-1)/sqrt(E), bit for bit pam_constellation(m).points[-1], in pure math."""
+    _check_pam_order(m)
+    return (m - 1) / math.sqrt((m**2 - 1) / 3.0)
 
 
 def slice_symbols(values, constellation: Constellation):
@@ -187,6 +202,8 @@ def slice_symbols(values, constellation: Constellation):
     Ties on the midpoint between two points break toward the smaller point,
     deterministically. Scalar in, scalar out; array in, array out.
     """
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("slice_symbols requires finite inputs")

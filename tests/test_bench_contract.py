@@ -2,14 +2,20 @@
 
 bench/tracer.py wraps every function in its LAYERS table by module and name,
 and labels run_trial spans by the decoder spec passed as its second argument.
-A rename or deletion should fail here rather than inside a benchmark run.
+Tracer.install imports mimopam.cli alone and then looks each LAYERS module up
+in sys.modules. A rename, a deletion or an import made lazy should fail here
+rather than inside a benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import mimopam
 from mimopam import run_trial
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -34,3 +40,14 @@ def test_every_traced_layer_is_a_callable_in_its_module():
 def test_run_trial_takes_the_decoder_spec_second():
     params = list(inspect.signature(run_trial).parameters)
     assert params[1] == "decoder_spec"
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    layers = load_tracer().LAYERS
+    code = ("import sys, mimopam.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('mimopam.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mimopam.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    loaded = set(out.stdout.split())
+    assert {f"mimopam.{name}" for name in layers} <= loaded

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -32,10 +33,20 @@ from mimopam import (
     run,
     write_config,
 )
-from mimopam.cli import main as cli_main
+from mimopam.cli import BLAS_THREAD_VARS, main as cli_main
 from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import apply_sweep_value
 from mimopam.system import derive_params
+
+
+def run_python(code, **env):
+    """stdout of code run by a fresh interpreter on this package, with the
+    BLAS thread variables taken from env only."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(mimopam.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**base, **env}, timeout=300, check=True)
+    return out.stdout
 
 
 def small_spec(**kw):
@@ -161,6 +172,26 @@ class TestRunModes:
         assert all(re.search(r" z_mse=-?\d\S* z_ser=-?\d", line) for line in rls_rows)
         assert "over 6 z-scores" in report
 
+    def test_compare_counts_one_theory_point_once(self, monkeypatch):
+        # closed_form_optimal puts rls at lam~ = 1, the lmmse point: one
+        # predict, the same printed z-scores, and one entry in the gate's
+        # family, so 2 points x (ls, rls = lmmse) x (z_mse, z_ser)
+        specs = []
+        monkeypatch.setattr(mimopam.runner, "predict",
+                            lambda cfg, spec: specs.append(spec) or predict(cfg, spec))
+        spec = small_spec(values=(5.0, 10.0), trials=6,
+                          decoders=(DecoderKind.LS, DecoderKind.RLS, DecoderKind.LMMSE))
+        result = run(spec, "compare")
+        lines = result.report.splitlines()
+        rls = [line.partition(": ")[2] for line in lines if " rls: " in line]
+        lmmse = [line.partition(": ")[2] for line in lines if " lmmse: " in line]
+        assert len(rls) == 2 and rls == lmmse
+        assert all(" z_mse=" in line for line in rls)
+        assert "over 8 z-scores" in result.report
+        assert len(specs) == 4
+        rows = {(r.rho_db, r.decoder): r.row()[8:] for r in result.records}
+        assert all(rows[rho, "rls"] == rows[rho, "lmmse"] for rho, _ in rows)
+
     def test_compare_fills_sim_columns(self):
         result = run(small_spec(values=(10.0,), trials=8), "compare")
         rec = result.records[0]
@@ -267,10 +298,43 @@ class TestCli:
         # the CLI's start-up time
         code = ("import sys, mimopam.cli; "
                 "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
-        env = {**os.environ, "PYTHONPATH": str(Path(mimopam.__file__).resolve().parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120, check=True)
-        assert out.stdout.strip() == "False"
+        assert run_python(code).strip() == "False"
+
+    def test_theory_modes_never_load_numpy(self, tmp_path):
+        # numpy is loaded by the first Monte Carlo trial, not by the package;
+        # the simulate call at the end shows that the check can fail
+        cfg = self._write_cfg(tmp_path, trials=2)
+        code = f"""
+import json, sys
+from mimopam.cli import main
+from mimopam.presets import PRESET_NAMES, preset_path
+codes = {{f"{{name}} {{mode}}": main([mode, "--config", preset_path(name), "--out", {str(tmp_path / "t.csv")!r}])
+         for name in PRESET_NAMES for mode in ("predict", "optimize-power", "optimize-goodput")}}
+theory_numpy = "numpy" in sys.modules
+main(["simulate", "--config", {cfg!r}, "--out", {str(tmp_path / "s.csv")!r}])
+print(json.dumps([codes, theory_numpy, "numpy" in sys.modules]))
+"""
+        codes, theory_numpy, simulate_numpy = json.loads(run_python(code).splitlines()[-1])
+        # optimize-power and optimize-goodput refuse a direct-split preset
+        assert codes == {
+            f"{name} {mode}": 0 if mode == "predict" or load_config(
+                preset_path(name)).base.power_convention is PowerConvention.ENERGY_CONSERVING
+            else 2
+            for name in PRESET_NAMES for mode in ("predict", "optimize-power", "optimize-goodput")}
+        assert not theory_numpy
+        assert simulate_numpy
+
+    @pytest.mark.parametrize("env, want", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    ])
+    def test_cli_caps_blas_threads_unless_set(self, env, want, tmp_path):
+        # the cap must be in place when the first trial loads numpy
+        cfg = self._write_cfg(tmp_path, trials=2)
+        code = ("import os, sys; from mimopam.cli import main; "
+                f"main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 's.csv')!r}]); "
+                f"print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}), 'numpy' in sys.modules)")
+        assert run_python(code, **env).splitlines()[-1].split() == want + ["True"]
 
     def test_optimize_goodput_on_direct_split_is_exit_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

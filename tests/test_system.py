@@ -18,6 +18,7 @@ from mimopam import (
     rho_eff_of_alpha,
     slice_symbols,
 )
+from mimopam.system import largest_symbol
 
 FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
 
@@ -131,6 +132,15 @@ class TestConstellation:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             pam_constellation(6)
+        with pytest.raises(ConfigError):
+            largest_symbol(6)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_largest_symbol_is_the_last_point_bit_for_bit(self, m):
+        # the theory's t_ref and the max_symbol policy read it without numpy
+        got = largest_symbol(m)
+        assert type(got) is float
+        assert got.hex() == float(pam_constellation(m).points[-1]).hex()
 
 
 class TestSlicer:

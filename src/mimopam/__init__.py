@@ -49,7 +49,6 @@ from .runner import (
     records_to_csv,
     resolve_decoder,
     run,
-    write_config,
 )
 from .simulate import (
     BatchStats,

@@ -90,11 +90,14 @@ class DecoderSpec:
 
 def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.ndarray:
     """Solve (G + lam I) x = r from gram = G = A'A, rhs = r = A'y and the
-    row count of A. lam is the ridge coefficient of the model (A, y): the
-    simulator passes lam~ on the effective model. gram is left as it is.
+    row count of A. rhs may be a K x c matrix, one right-hand side per
+    column, solved with one LU; x has its shape. lam is the ridge
+    coefficient of the model (A, y): the simulator passes the shift
+    lam~ / s^2 of its unscaled channel. gram is left as it is.
 
     Raises ConvergenceError if the system is singular (e.g. lam = 0 with
-    fewer rows than columns) or if the solve residual is out of tolerance.
+    fewer rows than columns) or if the solve residual of any column is out
+    of tolerance relative to that column of rhs.
     """
     import numpy as np
 
@@ -107,25 +110,35 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.nd
         x = _solve(reg, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"normal-equations matrix is singular: {exc}") from exc
-    resid = np.abs(reg @ x - rhs).max()
-    scale = max(np.abs(rhs).max(), 1e-300)
-    if resid > RLS_RESIDUAL_RTOL * scale:
-        raise ConvergenceError(f"linear solve residual {resid:.3e} exceeds tolerance")
+    resid = np.abs(reg @ x - rhs).max(axis=0)
+    scale = np.maximum(np.abs(rhs).max(axis=0), 1e-300)
+    if np.any(resid > RLS_RESIDUAL_RTOL * scale):
+        raise ConvergenceError(
+            f"linear solve residual {np.max(resid / scale):.3e} (relative) exceeds tolerance"
+        )
     return x
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for one right-hand side b, with LAPACK run
-    outside the GIL: b is padded with zero columns to at least _GIL_FREE_SIZE
-    elements, so worker threads solve in parallel. On one thread the padded
-    solve took 8-14% longer than the vector solve at n = 250-400, against
-    the 1.6-2.1x that two threads then gain on rls_solve at n = 400."""
+    """np.linalg.solve(a, b) for a right-hand side b of one or more
+    columns, padded with zero columns to at least two columns and
+    _GIL_FREE_SIZE elements. With two or more columns LAPACK gives every
+    column the same bits whatever the other columns are (OpenBLAS, numpy
+    2.4.6; a lone column differs by about 1e-16), and above _GIL_FREE_SIZE
+    the solve runs outside the GIL, so worker threads solve in parallel. On
+    one thread the padded solve took 8-14% longer than the vector solve at
+    n = 250-400, against the 1.6-2.1x that two threads then gain on
+    rls_solve at n = 400."""
     import numpy as np
 
     n = len(b)
-    padded = np.zeros((n, math.ceil(_GIL_FREE_SIZE / max(n, 1))))
-    padded[:, 0] = b
-    return np.linalg.solve(a, padded)[:, 0].copy()
+    cols = b[:, None] if b.ndim == 1 else b
+    given = cols.shape[1]
+    width = max(2, math.ceil(_GIL_FREE_SIZE / max(n, 1)))
+    if given < width:
+        cols = np.concatenate([cols, np.zeros((n, width - given))], axis=1)
+    x = np.linalg.solve(a, cols)[:, :given]
+    return x[:, 0].copy() if b.ndim == 1 else x
 
 
 def _regularized(gram: np.ndarray, lam: float) -> np.ndarray:

@@ -180,34 +180,6 @@ def load_config(path: str) -> SweepSpec:
     )
 
 
-def write_config(spec: SweepSpec, path: str) -> None:
-    """Serialize a sweep spec so load_config round-trips it exactly."""
-    base = spec.base
-    lines = [
-        f"k = {base.k}",
-        f"n = {base.n}",
-        f"t_total = {base.t_total}",
-        f"t_pilot = {base.t_pilot}",
-        f"rho_db = {linear_to_db(base.rho)!r}",
-        f"alpha = {base.alpha!r}",
-        f"m = {base.m}",
-        f"power_convention = {base.power_convention.value}",
-        f"sweep_axis = {spec.sweep_axis.value}",
-        "values = " + ",".join(repr(v) for v in spec.values),
-        "decoders = " + ",".join(d.value for d in spec.decoders),
-        f"trials = {spec.trials}",
-        f"master_seed = {spec.master_seed}",
-        f"lambda_policy = {spec.lambda_policy.value}",
-        f"t_policy = {spec.t_policy.value}",
-    ]
-    if spec.lam is not None:
-        lines.append(f"lambda = {spec.lam!r}")
-    if spec.t_box is not None:
-        lines.append(f"t_box = {spec.t_box!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 CSV_COLUMNS = (
     "k", "n", "t_total", "t_pilot", "rho_db", "alpha", "m", "decoder", "lambda",
     "t_box", "power_convention", "theta_star", "beta_star", "b_norm",
@@ -355,38 +327,54 @@ def _theory_record(
     ), (dspec, pred)
 
 
-def _evaluate_point(
-    spec: SweepSpec, cfg: SystemConfig, simulate: bool, workers: int
-) -> list[tuple[SweepRecord, tuple[float | None, float] | None, bool]]:
-    """One row per decoder of the sweep at one point, with its consistency_z
-    scores if it was simulated with more than one trial, and whether an
-    earlier row of the point has the same theory point (lam~, t), e.g. rls
-    and lmmse at lam~ = 1: such rows get one predict, and their draws,
-    statistics and scores are the same. The decoders whose theory succeeded
-    share one run_batch call, so each trial is drawn once; a solver error
-    marks only its own row."""
-    predictions: dict[tuple[float, float], Prediction] = {}
-    theory = [_theory_record(spec, cfg, kind, predictions) for kind in spec.decoders]
-    points = [None if solved is None else (solved[0].lam_tilde, solved[0].t_box)
-              for _, solved in theory]
-    repeats = [p is not None and p in points[:i] for i, p in enumerate(points)]
-    rows = [(rec, None, repeat) for (rec, _), repeat in zip(theory, repeats)]
-    live = [i for i, (_, solved) in enumerate(theory) if solved is not None]
-    if not simulate or spec.trials == 0 or not live:
+# one row of a sweep point: its record, its consistency_z scores if it was
+# simulated with more than one trial, and whether an earlier row of the
+# point has the same theory point (lam~, t)
+_Row = tuple[SweepRecord, tuple[float | None, float] | None, bool]
+
+
+def _evaluate(
+    spec: SweepSpec, points: list[tuple[SweepSpec, SystemConfig]], simulate: bool, workers: int
+) -> list[list[_Row]]:
+    """The rows of each sweep point, one per decoder of the sweep.
+
+    Theory comes first, for every point. Rows of a point at one theory
+    point (lam~, t), e.g. rls and lmmse at lam~ = 1, get one predict, and
+    their draws, statistics and scores are the same. With simulate, the
+    decoders whose theory succeeded then share one run_batch call for the
+    whole sweep, with B from their predictions, so each trial is drawn
+    once; a solver error marks only its own row."""
+    theory = []
+    for point, cfg in points:
+        predictions: dict[tuple[float, float], Prediction] = {}
+        theory.append([_theory_record(point, cfg, kind, predictions) for kind in spec.decoders])
+    rows: list[list[_Row]] = []
+    for records in theory:
+        solved = [None if s is None else (s[0].lam_tilde, s[0].t_box) for _, s in records]
+        rows.append([(rec, None, tp is not None and tp in solved[:i])
+                     for i, ((rec, _), tp) in enumerate(zip(records, solved))])
+    # per point: (row index, spec, prediction) of each decoder whose theory succeeded
+    live = [[(i, *s) for i, (_, s) in enumerate(records) if s is not None] for records in theory]
+    sims = [p for p, decoders in enumerate(live) if decoders]
+    if not simulate or spec.trials == 0 or not sims:
         return rows
-    batch = run_batch(cfg, tuple(theory[i][1][0] for i in live), spec.trials, spec.master_seed,
-                      workers=workers)
-    for i, stats in zip(live, batch):
-        rec, (dspec, pred) = theory[i]
-        if isinstance(stats, ConvergenceError):
-            rows[i] = (replace(rec, error=str(stats)), None, repeats[i])
-        else:
-            rows[i] = (replace(
-                rec,
-                mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
-                stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
-                trials=stats.trials,
-            ), consistency_z(cfg, dspec, pred, stats) if stats.trials > 1 else None, repeats[i])
+    batch = run_batch(
+        [(points[p][1], tuple((dspec, pred.b_norm) for _, dspec, pred in live[p])) for p in sims],
+        spec.trials, spec.master_seed, workers=workers,
+    )
+    for p, entries in zip(sims, batch):
+        cfg = points[p][1]
+        for (i, dspec, pred), stats in zip(live[p], entries):
+            rec, _, repeat = rows[p][i]
+            if isinstance(stats, ConvergenceError):
+                rows[p][i] = (replace(rec, error=str(stats)), None, repeat)
+            else:
+                rows[p][i] = (replace(
+                    rec,
+                    mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
+                    stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
+                    trials=stats.trials,
+                ), consistency_z(cfg, dspec, pred, stats) if stats.trials > 1 else None, repeat)
     return rows
 
 
@@ -419,10 +407,10 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     scored: list[tuple[int, tuple[float | None, float], bool]] = []
 
     if mode in ("predict", "simulate", "compare"):
-        simulate = mode != "predict"
-        for value in spec.values:
-            point, cfg = apply_sweep_value(spec, value)
-            for rec, zs, repeat in _evaluate_point(point, cfg, simulate, workers):
+        points = [apply_sweep_value(spec, value) for value in spec.values]
+        evaluated = _evaluate(spec, points, mode != "predict", workers)
+        for value, point_rows in zip(spec.values, evaluated):
+            for rec, zs, repeat in point_rows:
                 records.append(rec)
                 if rec.error:
                     lines.append(f"{spec.sweep_axis.value}={value} {rec.decoder}: ERROR {rec.error}")
@@ -451,7 +439,7 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                 cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
                 lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
                              f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
-            for rec, _, _ in _evaluate_point(spec, cfg, False, workers):
+            for rec, _, _ in _evaluate(spec, [(spec, cfg)], False, workers)[0]:
                 records.append(rec)
                 if rec.error:
                     lines.append(f"  {rec.decoder}: ERROR {rec.error}")

@@ -12,16 +12,23 @@ make_pilots and estimate_channel are the explicit training phase it replaces.
 Per-trial randomness comes from an independent stream keyed by
 (master_seed, trial_index), so a batch is reproducible bit-for-bit and its
 trials can be evaluated in any order or in parallel. Within a trial the draw
-order is fixed: effective channel A, data symbols x0, noise w. A trial index
-is drawn once and reduced to the Gram form G = A'A, r = A'y that the
-decoders read; every decoder of a batch (of a sweep point, in the runner)
-then decodes that one draw, with one ridge solve per lam~. The draw itself,
-and so every decoder's outcome, is the same as when each decoder drew it
-alone.
+order is fixed: an N x K channel Z of unit variance, data symbols x0, unit
+noise z. Every point of a sweep has the same (N, K, M), so its trial i is
+the same (Z, x0, z), scaled: A = s Z with s^2 = rho_eff/K and w = w_std z.
+run_batch is trial-major: it draws trial i once for the whole sweep,
+reduces it to Z'Z, Z'Z x0 and Z'z (dropping Z), and gives each point the
+Gram form G = s^2 Z'Z, r = s^2 Z'Z x0 + s w_std Z'z that the decoders read.
+Since G + lam~ I = s^2 (Z'Z + mu I) with mu = lam~/s^2, all ridge systems of
+a trial at one shift mu share one LU; LS (mu = 0) is one solve per trial for
+the whole sweep. The box decoder runs on its point's own (G, r) from that
+point's ridge solution. Solves keep at least two right-hand-side columns,
+for which LAPACK gives each column the same bits whatever the others, so a
+point's result does not depend on the sweep around it.
 
 numpy is imported inside the functions that draw, decode and aggregate, not
 at module level, so importing the package and the theory modes, which use
-none of them, never load it.
+none of them, never load it; the theory (asymptotics) is not imported at
+all: run_batch takes the debias constants B from its caller.
 """
 
 from __future__ import annotations
@@ -29,16 +36,18 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .asymptotics import Prediction, predict
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError, ConvergenceError
 from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .asymptotics import Prediction
 
 PILOT_ORTH_TOL = 1e-9
 _PILOT_STREAM_TAG = 0x50494C4F  # distinguishes the pilot stream from trial streams
@@ -114,38 +123,110 @@ def estimate_channel(
     return hhat, h - hhat
 
 
-@dataclass
-class TrialDraw:
-    """One trial's draw reduced to what every decoder reads: the symbols x0,
-    G = A'A, r = A'y and A's row count. The ridge solution of each lam~ is
-    solved on first use and kept, so decoders sharing a lam~ share a solve
-    and the box decoder starts from it."""
+class SharedTrial(NamedTuple):
+    """One trial index drawn once for a whole sweep, in units of the
+    unscaled channel Z (iid N(0, 1) entries): the symbols x0 and the
+    reductions Z'Z, Z'Z x0 and Z'z of the data noise z. Z is dropped once
+    they are formed."""
 
     x0: np.ndarray
-    gram: np.ndarray
-    rhs: np.ndarray
+    zz: np.ndarray
+    zzx: np.ndarray
+    zw: np.ndarray
     rows: int
-    ridges: dict[float, np.ndarray] = field(default_factory=dict)
+
+
+def draw_shared(n: int, k: int, m: int, seed: int, trial_idx: int) -> SharedTrial:
+    """Trial trial_idx, deterministic given (seed, trial_idx); the draw
+    order is Z, x0, z."""
+    rng = trial_stream(seed, trial_idx)
+    z = rng.standard_normal((n, k))
+    x0 = pam_constellation(m).points[rng.integers(0, m, size=k)]
+    zz = z.T @ z
+    return SharedTrial(x0, zz, zz @ x0, z.T @ rng.standard_normal(n), n)
+
+
+class TrialDraw:
+    """One sweep point's view of a shared trial: its effective model is
+    A = s Z and y = A x0 + w_std z with s^2 = rho_eff / K, so its Gram form
+    is G = s^2 Z'Z and r = s^2 c with the column c = Z'Z x0 + (w_std / s) Z'z.
+    Both are formed on use, so a worker holds one point's G at a time.
+
+    The ridge solution of lam~ solves (Z'Z + mu I) x = c with the shift
+    mu = lam~ / s^2, the same system as (G + lam~ I) x = r. solve_ridges
+    fills ridges, by lam~, for many views of one trial at once; ridge solves
+    a missing lam~ alone, with the same bits."""
+
+    def __init__(self, shared: SharedTrial, cfg: SystemConfig) -> None:
+        dp = derive_params(cfg)
+        c = dp.rho_d * dp.sigma_delta_sq
+        self.shared = shared
+        self.x0 = shared.x0
+        self.scale = dp.rho_eff / cfg.k
+        w_std = math.sqrt((1.0 + c * (shared.x0 @ shared.x0) / cfg.k) / (1.0 + c))
+        self.noise_coef = w_std / math.sqrt(self.scale)
+        self.ridges: dict[float, np.ndarray | ConvergenceError] = {}
+
+    @property
+    def column(self) -> np.ndarray:
+        return self.shared.zzx + self.noise_coef * self.shared.zw
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self.scale * self.shared.zz
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.scale * self.column
 
     def ridge(self, lam_tilde: float) -> np.ndarray:
-        x = self.ridges.get(lam_tilde)
-        if x is None:
-            x = self.ridges[lam_tilde] = rls_solve(self.gram, self.rhs, lam_tilde, self.rows)
+        """The ridge solution at lam~; raises the ConvergenceError of its solve."""
+        if lam_tilde not in self.ridges:
+            solve_ridges(self.shared, [(self, lam_tilde)])
+        x = self.ridges[lam_tilde]
+        if isinstance(x, ConvergenceError):
+            raise x
         return x
 
 
+def solve_ridges(shared: SharedTrial, requests: list[tuple[TrialDraw, float]]) -> None:
+    """Solve the ridge systems of (view, lam~) requests on one shared trial
+    with one LU per distinct shift mu = lam~ / s^2: the distinct columns of
+    the views at that shift are the right-hand sides of one rls_solve. A
+    failed solve is stored as the error of the requests of its column."""
+    by_shift: dict[float, dict[float, list[tuple[TrialDraw, float]]]] = {}
+    for view, lam_tilde in requests:
+        columns = by_shift.setdefault(lam_tilde / view.scale, {})
+        columns.setdefault(view.noise_coef, []).append((view, lam_tilde))
+    for shift, columns in by_shift.items():
+        groups = list(columns.values())
+        solutions = _ridge_columns(shared, shift, [group[0][0].column for group in groups])
+        for group, solution in zip(groups, solutions):
+            for view, lam_tilde in group:
+                view.ridges[lam_tilde] = solution
+
+
+def _ridge_columns(
+    shared: SharedTrial, shift: float, columns: list[np.ndarray]
+) -> list[np.ndarray | ConvergenceError]:
+    """The solutions of (Z'Z + shift I) x = c for the columns c, from one
+    rls_solve. If it fails, each column is solved alone, so one column's
+    residual check never fails another's point."""
+    import numpy as np
+
+    try:
+        x = rls_solve(shared.zz, np.column_stack(columns), shift, shared.rows)
+    except ConvergenceError as exc:
+        if len(columns) == 1:
+            return [exc]
+        return [_ridge_columns(shared, shift, [column])[0] for column in columns]
+    return [np.ascontiguousarray(column) for column in x.T]
+
+
 def draw_trial(cfg: SystemConfig, seed: int, trial_idx: int) -> TrialDraw:
-    """Trial trial_idx of the effective model, deterministic given
-    (seed, trial_idx); A is dropped once G and r are formed."""
-    dp = derive_params(cfg)
-    c = dp.rho_d * dp.sigma_delta_sq
-    rng = trial_stream(seed, trial_idx)
-    a = rng.standard_normal((cfg.n, cfg.k))
-    a *= math.sqrt(dp.rho_eff / cfg.k)  # in place: no second N x K array
-    x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
-    w_std = math.sqrt((1.0 + c * (x0 @ x0) / cfg.k) / (1.0 + c))
-    y = a @ x0 + w_std * rng.standard_normal(cfg.n)
-    return TrialDraw(x0, a.T @ a, a.T @ y, cfg.n)
+    """Trial trial_idx of the effective model of cfg, deterministic given
+    (seed, trial_idx): the point view of the shared draw."""
+    return TrialDraw(draw_shared(cfg.n, cfg.k, cfg.m, seed, trial_idx), cfg)
 
 
 def run_trial(
@@ -170,58 +251,80 @@ def run_trial(
     return TrialOutcome(mse=mse, ser=ser)
 
 
+BatchPoint = tuple[SystemConfig, tuple[tuple[DecoderSpec, float], ...]]
+
+
 def run_batch(
-    cfg: SystemConfig,
-    decoder_specs: tuple[DecoderSpec, ...],
+    points: Sequence[BatchPoint],
     trials: int,
     master_seed: int,
     workers: int = 1,
-) -> list[BatchStats | ConvergenceError]:
-    """Aggregate independent trials of every decoder into sample means and
-    standard errors, one entry per spec.
+) -> list[list[BatchStats | ConvergenceError]]:
+    """Aggregate independent trials of every decoder at every sweep point
+    into sample means and standard errors.
 
-    Trial i is drawn once and decoded by every spec. Trials are indexed
-    0..trials-1 and aggregated in index order, so the result is identical
-    whether they were computed sequentially or by a thread pool, and a
-    spec's entry does not depend on the other specs. A spec whose solver
-    fails gets the error of its lowest failing trial index instead; its
-    later trials are not decoded. The debias constant B comes from predict.
+    A point is (cfg, ((spec, b_norm), ...)), b_norm being the spec's debias
+    constant B from predict; every point must have the same (n, k, m). The
+    result holds, per point, one entry per spec. Trial i is drawn once for
+    all points (draw_shared), its ridge systems are solved with one LU per
+    distinct shift (solve_ridges), and each (point, spec) decodes its view
+    with run_trial. Trials are indexed 0..trials-1 and aggregated in index
+    order, so the result is identical whether they were computed
+    sequentially or by a thread pool, and an entry does not depend on the
+    other specs or points. A spec whose solver fails gets the error of its
+    lowest failing trial index instead; its later trials are not decoded.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not decoder_specs:
-        raise ConfigError("decoder_specs must be non-empty")
-    b_norms = [predict(cfg, spec).b_norm for spec in decoder_specs]
-    # lowest failing index per spec; a stale read only decodes one more trial
-    first_failure = [trials] * len(decoder_specs)
+    if not points or not all(specs for _, specs in points):
+        raise ConfigError("run_batch needs at least one point, each with a decoder spec")
+    shapes = {(cfg.n, cfg.k, cfg.m) for cfg, _ in points}
+    if len(shapes) > 1:
+        raise ConfigError(f"the points of a batch must share (n, k, m), got {sorted(shapes)}")
+    [(n, k, m)] = shapes
+    # lowest failing index per (point, spec); a stale read only decodes one more trial
+    first_failure = [[trials] * len(specs) for _, specs in points]
     lock = threading.Lock()
 
-    def one(idx: int) -> list[TrialOutcome | ConvergenceError | None]:
-        draw = draw_trial(cfg, master_seed, idx)
-        out: list[TrialOutcome | ConvergenceError | None] = []
-        for j, (spec, b_norm) in enumerate(zip(decoder_specs, b_norms)):
-            if first_failure[j] < idx:
-                out.append(None)
-                continue
-            try:
-                out.append(run_trial(cfg, spec, draw, b_norm))
-            except ConvergenceError as exc:
-                with lock:
-                    first_failure[j] = min(first_failure[j], idx)
-                out.append(exc)
+    def one(idx: int) -> list[list[TrialOutcome | ConvergenceError | None]]:
+        shared = draw_shared(n, k, m, master_seed, idx)
+        views = [TrialDraw(shared, cfg) for cfg, _ in points]
+        live = [[first_failure[p][j] >= idx for j in range(len(specs))]
+                for p, (_, specs) in enumerate(points)]
+        solve_ridges(shared, [(views[p], spec.lam_tilde)
+                              for p, (_, specs) in enumerate(points)
+                              for j, (spec, _) in enumerate(specs) if live[p][j]])
+        out: list[list[TrialOutcome | ConvergenceError | None]] = []
+        for p, (cfg, specs) in enumerate(points):
+            row: list[TrialOutcome | ConvergenceError | None] = []
+            for j, (spec, b_norm) in enumerate(specs):
+                if not live[p][j]:
+                    row.append(None)
+                    continue
+                try:
+                    row.append(run_trial(cfg, spec, views[p], b_norm))
+                except ConvergenceError as exc:
+                    with lock:
+                        first_failure[p][j] = min(first_failure[p][j], idx)
+                    row.append(exc)
+            out.append(row)
         return out
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(trials)))
+            per_trial = list(pool.map(one, range(trials)))
     else:
-        rows = [one(i) for i in range(trials)]
-    results: list[BatchStats | ConvergenceError] = []
-    for column in zip(*rows):
-        # a skipped (None) trial lies above a failed one, so in index order
-        # the first entry that is not an outcome is the lowest failure
-        failed = next((o for o in column if not isinstance(o, TrialOutcome)), None)
-        results.append(aggregate(list(column)) if failed is None else failed)
+        per_trial = [one(i) for i in range(trials)]
+    results: list[list[BatchStats | ConvergenceError]] = []
+    for p, (_, specs) in enumerate(points):
+        entries: list[BatchStats | ConvergenceError] = []
+        for j in range(len(specs)):
+            column = [rows[p][j] for rows in per_trial]
+            # a skipped (None) trial lies above a failed one, so in index order
+            # the first entry that is not an outcome is the lowest failure
+            failed = next((o for o in column if not isinstance(o, TrialOutcome)), None)
+            entries.append(aggregate(column) if failed is None else failed)
+        results.append(entries)
     return results
 
 

@@ -1,4 +1,5 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against,
+and test-only helpers such as write_config."""
 
 import math
 
@@ -9,6 +10,7 @@ from mimopam import (
     BoxObjectiveParams,
     box_rls_solve,
     derive_params,
+    linear_to_db,
     pam_constellation,
     qfunc,
     rls_solve,
@@ -112,3 +114,31 @@ def explicit_training_trial(cfg, pilots, rng):
     x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
     y = math.sqrt(dp.rho_d / cfg.k) * h @ x0 + rng.standard_normal(cfg.n)
     return math.sqrt(dp.rho_d / cfg.k) * hhat, y, x0
+
+
+def write_config(spec, path):
+    """Serialize a sweep spec so load_config round-trips it exactly."""
+    base = spec.base
+    lines = [
+        f"k = {base.k}",
+        f"n = {base.n}",
+        f"t_total = {base.t_total}",
+        f"t_pilot = {base.t_pilot}",
+        f"rho_db = {linear_to_db(base.rho)!r}",
+        f"alpha = {base.alpha!r}",
+        f"m = {base.m}",
+        f"power_convention = {base.power_convention.value}",
+        f"sweep_axis = {spec.sweep_axis.value}",
+        "values = " + ",".join(repr(v) for v in spec.values),
+        "decoders = " + ",".join(d.value for d in spec.decoders),
+        f"trials = {spec.trials}",
+        f"master_seed = {spec.master_seed}",
+        f"lambda_policy = {spec.lambda_policy.value}",
+        f"t_policy = {spec.t_policy.value}",
+    ]
+    if spec.lam is not None:
+        lines.append(f"lambda = {spec.lam!r}")
+    if spec.t_box is not None:
+        lines.append(f"t_box = {spec.t_box!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -101,28 +101,35 @@ def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
     BPSK on the direct split for LS, RLS and box; with mpam_trials > 0 also
     4-PAM on the energy-conserving split for RLS and box at lambda* and
     t = 3/sqrt(5), the largest symbol. consistency_z refers LS to its exact
-    finite-K MSE, the others to the asymptote. The decoders of one config
-    and trial count share one run_batch call, which gives each the stats of
-    its own batch.
+    finite-K MSE, the others to the asymptote. Each M and trial count is one
+    sweep over RHO_DB_CELLS and one run_batch call, which draws each trial
+    once for the sweep and gives each cell the stats of its own batch.
     """
+    sweeps = [(trials, {rho_db: (cfg_of_rho(rho_db),
+                                 {"ls": mp.DecoderSpec.ls(),
+                                  "rls": mp.DecoderSpec.rls(1.0),
+                                  "box": mp.DecoderSpec.box(box_lams[rho_db], 1.0)})
+                        for rho_db in RHO_DB_CELLS})]
+    if mpam_trials:
+        sweeps.append((mpam_trials, {
+            rho_db: (replace(cfg_of_rho(rho_db), m=4,
+                             power_convention=mp.PowerConvention.ENERGY_CONSERVING),
+                     {"rls": mp.DecoderSpec.rls(1.0),
+                      "box": mp.DecoderSpec.box(1.0, 3 / math.sqrt(5))})
+            for rho_db in RHO_DB_CELLS}))
     cells = {}
-    for rho_db in RHO_DB_CELLS:
-        cfg = cfg_of_rho(rho_db)
-        groups = [(cfg, trials, {"ls": mp.DecoderSpec.ls(),
-                                 "rls": mp.DecoderSpec.rls(1.0),
-                                 "box": mp.DecoderSpec.box(box_lams[rho_db], 1.0)})]
-        if mpam_trials:
-            cfg4 = replace(cfg, m=4, power_convention=mp.PowerConvention.ENERGY_CONSERVING)
-            groups.append((cfg4, mpam_trials,
-                           {"rls": mp.DecoderSpec.rls(1.0),
-                            "box": mp.DecoderSpec.box(1.0, 3 / math.sqrt(5))}))
-        for c, n_trials, specs in groups:
-            batch = mp.run_batch(c, tuple(specs.values()), trials=n_trials, master_seed=seed,
-                                 workers=2)
-            for (name, spec), stats in zip(specs.items(), batch):
+    for n_trials, points in sweeps:
+        preds = {(rho_db, name): mp.predict(c, spec)
+                 for rho_db, (c, specs) in points.items() for name, spec in specs.items()}
+        batch = mp.run_batch(
+            [(c, tuple((spec, preds[rho_db, name].b_norm) for name, spec in specs.items()))
+             for rho_db, (c, specs) in points.items()],
+            trials=n_trials, master_seed=seed, workers=2)
+        for (rho_db, (c, specs)), entries in zip(points.items(), batch):
+            for (name, spec), stats in zip(specs.items(), entries):
                 if isinstance(stats, mp.ConvergenceError):
                     raise stats
-                z_mse, z_ser = consistency_z(c, spec, mp.predict(c, spec), stats)
+                z_mse, z_ser = consistency_z(c, spec, preds[rho_db, name], stats)
                 cells[(name, c.m, rho_db, "mse")] = z_mse
                 cells[(name, c.m, rho_db, "ser")] = z_ser
     return cells

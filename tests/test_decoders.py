@@ -188,7 +188,7 @@ class TestGilFreeSolve:
                            power_convention=PowerConvention.DIRECT_SPLIT)
         specs = (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, 1.0),
                  DecoderSpec.lmmse())
-        run_batch(cfg, specs, trials=6, master_seed=3, workers=2)
+        run_batch([(cfg, tuple((spec, 1.0) for spec in specs))], 6, 3, workers=2)
         assert len(sizes) > 6 * 3  # three ridge solves per trial plus the box's
         assert min(sizes) > 500
 

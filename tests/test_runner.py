@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from oracles import write_config
 
 import mimopam
 from mimopam import (
@@ -31,7 +32,6 @@ from mimopam import (
     records_to_csv,
     resolve_decoder,
     run,
-    write_config,
 )
 from mimopam.cli import BLAS_THREAD_VARS, main as cli_main
 from mimopam.presets import PRESET_NAMES, preset_path
@@ -191,6 +191,25 @@ class TestRunModes:
         assert len(specs) == 4
         rows = {(r.rho_db, r.decoder): r.row()[8:] for r in result.records}
         assert all(rows[rho, "rls"] == rows[rho, "lmmse"] for rho, _ in rows)
+
+    @pytest.mark.parametrize("axis, values", [
+        (SweepAxis.RHO_DB, (0.0, 5.0, 10.0)),
+        (SweepAxis.T_BOX, (0.5, 1.0, 1.5)),
+        (SweepAxis.TAU_P, (1.25, 1.5)),
+    ])
+    def test_a_sweep_is_one_run_batch_call_with_b_from_its_theory(
+            self, monkeypatch, axis, values):
+        calls = []
+        real = mimopam.runner.run_batch
+        monkeypatch.setattr(mimopam.runner, "run_batch",
+                            lambda points, *args, **kw: calls.append(points) or real(
+                                points, *args, **kw))
+        spec = small_spec(sweep_axis=axis, values=values, trials=3,
+                          decoders=(DecoderKind.LS, DecoderKind.RLS, DecoderKind.BOX))
+        records = run(spec, "simulate").records
+        [points] = calls
+        assert [b for _, specs in points for _, b in specs] == [r.b_norm for r in records]
+        assert all(r.trials == 3 and not r.error for r in records)
 
     def test_compare_fills_sim_columns(self):
         result = run(small_spec(values=(10.0,), trials=8), "compare")
@@ -464,8 +483,8 @@ print(json.dumps([codes, theory_numpy, "numpy" in sys.modules]))
         # the simulation is replaced by stats far outside 3 sigma of theory,
         # so the gate's exit code is tested, not a lucky draw
         far = BatchStats(trials=2, mean_mse=10.0, mean_ser=0.5, stderr_mse=1e-3, stderr_ser=1e-3)
-        monkeypatch.setattr(mimopam.runner, "run_batch",
-                            lambda cfg, specs, *args, **kwargs: [far] * len(specs))
+        monkeypatch.setattr(mimopam.runner, "run_batch", lambda points, *args, **kwargs: [
+            [far] * len(specs) for _, specs in points])
         path = tmp_path / "flag.cfg"
         path.write_text(
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
@@ -478,9 +497,10 @@ print(json.dumps([codes, theory_numpy, "numpy" in sys.modules]))
 
     def _compare_on(self, tmp_path, monkeypatch, batch_of, decoder, rho_db):
         """compare at K=32, N=48 with run_batch replaced by batch_of(cfg,
-        spec, prediction) for each spec; returns the exit code."""
-        monkeypatch.setattr(mimopam.runner, "run_batch", lambda cfg, specs, *args, **kwargs: [
-            batch_of(cfg, spec, predict(cfg, spec)) for spec in specs])
+        spec, prediction) for each spec of each point; returns the exit code."""
+        monkeypatch.setattr(mimopam.runner, "run_batch", lambda points, *args, **kwargs: [
+            [batch_of(cfg, spec, predict(cfg, spec)) for spec, _ in specs]
+            for cfg, specs in points])
         path = tmp_path / "gate.cfg"
         path.write_text(
             "k = 32\nn = 48\nt_total = 96\nt_pilot = 40\nrho_db = 0\nalpha = 0.5\n"

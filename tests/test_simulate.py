@@ -3,12 +3,14 @@ training phase (pilots, channel estimation), trials, batches."""
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import box_decode, explicit_training_trial, ridge_decode
 
 from mimopam import (
+    BatchStats,
     ConfigError,
     DecoderSpec,
     PowerConvention,
@@ -24,7 +26,7 @@ from mimopam import (
     run_trial,
     slice_symbols,
 )
-from mimopam import simulate
+from mimopam import asymptotics, simulate
 from mimopam.simulate import (
     aggregate, bonferroni_z, estimate_channel, make_pilots, trial_stream,
 )
@@ -43,6 +45,17 @@ def tilde(cfg, lam):
 def b_norm_of(cfg, spec):
     """The debias constant run_batch hands to run_trial."""
     return predict(cfg, spec).b_norm
+
+
+def point_of(cfg, specs):
+    """A run_batch point: cfg and its specs with B from predict."""
+    return cfg, tuple((spec, b_norm_of(cfg, spec)) for spec in specs)
+
+
+def batch(cfg, specs, trials, master_seed, workers=1):
+    """run_batch on the single point (cfg, specs): one entry per spec."""
+    [entries] = run_batch([point_of(cfg, specs)], trials, master_seed, workers=workers)
+    return entries
 
 
 def scaled_cfg(rho_db, **kw):
@@ -179,7 +192,9 @@ def z_of(samples, target):
 
 class TestEffectiveModel:
     def test_run_trial_decodes_the_replayed_draw(self):
-        # the decoder solves with its lam~, LMMSE's 1 exactly
+        # the decoder solves with its lam~, LMMSE's 1 exactly; the simulator
+        # forms (G, r) from the unscaled channel, so the MSE agrees to
+        # rounding, while a draw in another order would move it by O(1)
         cfg = scaled_cfg(5.0, m=4, **EQUIV)
         ridge = tilde(cfg, 0.3)
         for spec, lam_tilde in ((DecoderSpec.rls(ridge), ridge), (DecoderSpec.lmmse(), 1.0),
@@ -192,7 +207,8 @@ class TestEffectiveModel:
                 else:
                     x_hat, _ = box_decode(a, a @ x0 + w, lam_tilde, spec.t_box)
                 draw = draw_trial(cfg, 8, idx)
-                assert run_trial(cfg, spec, draw, b_norm).mse == float(np.mean((x_hat - x0) ** 2))
+                mse = run_trial(cfg, spec, draw, b_norm).mse
+                assert mse == pytest.approx(float(np.mean((x_hat - x0) ** 2)), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("draw", ["effective", "explicit"])
     def test_moments_of_the_effective_model(self, draw):
@@ -240,7 +256,7 @@ class TestEffectiveModel:
             spec = (DecoderSpec.rls(1.0) if spec_of == "rls"
                     else DecoderSpec.box(1.0, constellation.points[-1]))
             b_norm = b_norm_of(cfg, spec)
-            [effective] = run_batch(cfg, (spec,), trials=trials, master_seed=2 * i + 1)
+            [effective] = batch(cfg, (spec,), trials=trials, master_seed=2 * i + 1)
             pilots = make_pilots(cfg.k, cfg.t_pilot, 2 * i + 2)
             lam_rho_d = spec.lam_tilde * dp.lambda_star * dp.rho_d
             outcomes = []
@@ -270,7 +286,7 @@ class TestTheoryAgreement:
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
         pred = predict(cfg, DecoderSpec.rls(tilde(cfg, lam)))
         assert pred.mse == pytest.approx(0.10918244834212, rel=1e-10)
-        [stats] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150, master_seed=424)
+        [stats] = batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150, master_seed=424)
         assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
         assert abs(stats.mean_ser - pred.sep) <= 3 * max(
             stats.stderr_ser, math.sqrt(pred.sep * (1 - pred.sep) / (150 * cfg.k))
@@ -281,7 +297,7 @@ class TestTheoryAgreement:
         dp = derive_params(cfg)
         spec = DecoderSpec.box(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)), 1.0)
         pred = predict(cfg, spec)
-        [stats] = run_batch(cfg, (spec,), trials=200, master_seed=77)
+        [stats] = batch(cfg, (spec,), trials=200, master_seed=77)
         assert abs(stats.mean_mse - pred.mse) <= 3 * stats.stderr_mse
 
     def test_debias_norm_lowers_ser_for_multilevel_symbols(self):
@@ -302,9 +318,9 @@ class TestTheoryAgreement:
             cfg = scaled_cfg(rho_db, k=100, n=120, t_total=250, t_pilot=114)
             dp = derive_params(cfg)
             lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            [rls_stats] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150,
+            [rls_stats] = batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150,
                                     master_seed=31)
-            [box_stats] = run_batch(cfg, (DecoderSpec.box(tilde(cfg, lam), 1.0),), trials=150,
+            [box_stats] = batch(cfg, (DecoderSpec.box(tilde(cfg, lam), 1.0),), trials=150,
                                     master_seed=31)
             gate = 2 * math.hypot(rls_stats.stderr_mse, box_stats.stderr_mse)
             assert box_stats.mean_mse <= rls_stats.mean_mse + gate
@@ -313,7 +329,7 @@ class TestTheoryAgreement:
 class TestRunBatch:
     def test_single_trial_stats(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        [stats] = run_batch(cfg, (DecoderSpec.lmmse(),), trials=1, master_seed=9)
+        [stats] = batch(cfg, (DecoderSpec.lmmse(),), trials=1, master_seed=9)
         single = run_trial(cfg, DecoderSpec.lmmse(), draw_trial(cfg, 9, 0),
                            b_norm_of(cfg, DecoderSpec.lmmse()))
         assert stats.mean_mse == single.mse
@@ -322,21 +338,21 @@ class TestRunBatch:
 
     def test_reproducible_bitwise(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        a = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
-        b = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
+        a = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
+        b = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
         assert a == b
 
     def test_parallel_reduction_matches_sequential(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         for spec in (DecoderSpec.rls(tilde(cfg, 0.4)), DecoderSpec.box(tilde(cfg, 0.4), 1.0)):
-            seq = run_batch(cfg, (spec,), trials=16, master_seed=5, workers=1)
-            par = run_batch(cfg, (spec,), trials=16, master_seed=5, workers=4)
+            seq = batch(cfg, (spec,), trials=16, master_seed=5, workers=1)
+            par = batch(cfg, (spec,), trials=16, master_seed=5, workers=4)
             assert seq == par
 
     def test_stderr_shrinks_with_more_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        [small] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=40, master_seed=6)
-        [large] = run_batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=160, master_seed=6)
+        [small] = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=40, master_seed=6)
+        [large] = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=160, master_seed=6)
         assert large.stderr_mse < small.stderr_mse
 
     def test_aggregate_order_invariance(self):
@@ -355,7 +371,7 @@ class TestRunBatch:
     def test_rejects_zero_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         with pytest.raises(ConfigError):
-            run_batch(cfg, (DecoderSpec.ls(),), trials=0, master_seed=1)
+            batch(cfg, (DecoderSpec.ls(),), trials=0, master_seed=1)
 
 
 def joint_specs(cfg):
@@ -372,9 +388,9 @@ class TestJointBatch:
     def test_each_entry_equals_its_own_batch(self, m, workers):
         cfg = scaled_cfg(10.0, m=m, k=64, n=77, t_total=160, t_pilot=73)
         specs = joint_specs(cfg)
-        joint = run_batch(cfg, specs, trials=12, master_seed=3, workers=workers)
+        joint = batch(cfg, specs, trials=12, master_seed=3, workers=workers)
         for spec, stats in zip(specs, joint):
-            assert stats == run_batch(cfg, (spec,), trials=12, master_seed=3)[0], spec.kind
+            assert stats == batch(cfg, (spec,), trials=12, master_seed=3)[0], spec.kind
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_error_marks_only_its_own_entry(self, monkeypatch, workers):
@@ -382,7 +398,7 @@ class TestJointBatch:
         # the lowest failing index, the ridge entries keep their stats
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         specs = joint_specs(cfg)
-        alone = [run_batch(cfg, (spec,), trials=8, master_seed=4)[0] for spec in specs]
+        alone = [batch(cfg, (spec,), trials=8, master_seed=4)[0] for spec in specs]
         index_of = {draw_trial(cfg, 4, idx).rhs.tobytes(): idx for idx in range(8)}
         real_box = simulate.box_rls_solve
         decoded = []
@@ -395,7 +411,7 @@ class TestJointBatch:
             return real_box(gram, rhs, lam, t_box, ridge)
 
         monkeypatch.setattr(simulate, "box_rls_solve", box_failing_at)
-        joint = run_batch(cfg, specs, trials=8, master_seed=4, workers=workers)
+        joint = batch(cfg, specs, trials=8, master_seed=4, workers=workers)
         assert isinstance(joint[2], ConvergenceError)
         assert str(joint[2]) == "box fails on trial 3"
         assert [joint[j] for j in (0, 1, 3)] == [alone[j] for j in (0, 1, 3)]
@@ -404,34 +420,38 @@ class TestJointBatch:
             assert decoded == [0, 1, 2, 3]
 
     def test_lowest_failure_under_many_workers(self, monkeypatch):
-        # more workers than cores and a short switch interval: the box entry
-        # is still the error of its lowest failing trial, the others are the
-        # sequential stats
+        # more workers than cores and a short switch interval, on a two-point
+        # sweep whose first point's box fails: that entry is still the error
+        # of its lowest failing trial, every other entry the sequential stats
         cfg = scaled_cfg(10.0, k=16, n=20, t_total=40, t_pilot=19)
-        specs = joint_specs(cfg)
+        points = [point_of(cfg, joint_specs(cfg)),
+                  point_of(replace(cfg, rho=100.0), joint_specs(cfg))]
         trials = 48
         index_of = {draw_trial(cfg, 6, idx).rhs.tobytes(): idx for idx in range(trials)}
         real_box = simulate.box_rls_solve
 
         def box_failing_at(gram, rhs, lam, t_box, ridge):
-            idx = index_of[rhs.tobytes()]
+            idx = index_of.get(rhs.tobytes(), 0)
             if idx >= 5 and idx % 3 != 0:
                 raise ConvergenceError(f"box fails on trial {idx}")
             return real_box(gram, rhs, lam, t_box, ridge)
 
         monkeypatch.setattr(simulate, "box_rls_solve", box_failing_at)
-        sequential = run_batch(cfg, specs, trials=trials, master_seed=6)
+        sequential = run_batch(points, trials, 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = run_batch(cfg, specs, trials=trials, master_seed=6, workers=8)
+            parallel = run_batch(points, trials, 6, workers=8)
         finally:
             sys.setswitchinterval(interval)
-        assert str(parallel[2]) == str(sequential[2]) == "box fails on trial 5"
-        assert [parallel[j] for j in (0, 1, 3)] == [sequential[j] for j in (0, 1, 3)]
+        assert str(parallel[0][2]) == str(sequential[0][2]) == "box fails on trial 5"
+        assert [parallel[0][j] for j in (0, 1, 3)] == [sequential[0][j] for j in (0, 1, 3)]
+        assert parallel[1] == sequential[1]
+        assert all(isinstance(e, BatchStats) for e in parallel[1])
 
     def test_one_ridge_solve_per_distinct_lam_tilde(self, monkeypatch):
-        # the closed-form sweep: ls at lam~ = 0; rls, box and lmmse at 1
+        # the closed-form sweep: ls at lam~ = 0; rls, box and lmmse at 1,
+        # solved on the unscaled channel at the shift lam~ / s^2
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
                  DecoderSpec.lmmse())
@@ -446,4 +466,119 @@ class TestJointBatch:
         draw = draw_trial(cfg, 7, 0)
         for spec in specs:
             run_trial(cfg, spec, draw, b_norm_of(cfg, spec))
-        assert solved == [0.0, 1.0]
+        assert solved == [0.0, cfg.k / derive_params(cfg).rho_eff]
+
+
+def sweep_cfgs(k=64, n=77, **kw):
+    """Three rho points of one (n, k, m): 4-PAM on the energy split, so the
+    data noise w_std, and with it the ridge right-hand side, differs by point."""
+    t_total, t_pilot = kw.pop("t_total", 160), kw.pop("t_pilot", 73)
+    return [scaled_cfg(rho_db, m=4, k=k, n=n, t_total=t_total, t_pilot=t_pilot,
+                       power_convention=PowerConvention.ENERGY_CONSERVING, **kw)
+            for rho_db in (5.0, 15.0, 25.0)]
+
+
+def counting_rls_solves(monkeypatch):
+    """Patch simulate.rls_solve to record the shift and column count of each call."""
+    calls = []
+    real_rls = simulate.rls_solve
+
+    def counting_rls(gram, rhs, lam, rows):
+        calls.append((lam, rhs.shape[1]))
+        return real_rls(gram, rhs, lam, rows)
+
+    monkeypatch.setattr(simulate, "rls_solve", counting_rls)
+    return calls
+
+
+class TestSweepBatch:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_point_alone_equals_the_point_in_a_sweep(self, workers):
+        # K = 256: a lone right-hand side is padded to two columns, the LS
+        # solve of the sweep has three
+        cfgs = sweep_cfgs(k=256, n=307, t_total=640, t_pilot=292)
+        points = [point_of(cfg, joint_specs(cfg)) for cfg in cfgs]
+        sweep = run_batch(points, 5, 11, workers=workers)
+        for point, entries in zip(points, sweep):
+            assert all(isinstance(e, BatchStats) for e in entries)
+            assert run_batch([point], 5, 11) == [entries]
+
+    def test_points_must_share_n_k_m(self):
+        cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
+        for other in (replace(cfg, n=78), replace(cfg, k=63, t_pilot=73), replace(cfg, m=4)):
+            points = [point_of(cfg, (DecoderSpec.lmmse(),)),
+                      point_of(other, (DecoderSpec.lmmse(),))]
+            with pytest.raises(ConfigError, match="share"):
+                run_batch(points, 2, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ls_below_square_fails_only_the_ls_rows(self, workers):
+        # N < K: Z'Z is singular, so only the unregularized shift fails
+        cfgs = sweep_cfgs(k=64, n=56)
+        specs = joint_specs(cfgs[0])
+        points = [(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs]
+        for entries in run_batch(points, 4, 2, workers=workers):
+            assert isinstance(entries[0], ConvergenceError)
+            assert all(isinstance(e, BatchStats) and e.trials == 4 for e in entries[1:])
+
+    def test_a_failed_column_fails_only_its_own_point(self, monkeypatch):
+        # the ridge solve fails whenever point 1's right-hand side is one of
+        # its columns: point 1's entries carry the error, the other points
+        # equal their own batches
+        cfgs = sweep_cfgs()
+        points = [(cfg, tuple((spec, 1.0) for spec in joint_specs(cfg))) for cfg in cfgs]
+        poisoned = {draw_trial(cfgs[1], 3, idx).column.tobytes() for idx in range(4)}
+        real_rls = simulate.rls_solve
+
+        def failing_rls(gram, rhs, lam, rows):
+            if any(column.tobytes() in poisoned for column in rhs.T):
+                raise ConvergenceError("residual out of tolerance")
+            return real_rls(gram, rhs, lam, rows)
+
+        monkeypatch.setattr(simulate, "rls_solve", failing_rls)
+        sweep = run_batch(points, 4, 3)
+        assert all(isinstance(e, ConvergenceError) for e in sweep[1])
+        assert [sweep[0], sweep[2]] == [run_batch([points[p]], 4, 3)[0] for p in (0, 2)]
+
+    def test_one_lu_per_distinct_shift_of_the_sweep(self, monkeypatch):
+        # rho sweep: LS is one three-column solve for the sweep, rls / box /
+        # lmmse at lam~ = 1 one solve per point; a t_box sweep shares one
+        # right-hand side at one shift
+        calls = counting_rls_solves(monkeypatch)
+        cfgs = sweep_cfgs()
+        specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
+                 DecoderSpec.lmmse())
+        run_batch([(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs], 2, 3)
+        assert sorted(calls) == sorted(
+            [(0.0, 3)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 1) for cfg in cfgs] * 2)
+        calls.clear()
+        boxes = [((DecoderSpec.box(1.0, t), 1.0),) for t in (0.5, 1.0, 1.5)]
+        run_batch([(cfgs[0], specs) for specs in boxes], 2, 3)
+        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 1)] * 2
+
+    def test_point_view_matches_the_replayed_draw(self):
+        for cfg in sweep_cfgs():
+            for idx in range(3):
+                a, x0, w = effective_draw(cfg, 8, idx)
+                draw = draw_trial(cfg, 8, idx)
+                np.testing.assert_array_equal(draw.x0, x0)
+                gram, rhs = a.T @ a, a.T @ (a @ x0 + w)
+                assert np.abs(draw.gram - gram).max() <= 1e-13 * np.abs(gram).max()
+                assert np.abs(draw.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+    def test_run_batch_takes_b_from_its_caller(self, monkeypatch):
+        # predict raises wherever the package binds it, so a run_batch that
+        # computed B itself would fail
+        def no_theory(*args, **kwargs):
+            raise AssertionError("run_batch called predict")
+
+        cfgs = sweep_cfgs()
+        points = [point_of(cfg, joint_specs(cfg)) for cfg in cfgs]
+        real = asymptotics.predict
+        for name, module in list(sys.modules.items()):
+            if name == "mimopam" or name.startswith("mimopam."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, no_theory)
+        entries = run_batch(points, 3, 5)
+        assert all(isinstance(e, BatchStats) for point in entries for e in point)

@@ -12,18 +12,14 @@ from .asymptotics import (
     BoxObjectiveParams,
     Prediction,
     ScalarSolution,
-    box_objective,
     box_saddle_solve,
     box_sep,
     box_theta_min,
-    gaussian_partial_second_moment,
     lambda_star_numeric,
     mse_from_theta,
     predict,
     qfunc,
     rls_beta_star,
-    rls_sep,
-    rls_stationarity_residuals,
     rls_theta_star,
     scalar_solution,
     t_star_numeric,

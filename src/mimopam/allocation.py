@@ -10,7 +10,7 @@ same call that fills the goodput column of a sweep row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .asymptotics import predict
 from .decoders import DecoderSpec
@@ -18,8 +18,7 @@ from .errors import ConfigError
 from .system import PowerConvention, SystemConfig, rho_eff_of_alpha
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(NamedTuple):
     alpha_star: float
     vartheta: float
     branch: str
@@ -86,9 +85,9 @@ def optimize_goodput(cfg: SystemConfig) -> AllocationResult:
     """
     best = None
     for t_pilot in range(cfg.k, cfg.t_total):
-        point = replace(cfg, t_pilot=t_pilot)
+        point = cfg._replace(t_pilot=t_pilot)
         res = alpha_star_for_config(point)
-        goodput = predict(replace(point, alpha=res.alpha_star), DecoderSpec.lmmse()).goodput
+        goodput = predict(point._replace(alpha=res.alpha_star), DecoderSpec.lmmse()).goodput
         if best is None or goodput > best.goodput:
-            best = replace(res, t_pilot_star=t_pilot, goodput=goodput)
+            best = res._replace(t_pilot_star=t_pilot, goodput=goodput)
     return best

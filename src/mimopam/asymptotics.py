@@ -30,7 +30,7 @@ neighbours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .decoders import DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
@@ -108,36 +108,6 @@ def mse_from_theta(theta_star: float, rho_eff: float, delta: float) -> float:
     return (delta * theta_star**2 - 1.0) / rho_eff
 
 
-def rls_sep(theta_star: float, rho_eff: float, m: int) -> float:
-    """Limiting symbol error probability of the debiased ridge decoder:
-    2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*)."""
-    if theta_star <= 0:
-        raise ValueError("theta_star must be positive")
-    energy_e = (m * m - 1) / 3.0
-    return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_eff / energy_e) / theta_star)
-
-
-def rls_stationarity_residuals(
-    theta: float, beta: float, rho_eff: float, lam_tilde: float, delta: float
-) -> tuple[float, float]:
-    """Analytic first-order system for the unboxed scalar saddle; both
-    components vanish at (theta*, beta*)."""
-    den = (beta * rho_eff + 2.0 * lam_tilde * theta) ** 2
-    f_theta = (
-        delta * beta
-        - beta / theta**2
-        - beta * rho_eff * (beta**2 * rho_eff + 4.0 * lam_tilde**2) / den
-    )
-    f_beta = (
-        delta * theta
-        + 1.0 / theta
-        - beta
-        - rho_eff * theta * (beta**2 * rho_eff + 4.0 * lam_tilde * theta * beta
-                             - 4.0 * lam_tilde**2) / den
-    )
-    return f_theta, f_beta
-
-
 # ---------------------------------------------------------------------------
 # Gaussian partial moment and the box-decoder saddle objective
 # ---------------------------------------------------------------------------
@@ -157,19 +127,7 @@ def _tail_moment(a: float, b: float, x: float) -> tuple[float, float, float]:
     return val, q, dens
 
 
-def gaussian_partial_second_moment(a: float, b: float, lower: float, upper: float) -> float:
-    """int_lower^upper (a + b h)^2 p(h) dh in closed form.
-
-    Expands to (a^2+b^2)(Q(l)-Q(u)) + b(bl+2a)p(l) - b(bu+2a)p(u); infinite
-    limits are legal and drop their density terms.
-    """
-    if lower > upper:
-        raise ValueError("need lower <= upper")
-    return _tail_moment(a, b, lower)[0] - _tail_moment(a, b, upper)[0]
-
-
-@dataclass(frozen=True)
-class BoxObjectiveParams:
+class BoxObjectiveParams(NamedTuple):
     """Scenario point of the saddle objective: effective SNR rho_eff, ridge
     coefficient lam_tilde = lam / lambda*, delta = N/K, box threshold t
     (t = inf is the ridge decoder) and PAM order m."""
@@ -232,21 +190,6 @@ def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float,
     d_beta = (p.delta * theta / 2.0 + (1.0 + xi2) / (2.0 * theta) - beta / 2.0
               + xi2 * (pref_b * excess + pref * scale * tails_b))
     return val, d_theta, d_beta
-
-
-def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> float:
-    """Scalar saddle objective D(theta, beta) of the box decoder.
-
-    Finite everywhere the saddle search can reach; astronomically small or
-    large arguments whose value cannot be represented in double precision are
-    rejected instead of returning NaN.
-    """
-    if theta <= 0 or beta <= 0:
-        raise ValueError("theta and beta must be positive")
-    val = _box_terms(theta, beta, params)[0]
-    if math.isnan(val):
-        raise ValueError(f"objective not representable at theta={theta!r}, beta={beta!r}")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +309,7 @@ def box_theta_min(
     return (theta, *terms)
 
 
-@dataclass(frozen=True)
-class ScalarSolution:
+class ScalarSolution(NamedTuple):
     """Solution of a scalar saddle problem (closed form or numeric).
 
     stationarity_residual is set on the box path only.
@@ -464,7 +406,7 @@ def _theta_of(params: BoxObjectiveParams, knob: str):
 
     def f(x: float) -> float:
         nonlocal last_beta
-        sol = scalar_solution(replace(params, **{knob: x}), beta_hint=last_beta)
+        sol = scalar_solution(params._replace(**{knob: x}), beta_hint=last_beta)
         last_beta = sol.beta_star
         return sol.theta_star
     return f
@@ -501,8 +443,7 @@ def t_star_numeric(params: BoxObjectiveParams) -> float:
     return _grid_argmin(lambda r: theta_of(r * t_ref), T_GRID) * t_ref
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Asymptotic record for one scenario and decoder: the scalar solution
     (theta*, beta*) with the debias constant B that divides the estimate
     before slicing, and the MSE, SEP and goodput they imply."""

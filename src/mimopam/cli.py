@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError
 from .runner import load_config, run, write_outputs
@@ -63,9 +62,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = load_config(args.config)
         if args.trials is not None:
-            spec = replace(spec, trials=args.trials)
+            spec = spec._replace(trials=args.trials)
         if args.seed is not None:
-            spec = replace(spec, master_seed=args.seed)
+            spec = spec._replace(master_seed=args.seed)
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         mode = _MODE_NAMES[args.mode]

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError, ConvergenceError
+from .errors import Checked, ConfigError, ConvergenceError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,8 +44,13 @@ class DecoderKind(str, enum.Enum):
     LMMSE = "lmmse"
 
 
-@dataclass(frozen=True)
-class DecoderSpec:
+class _DecoderSpecFields(NamedTuple):
+    kind: DecoderKind
+    lam_tilde: float
+    t_box: float = math.inf
+
+
+class DecoderSpec(Checked, _DecoderSpecFields):
     """Which decoder to run, at which point of the theory.
 
     lam_tilde = lam / lambda* is the ridge coefficient in units of LMMSE's,
@@ -55,11 +59,9 @@ class DecoderSpec:
     box half-width: finite for BOX only, inf (no box) for the ridge decoders.
     """
 
-    kind: DecoderKind
-    lam_tilde: float
-    t_box: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.lam_tilde < math.inf:
             raise ConfigError(f"lam~ must be finite and nonnegative, got {self.lam_tilde!r}")
         if not self.t_box > 0:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the validity check of
+the configuration records."""
 
 
 class ConfigError(ValueError):
@@ -16,3 +17,23 @@ class ConvergenceError(RuntimeError):
 class DegenerateThresholdError(ValueError):
     """The box threshold sits on a decision-boundary lattice point where the
     asymptotic symbol-error expression is discontinuous."""
+
+
+class Checked:
+    """Mixin for a NamedTuple record with a _check method that raises
+    ConfigError: it runs on construction and in _make, which builds
+    _replace and, like it, would skip __new__. Listed before the NamedTuple
+    base: class Spec(Checked, _SpecFields)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        record = super()._make(iterable)
+        record._check()
+        return record

@@ -17,12 +17,12 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .allocation import alpha_star_for_config, optimize_goodput
 from .asymptotics import BoxObjectiveParams, Prediction, lambda_star_numeric, predict, t_star_numeric
 from .decoders import DecoderKind, DecoderSpec
-from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
+from .errors import Checked, ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import bonferroni_z, consistency_z, run_batch
 from .system import (
     PowerConvention, SystemConfig, db_to_linear, derive_params, largest_symbol, linear_to_db,
@@ -53,12 +53,7 @@ class TPolicy(str, enum.Enum):
     NUMERIC_OPTIMAL = "numeric_optimal"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep: the base scenario, the axis and its values, the decoders and
-    how their knobs are set. lam is the raw ridge coefficient and t_box the
-    box threshold that the fixed policies use."""
-
+class _SweepSpecFields(NamedTuple):
     base: SystemConfig
     sweep_axis: SweepAxis
     values: tuple[float, ...]
@@ -70,7 +65,15 @@ class SweepSpec:
     lam: float | None = None
     t_box: float | None = None
 
-    def __post_init__(self) -> None:
+
+class SweepSpec(Checked, _SweepSpecFields):
+    """A sweep: the base scenario, the axis and its values, the decoders and
+    how their knobs are set. lam is the raw ridge coefficient and t_box the
+    box threshold that the fixed policies use."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.values:
             raise ConfigError("values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -188,8 +191,10 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
+    """One CSV row; the fields are in CSV_COLUMNS order, lam being the
+    lambda column."""
+
     k: int
     n: int
     t_total: int
@@ -220,14 +225,7 @@ class SweepRecord:
             # float() strips numpy scalar wrappers so repr stays parseable
             return "" if v is None else (repr(float(v)) if isinstance(v, float) else v)
 
-        return [
-            self.k, self.n, self.t_total, self.t_pilot, fmt(self.rho_db), fmt(self.alpha),
-            self.m, self.decoder, fmt(self.lam), fmt(self.t_box), self.power_convention,
-            fmt(self.theta_star), fmt(self.beta_star), fmt(self.b_norm),
-            fmt(self.mse_theory), fmt(self.sep_theory), fmt(self.goodput_theory),
-            fmt(self.mse_sim), fmt(self.ser_sim), fmt(self.stderr_mse), fmt(self.stderr_ser),
-            self.trials, self.master_seed, self.error,
-        ]
+        return [fmt(v) for v in self]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
@@ -245,17 +243,17 @@ def apply_sweep_value(spec: SweepSpec, value: float) -> tuple[SweepSpec, SystemC
     base = spec.base
     axis = spec.sweep_axis
     if axis is SweepAxis.LAMBDA:
-        return replace(spec, lam=value, lambda_policy=LambdaPolicy.FIXED), base
+        return spec._replace(lam=value, lambda_policy=LambdaPolicy.FIXED), base
     if axis is SweepAxis.T_BOX:
-        return replace(spec, t_box=value, t_policy=TPolicy.FIXED), base
+        return spec._replace(t_box=value, t_policy=TPolicy.FIXED), base
     if axis is SweepAxis.RHO_DB:
-        return spec, replace(base, rho=db_to_linear(value))
+        return spec, base._replace(rho=db_to_linear(value))
     if axis is SweepAxis.ALPHA:
-        return spec, replace(base, alpha=value)
+        return spec, base._replace(alpha=value)
     t_pilot = value * base.k
     if abs(t_pilot - round(t_pilot)) > 1e-9:
         raise ConfigError(f"tau_p value {value} does not give an integer pilot count")
-    return spec, replace(base, t_pilot=int(round(t_pilot)))
+    return spec, base._replace(t_pilot=int(round(t_pilot)))
 
 
 def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> DecoderSpec:
@@ -284,7 +282,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
         lam_tilde = lambda_star_numeric(point)
 
     if kind is DecoderKind.BOX and spec.t_policy is TPolicy.NUMERIC_OPTIMAL:
-        t_box = t_star_numeric(replace(point, lam_tilde=lam_tilde))
+        t_box = t_star_numeric(point._replace(lam_tilde=lam_tilde))
 
     return DecoderSpec(kind, lam_tilde, t_box)
 
@@ -309,19 +307,18 @@ def _theory_record(
     try:
         dspec = resolve_decoder(spec, cfg, kind)
     except _SOLVER_ERRORS as exc:
-        return replace(shell, error=str(exc)), None
+        return shell._replace(error=str(exc)), None
     # a fixed lambda is echoed as configured, not as lam~ lambda*
     fixed = spec.lambda_policy is LambdaPolicy.FIXED and kind in (DecoderKind.RLS, DecoderKind.BOX)
     lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
-    shell = replace(shell, lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
+    shell = shell._replace(lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
     pred = predictions.get((dspec.lam_tilde, dspec.t_box))
     if pred is None:
         try:
             pred = predictions[dspec.lam_tilde, dspec.t_box] = predict(cfg, dspec)
         except _SOLVER_ERRORS as exc:
-            return replace(shell, error=str(exc)), None
-    return replace(
-        shell,
+            return shell._replace(error=str(exc)), None
+    return shell._replace(
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
     ), (dspec, pred)
@@ -367,10 +364,9 @@ def _evaluate(
         for (i, dspec, pred), stats in zip(live[p], entries):
             rec, _, repeat = rows[p][i]
             if isinstance(stats, ConvergenceError):
-                rows[p][i] = (replace(rec, error=str(stats)), None, repeat)
+                rows[p][i] = (rec._replace(error=str(stats)), None, repeat)
             else:
-                rows[p][i] = (replace(
-                    rec,
+                rows[p][i] = (rec._replace(
                     mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
                     stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
                     trials=stats.trials,
@@ -378,8 +374,7 @@ def _evaluate(
     return rows
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     records: list[SweepRecord]
     report: str
     flagged: int
@@ -428,15 +423,15 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
         rho_values = list(spec.values) if spec.sweep_axis is SweepAxis.RHO_DB \
             else [linear_to_db(spec.base.rho)]
         for rho_db in rho_values:
-            cfg = replace(spec.base, rho=db_to_linear(rho_db))
+            cfg = spec.base._replace(rho=db_to_linear(rho_db))
             if mode == "optimize_power":
                 alloc = alpha_star_for_config(cfg)
-                cfg = replace(cfg, alpha=alloc.alpha_star)
+                cfg = cfg._replace(alpha=alloc.alpha_star)
                 lines.append(f"rho_db={rho_db}: alpha_star={alloc.alpha_star:.6f} "
                              f"branch={alloc.branch} rho_eff={alloc.rho_eff_at_star:.6g}")
             else:
                 alloc = optimize_goodput(cfg)
-                cfg = replace(cfg, alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
+                cfg = cfg._replace(alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
                 lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
                              f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
             for rec, _, _ in _evaluate(spec, [(spec, cfg)], False, workers)[0]:

@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
@@ -53,14 +51,12 @@ PILOT_ORTH_TOL = 1e-9
 _PILOT_STREAM_TAG = 0x50494C4F  # distinguishes the pilot stream from trial streams
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     mse: float
     ser: float
 
 
-@dataclass(frozen=True)
-class BatchStats:
+class BatchStats(NamedTuple):
     trials: int
     mean_mse: float
     mean_ser: float
@@ -311,6 +307,10 @@ def run_batch(
         return out
 
     if workers > 1:
+        # lazy: concurrent.futures loads logging, queue and traceback, 7-11 ms
+        # on every CLI start that never runs a pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(one, range(trials)))
     else:

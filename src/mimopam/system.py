@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError
+from .errors import Checked, ConfigError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,8 +45,18 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class _SystemConfigFields(NamedTuple):
+    k: int
+    n: int
+    t_total: int
+    t_pilot: int
+    rho: float
+    alpha: float
+    m: int = 2
+    power_convention: PowerConvention = PowerConvention.ENERGY_CONSERVING
+
+
+class SystemConfig(Checked, _SystemConfigFields):
     """One transmission scenario.
 
     k, n:          transmit / receive antenna counts
@@ -60,16 +69,9 @@ class SystemConfig:
     The decoder and its knobs are not part of the scenario (DecoderSpec).
     """
 
-    k: int
-    n: int
-    t_total: int
-    t_pilot: int
-    rho: float
-    alpha: float
-    m: int = 2
-    power_convention: PowerConvention = PowerConvention.ENERGY_CONSERVING
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.k <= 0 or self.n <= 0 or self.t_total <= 0:
             raise ConfigError("antenna counts and block length must be positive")
         if self.t_pilot < self.k:
@@ -85,8 +87,7 @@ class SystemConfig:
         _check_pam_order(self.m)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Quantities derived from a SystemConfig under its power convention."""
 
     delta: float
@@ -167,8 +168,7 @@ def rho_eff_of_alpha(rho: float, tau: float, tau_d: float, alpha: float) -> floa
     return rt / (tau_d - 1.0) * alpha * (1.0 - alpha) / (vartheta - alpha)
 
 
-@dataclass(frozen=True)
-class Constellation:
+class Constellation(NamedTuple):
     """Unit-variance M-PAM alphabet: points +/- (2k-1)/sqrt(E), E = (M^2-1)/3."""
 
     points: np.ndarray

@@ -1,5 +1,8 @@
 """Reference implementations that the tests compare the package against,
-and test-only helpers such as write_config."""
+closed forms and diagnostics that only the tests use (rls_sep,
+rls_stationarity_residuals, and box_objective and
+gaussian_partial_second_moment over the package's kernels), and test-only
+helpers such as write_config."""
 
 import math
 
@@ -15,6 +18,7 @@ from mimopam import (
     qfunc,
     rls_solve,
 )
+from mimopam.asymptotics import _box_terms, _tail_moment
 from mimopam.simulate import estimate_channel
 
 
@@ -27,6 +31,60 @@ def theory_point(cfg, lam=0.0, t=math.inf):
 
 def gauss_pdf(h):
     return math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+
+
+def rls_sep(theta_star: float, rho_eff: float, m: int) -> float:
+    """Limiting symbol error probability of the debiased ridge decoder:
+    2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*)."""
+    if theta_star <= 0:
+        raise ValueError("theta_star must be positive")
+    energy_e = (m * m - 1) / 3.0
+    return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_eff / energy_e) / theta_star)
+
+
+def rls_stationarity_residuals(
+    theta: float, beta: float, rho_eff: float, lam_tilde: float, delta: float
+) -> tuple[float, float]:
+    """Analytic first-order system for the unboxed scalar saddle; both
+    components vanish at (theta*, beta*)."""
+    den = (beta * rho_eff + 2.0 * lam_tilde * theta) ** 2
+    f_theta = (
+        delta * beta
+        - beta / theta**2
+        - beta * rho_eff * (beta**2 * rho_eff + 4.0 * lam_tilde**2) / den
+    )
+    f_beta = (
+        delta * theta
+        + 1.0 / theta
+        - beta
+        - rho_eff * theta * (beta**2 * rho_eff + 4.0 * lam_tilde * theta * beta
+                             - 4.0 * lam_tilde**2) / den
+    )
+    return f_theta, f_beta
+
+def gaussian_partial_second_moment(a: float, b: float, lower: float, upper: float) -> float:
+    """int_lower^upper (a + b h)^2 p(h) dh in closed form.
+
+    Expands to (a^2+b^2)(Q(l)-Q(u)) + b(bl+2a)p(l) - b(bu+2a)p(u); infinite
+    limits are legal and drop their density terms.
+    """
+    if lower > upper:
+        raise ValueError("need lower <= upper")
+    return _tail_moment(a, b, lower)[0] - _tail_moment(a, b, upper)[0]
+
+def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> float:
+    """Scalar saddle objective D(theta, beta) of the box decoder.
+
+    Finite everywhere the saddle search can reach; astronomically small or
+    large arguments whose value cannot be represented in double precision are
+    rejected instead of returning NaN.
+    """
+    if theta <= 0 or beta <= 0:
+        raise ValueError("theta and beta must be positive")
+    val = _box_terms(theta, beta, params)[0]
+    if math.isnan(val):
+        raise ValueError(f"objective not representable at theta={theta!r}, beta={beta!r}")
+    return val
 
 
 def box_objective_quadrature(theta, beta, rho_d, s_h2, s_d2, lam, delta, t, m):

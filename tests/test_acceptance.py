@@ -8,16 +8,19 @@ where the criterion calls for one.
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import (
     box_decode,
+    box_objective,
     box_objective_quadrature,
     gauss_pdf,
+    gaussian_partial_second_moment,
     projected_gradient_oracle,
     ridge_decode,
+    rls_sep,
+    rls_stationarity_residuals,
     theory_point,
 )
 from scipy.integrate import quad
@@ -112,8 +115,8 @@ def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
                         for rho_db in RHO_DB_CELLS})]
     if mpam_trials:
         sweeps.append((mpam_trials, {
-            rho_db: (replace(cfg_of_rho(rho_db), m=4,
-                             power_convention=mp.PowerConvention.ENERGY_CONSERVING),
+            rho_db: (cfg_of_rho(rho_db)._replace(
+                         m=4, power_convention=mp.PowerConvention.ENERGY_CONSERVING),
                      {"rls": mp.DecoderSpec.rls(1.0),
                       "box": mp.DecoderSpec.box(1.0, 3 / math.sqrt(5))})
             for rho_db in RHO_DB_CELLS}))
@@ -160,7 +163,7 @@ class TestCriterion1:
     def test_full_table_through_runner(self):
         # the shipped preset reproduces the full 36-point published curve
         spec = mp.load_config(preset_path("fig2"))
-        spec = replace(spec, decoders=(mp.DecoderKind.RLS,), trials=0)
+        spec = spec._replace(decoders=(mp.DecoderKind.RLS,), trials=0)
         result = mp.run(spec, "predict")
         got = [rec.mse_theory for rec in result.records]
         np.testing.assert_allclose(got, FIG2_RLS_TABLE, rtol=1e-9)
@@ -280,7 +283,7 @@ class TestCriterion7:
                     lo, hi = np.sort(rng.normal(size=2) * 2)
                 want, _ = quad(lambda h: (a_c + b_c * h) ** 2 * gauss_pdf(h), lo, hi,
                                epsabs=1e-13, epsrel=1e-13)
-                got = mp.gaussian_partial_second_moment(a_c, b_c, lo, hi)
+                got = gaussian_partial_second_moment(a_c, b_c, lo, hi)
                 assert got == pytest.approx(want, abs=1e-10)
 
             # (c) box saddle objective == quadrature evaluation
@@ -295,7 +298,7 @@ class TestCriterion7:
                 beta = float(rng.uniform(0.1, 2.5))
                 want = box_objective_quadrature(theta, beta, dp.rho_d, dp.sigma_hhat_sq,
                                                 dp.sigma_delta_sq, lam, dp.delta, t, m)
-                got = s * s * mp.box_objective(theta / s, beta / s, p)
+                got = s * s * box_objective(theta / s, beta / s, p)
                 assert got == pytest.approx(want, abs=1e-9)
 
             # (d) active set == projected gradient
@@ -315,7 +318,7 @@ class TestCriterion7:
                 p = theory_point(cfg, lam=lam)
                 theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
                 mse = mp.mse_from_theta(theta, p.rho_eff, p.delta)
-                direct = mp.rls_sep(theta, p.rho_eff, cfg.m)
+                direct = rls_sep(theta, p.rho_eff, cfg.m)
                 via_mse = 2 * (1 - 1 / cfg.m) * mp.qfunc(
                     math.sqrt(dp.delta / (dp.energy_e * (mse + 1 / dp.rho_eff))))
                 assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
@@ -329,8 +332,8 @@ class TestCriterion8:
                 p = theory_point(cfg, lam=lam)
                 theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
                 beta = mp.rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
-                f_t, f_b = mp.rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde,
-                                                         p.delta)
+                f_t, f_b = rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde,
+                                                      p.delta)
                 assert max(abs(f_t), abs(f_b)) <= 1e-8
 
             params = theory_point(cfg, lam=0.4, t=1.0)
@@ -362,7 +365,7 @@ class TestCriterion9:
                 k=400, n=480, t_total=1000, t_pilot=400, rho=20.0, alpha=0.5, m=2,
                 power_convention=mp.PowerConvention.DIRECT_SPLIT)  # rho_d = 10 dB
             point = theory_point(fig4_cfg, t=1.0)
-            point = replace(point, lam_tilde=mp.lambda_star_numeric(point))
+            point = point._replace(lam_tilde=mp.lambda_star_numeric(point))
             assert point.lam_tilde * mp.derive_params(fig4_cfg).lambda_star < 1e-3
 
             # optimal threshold at rho_d = 10 dB, coefficient optimized first

@@ -1,7 +1,6 @@
 """Power-split optimum, goodput-optimal training duration, monotonicity."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,8 +97,8 @@ class TestOptimizeGoodput:
         rho = 10.0
         cfg = energy_cfg(rho, k=128, n=192, t_total=512)
         res = optimize_goodput(cfg)
-        at_2k = replace(cfg, t_pilot=2 * 128)
-        at_2k = replace(at_2k, alpha=alpha_star_for_config(at_2k).alpha_star)
+        at_2k = cfg._replace(t_pilot=2 * 128)
+        at_2k = at_2k._replace(alpha=alpha_star_for_config(at_2k).alpha_star)
         assert res.goodput >= predict(at_2k, DecoderSpec.lmmse()).goodput
 
     def test_tiny_block_goodput_vanishes(self):

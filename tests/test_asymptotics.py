@@ -7,11 +7,18 @@ grid searches, back-substitution into defining equations).
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import box_objective_quadrature, gauss_pdf, theory_point
+from oracles import (
+    box_objective,
+    box_objective_quadrature,
+    gauss_pdf,
+    gaussian_partial_second_moment,
+    rls_sep,
+    rls_stationarity_residuals,
+    theory_point,
+)
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -29,12 +36,10 @@ from mimopam import (
     SweepSpec,
     SystemConfig,
     TPolicy,
-    box_objective,
     box_saddle_solve,
     box_sep,
     box_theta_min,
     derive_params,
-    gaussian_partial_second_moment,
     lambda_star_numeric,
     lambda_star_rls,
     mse_from_theta,
@@ -43,8 +48,6 @@ from mimopam import (
     qfunc,
     resolve_decoder,
     rls_beta_star,
-    rls_sep,
-    rls_stationarity_residuals,
     rls_theta_star,
     scalar_solution,
     t_star_numeric,
@@ -113,9 +116,7 @@ def unit_ls(rho_eff, delta, m=2):
 
 
 def box_params(rho_db, lam, t, m=2):
-    cfg = fig2_cfg(rho_db)
-    cfg = SystemConfig(**{**cfg.__dict__, "m": m})
-    return theory_point(cfg, lam=lam, t=t)
+    return theory_point(fig2_cfg(rho_db)._replace(m=m), lam=lam, t=t)
 
 
 def fig2_lambda_star(rho_db):
@@ -215,9 +216,9 @@ class TestLambdaStar:
         point = theory_point(cfg, t=t)
         lam_tilde = lambda_star_numeric(point)
         assert lam_tilde * derive_params(cfg).lambda_star == pytest.approx(0.00645, rel=1e-2)
-        at_lam = box_saddle_solve(replace(point, lam_tilde=lam_tilde))
+        at_lam = box_saddle_solve(point._replace(lam_tilde=lam_tilde))
         for other in (0.5 * lam_tilde, 2.0 * lam_tilde):
-            near = box_saddle_solve(replace(point, lam_tilde=other))
+            near = box_saddle_solve(point._replace(lam_tilde=other))
             assert at_lam.theta_star <= near.theta_star
 
     def test_optimal_mse_forms_agree_off_the_reference_grid(self):
@@ -256,11 +257,11 @@ class TestKnobSearch:
         # 2 t_ref on, so no bracket that waits for theta* to rise would close
         t_ref = float(pam_constellation(m).points[-1])
         point = theory_point(fig4_cfg(-5.0, m), t=t_ref)
-        point = replace(point, lam_tilde=lambda_star_numeric(point))
+        point = point._replace(lam_tilde=lambda_star_numeric(point))
         t = t_star_numeric(point)
 
         def theta(x):
-            return box_saddle_solve(replace(point, t=x)).theta_star
+            return box_saddle_solve(point._replace(t=x)).theta_star
         best = theta(t)
         assert all(best <= theta(r * t_ref) * (1 + 1e-12) for r in asymptotics.T_GRID)
 
@@ -600,7 +601,7 @@ class TestPredict:
         target = derive_params(direct).rho_eff
 
         def energy(rho):
-            return replace(direct, rho=rho, power_convention=PowerConvention.ENERGY_CONSERVING)
+            return direct._replace(rho=rho, power_convention=PowerConvention.ENERGY_CONSERVING)
         rho = brentq(lambda r: derive_params(energy(r)).rho_eff - target, 1.0, 100.0,
                      xtol=1e-300, rtol=1e-15)
         cfgs = (direct, energy(rho))

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from mimopam import (
     BatchStats,
     ConfigError,
     DecoderKind,
+    DecoderSpec,
     LambdaPolicy,
     PowerConvention,
     SweepAxis,
@@ -115,6 +115,24 @@ class TestConfigFile:
             assert spec.values
 
 
+    @pytest.mark.parametrize("record, changes, match", [
+        (small_spec().base, {"t_pilot": 31}, "t_pilot >= k"),
+        (small_spec().base, {"alpha": 1.0}, "alpha"),
+        (small_spec(), {"values": (10.0, 0.0)}, "strictly increasing"),
+        (small_spec(), {"lambda_policy": LambdaPolicy.FIXED}, "explicit 'lambda'"),
+        (DecoderSpec.rls(1.0), {"t_box": 1.0}, "box decoder"),
+        (DecoderSpec.lmmse(), {"lam_tilde": 0.5}, "LMMSE"),
+    ])
+    def test_replace_validates_like_the_constructor(self, record, changes, match):
+        # namedtuple's _replace builds through _make, which skips __new__
+        with pytest.raises(ConfigError, match=match):
+            record._replace(**changes)
+        with pytest.raises(ConfigError, match=match):
+            type(record)._make({**record._asdict(), **changes}.values())
+        valid = record._replace()
+        assert type(valid) is type(record) and valid == record
+
+
 class TestSweepMechanics:
     def test_apply_rho_axis(self):
         _, cfg = apply_sweep_value(small_spec(), 20.0)
@@ -162,7 +180,7 @@ class TestRunModes:
     def test_compare_leaves_ls_mse_ungated_without_finite_variance(self):
         # at N <= K+3 the exact LS MSE has no finite variance, so a stderr z
         # says nothing about it; its SER is still scored
-        spec = small_spec(base=replace(small_spec().base, n=33), values=(5.0, 10.0),
+        spec = small_spec(base=small_spec().base._replace(n=33), values=(5.0, 10.0),
                           decoders=(DecoderKind.LS, DecoderKind.RLS), trials=30, master_seed=11)
         report = run(spec, "compare").report
         ls_rows = [line for line in report.splitlines() if " ls: " in line]
@@ -269,7 +287,7 @@ class TestRunModes:
         assert all(abs(rec.alpha - 0.629) <= 1e-3 for rec in result.records)
 
     def test_optimize_goodput_pins_training_to_antenna_count(self):
-        base = replace(small_spec().base, power_convention=PowerConvention.ENERGY_CONSERVING)
+        base = small_spec().base._replace(power_convention=PowerConvention.ENERGY_CONSERVING)
         spec = small_spec(base=base, values=(10.0,), decoders=(DecoderKind.RLS,))
         result = run(spec, "optimize_goodput")
         assert result.records[0].t_pilot == 32
@@ -342,6 +360,24 @@ print(json.dumps([codes, theory_numpy, "numpy" in sys.modules]))
             for name in PRESET_NAMES for mode in ("predict", "optimize-power", "optimize-goodput")}
         assert not theory_numpy
         assert simulate_numpy
+
+    def test_cli_start_loads_no_dataclasses_pool_or_numpy(self, tmp_path):
+        # measured against a bare interpreter, so modules that site loads do
+        # not count; the parallel simulate call shows that the check can fail
+        cfg = self._write_cfg(tmp_path, trials=2)
+        bare = set(run_python("import sys; print(*sys.modules)").split())
+        code = f"""
+import json, sys
+import mimopam.cli
+started = sorted(sys.modules)
+mimopam.cli.main(["simulate", "--config", {cfg!r}, "--out", {str(tmp_path / "s.csv")!r},
+                  "--workers", "2"])
+print(json.dumps([started, "concurrent.futures" in sys.modules]))
+"""
+        started, pool_loaded = json.loads(run_python(code).splitlines()[-1])
+        heavy = {"dataclasses", "concurrent.futures", "numpy"}
+        assert not heavy & (set(started) - bare)
+        assert pool_loaded
 
     @pytest.mark.parametrize("env, want", [
         ({}, ["1", "1", "1"]),

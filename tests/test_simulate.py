@@ -3,7 +3,6 @@ training phase (pilots, channel estimation), trials, batches."""
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -425,7 +424,7 @@ class TestJointBatch:
         # of its lowest failing trial, every other entry the sequential stats
         cfg = scaled_cfg(10.0, k=16, n=20, t_total=40, t_pilot=19)
         points = [point_of(cfg, joint_specs(cfg)),
-                  point_of(replace(cfg, rho=100.0), joint_specs(cfg))]
+                  point_of(cfg._replace(rho=100.0), joint_specs(cfg))]
         trials = 48
         index_of = {draw_trial(cfg, 6, idx).rhs.tobytes(): idx for idx in range(trials)}
         real_box = simulate.box_rls_solve
@@ -505,7 +504,7 @@ class TestSweepBatch:
 
     def test_points_must_share_n_k_m(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        for other in (replace(cfg, n=78), replace(cfg, k=63, t_pilot=73), replace(cfg, m=4)):
+        for other in (cfg._replace(n=78), cfg._replace(k=63, t_pilot=73), cfg._replace(m=4)):
             points = [point_of(cfg, (DecoderSpec.lmmse(),)),
                       point_of(other, (DecoderSpec.lmmse(),))]
             with pytest.raises(ConfigError, match="share"):

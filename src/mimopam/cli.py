@@ -21,21 +21,13 @@ import os
 import sys
 
 from .errors import ConfigError
-from .runner import load_config, run, write_outputs
+from .runner import MODES, load_config, run, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-_MODE_NAMES = {
-    "predict": "predict",
-    "simulate": "simulate",
-    "compare": "compare",
-    "optimize-power": "optimize_power",
-    "optimize-goodput": "optimize_goodput",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link-level laboratory for massive-MIMO PAM transmission under imperfect CSI",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for name in _MODE_NAMES:
-        p = sub.add_parser(name)
+    for mode in MODES:
+        p = sub.add_parser(mode.replace("_", "-"))
         p.add_argument("--config", required=True, help="flat key=value sweep config")
         p.add_argument("--out", default=None, help="output CSV path (default <mode>.csv)")
         p.add_argument("--report", default=None, help="also write the text report here")
@@ -67,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = spec._replace(master_seed=args.seed)
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        mode = _MODE_NAMES[args.mode]
+        mode = args.mode.replace("-", "_")
         result = run(spec, mode, workers=args.workers)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -100,10 +100,6 @@ _OPTIONAL_KEYS = (
     "power_convention", "trials", "master_seed", "lambda_policy", "t_policy",
     "lambda", "t_box",
 )
-_CONVENTIONS = {
-    "energy": PowerConvention.ENERGY_CONSERVING,
-    "direct": PowerConvention.DIRECT_SPLIT,
-}
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -143,8 +139,11 @@ def load_config(path: str) -> SweepSpec:
             raise ConfigError(f"missing required config key {key!r}")
 
     convention = pairs.get("power_convention", "energy").lower()
-    if convention not in _CONVENTIONS:
-        raise ConfigError(f"key 'power_convention': expected energy|direct, got {convention!r}")
+    try:
+        power_convention = PowerConvention(convention)
+    except ValueError as exc:
+        choices = "|".join(c.value for c in PowerConvention)
+        raise ConfigError(f"key 'power_convention': expected {choices}, got {convention!r}") from exc
     base = SystemConfig(
         k=_parse_int(pairs["k"], "k"),
         n=_parse_int(pairs["n"], "n"),
@@ -153,7 +152,7 @@ def load_config(path: str) -> SweepSpec:
         rho=db_to_linear(_parse_float(pairs["rho_db"], "rho_db")),
         alpha=_parse_float(pairs["alpha"], "alpha"),
         m=_parse_int(pairs["m"], "m"),
-        power_convention=_CONVENTIONS[convention],
+        power_convention=power_convention,
     )
     try:
         axis = SweepAxis(pairs["sweep_axis"].lower())
@@ -183,17 +182,9 @@ def load_config(path: str) -> SweepSpec:
     )
 
 
-CSV_COLUMNS = (
-    "k", "n", "t_total", "t_pilot", "rho_db", "alpha", "m", "decoder", "lambda",
-    "t_box", "power_convention", "theta_star", "beta_star", "b_norm",
-    "mse_theory", "sep_theory", "goodput_theory",
-    "mse_sim", "ser_sim", "stderr_mse", "stderr_ser", "trials", "master_seed", "error",
-)
-
-
 class SweepRecord(NamedTuple):
-    """One CSV row; the fields are in CSV_COLUMNS order, lam being the
-    lambda column."""
+    """One CSV row; the fields are the CSV_COLUMNS, lam being the lambda
+    column."""
 
     k: int
     n: int
@@ -226,6 +217,9 @@ class SweepRecord(NamedTuple):
             return "" if v is None else (repr(float(v)) if isinstance(v, float) else v)
 
         return [fmt(v) for v in self]
+
+
+CSV_COLUMNS = tuple("lambda" if f == "lam" else f for f in SweepRecord._fields)
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
@@ -291,13 +285,10 @@ _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
 
 
 def _theory_record(
-    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind,
-    predictions: dict[tuple[float, float], Prediction],
+    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind
 ) -> tuple[SweepRecord, tuple[DecoderSpec, Prediction] | None]:
     """One decoder's row at one sweep point with its theory cells, and its
-    resolved spec and prediction, or None if resolving or predicting failed.
-    predictions holds this point's predict results by theory point (lam~, t):
-    predict reads nothing else of the spec, so decoders at one point share one."""
+    resolved spec and prediction, or None if resolving or predicting failed."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
         rho_db=linear_to_db(cfg.rho), alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
@@ -312,12 +303,10 @@ def _theory_record(
     fixed = spec.lambda_policy is LambdaPolicy.FIXED and kind in (DecoderKind.RLS, DecoderKind.BOX)
     lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
     shell = shell._replace(lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
-    pred = predictions.get((dspec.lam_tilde, dspec.t_box))
-    if pred is None:
-        try:
-            pred = predictions[dspec.lam_tilde, dspec.t_box] = predict(cfg, dspec)
-        except _SOLVER_ERRORS as exc:
-            return shell._replace(error=str(exc)), None
+    try:
+        pred = predict(cfg, dspec)
+    except _SOLVER_ERRORS as exc:
+        return shell._replace(error=str(exc)), None
     return shell._replace(
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
@@ -336,15 +325,13 @@ def _evaluate(
     """The rows of each sweep point, one per decoder of the sweep.
 
     Theory comes first, for every point. Rows of a point at one theory
-    point (lam~, t), e.g. rls and lmmse at lam~ = 1, get one predict, and
-    their draws, statistics and scores are the same. With simulate, the
-    decoders whose theory succeeded then share one run_batch call for the
-    whole sweep, with B from their predictions, so each trial is drawn
-    once; a solver error marks only its own row."""
-    theory = []
-    for point, cfg in points:
-        predictions: dict[tuple[float, float], Prediction] = {}
-        theory.append([_theory_record(point, cfg, kind, predictions) for kind in spec.decoders])
+    point (lam~, t), e.g. rls and lmmse at lam~ = 1, are one decoder: their
+    predictions, draws, statistics and scores are the same, and all but the
+    first are marked as repeats. With simulate, the decoders whose theory
+    succeeded then share one run_batch call for the whole sweep, with B
+    from their predictions, so each trial is drawn once; a solver error
+    marks only its own row."""
+    theory = [[_theory_record(point, cfg, kind) for kind in spec.decoders] for point, cfg in points]
     rows: list[list[_Row]] = []
     for records in theory:
         solved = [None if s is None else (s[0].lam_tilde, s[0].t_box) for _, s in records]
@@ -374,6 +361,21 @@ def _evaluate(
     return rows
 
 
+def _optimized_point(spec: SweepSpec, mode: str, rho_db: float) -> tuple[str, SystemConfig]:
+    """The report header and the optimized config of one optimization mode
+    at one power."""
+    cfg = spec.base._replace(rho=db_to_linear(rho_db))
+    if mode == "optimize_power":
+        alloc = alpha_star_for_config(cfg)
+        return (f"rho_db={rho_db}: alpha_star={alloc.alpha_star:.6f} "
+                f"branch={alloc.branch} rho_eff={alloc.rho_eff_at_star:.6g}",
+                cfg._replace(alpha=alloc.alpha_star))
+    alloc = optimize_goodput(cfg)
+    return (f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
+            f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}",
+            cfg._replace(alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star))
+
+
 class RunResult(NamedTuple):
     records: list[SweepRecord]
     report: str
@@ -388,65 +390,56 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     """Execute one mode over the sweep and build records plus a text report.
 
     Optimization modes sweep rho when the axis is rho_db and otherwise run a
-    single optimization at the base config's rho. compare flags a row when
-    a z-score of it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count),
+    single optimization at the base config's rho; their report lists each
+    optimum and only the error rows. compare flags a row when a z-score of
+    it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count),
     where rows of one sweep point at one theory point (lam~, t) count once.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    records: list[SweepRecord] = []
-    lines: list[str] = [f"mode={mode} axis={spec.sweep_axis.value} decoders=" +
-                        ",".join(d.value for d in spec.decoders)]
-    flagged = 0
-    # (report line, z-scores, whether an earlier row of the point has the same scores)
-    scored: list[tuple[int, tuple[float | None, float], bool]] = []
-
-    if mode in ("predict", "simulate", "compare"):
-        points = [apply_sweep_value(spec, value) for value in spec.values]
-        evaluated = _evaluate(spec, points, mode != "predict", workers)
-        for value, point_rows in zip(spec.values, evaluated):
-            for rec, zs, repeat in point_rows:
-                records.append(rec)
-                if rec.error:
-                    lines.append(f"{spec.sweep_axis.value}={value} {rec.decoder}: ERROR {rec.error}")
-                    continue
-                msg = (f"{spec.sweep_axis.value}={value} {rec.decoder}: "
-                       f"mse={rec.mse_theory:.6g} sep={rec.sep_theory:.6g}")
-                if rec.mse_sim is not None:
-                    msg += f" mse_sim={rec.mse_sim:.6g} ser_sim={rec.ser_sim:.6g}"
-                if mode == "compare" and zs is not None:
-                    z_mse, z_ser = zs
-                    msg += f" z_mse={'n/a' if z_mse is None else f'{z_mse:.3g}'} z_ser={z_ser:.3g}"
-                    scored.append((len(lines), zs, repeat))
-                lines.append(msg)
+    optimize = mode.startswith("optimize_")
+    # per point: its report header ("" for none), the prefix of its row lines, and (spec, cfg)
+    if optimize:
+        rhos = spec.values if spec.sweep_axis is SweepAxis.RHO_DB else (linear_to_db(spec.base.rho),)
+        heads = [(header, "  ", (spec, cfg))
+                 for header, cfg in (_optimized_point(spec, mode, rho_db) for rho_db in rhos)]
     else:
-        rho_values = list(spec.values) if spec.sweep_axis is SweepAxis.RHO_DB \
-            else [linear_to_db(spec.base.rho)]
-        for rho_db in rho_values:
-            cfg = spec.base._replace(rho=db_to_linear(rho_db))
-            if mode == "optimize_power":
-                alloc = alpha_star_for_config(cfg)
-                cfg = cfg._replace(alpha=alloc.alpha_star)
-                lines.append(f"rho_db={rho_db}: alpha_star={alloc.alpha_star:.6f} "
-                             f"branch={alloc.branch} rho_eff={alloc.rho_eff_at_star:.6g}")
-            else:
-                alloc = optimize_goodput(cfg)
-                cfg = cfg._replace(alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star)
-                lines.append(f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
-                             f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}")
-            for rec, _, _ in _evaluate(spec, [(spec, cfg)], False, workers)[0]:
-                records.append(rec)
-                if rec.error:
-                    lines.append(f"  {rec.decoder}: ERROR {rec.error}")
+        heads = [("", f"{spec.sweep_axis.value}={value} ", apply_sweep_value(spec, value))
+                 for value in spec.values]
+    evaluated = _evaluate(spec, [point for _, _, point in heads],
+                          mode in ("simulate", "compare"), workers)
+    records = [rec for point_rows in evaluated for rec, _, _ in point_rows]
+
+    gate = None
+    if mode == "compare":
+        tests = sum(z is not None for point_rows in evaluated
+                    for _, zs, repeat in point_rows if zs is not None and not repeat for z in zs)
+        gate = bonferroni_z(COMPARE_FALSE_ALARM, tests) if tests else math.inf
+    lines = [f"mode={mode} axis={spec.sweep_axis.value} decoders=" +
+             ",".join(d.value for d in spec.decoders)]
+    flagged = 0
+    for (header, prefix, _), point_rows in zip(heads, evaluated):
+        if header:
+            lines.append(header)
+        for rec, zs, _ in point_rows:
+            if rec.error:
+                lines.append(f"{prefix}{rec.decoder}: ERROR {rec.error}")
+                continue
+            if optimize:
+                continue
+            msg = f"{prefix}{rec.decoder}: mse={rec.mse_theory:.6g} sep={rec.sep_theory:.6g}"
+            if rec.mse_sim is not None:
+                msg += f" mse_sim={rec.mse_sim:.6g} ser_sim={rec.ser_sim:.6g}"
+            if gate is not None and zs is not None:
+                z_mse, z_ser = zs
+                msg += f" z_mse={'n/a' if z_mse is None else f'{z_mse:.3g}'} z_ser={z_ser:.3g}"
+                if any(z is not None and abs(z) > gate for z in zs):
+                    flagged += 1
+                    msg += f"  FLAGGED |z| > {gate:.3g}"
+            lines.append(msg)
 
     solver_errors = sum(1 for r in records if r.error)
-    if mode == "compare":
-        tests = sum(z is not None for _, zs, repeat in scored if not repeat for z in zs)
-        gate = bonferroni_z(COMPARE_FALSE_ALARM, tests) if tests else math.inf
-        for line, zs, _ in scored:
-            if any(z is not None and abs(z) > gate for z in zs):
-                flagged += 1
-                lines[line] += f"  FLAGGED |z| > {gate:.3g}"
+    if gate is not None:
         lines.append(f"flagged points: {flagged} (gate |z| <= {gate:.3g} over {tests} z-scores)")
     if solver_errors:
         lines.append(f"solver errors: {solver_errors}")

@@ -187,19 +187,16 @@ class TrialDraw:
 
 def solve_ridges(shared: SharedTrial, requests: list[tuple[TrialDraw, float]]) -> None:
     """Solve the ridge systems of (view, lam~) requests on one shared trial
-    with one LU per distinct shift mu = lam~ / s^2: the distinct columns of
-    the views at that shift are the right-hand sides of one rls_solve. A
-    failed solve is stored as the error of the requests of its column."""
-    by_shift: dict[float, dict[float, list[tuple[TrialDraw, float]]]] = {}
+    with one LU per distinct shift mu = lam~ / s^2: the columns of the
+    requests at that shift are the right-hand sides of one rls_solve. A
+    failed solve is stored as the error of the request of its column."""
+    by_shift: dict[float, list[tuple[TrialDraw, float]]] = {}
     for view, lam_tilde in requests:
-        columns = by_shift.setdefault(lam_tilde / view.scale, {})
-        columns.setdefault(view.noise_coef, []).append((view, lam_tilde))
-    for shift, columns in by_shift.items():
-        groups = list(columns.values())
-        solutions = _ridge_columns(shared, shift, [group[0][0].column for group in groups])
-        for group, solution in zip(groups, solutions):
-            for view, lam_tilde in group:
-                view.ridges[lam_tilde] = solution
+        by_shift.setdefault(lam_tilde / view.scale, []).append((view, lam_tilde))
+    for shift, group in by_shift.items():
+        solutions = _ridge_columns(shared, shift, [view.column for view, _ in group])
+        for (view, lam_tilde), solution in zip(group, solutions):
+            view.ridges[lam_tilde] = solution
 
 
 def _ridge_columns(

@@ -1,11 +1,13 @@
-"""Regenerate the golden theory CSVs kept next to this script.
+"""Regenerate the golden CSVs and reports kept next to this script.
 
     PYTHONPATH=src python3 tests/golden/regenerate.py
 
-Each CASES entry (mode, preset) is written to <mode>_<preset>.csv, the CSV
-that `mimopam <mode> --config <preset>` writes. tests/test_golden.py holds
-the package to these files. A change that moves a golden cell regenerates
-them and names the cells that moved, by how much and why.
+Each CASES entry (mode, preset) is written to <mode>_<preset>.csv and
+<mode>_<preset>.txt, the CSV and the text report that
+`mimopam <mode> --config <preset> --trials 4` writes (the theory modes read
+no trial count). tests/test_golden.py holds the package to these files. A
+change that moves a golden cell regenerates them and names the cells that
+moved, by how much and why.
 """
 
 from pathlib import Path
@@ -14,20 +16,23 @@ from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import load_config, records_to_csv, run
 
 HERE = Path(__file__).resolve().parent
+TRIALS = 4
 CASES = (*(("predict", name) for name in PRESET_NAMES),
-         ("optimize_power", "fig6"), ("optimize_goodput", "prop1"))
+         ("optimize_power", "fig6"), ("optimize_goodput", "prop1"), ("compare", "fig6"))
 
 
-def golden_path(mode: str, preset: str) -> Path:
-    return HERE / f"{mode}_{preset}.csv"
+def golden_path(mode: str, preset: str, suffix: str = ".csv") -> Path:
+    return HERE / f"{mode}_{preset}{suffix}"
 
 
-def render(mode: str, preset: str) -> str:
-    """The CSV of one case, computed in-process."""
-    return records_to_csv(run(load_config(preset_path(preset)), mode).records)
+def render(mode: str, preset: str) -> tuple[str, str]:
+    """The CSV and the report of one case, computed in-process."""
+    result = run(load_config(preset_path(preset))._replace(trials=TRIALS), mode)
+    return records_to_csv(result.records), result.report
 
 
 if __name__ == "__main__":
     for mode, preset in CASES:
-        golden_path(mode, preset).write_text(render(mode, preset), encoding="utf-8")
-        print(f"wrote {golden_path(mode, preset)}")
+        for suffix, text in zip((".csv", ".txt"), render(mode, preset)):
+            golden_path(mode, preset, suffix).write_text(text, encoding="utf-8")
+            print(f"wrote {golden_path(mode, preset, suffix)}")

@@ -9,17 +9,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from mimopam import (
-    BoxObjectiveParams,
-    box_rls_solve,
-    derive_params,
-    linear_to_db,
-    pam_constellation,
-    qfunc,
-    rls_solve,
-)
-from mimopam.asymptotics import _box_terms, _tail_moment
+from mimopam import derive_params
+from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qfunc
+from mimopam.decoders import box_rls_solve, rls_solve
 from mimopam.simulate import estimate_channel
+from mimopam.system import linear_to_db, pam_constellation
 
 
 def theory_point(cfg, lam=0.0, t=math.inf):

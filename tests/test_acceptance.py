@@ -26,8 +26,15 @@ from oracles import (
 from scipy.integrate import quad
 
 import mimopam as mp
+from mimopam.allocation import alpha_star_for_config, optimize_goodput
+from mimopam.asymptotics import (
+    box_saddle_solve, box_theta_min, lambda_star_numeric, mse_from_theta, qfunc,
+    rls_beta_star, rls_theta_star, t_star_numeric,
+)
+from mimopam.decoders import lmmse_decode
 from mimopam.presets import preset_path
 from mimopam.simulate import bonferroni_z, consistency_z
+from mimopam.system import lambda_star_rls, rho_eff_of_alpha
 
 MASTER_SEED = 20260808
 FULL_TRIALS = 500
@@ -93,7 +100,7 @@ def box_lambda_numeric():
     """
     out = {}
     for rho_db in (5, 15, 20, 25):
-        out[rho_db] = mp.lambda_star_numeric(theory_point(fig2_cfg(rho_db), t=1.0))
+        out[rho_db] = lambda_star_numeric(theory_point(fig2_cfg(rho_db), t=1.0))
     return out
 
 
@@ -156,7 +163,7 @@ class TestCriterion1:
             for rho_db, want in anchors.items():
                 cfg = fig2_cfg(rho_db)
                 dp = mp.derive_params(cfg)
-                lam = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+                lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
                 pred = mp.predict(cfg, mp.DecoderSpec.rls(lam / dp.lambda_star))
                 assert pred.mse == pytest.approx(want, rel=1e-4)
 
@@ -175,10 +182,10 @@ class TestCriterion2:
             for rho_db in range(0, 36):
                 cfg = fig2_cfg(rho_db)
                 dp = mp.derive_params(cfg)
-                lam = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+                lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
                 params = theory_point(cfg, lam=lam, t=1e6)
-                want = mp.rls_theta_star(params.rho_eff, params.lam_tilde, params.delta)
-                sol = mp.box_saddle_solve(params)
+                want = rls_theta_star(params.rho_eff, params.lam_tilde, params.delta)
+                sol = box_saddle_solve(params)
                 assert sol.theta_star == pytest.approx(want, rel=1e-9), f"rho={rho_db}dB"
 
 
@@ -199,10 +206,10 @@ class TestCriterion3:
                 # the mandatory fallback and must hold, see the next test).
                 cfg = fig2_cfg(20)
                 dp = mp.derive_params(cfg)
-                lam_cf = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+                lam_cf = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
                 params = theory_point(cfg, lam=lam_cf, t=1.0)
-                sol = mp.box_saddle_solve(params)
-                mse_cf = mp.mse_from_theta(sol.theta_star, params.rho_eff, params.delta)
+                sol = box_saddle_solve(params)
+                mse_cf = mse_from_theta(sol.theta_star, params.rho_eff, params.delta)
                 assert mse_cf == pytest.approx(FIG2_BOX_MSE_20DB, rel=2e-5)
 
     @pytest.mark.slow
@@ -229,12 +236,12 @@ class TestCriterion5:
     def test_optimal_power_split(self):
         with criterion(5, "optimal data power ratio"):
             spec = mp.load_config(preset_path("fig6"))
-            res = mp.alpha_star_for_config(spec.base)
+            res = alpha_star_for_config(spec.base)
             assert res.alpha_star == pytest.approx(0.629, abs=1e-3)
 
             tau, tau_d = 1000 / 256, 744 / 256
             grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
-            vals = [mp.rho_eff_of_alpha(spec.base.rho, tau, tau_d, a) for a in grid]
+            vals = [rho_eff_of_alpha(spec.base.rho, tau, tau_d, a) for a in grid]
             best = grid[int(np.argmax(vals))]
             assert abs(res.alpha_star - best) <= grid[1] - grid[0]
 
@@ -251,7 +258,7 @@ class TestCriterion6:
                 for rho_db in (0, 10, 20):
                     cfg = mp.SystemConfig(k=k, n=n, t_total=t_total, t_pilot=k,
                                           rho=10 ** (rho_db / 10), alpha=0.5)
-                    assert mp.optimize_goodput(cfg).t_pilot_star == k, (k, rho_db)
+                    assert optimize_goodput(cfg).t_pilot_star == k, (k, rho_db)
 
 
 class TestCriterion7:
@@ -267,9 +274,9 @@ class TestCriterion7:
                 rho_d = float(rng.uniform(0.2, 30.0))
                 s_d2 = float(rng.uniform(0.0, 0.9))
                 a = math.sqrt(rho_d / k) * hhat
-                lam_star = mp.lambda_star_rls(rho_d, s_d2)
+                lam_star = lambda_star_rls(rho_d, s_d2)
                 want = ridge_decode(a, y, lam_star * rho_d)
-                got = mp.lmmse_decode(hhat, y, rho_d, s_d2)
+                got = lmmse_decode(hhat, y, rho_d, s_d2)
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
             # (b) partial second moment == adaptive quadrature
@@ -316,10 +323,10 @@ class TestCriterion7:
             dp = mp.derive_params(cfg)
             for lam in np.geomspace(0.02, 8.0, 30):
                 p = theory_point(cfg, lam=lam)
-                theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
-                mse = mp.mse_from_theta(theta, p.rho_eff, p.delta)
+                theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+                mse = mse_from_theta(theta, p.rho_eff, p.delta)
                 direct = rls_sep(theta, p.rho_eff, cfg.m)
-                via_mse = 2 * (1 - 1 / cfg.m) * mp.qfunc(
+                via_mse = 2 * (1 - 1 / cfg.m) * qfunc(
                     math.sqrt(dp.delta / (dp.energy_e * (mse + 1 / dp.rho_eff))))
                 assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
 
@@ -330,18 +337,18 @@ class TestCriterion8:
             cfg = fig2_cfg(10)
             for lam in (0.2, 0.8, 2.5):
                 p = theory_point(cfg, lam=lam)
-                theta = mp.rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
-                beta = mp.rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
+                theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+                beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
                 f_t, f_b = rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde,
                                                       p.delta)
                 assert max(abs(f_t), abs(f_b)) <= 1e-8
 
             params = theory_point(cfg, lam=0.4, t=1.0)
-            sol = mp.box_saddle_solve(params)
+            sol = box_saddle_solve(params)
             assert sol.stationarity_residual <= 1e-6
 
             betas = np.linspace(0.5 * sol.beta_star, 1.5 * sol.beta_star, 50)
-            profile = np.array([mp.box_theta_min(params, b)[1] for b in betas])
+            profile = np.array([box_theta_min(params, b)[1] for b in betas])
             second_diff = profile[:-2] - 2 * profile[1:-1] + profile[2:]
             assert np.all(second_diff <= 1e-8)
 
@@ -352,8 +359,8 @@ class TestCriterion9:
             # ridge: numeric argmin vs closed form
             cfg = fig2_cfg(10)
             dp = mp.derive_params(cfg)
-            want = mp.lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            got = mp.lambda_star_numeric(theory_point(cfg)) * dp.lambda_star
+            want = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
+            got = lambda_star_numeric(theory_point(cfg)) * dp.lambda_star
             assert got == pytest.approx(want, abs=1e-4)
 
             # box BPSK coefficient collapses to zero at high data power
@@ -365,11 +372,11 @@ class TestCriterion9:
                 k=400, n=480, t_total=1000, t_pilot=400, rho=20.0, alpha=0.5, m=2,
                 power_convention=mp.PowerConvention.DIRECT_SPLIT)  # rho_d = 10 dB
             point = theory_point(fig4_cfg, t=1.0)
-            point = point._replace(lam_tilde=mp.lambda_star_numeric(point))
+            point = point._replace(lam_tilde=lambda_star_numeric(point))
             assert point.lam_tilde * mp.derive_params(fig4_cfg).lambda_star < 1e-3
 
             # optimal threshold at rho_d = 10 dB, coefficient optimized first
-            t_star = mp.t_star_numeric(point)
+            t_star = t_star_numeric(point)
             sqrt_e = 1.0  # BPSK
             assert sqrt_e * t_star == pytest.approx(0.9996, abs=1e-2)
 

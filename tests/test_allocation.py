@@ -11,14 +11,11 @@ from mimopam import (
     PowerConvention,
     SystemConfig,
     alpha_star,
-    alpha_star_for_config,
     derive_params,
-    lambda_star_rls,
-    optimize_goodput,
-    pam_constellation,
     predict,
-    rho_eff_of_alpha,
 )
+from mimopam.allocation import alpha_star_for_config, optimize_goodput
+from mimopam.system import lambda_star_rls, pam_constellation, rho_eff_of_alpha
 
 FIG6 = dict(rho=10**1.5, tau=1000 / 256, tau_d=744 / 256)
 

@@ -23,40 +23,39 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from mimopam import (
-    BoxObjectiveParams,
     ConfigError,
     ConvergenceError,
     DecoderKind,
     DecoderSpec,
-    DegenerateThresholdError,
-    InfeasibleError,
-    LambdaPolicy,
     PowerConvention,
-    SweepAxis,
     SweepSpec,
     SystemConfig,
-    TPolicy,
+    derive_params,
+    predict,
+)
+from mimopam import asymptotics
+from mimopam.asymptotics import (
+    SCALAR_SEARCH_TOL,
+    BoxObjectiveParams,
+    _box_terms,
+    _bracket_root,
+    _find_root,
+    _grid_argmin,
     box_saddle_solve,
     box_sep,
     box_theta_min,
-    derive_params,
     lambda_star_numeric,
-    lambda_star_rls,
     mse_from_theta,
-    pam_constellation,
-    predict,
     qfunc,
-    resolve_decoder,
     rls_beta_star,
     rls_theta_star,
     scalar_solution,
     t_star_numeric,
     upsilon,
 )
-from mimopam import asymptotics
-from mimopam.asymptotics import (
-    SCALAR_SEARCH_TOL, _box_terms, _bracket_root, _find_root, _grid_argmin,
-)
+from mimopam.errors import DegenerateThresholdError, InfeasibleError
+from mimopam.runner import LambdaPolicy, SweepAxis, TPolicy, resolve_decoder
+from mimopam.system import lambda_star_rls, pam_constellation
 
 # Published theory values for the K=400, N=480, T=1000, T_p=456, alpha=0.5,
 # BPSK scenario under the direct power split, ridge decoder at the optimal

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import mimopam
-from mimopam import run_trial
+from mimopam.simulate import run_trial
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 

@@ -13,13 +13,11 @@ from mimopam import (
     DecoderSpec,
     PowerConvention,
     SystemConfig,
-    box_rls_solve,
     decoders,
-    lmmse_decode,
-    pam_constellation,
-    rls_solve,
     run_batch,
 )
+from mimopam.decoders import box_rls_solve, lmmse_decode, rls_solve
+from mimopam.system import pam_constellation
 
 
 def box_objective_value(a, y, lam_rho_d, x):

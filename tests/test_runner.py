@@ -1,6 +1,7 @@
 """Sweep configs, CSV schema and determinism, CLI exit codes."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -20,23 +21,19 @@ from mimopam import (
     ConfigError,
     DecoderKind,
     DecoderSpec,
-    LambdaPolicy,
     PowerConvention,
-    SweepAxis,
     SweepSpec,
     SystemConfig,
-    TPolicy,
-    lambda_star_rls,
     load_config,
     predict,
-    records_to_csv,
-    resolve_decoder,
     run,
 )
 from mimopam.cli import BLAS_THREAD_VARS, main as cli_main
 from mimopam.presets import PRESET_NAMES, preset_path
-from mimopam.runner import apply_sweep_value
-from mimopam.system import derive_params
+from mimopam.runner import (
+    LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
+)
+from mimopam.system import derive_params, lambda_star_rls
 
 
 def run_python(code, **env):
@@ -79,6 +76,17 @@ class TestConfigFile:
         )
         with pytest.raises(ConfigError, match="t_pilot >= k"):
             load_config(str(path))
+
+    def test_unknown_power_convention_names_the_choices(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\nsweep_axis = rho_db\nvalues = 0\ndecoders = rls\npower_convention = split\n"
+        )
+        with pytest.raises(ConfigError, match=r"expected energy\|direct, got 'split'"):
+            load_config(str(path))
+        assert cli_main(["predict", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "expected energy|direct" in capsys.readouterr().err
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -190,13 +198,10 @@ class TestRunModes:
         assert all(re.search(r" z_mse=-?\d\S* z_ser=-?\d", line) for line in rls_rows)
         assert "over 6 z-scores" in report
 
-    def test_compare_counts_one_theory_point_once(self, monkeypatch):
-        # closed_form_optimal puts rls at lam~ = 1, the lmmse point: one
-        # predict, the same printed z-scores, and one entry in the gate's
-        # family, so 2 points x (ls, rls = lmmse) x (z_mse, z_ser)
-        specs = []
-        monkeypatch.setattr(mimopam.runner, "predict",
-                            lambda cfg, spec: specs.append(spec) or predict(cfg, spec))
+    def test_compare_counts_one_theory_point_once(self):
+        # closed_form_optimal puts rls at lam~ = 1, the lmmse point: the same
+        # printed z-scores, and one entry in the gate's family, so
+        # 2 points x (ls, rls = lmmse) x (z_mse, z_ser)
         spec = small_spec(values=(5.0, 10.0), trials=6,
                           decoders=(DecoderKind.LS, DecoderKind.RLS, DecoderKind.LMMSE))
         result = run(spec, "compare")
@@ -206,7 +211,6 @@ class TestRunModes:
         assert len(rls) == 2 and rls == lmmse
         assert all(" z_mse=" in line for line in rls)
         assert "over 8 z-scores" in result.report
-        assert len(specs) == 4
         rows = {(r.rho_db, r.decoder): r.row()[8:] for r in result.records}
         assert all(rows[rho, "rls"] == rows[rho, "lmmse"] for rho, _ in rows)
 
@@ -378,6 +382,16 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         heavy = {"dataclasses", "concurrent.futures", "numpy"}
         assert not heavy & (set(started) - bare)
         assert pool_loaded
+
+    def test_package_namespace_is_the_readme_api(self):
+        exported = {name for name, value in vars(mimopam).items()
+                    if not name.startswith("_") and not inspect.ismodule(value)}
+        assert exported == {
+            "SystemConfig", "PowerConvention", "db_to_linear", "derive_params", "DecoderKind",
+            "DecoderSpec", "predict", "Prediction", "run_batch", "BatchStats", "alpha_star",
+            "SweepSpec", "SweepRecord", "CSV_COLUMNS", "load_config", "run", "ConfigError",
+            "ConvergenceError",
+        }
 
     @pytest.mark.parametrize("env, want", [
         ({}, ["1", "1", "1"]),

@@ -15,20 +15,16 @@ from mimopam import (
     PowerConvention,
     SystemConfig,
     ConvergenceError,
-    TrialOutcome,
     derive_params,
-    draw_trial,
-    lambda_star_rls,
-    pam_constellation,
     predict,
     run_batch,
-    run_trial,
-    slice_symbols,
 )
 from mimopam import asymptotics, simulate
 from mimopam.simulate import (
-    aggregate, bonferroni_z, estimate_channel, make_pilots, trial_stream,
+    TrialOutcome, aggregate, bonferroni_z, draw_trial, estimate_channel, make_pilots, run_trial,
+    trial_stream,
 )
+from mimopam.system import lambda_star_rls, pam_constellation, slice_symbols
 
 # Same antenna/training ratios as the published K=400 scenario, downsized for
 # test runtime; every derived constant (delta, sigma_delta_sq, rho_eff) and
@@ -540,20 +536,21 @@ class TestSweepBatch:
         assert [sweep[0], sweep[2]] == [run_batch([points[p]], 4, 3)[0] for p in (0, 2)]
 
     def test_one_lu_per_distinct_shift_of_the_sweep(self, monkeypatch):
+        # per trial, one solve per distinct shift with one column per request:
         # rho sweep: LS is one three-column solve for the sweep, rls / box /
-        # lmmse at lam~ = 1 one solve per point; a t_box sweep shares one
-        # right-hand side at one shift
+        # lmmse at lam~ = 1 one three-column solve per point; a t_box sweep
+        # is one three-column solve at one shift
         calls = counting_rls_solves(monkeypatch)
         cfgs = sweep_cfgs()
         specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
                  DecoderSpec.lmmse())
         run_batch([(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs], 2, 3)
         assert sorted(calls) == sorted(
-            [(0.0, 3)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 1) for cfg in cfgs] * 2)
+            [(0.0, 3)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 3) for cfg in cfgs] * 2)
         calls.clear()
         boxes = [((DecoderSpec.box(1.0, t), 1.0),) for t in (0.5, 1.0, 1.5)]
         run_batch([(cfgs[0], specs) for specs in boxes], 2, 3)
-        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 1)] * 2
+        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 3)] * 2
 
     def test_point_view_matches_the_replayed_draw(self):
         for cfg in sweep_cfgs():

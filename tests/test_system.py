@@ -13,12 +13,9 @@ from mimopam import (
     PowerConvention,
     SystemConfig,
     derive_params,
-    pam_constellation,
     predict,
-    rho_eff_of_alpha,
-    slice_symbols,
 )
-from mimopam.system import largest_symbol
+from mimopam.system import largest_symbol, pam_constellation, rho_eff_of_alpha, slice_symbols
 
 FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
 

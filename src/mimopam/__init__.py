@@ -5,12 +5,11 @@ performance predictors, and pilot/data resource optimizers.
 The package namespace holds what the README's quick start and the CLI use;
 everything else is imported from its module."""
 
-from .allocation import alpha_star
 from .asymptotics import Prediction, predict
 from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError
 from .runner import CSV_COLUMNS, SweepRecord, SweepSpec, load_config, run
 from .simulate import BatchStats, run_batch
-from .system import PowerConvention, SystemConfig, db_to_linear, derive_params
+from .system import PowerConvention, SystemConfig, alpha_star, db_to_linear, derive_params
 
 __version__ = "0.1.0"

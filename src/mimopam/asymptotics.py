@@ -24,7 +24,8 @@ gives beta*. The numeric searches for lam~* and t* sample theta* of
 scalar_solution, warm-started, on a fixed grid of the knob in its own units
 (LAM_TILDE_GRID, T_GRID), since theta*(t) has several local minima for
 M >= 4, and refine the best interior sample by golden section between its
-neighbours.
+neighbours. optimize_goodput, the goodput-optimal training duration, scores
+every integer pilot count by predict at that count's alpha*.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 from .decoders import DecoderSpec
 from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
-from .system import SystemConfig, derive_params, largest_symbol
+from .system import SystemConfig, alpha_star, derive_params, largest_symbol, pam_energy
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -138,10 +139,6 @@ class BoxObjectiveParams(NamedTuple):
     t: float
     m: int
 
-    @property
-    def energy_e(self) -> float:
-        return (self.m * self.m - 1) / 3.0
-
 
 def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float, float, float]:
     """D(theta, beta) and its partial derivatives in theta and beta.
@@ -169,7 +166,7 @@ def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float,
     width = p.t * (xi / theta + 2.0 * lr / (xi * beta))
     width_t = -p.t * xi / (theta * theta)
     width_b = -2.0 * p.t * lr / (xi * beta * beta)
-    step = xi / (math.sqrt(p.energy_e) * theta)
+    step = xi / (math.sqrt(pam_energy(p.m)) * theta)
     tails = tails_t = tails_b = 0.0
     for i in range(1, p.m, 2):
         drift = i * step
@@ -371,14 +368,14 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
     ridge decoder's 2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*).
     """
     m = params.m
-    sqrt_e = math.sqrt(params.energy_e)
+    sqrt_e = math.sqrt(pam_energy(m))
     ratio = params.t / b_norm
     for j in range(2, m - 1, 2):
         if abs(ratio - j / sqrt_e) < DEGENERATE_T_TOL:
             raise DegenerateThresholdError(
                 f"t / B = {ratio!r} sits on the degenerate decision boundary {j}/sqrt(E)"
             )
-    q = qfunc(math.sqrt(params.rho_eff / params.energy_e) / theta_star)
+    q = qfunc(math.sqrt(params.rho_eff / pam_energy(m)) / theta_star)
     sep = 0.0
     for i in range(1, m - 2, 2):
         if ratio >= (i + 1) / sqrt_e:
@@ -486,3 +483,30 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
     return Prediction(theta_star=dp.noise_std * sol.theta_star,
                       beta_star=dp.noise_std * sol.beta_star, b_norm=sol.b_norm,
                       mse=mse, sep=sep, goodput=goodput)
+
+
+class GoodputOptimum(NamedTuple):
+    """The goodput-optimal pilot count, its alpha* and the goodput there."""
+
+    t_pilot_star: int
+    alpha_star: float
+    goodput: float
+
+
+def optimize_goodput(cfg: SystemConfig) -> GoodputOptimum:
+    """Jointly optimal (t_pilot, alpha) in the goodput sense.
+
+    Walks every pilot count from k to t_total - 1 (pilots are whole
+    symbols), sets alpha to the closed-form alpha* at that count and scores
+    the point by the goodput that predict gives for LMMSE (ridge at its
+    optimal coefficient). The first best count wins. Direct-split configs
+    are refused, as by alpha_star.
+    """
+    best = None
+    for t_pilot in range(cfg.k, cfg.t_total):
+        point = cfg._replace(t_pilot=t_pilot)
+        alpha = alpha_star(point).alpha_star
+        goodput = predict(point._replace(alpha=alpha), DecoderSpec.lmmse()).goodput
+        if best is None or goodput > best.goodput:
+            best = GoodputOptimum(t_pilot, alpha, goodput)
+    return best

@@ -107,7 +107,8 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.nd
         raise ValueError("the ridge coefficient lam must be nonnegative")
     if lam == 0 and rows < len(gram):
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
-    reg = _regularized(gram, lam)
+    reg = gram.copy()
+    reg[np.diag_indices_from(reg)] += lam
     try:
         x = _solve(reg, rhs)
     except np.linalg.LinAlgError as exc:
@@ -143,15 +144,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0].copy() if b.ndim == 1 else x
 
 
-def _regularized(gram: np.ndarray, lam: float) -> np.ndarray:
-    """A copy of gram with lam added to its diagonal."""
-    import numpy as np
-
-    reg = gram.copy()
-    reg[np.diag_indices_from(reg)] += lam
-    return reg
-
-
 def box_rls_solve(
     gram: np.ndarray, rhs: np.ndarray, lam: float, t_box: float, ridge: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -178,14 +170,14 @@ def box_rls_solve(
     if t_box is None or not t_box > 0:
         raise ValueError("box_rls_solve needs a positive t_box")
     t = float(t_box)
-    gram = _regularized(gram, float(lam))  # from here on gram is G
+    lam = float(lam)
     x = np.clip(ridge, -t, t)
-    diag = np.diag(gram)
+    diag = np.diag(gram) + lam
     tol = BOX_KKT_RTOL * max(1.0, float(np.abs(rhs).max()))
     seen: set[tuple[bytes, bytes]] = set()
     single_index = False
     for step in range(AS_MAX_ITER + 1):
-        half_grad = gram @ x - rhs
+        half_grad = gram @ x + lam * x - rhs
         kkt = _projected_gradient_residual(x, half_grad, t)
         if kkt <= tol:
             return x, kkt
@@ -214,10 +206,14 @@ def box_rls_solve(
             upper, lower = predicted
         free = np.flatnonzero(~(upper | lower))
         x = np.where(upper, t, np.where(lower, -t, 0.0))
+        # take copies, so shifting the block's diagonal leaves gram as it is
+        block = gram.take(free, 0).take(free, 1)
+        block[np.diag_indices_from(block)] += lam
         # numpy has no triangular solve and scipy is no runtime dependency,
-        # so the SPD free block is factored by LU (LAPACK gesv)
+        # so the SPD free block is factored by LU (LAPACK gesv); x is 0 on
+        # the free set, where gram @ x therefore needs no lam x term
         try:
-            x[free] = _solve(gram[np.ix_(free, free)], rhs[free] - (gram @ x)[free])
+            x[free] = _solve(block, rhs[free] - (gram @ x)[free])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"box active set: singular free block with KKT residual {kkt:.3e}"

@@ -19,13 +19,15 @@ import io
 import math
 from typing import NamedTuple
 
-from .allocation import alpha_star_for_config, optimize_goodput
-from .asymptotics import BoxObjectiveParams, Prediction, lambda_star_numeric, predict, t_star_numeric
+from .asymptotics import (
+    BoxObjectiveParams, Prediction, lambda_star_numeric, optimize_goodput, predict, t_star_numeric,
+)
 from .decoders import DecoderKind, DecoderSpec
 from .errors import Checked, ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import bonferroni_z, consistency_z, run_batch
 from .system import (
-    PowerConvention, SystemConfig, db_to_linear, derive_params, largest_symbol, linear_to_db,
+    PowerConvention, SystemConfig, alpha_star, db_to_linear, derive_params, largest_symbol,
+    linear_to_db,
 )
 
 DEFAULT_TRIALS = 500
@@ -88,8 +90,14 @@ class SweepSpec(Checked, _SweepSpecFields):
             raise ConfigError(f"t_box must be finite and positive, got {self.t_box!r}")
         if self.lambda_policy is LambdaPolicy.FIXED and self.lam is None:
             raise ConfigError("lambda_policy = fixed requires an explicit 'lambda' key")
+        if self.lambda_policy is not LambdaPolicy.FIXED and self.lam is not None:
+            raise ConfigError(f"lambda_policy = {self.lambda_policy.value} ignores 'lambda'; "
+                              "it is read only under lambda_policy = fixed")
         if self.t_policy is TPolicy.FIXED and self.t_box is None:
             raise ConfigError("t_policy = fixed requires an explicit 't_box' key")
+        if self.t_policy is not TPolicy.FIXED and self.t_box is not None:
+            raise ConfigError(f"t_policy = {self.t_policy.value} ignores 't_box'; "
+                              "it is read only under t_policy = fixed")
 
 
 _REQUIRED_KEYS = (
@@ -366,14 +374,14 @@ def _optimized_point(spec: SweepSpec, mode: str, rho_db: float) -> tuple[str, Sy
     at one power."""
     cfg = spec.base._replace(rho=db_to_linear(rho_db))
     if mode == "optimize_power":
-        alloc = alpha_star_for_config(cfg)
-        return (f"rho_db={rho_db}: alpha_star={alloc.alpha_star:.6f} "
-                f"branch={alloc.branch} rho_eff={alloc.rho_eff_at_star:.6g}",
-                cfg._replace(alpha=alloc.alpha_star))
-    alloc = optimize_goodput(cfg)
-    return (f"rho_db={rho_db}: t_pilot_star={alloc.t_pilot_star} "
-            f"alpha_star={alloc.alpha_star:.6f} goodput={alloc.goodput:.6f}",
-            cfg._replace(alpha=alloc.alpha_star, t_pilot=alloc.t_pilot_star))
+        split = alpha_star(cfg)
+        best = cfg._replace(alpha=split.alpha_star)
+        return (f"rho_db={rho_db}: alpha_star={split.alpha_star:.6f} "
+                f"branch={split.branch} rho_eff={derive_params(best).rho_eff:.6g}", best)
+    opt = optimize_goodput(cfg)
+    return (f"rho_db={rho_db}: t_pilot_star={opt.t_pilot_star} "
+            f"alpha_star={opt.alpha_star:.6f} goodput={opt.goodput:.6f}",
+            cfg._replace(alpha=opt.alpha_star, t_pilot=opt.t_pilot_star))
 
 
 class RunResult(NamedTuple):

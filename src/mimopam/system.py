@@ -2,9 +2,10 @@
 
 Everything downstream (simulator, decoders, asymptotic predictors) consumes the
 values derived here, so this module is the single owner of the power-split
-arithmetic and of dB/linear conversion (stored powers are always linear).
-numpy is imported inside the constellation functions that use it, so the
-theory, which reads only largest_symbol, runs without loading it.
+arithmetic, the optimal split alpha* included, of the PAM energy and of
+dB/linear conversion (stored powers are always linear). numpy is imported
+inside the constellation functions that use it, so the theory, which reads
+only pam_energy and largest_symbol, runs without loading it.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
         tau_d=tau_d,
         rho_p=rho_p,
         rho_d=rho_d,
-        energy_e=(cfg.m**2 - 1) / 3.0,
+        energy_e=pam_energy(cfg.m),
         sigma_delta_sq=sigma_delta_sq,
         sigma_hhat_sq=sigma_hhat_sq,
         rho_eff=rho_eff,
@@ -152,24 +153,42 @@ def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
     return 1.0 / rho_d + sigma_delta_sq
 
 
-def rho_eff_of_alpha(rho: float, tau: float, tau_d: float, alpha: float) -> float:
-    """Effective SNR as a function of the data power ratio, under the
-    energy-conserving convention.
+class PowerSplit(NamedTuple):
+    """The data power ratio maximizing rho_eff, vartheta (nan at tau_d = 1)
+    and the branch of the closed form that gave it."""
 
-    Continuous in alpha on (0, 1) and vanishing at both endpoints. The
-    tau_d = 1 case is handled by its dedicated limit form.
+    alpha_star: float
+    vartheta: float
+    branch: str
+
+
+def alpha_star(cfg: SystemConfig) -> PowerSplit:
+    """Data power ratio maximizing the effective SNR at cfg's rho and block.
+
+    With vartheta = (1 + rho*tau) / (rho*tau*(1 - 1/tau_d)), alpha* =
+    vartheta - sqrt(vartheta (vartheta - 1)) for tau_d > 1, exactly 1/2 for
+    tau_d = 1, and the + branch for tau_d < 1. The closed form assumes the
+    energy-conserving convention, so direct-split configs are refused
+    (grid-search derive_params' rho_eff over alpha for those).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    rt = rho * tau
-    if tau_d == 1.0:
-        return rt * rt / (1.0 + rt) * alpha * (1.0 - alpha)
-    vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / tau_d))
-    return rt / (tau_d - 1.0) * alpha * (1.0 - alpha) / (vartheta - alpha)
+    if cfg.power_convention is not PowerConvention.ENERGY_CONSERVING:
+        raise ConfigError(
+            "alpha_star applies to the energy-conserving convention only; "
+            "use a grid search over rho_eff for direct-split configs"
+        )
+    dp = derive_params(cfg)
+    rt = cfg.rho * dp.tau
+    if dp.tau_d == 1.0:
+        return PowerSplit(0.5, math.nan, "tau_d=1")
+    vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / dp.tau_d))
+    root = math.sqrt(vartheta * (vartheta - 1.0))
+    if dp.tau_d > 1.0:
+        return PowerSplit(vartheta - root, vartheta, "tau_d>1")
+    return PowerSplit(vartheta + root, vartheta, "tau_d<1")
 
 
 class Constellation(NamedTuple):
-    """Unit-variance M-PAM alphabet: points +/- (2k-1)/sqrt(E), E = (M^2-1)/3."""
+    """Unit-variance M-PAM alphabet: points +/- (2k-1)/sqrt(E), E = pam_energy(M)."""
 
     points: np.ndarray
     m: int
@@ -181,11 +200,16 @@ def _check_pam_order(m: int) -> None:
         raise ConfigError(f"m must be a power of two >= 2, got {m}")
 
 
+def pam_energy(m: int) -> float:
+    """E = (M^2 - 1) / 3, the mean energy of the points +/-1, +/-3, .., +/-(M-1)."""
+    return (m * m - 1) / 3.0
+
+
 def pam_constellation(m: int) -> Constellation:
     import numpy as np
 
     _check_pam_order(m)
-    energy_e = (m**2 - 1) / 3.0
+    energy_e = pam_energy(m)
     points = (2.0 * np.arange(m) - (m - 1)) / math.sqrt(energy_e)
     return Constellation(points=points, m=m, energy_e=energy_e)
 
@@ -193,7 +217,7 @@ def pam_constellation(m: int) -> Constellation:
 def largest_symbol(m: int) -> float:
     """(M-1)/sqrt(E), bit for bit pam_constellation(m).points[-1], in pure math."""
     _check_pam_order(m)
-    return (m - 1) / math.sqrt((m**2 - 1) / 3.0)
+    return (m - 1) / math.sqrt(pam_energy(m))
 
 
 def slice_symbols(values, constellation: Constellation):

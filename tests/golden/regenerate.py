@@ -5,9 +5,9 @@
 Each CASES entry (mode, preset) is written to <mode>_<preset>.csv and
 <mode>_<preset>.txt, the CSV and the text report that
 `mimopam <mode> --config <preset> --trials 4` writes (the theory modes read
-no trial count). tests/test_golden.py holds the package to these files. A
-change that moves a golden cell regenerates them and names the cells that
-moved, by how much and why.
+no trial count), and prints whether each file changed. tests/test_golden.py
+holds the package to these files. A change that moves a golden cell
+regenerates them and names the cells that moved, by how much and why.
 """
 
 from pathlib import Path
@@ -34,5 +34,7 @@ def render(mode: str, preset: str) -> tuple[str, str]:
 if __name__ == "__main__":
     for mode, preset in CASES:
         for suffix, text in zip((".csv", ".txt"), render(mode, preset)):
-            golden_path(mode, preset, suffix).write_text(text, encoding="utf-8")
-            print(f"wrote {golden_path(mode, preset, suffix)}")
+            path = golden_path(mode, preset, suffix)
+            old = path.read_text(encoding="utf-8") if path.is_file() else None
+            path.write_text(text, encoding="utf-8")
+            print(f"{path.name}: {'unchanged' if text == old else 'changed'}")

@@ -1,6 +1,6 @@
 """Reference implementations that the tests compare the package against,
-closed forms and diagnostics that only the tests use (rls_sep,
-rls_stationarity_residuals, and box_objective and
+closed forms and diagnostics that only the tests use (rho_eff_of_alpha,
+rls_sep, rls_stationarity_residuals, and box_objective and
 gaussian_partial_second_moment over the package's kernels), and test-only
 helpers such as write_config."""
 
@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from mimopam import derive_params
+from mimopam import ConfigError, derive_params
 from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qfunc
 from mimopam.decoders import box_rls_solve, rls_solve
 from mimopam.simulate import estimate_channel
@@ -21,6 +21,23 @@ def theory_point(cfg, lam=0.0, t=math.inf):
     threshold t (t = inf is the ridge decoder): lam~ = lam / lambda*."""
     dp = derive_params(cfg)
     return BoxObjectiveParams(dp.rho_eff, lam / dp.lambda_star, dp.delta, t, cfg.m)
+
+
+def rho_eff_of_alpha(rho: float, tau: float, tau_d: float, alpha: float) -> float:
+    """Effective SNR as a function of the data power ratio, under the
+    energy-conserving convention: the paper's closed form, which
+    derive_params composes from the pilot/data powers instead.
+
+    Continuous in alpha on (0, 1) and vanishing at both endpoints. The
+    tau_d = 1 case is handled by its dedicated limit form.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    rt = rho * tau
+    if tau_d == 1.0:
+        return rt * rt / (1.0 + rt) * alpha * (1.0 - alpha)
+    vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / tau_d))
+    return rt / (tau_d - 1.0) * alpha * (1.0 - alpha) / (vartheta - alpha)
 
 
 def gauss_pdf(h):

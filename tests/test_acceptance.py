@@ -19,6 +19,7 @@ from oracles import (
     gaussian_partial_second_moment,
     projected_gradient_oracle,
     ridge_decode,
+    rho_eff_of_alpha,
     rls_sep,
     rls_stationarity_residuals,
     theory_point,
@@ -26,15 +27,14 @@ from oracles import (
 from scipy.integrate import quad
 
 import mimopam as mp
-from mimopam.allocation import alpha_star_for_config, optimize_goodput
 from mimopam.asymptotics import (
-    box_saddle_solve, box_theta_min, lambda_star_numeric, mse_from_theta, qfunc,
+    box_saddle_solve, box_theta_min, lambda_star_numeric, mse_from_theta, optimize_goodput, qfunc,
     rls_beta_star, rls_theta_star, t_star_numeric,
 )
 from mimopam.decoders import lmmse_decode
 from mimopam.presets import preset_path
 from mimopam.simulate import bonferroni_z, consistency_z
-from mimopam.system import lambda_star_rls, rho_eff_of_alpha
+from mimopam.system import lambda_star_rls
 
 MASTER_SEED = 20260808
 FULL_TRIALS = 500
@@ -236,7 +236,7 @@ class TestCriterion5:
     def test_optimal_power_split(self):
         with criterion(5, "optimal data power ratio"):
             spec = mp.load_config(preset_path("fig6"))
-            res = alpha_star_for_config(spec.base)
+            res = mp.alpha_star(spec.base)
             assert res.alpha_star == pytest.approx(0.629, abs=1e-3)
 
             tau, tau_d = 1000 / 256, 744 / 256
@@ -245,9 +245,9 @@ class TestCriterion5:
             best = grid[int(np.argmax(vals))]
             assert abs(res.alpha_star - best) <= grid[1] - grid[0]
 
-            low = mp.alpha_star(1e-4, tau, tau_d).alpha_star
+            low = mp.alpha_star(spec.base._replace(rho=1e-4)).alpha_star
             assert low == pytest.approx(0.5, abs=1e-3)
-            high = mp.alpha_star(1e6, tau, tau_d).alpha_star
+            high = mp.alpha_star(spec.base._replace(rho=1e6)).alpha_star
             assert high == pytest.approx(math.sqrt(tau_d) / (1 + math.sqrt(tau_d)), abs=1e-3)
 
 

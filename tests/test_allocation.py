@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rho_eff_of_alpha
 
 from mimopam import (
     ConfigError,
@@ -14,8 +15,8 @@ from mimopam import (
     derive_params,
     predict,
 )
-from mimopam.allocation import alpha_star_for_config, optimize_goodput
-from mimopam.system import lambda_star_rls, pam_constellation, rho_eff_of_alpha
+from mimopam.asymptotics import optimize_goodput
+from mimopam.system import lambda_star_rls, pam_constellation
 
 FIG6 = dict(rho=10**1.5, tau=1000 / 256, tau_d=744 / 256)
 
@@ -25,31 +26,37 @@ def energy_cfg(rho, k, n, t_total, m=2, t_pilot=None):
                         rho=rho, alpha=0.5, m=m)
 
 
+def block_cfg(rho, tau, tau_d, k=256):
+    """energy_cfg at power rho with T = tau k and T_d = tau_d k symbols."""
+    t_total = round(tau * k)
+    return energy_cfg(rho, k=k, n=2 * k, t_total=t_total, t_pilot=t_total - round(tau_d * k))
+
+
 class TestAlphaStar:
     def test_reference_annotation(self):
-        res = alpha_star(**FIG6)
+        res = alpha_star(block_cfg(**FIG6))
         assert res.alpha_star == pytest.approx(0.629, abs=1e-3)
         assert res.branch == "tau_d>1"
 
     def test_matches_dense_grid_argmax(self):
-        res = alpha_star(**FIG6)
+        res = alpha_star(block_cfg(**FIG6))
         grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
         vals = [rho_eff_of_alpha(FIG6["rho"], FIG6["tau"], FIG6["tau_d"], a) for a in grid]
         assert abs(res.alpha_star - grid[int(np.argmax(vals))]) <= (grid[1] - grid[0])
 
     def test_equal_split_when_one_data_symbol_per_antenna(self):
-        res = alpha_star(rho=3.0, tau=2.0, tau_d=1.0)
+        res = alpha_star(block_cfg(rho=3.0, tau=2.0, tau_d=1.0))
         assert res.alpha_star == 0.5
         assert res.branch == "tau_d=1"
 
     def test_low_power_limit_is_equal_split(self):
-        res = alpha_star(rho=1e-4, tau=FIG6["tau"], tau_d=FIG6["tau_d"])
+        res = alpha_star(block_cfg(rho=1e-4, tau=FIG6["tau"], tau_d=FIG6["tau_d"]))
         assert res.alpha_star == pytest.approx(0.5, abs=1e-3)
 
     def test_high_power_limit(self):
         tau_d = FIG6["tau_d"]
         want = math.sqrt(tau_d) / (1 + math.sqrt(tau_d))
-        res = alpha_star(rho=1e6, tau=FIG6["tau"], tau_d=tau_d)
+        res = alpha_star(block_cfg(rho=1e6, tau=FIG6["tau"], tau_d=tau_d))
         assert res.alpha_star == pytest.approx(want, abs=1e-3)
 
     def test_branch_lattice_against_grid(self):
@@ -59,7 +66,9 @@ class TestAlphaStar:
         for rho in (0.1, 2.0, 50.0):
             for tau in (1.5, 3.0, 8.0):
                 for tau_d in (0.5, 1.0, min(tau - 0.25, 2.5)):
-                    res = alpha_star(rho, tau, tau_d)
+                    if tau - tau_d < 1:
+                        continue  # fewer pilots than antennas: no SystemConfig
+                    res = alpha_star(block_cfg(rho, tau, tau_d))
                     vals = [rho_eff_of_alpha(rho, tau, tau_d, a) for a in grid]
                     best = grid[int(np.argmax(vals))]
                     assert abs(res.alpha_star - best) <= step + 1e-12
@@ -69,13 +78,13 @@ class TestAlphaStar:
         cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=256, rho=10**1.5,
                            alpha=0.5, power_convention=PowerConvention.DIRECT_SPLIT)
         with pytest.raises(ConfigError, match="energy-conserving"):
-            alpha_star_for_config(cfg)
+            alpha_star(cfg)
 
     def test_rejects_bad_domains(self):
         with pytest.raises(ConfigError):
-            alpha_star(rho=0.0, tau=2.0, tau_d=1.0)
+            alpha_star(block_cfg(rho=0.0, tau=2.0, tau_d=1.0))
         with pytest.raises(ConfigError):
-            alpha_star(rho=1.0, tau=2.0, tau_d=0.0)
+            alpha_star(block_cfg(rho=1.0, tau=2.0, tau_d=0.0))
 
 
 class TestOptimizeGoodput:
@@ -87,7 +96,7 @@ class TestOptimizeGoodput:
     def test_alpha_matches_power_only_optimum_at_the_floor(self):
         rho = 10.0
         res = optimize_goodput(energy_cfg(rho, k=400, n=480, t_total=1000))
-        base = alpha_star(rho, 1000 / 400, (1000 - 400) / 400)
+        base = alpha_star(block_cfg(rho, 1000 / 400, (1000 - 400) / 400, k=400))
         assert res.alpha_star == pytest.approx(base.alpha_star, rel=1e-12)
 
     def test_goodput_dominates_grid(self):
@@ -95,7 +104,7 @@ class TestOptimizeGoodput:
         cfg = energy_cfg(rho, k=128, n=192, t_total=512)
         res = optimize_goodput(cfg)
         at_2k = cfg._replace(t_pilot=2 * 128)
-        at_2k = at_2k._replace(alpha=alpha_star_for_config(at_2k).alpha_star)
+        at_2k = at_2k._replace(alpha=alpha_star(at_2k).alpha_star)
         assert res.goodput >= predict(at_2k, DecoderSpec.lmmse()).goodput
 
     def test_tiny_block_goodput_vanishes(self):

@@ -1,10 +1,11 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The names the benchmark's tracer patches must exist in the package, and
+the benchmark's configs must load.
 
 bench/tracer.py wraps every function in its LAYERS table by module and name,
 and labels run_trial spans by the decoder spec passed as its second argument.
 Tracer.install imports mimopam.cli alone and then looks each LAYERS module up
-in sys.modules. A rename, a deletion or an import made lazy should fail here
-rather than inside a benchmark run.
+in sys.modules. A rename, a deletion, an import made lazy or a stricter
+config check should fail here rather than inside a benchmark run.
 """
 
 import importlib
@@ -15,10 +16,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mimopam
+from mimopam.runner import load_config
 from mimopam.simulate import run_trial
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -51,3 +56,8 @@ def test_importing_the_cli_loads_every_traced_module():
                          env=env, timeout=120, check=True)
     loaded = set(out.stdout.split())
     assert {f"mimopam.{name}" for name in layers} <= loaded
+
+
+@pytest.mark.parametrize("name", ["theory_sweep.cfg", "monte_carlo.cfg"])
+def test_bench_configs_load(name):
+    assert load_config(str(BENCH / name)).values

@@ -24,6 +24,7 @@ from mimopam import (
     PowerConvention,
     SweepSpec,
     SystemConfig,
+    alpha_star,
     load_config,
     predict,
     run,
@@ -130,6 +131,8 @@ class TestConfigFile:
         (small_spec(), {"lambda_policy": LambdaPolicy.FIXED}, "explicit 'lambda'"),
         (DecoderSpec.rls(1.0), {"t_box": 1.0}, "box decoder"),
         (DecoderSpec.lmmse(), {"lam_tilde": 0.5}, "LMMSE"),
+        (small_spec(), {"lam": 0.3}, "closed_form_optimal ignores 'lambda'"),
+        (small_spec(), {"t_box": 1.0}, "max_symbol ignores 't_box'"),
     ])
     def test_replace_validates_like_the_constructor(self, record, changes, match):
         # namedtuple's _replace builds through _make, which skips __new__
@@ -289,6 +292,14 @@ class TestRunModes:
         result = run(spec, "optimize_power")
         assert "alpha_star=" in result.report
         assert all(abs(rec.alpha - 0.629) <= 1e-3 for rec in result.records)
+
+    def test_optimize_power_header_reads_rho_eff_from_derive_params(self):
+        # fig6 sweeps alpha, so its one optimum is at the base config's rho
+        spec = load_config(preset_path("fig6"))
+        header = run(spec, "optimize_power").report.splitlines()[1]
+        best = spec.base._replace(alpha=alpha_star(spec.base).alpha_star)
+        assert header.startswith(f"rho_db=15.0: alpha_star={best.alpha:.6f} ")
+        assert header.endswith(f" rho_eff={derive_params(best).rho_eff:.6g}")
 
     def test_optimize_goodput_pins_training_to_antenna_count(self):
         base = small_spec().base._replace(power_convention=PowerConvention.ENERGY_CONSERVING)
@@ -506,7 +517,9 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         "sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
         "sweep_axis = lambda\nvalues = -0.1,0.5\n",
         "sweep_axis = t_box\nvalues = 0,1\n",
-    ], ids=["fixed-lambda", "lambda-axis", "t-axis"])
+        "sweep_axis = rho_db\nvalues = 10\nlambda = 0.3\n",
+        "sweep_axis = rho_db\nvalues = 10\nt_policy = numeric_optimal\nt_box = 1\n",
+    ], ids=["fixed-lambda", "lambda-axis", "t-axis", "lambda-unread", "t-box-unread"])
     def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines):
         path = tmp_path / "knob.cfg"
         path.write_text(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import rho_eff_of_alpha
 
 from mimopam import (
     ConfigError,
@@ -15,7 +16,7 @@ from mimopam import (
     derive_params,
     predict,
 )
-from mimopam.system import largest_symbol, pam_constellation, rho_eff_of_alpha, slice_symbols
+from mimopam.system import largest_symbol, pam_constellation, slice_symbols
 
 FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
 
@@ -105,6 +106,15 @@ class TestRhoEffOfAlpha:
             s_d2 = 1 / (1 + rho_p * tau_p)
             direct = rho_d * (1 - s_d2) / (1 + rho_d * s_d2)
             assert rho_eff_of_alpha(rho, tau, tau_d, alpha) == pytest.approx(direct, rel=1e-12)
+
+    def test_derive_params_matches_closed_form(self):
+        for t_pilot in (256, 500, 744):
+            for alpha in (0.1, 0.3, 0.629, 0.9):
+                cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=t_pilot,
+                                   rho=10**1.5, alpha=alpha)
+                dp = derive_params(cfg)
+                want = rho_eff_of_alpha(cfg.rho, dp.tau, dp.tau_d, alpha)
+                assert dp.rho_eff == pytest.approx(want, rel=1e-12)
 
     def test_grid_maximum_near_theorem_value(self):
         rho = 10**1.5

@@ -61,11 +61,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         mode = args.mode.replace("-", "_")
         result = run(spec, mode, workers=args.workers)
+        out = args.out or f"{mode}.csv"
+        write_outputs(result, out, args.report)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = args.out or f"{mode}.csv"
-    write_outputs(result, out, args.report)
     print(result.report, end="")
     print(f"wrote {len(result.records)} rows to {out}")
     if result.solver_errors:

@@ -4,15 +4,16 @@ LS and LMMSE are ridge at lambda = 0 and lambda = lambda*, so two solvers
 cover all four decoders, and a DecoderSpec names a decoder by its point
 (lam~ = lambda / lambda*, t) of the theory, free of any scenario. Both
 solvers read the data (A, y) only through its Gram form G = A'A, r = A'y,
-so one draw's (G, r) serves every decoder, and the box solver starts from
-the ridge solution it is given. All solvers are pure functions of their
-inputs and never write into G. The box-constrained solver is
-a primal-dual active set (semismooth Newton) method (Hintermueller, Ito &
-Kunisch, SIAM J. Optim. 13(3), 2002): a few exact free-block solves whose
-time is spent in LAPACK, outside the GIL, with single-index set changes
-once the predicted sets repeat. numpy is imported inside the solvers, not at
-module level, so the theory, which imports DecoderSpec from here, runs
-without loading it.
+and (c G, c r, c lam) has the minimizer of (G, r, lam) for any c > 0, so the
+simulator gives both the one unscaled Gram of a trial at the shift of its
+point, and the box solver starts from the ridge solution it is given. All
+solvers are pure functions of their inputs and never write into G. The
+box-constrained solver is a primal-dual active set (semismooth Newton)
+method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002): a few
+exact free-block solves whose time is spent in LAPACK, outside the GIL, with
+single-index set changes once the predicted sets repeat. numpy is imported
+inside the solvers, not at module level, so the theory, which imports
+DecoderSpec from here, runs without loading it.
 """
 
 from __future__ import annotations

@@ -78,12 +78,16 @@ class SweepSpec(Checked, _SweepSpecFields):
     def _check(self) -> None:
         if not self.values:
             raise ConfigError("values must be non-empty")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ConfigError(f"values must be finite, got {self.values!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("values must be strictly increasing")
         if not self.decoders:
             raise ConfigError("decoders must be non-empty")
         if self.trials < 0:
             raise ConfigError("trials must be nonnegative")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.lam is not None and not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam!r}")
         if self.t_box is not None and not 0.0 < self.t_box < math.inf:

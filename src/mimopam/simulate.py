@@ -15,15 +15,17 @@ trials can be evaluated in any order or in parallel. Within a trial the draw
 order is fixed: an N x K channel Z of unit variance, data symbols x0, unit
 noise z. Every point of a sweep has the same (N, K, M), so its trial i is
 the same (Z, x0, z), scaled: A = s Z with s^2 = rho_eff/K and w = w_std z.
-run_batch is trial-major: it draws trial i once for the whole sweep,
-reduces it to Z'Z, Z'Z x0 and Z'z (dropping Z), and gives each point the
-Gram form G = s^2 Z'Z, r = s^2 Z'Z x0 + s w_std Z'z that the decoders read.
-Since G + lam~ I = s^2 (Z'Z + mu I) with mu = lam~/s^2, all ridge systems of
-a trial at one shift mu share one LU; LS (mu = 0) is one solve per trial for
-the whole sweep. The box decoder runs on its point's own (G, r) from that
-point's ridge solution. Solves keep at least two right-hand-side columns,
-for which LAPACK gives each column the same bits whatever the others, so a
-point's result does not depend on the sweep around it.
+run_batch is trial-major: it draws trial i once for the whole sweep and
+reduces it to Z'Z, Z'Z x0 and Z'z (dropping Z). A point's ridge and box
+problems on (A, y) are those of G = s^2 Z'Z, r = s^2 c at lam~, with the
+column c = Z'Z x0 + (w_std / s) Z'z; divided by s^2 they have the same
+minimizer on (Z'Z, c) at the shift mu = lam~/s^2, so both decoders solve
+(Z'Z + mu I) x = c on the one shared Z'Z and no scaled copy is formed. All
+ridge systems of a trial at one shift share one LU; LS (mu = 0) is one solve
+per trial for the whole sweep. The box decoder starts from its point's ridge
+solution. Solves keep at least two right-hand-side columns, for which LAPACK
+gives each column the same bits whatever the others, so a point's result
+does not depend on the sweep around it.
 
 numpy is imported inside the functions that draw, decode and aggregate, not
 at module level, so importing the package and the theory modes, which use
@@ -34,7 +36,6 @@ all: run_batch takes the debias constants B from its caller.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -144,14 +145,12 @@ def draw_shared(n: int, k: int, m: int, seed: int, trial_idx: int) -> SharedTria
 
 class TrialDraw:
     """One sweep point's view of a shared trial: its effective model is
-    A = s Z and y = A x0 + w_std z with s^2 = rho_eff / K, so its Gram form
-    is G = s^2 Z'Z and r = s^2 c with the column c = Z'Z x0 + (w_std / s) Z'z.
-    Both are formed on use, so a worker holds one point's G at a time.
+    A = s Z and y = A x0 + w_std z with s^2 = scale = rho_eff / K. Its ridge
+    and box problems at lam~ are solved on the shared Z'Z with the column
+    c = Z'Z x0 + (w_std / s) Z'z at the shift mu = lam~ / s^2.
 
-    The ridge solution of lam~ solves (Z'Z + mu I) x = c with the shift
-    mu = lam~ / s^2, the same system as (G + lam~ I) x = r. solve_ridges
-    fills ridges, by lam~, for many views of one trial at once; ridge solves
-    a missing lam~ alone, with the same bits."""
+    solve_ridges fills ridges, by lam~, for many views of one trial at once;
+    ridge solves a missing lam~ alone, with the same bits."""
 
     def __init__(self, shared: SharedTrial, cfg: SystemConfig) -> None:
         dp = derive_params(cfg)
@@ -166,14 +165,6 @@ class TrialDraw:
     @property
     def column(self) -> np.ndarray:
         return self.shared.zzx + self.noise_coef * self.shared.zw
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self.scale * self.shared.zz
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return self.scale * self.column
 
     def ridge(self, lam_tilde: float) -> np.ndarray:
         """The ridge solution at lam~; raises the ConvergenceError of its solve."""
@@ -216,12 +207,6 @@ def _ridge_columns(
     return [np.ascontiguousarray(column) for column in x.T]
 
 
-def draw_trial(cfg: SystemConfig, seed: int, trial_idx: int) -> TrialDraw:
-    """Trial trial_idx of the effective model of cfg, deterministic given
-    (seed, trial_idx): the point view of the shared draw."""
-    return TrialDraw(draw_shared(cfg.n, cfg.k, cfg.m, seed, trial_idx), cfg)
-
-
 def run_trial(
     cfg: SystemConfig,
     decoder_spec: DecoderSpec,
@@ -235,9 +220,8 @@ def run_trial(
     constellation = pam_constellation(cfg.m)
     x_hat = draw.ridge(decoder_spec.lam_tilde)
     if math.isfinite(decoder_spec.t_box):
-        x_hat, _ = box_rls_solve(
-            draw.gram, draw.rhs, decoder_spec.lam_tilde, decoder_spec.t_box, x_hat
-        )
+        shift = decoder_spec.lam_tilde / draw.scale
+        x_hat, _ = box_rls_solve(draw.shared.zz, draw.column, shift, decoder_spec.t_box, x_hat)
     x_star = slice_symbols(x_hat / b_norm, constellation)
     mse = float(np.mean((x_hat - draw.x0) ** 2))
     ser = float(np.mean(x_star != draw.x0))
@@ -259,13 +243,14 @@ def run_batch(
     A point is (cfg, ((spec, b_norm), ...)), b_norm being the spec's debias
     constant B from predict; every point must have the same (n, k, m). The
     result holds, per point, one entry per spec. Trial i is drawn once for
-    all points (draw_shared), its ridge systems are solved with one LU per
-    distinct shift (solve_ridges), and each (point, spec) decodes its view
-    with run_trial. Trials are indexed 0..trials-1 and aggregated in index
-    order, so the result is identical whether they were computed
+    all points (draw_shared) and viewed once per distinct cfg; its ridge
+    systems, one column per distinct (view, lam~), are solved with one LU
+    per distinct shift (solve_ridges), and each (point, spec) decodes its
+    view with run_trial. Trials are indexed 0..trials-1 and aggregated in
+    index order, so the result is identical whether they were computed
     sequentially or by a thread pool, and an entry does not depend on the
-    other specs or points. A spec whose solver fails gets the error of its
-    lowest failing trial index instead; its later trials are not decoded.
+    other specs or points. Every trial decodes every spec; a spec whose
+    solver fails gets the error of its lowest failing trial index instead.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -275,33 +260,14 @@ def run_batch(
     if len(shapes) > 1:
         raise ConfigError(f"the points of a batch must share (n, k, m), got {sorted(shapes)}")
     [(n, k, m)] = shapes
-    # lowest failing index per (point, spec); a stale read only decodes one more trial
-    first_failure = [[trials] * len(specs) for _, specs in points]
-    lock = threading.Lock()
 
-    def one(idx: int) -> list[list[TrialOutcome | ConvergenceError | None]]:
+    def one(idx: int) -> list[list[TrialOutcome | ConvergenceError]]:
         shared = draw_shared(n, k, m, master_seed, idx)
-        views = [TrialDraw(shared, cfg) for cfg, _ in points]
-        live = [[first_failure[p][j] >= idx for j in range(len(specs))]
-                for p, (_, specs) in enumerate(points)]
-        solve_ridges(shared, [(views[p], spec.lam_tilde)
-                              for p, (_, specs) in enumerate(points)
-                              for j, (spec, _) in enumerate(specs) if live[p][j]])
-        out: list[list[TrialOutcome | ConvergenceError | None]] = []
-        for p, (cfg, specs) in enumerate(points):
-            row: list[TrialOutcome | ConvergenceError | None] = []
-            for j, (spec, b_norm) in enumerate(specs):
-                if not live[p][j]:
-                    row.append(None)
-                    continue
-                try:
-                    row.append(run_trial(cfg, spec, views[p], b_norm))
-                except ConvergenceError as exc:
-                    with lock:
-                        first_failure[p][j] = min(first_failure[p][j], idx)
-                    row.append(exc)
-            out.append(row)
-        return out
+        views = {cfg: TrialDraw(shared, cfg) for cfg, _ in points}
+        solve_ridges(shared, list(dict.fromkeys(
+            (views[cfg], spec.lam_tilde) for cfg, specs in points for spec, _ in specs)))
+        return [[_decode(cfg, spec, views[cfg], b_norm) for spec, b_norm in specs]
+                for cfg, specs in points]
 
     if workers > 1:
         # lazy: concurrent.futures loads logging, queue and traceback, 7-11 ms
@@ -317,12 +283,20 @@ def run_batch(
         entries: list[BatchStats | ConvergenceError] = []
         for j in range(len(specs)):
             column = [rows[p][j] for rows in per_trial]
-            # a skipped (None) trial lies above a failed one, so in index order
-            # the first entry that is not an outcome is the lowest failure
-            failed = next((o for o in column if not isinstance(o, TrialOutcome)), None)
+            failed = next((o for o in column if isinstance(o, ConvergenceError)), None)
             entries.append(aggregate(column) if failed is None else failed)
         results.append(entries)
     return results
+
+
+def _decode(
+    cfg: SystemConfig, spec: DecoderSpec, draw: TrialDraw, b_norm: float
+) -> TrialOutcome | ConvergenceError:
+    """run_trial, with a solver failure returned as the trial's outcome."""
+    try:
+        return run_trial(cfg, spec, draw, b_norm)
+    except ConvergenceError as exc:
+        return exc
 
 
 def aggregate(outcomes: list[TrialOutcome]) -> BatchStats:

@@ -81,8 +81,8 @@ class SystemConfig(Checked, _SystemConfigFields):
             )
         if self.t_pilot >= self.t_total:
             raise ConfigError("t_pilot must leave room for data symbols (t_pilot < t_total)")
-        if not self.rho > 0:
-            raise ConfigError("rho must be positive (linear power)")
+        if not 0.0 < self.rho < math.inf:
+            raise ConfigError(f"rho must be positive and finite (linear power), got {self.rho!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         _check_pam_order(self.m)
@@ -97,7 +97,6 @@ class DerivedParams(NamedTuple):
     tau_d: float
     rho_p: float
     rho_d: float
-    energy_e: float
     sigma_delta_sq: float
     sigma_hhat_sq: float
     rho_eff: float
@@ -137,7 +136,6 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
         tau_d=tau_d,
         rho_p=rho_p,
         rho_d=rho_d,
-        energy_e=pam_energy(cfg.m),
         sigma_delta_sq=sigma_delta_sq,
         sigma_hhat_sq=sigma_hhat_sq,
         rho_eff=rho_eff,
@@ -192,7 +190,6 @@ class Constellation(NamedTuple):
 
     points: np.ndarray
     m: int
-    energy_e: float
 
 
 def _check_pam_order(m: int) -> None:
@@ -209,9 +206,8 @@ def pam_constellation(m: int) -> Constellation:
     import numpy as np
 
     _check_pam_order(m)
-    energy_e = pam_energy(m)
-    points = (2.0 * np.arange(m) - (m - 1)) / math.sqrt(energy_e)
-    return Constellation(points=points, m=m, energy_e=energy_e)
+    points = (2.0 * np.arange(m) - (m - 1)) / math.sqrt(pam_energy(m))
+    return Constellation(points=points, m=m)
 
 
 def largest_symbol(m: int) -> float:

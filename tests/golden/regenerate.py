@@ -8,12 +8,22 @@ Each CASES entry (mode, preset) is written to <mode>_<preset>.csv and
 no trial count), and prints whether each file changed. tests/test_golden.py
 holds the package to these files. A change that moves a golden cell
 regenerates them and names the cells that moved, by how much and why.
+
+Like the CLI and the test session, it caps BLAS at one thread before numpy
+loads, unless the environment sets it, so the simulated cells carry the bits
+that `mimopam compare` writes.
 """
 
+import os
 from pathlib import Path
 
-from mimopam.presets import PRESET_NAMES, preset_path
-from mimopam.runner import load_config, records_to_csv, run
+from mimopam.cli import BLAS_THREAD_VARS
+
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+from mimopam.presets import PRESET_NAMES, preset_path  # noqa: E402
+from mimopam.runner import load_config, records_to_csv, run  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 TRIALS = 4

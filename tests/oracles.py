@@ -2,7 +2,7 @@
 closed forms and diagnostics that only the tests use (rho_eff_of_alpha,
 rls_sep, rls_stationarity_residuals, and box_objective and
 gaussian_partial_second_moment over the package's kernels), and test-only
-helpers such as write_config."""
+helpers such as draw_trial and write_config."""
 
 import math
 
@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from mimopam import ConfigError, derive_params
 from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qfunc
 from mimopam.decoders import box_rls_solve, rls_solve
-from mimopam.simulate import estimate_channel
+from mimopam.simulate import TrialDraw, draw_shared, estimate_channel
 from mimopam.system import linear_to_db, pam_constellation
 
 
@@ -167,6 +167,12 @@ def projected_gradient_oracle(a, y, lam_rho_d, t, max_iter=100_000, tol=1e-14):
         if lip * np.abs(x - np.clip(x - grad / lip, -t, t)).max() <= stop:
             break
     return x
+
+
+def draw_trial(cfg, seed, trial_idx):
+    """Trial trial_idx of the effective model of cfg, deterministic given
+    (seed, trial_idx): the point view of the shared draw."""
+    return TrialDraw(draw_shared(cfg.n, cfg.k, cfg.m, seed, trial_idx), cfg)
 
 
 def explicit_training_trial(cfg, pilots, rng):

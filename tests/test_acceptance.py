@@ -34,7 +34,7 @@ from mimopam.asymptotics import (
 from mimopam.decoders import lmmse_decode
 from mimopam.presets import preset_path
 from mimopam.simulate import bonferroni_z, consistency_z
-from mimopam.system import lambda_star_rls
+from mimopam.system import lambda_star_rls, pam_energy
 
 MASTER_SEED = 20260808
 FULL_TRIALS = 500
@@ -327,7 +327,7 @@ class TestCriterion7:
                 mse = mse_from_theta(theta, p.rho_eff, p.delta)
                 direct = rls_sep(theta, p.rho_eff, cfg.m)
                 via_mse = 2 * (1 - 1 / cfg.m) * qfunc(
-                    math.sqrt(dp.delta / (dp.energy_e * (mse + 1 / dp.rho_eff))))
+                    math.sqrt(dp.delta / (pam_energy(cfg.m) * (mse + 1 / dp.rho_eff))))
                 assert direct == pytest.approx(via_mse, abs=1e-12, rel=1e-12)
 
 

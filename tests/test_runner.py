@@ -133,6 +133,9 @@ class TestConfigFile:
         (DecoderSpec.lmmse(), {"lam_tilde": 0.5}, "LMMSE"),
         (small_spec(), {"lam": 0.3}, "closed_form_optimal ignores 'lambda'"),
         (small_spec(), {"t_box": 1.0}, "max_symbol ignores 't_box'"),
+        (small_spec().base, {"rho": math.inf}, "rho must be positive and finite"),
+        (small_spec(), {"values": (0.0, math.nan)}, "values must be finite"),
+        (small_spec(), {"master_seed": -1}, "master_seed must be nonnegative"),
     ])
     def test_replace_validates_like_the_constructor(self, record, changes, match):
         # namedtuple's _replace builds through _make, which skips __new__
@@ -519,7 +522,11 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         "sweep_axis = t_box\nvalues = 0,1\n",
         "sweep_axis = rho_db\nvalues = 10\nlambda = 0.3\n",
         "sweep_axis = rho_db\nvalues = 10\nt_policy = numeric_optimal\nt_box = 1\n",
-    ], ids=["fixed-lambda", "lambda-axis", "t-axis", "lambda-unread", "t-box-unread"])
+        "sweep_axis = tau_p\nvalues = 1.25,nan\n",
+        "sweep_axis = rho_db\nvalues = 5,inf\n",
+        "sweep_axis = rho_db\nvalues = 10\nmaster_seed = -1\n",
+    ], ids=["fixed-lambda", "lambda-axis", "t-axis", "lambda-unread", "t-box-unread",
+            "tau-p-nan", "rho-db-inf", "negative-seed"])
     def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines):
         path = tmp_path / "knob.cfg"
         path.write_text(
@@ -530,6 +537,20 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "ok.cfg"
+        path.write_text(
+            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\ndecoders = rls\ntrials = 0\nsweep_axis = rho_db\nvalues = 10\n"
+        )
+        # the output goes into a directory that does not exist
+        outputs = {"--out": str(tmp_path / "out.csv"), flag: str(tmp_path / "missing" / "file")}
+        argv = ["predict", "--config", str(path), *(a for pair in outputs.items() for a in pair)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_fixed_lambda_is_echoed_exactly(self):
         # lambda = 0.37 is not lam~ lambda* / lambda* read back, it is the

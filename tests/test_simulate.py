@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import box_decode, explicit_training_trial, ridge_decode
+from oracles import box_decode, draw_trial, explicit_training_trial, ridge_decode
 
 from mimopam import (
     BatchStats,
@@ -21,7 +21,7 @@ from mimopam import (
 )
 from mimopam import asymptotics, simulate
 from mimopam.simulate import (
-    TrialOutcome, aggregate, bonferroni_z, draw_trial, estimate_channel, make_pilots, run_trial,
+    TrialOutcome, aggregate, bonferroni_z, estimate_channel, make_pilots, run_trial,
     trial_stream,
 )
 from mimopam.system import lambda_star_rls, pam_constellation, slice_symbols
@@ -394,7 +394,7 @@ class TestJointBatch:
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         specs = joint_specs(cfg)
         alone = [batch(cfg, (spec,), trials=8, master_seed=4)[0] for spec in specs]
-        index_of = {draw_trial(cfg, 4, idx).rhs.tobytes(): idx for idx in range(8)}
+        index_of = {draw_trial(cfg, 4, idx).column.tobytes(): idx for idx in range(8)}
         real_box = simulate.box_rls_solve
         decoded = []
 
@@ -410,9 +410,8 @@ class TestJointBatch:
         assert isinstance(joint[2], ConvergenceError)
         assert str(joint[2]) == "box fails on trial 3"
         assert [joint[j] for j in (0, 1, 3)] == [alone[j] for j in (0, 1, 3)]
-        if workers == 1:
-            # in index order, no box trial after the first failure is decoded
-            assert decoded == [0, 1, 2, 3]
+        # every trial decodes every spec, failed entries included
+        assert sorted(decoded) == list(range(8))
 
     def test_lowest_failure_under_many_workers(self, monkeypatch):
         # more workers than cores and a short switch interval, on a two-point
@@ -422,7 +421,7 @@ class TestJointBatch:
         points = [point_of(cfg, joint_specs(cfg)),
                   point_of(cfg._replace(rho=100.0), joint_specs(cfg))]
         trials = 48
-        index_of = {draw_trial(cfg, 6, idx).rhs.tobytes(): idx for idx in range(trials)}
+        index_of = {draw_trial(cfg, 6, idx).column.tobytes(): idx for idx in range(trials)}
         real_box = simulate.box_rls_solve
 
         def box_failing_at(gram, rhs, lam, t_box, ridge):
@@ -536,21 +535,48 @@ class TestSweepBatch:
         assert [sweep[0], sweep[2]] == [run_batch([points[p]], 4, 3)[0] for p in (0, 2)]
 
     def test_one_lu_per_distinct_shift_of_the_sweep(self, monkeypatch):
-        # per trial, one solve per distinct shift with one column per request:
-        # rho sweep: LS is one three-column solve for the sweep, rls / box /
-        # lmmse at lam~ = 1 one three-column solve per point; a t_box sweep
-        # is one three-column solve at one shift
+        # per trial, one solve per distinct shift with one column per distinct
+        # (view, lam~): rho sweep: LS is one three-column solve for the sweep,
+        # rls / box / lmmse at lam~ = 1 one one-column solve per point; a
+        # t_box sweep has one view, so one one-column solve at one shift
         calls = counting_rls_solves(monkeypatch)
         cfgs = sweep_cfgs()
         specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
                  DecoderSpec.lmmse())
         run_batch([(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs], 2, 3)
         assert sorted(calls) == sorted(
-            [(0.0, 3)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 3) for cfg in cfgs] * 2)
+            [(0.0, 3)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 1) for cfg in cfgs] * 2)
         calls.clear()
         boxes = [((DecoderSpec.box(1.0, t), 1.0),) for t in (0.5, 1.0, 1.5)]
         run_batch([(cfgs[0], specs) for specs in boxes], 2, 3)
-        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 3)] * 2
+        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 1)] * 2
+
+    def test_box_solves_the_shared_gram_at_its_point_shift(self, monkeypatch):
+        # on a two-point sweep every box decode reads its trial's Z'Z itself,
+        # not a scaled copy, at its point's shift lam~ / s^2
+        cfgs = sweep_cfgs()[:2]
+        points = [(cfg, ((DecoderSpec.box(0.5, 1.0), 1.0),)) for cfg in cfgs]
+        events = []
+        real_draw, real_box = simulate.draw_shared, simulate.box_rls_solve
+
+        def recording_draw(*args):
+            events.append(real_draw(*args))
+            return events[-1]
+
+        def recording_box(gram, rhs, lam, t_box, ridge):
+            events.append((gram, lam))
+            return real_box(gram, rhs, lam, t_box, ridge)
+
+        monkeypatch.setattr(simulate, "draw_shared", recording_draw)
+        monkeypatch.setattr(simulate, "box_rls_solve", recording_box)
+        run_batch(points, 3, 2)
+        shifts = [0.5 / (derive_params(cfg).rho_eff / cfg.k) for cfg in cfgs]
+        step = 1 + len(points)  # per trial: one draw, then one box decode per point
+        assert len(events) == 3 * step
+        for idx in range(3):
+            shared, *boxes = events[step * idx:step * (idx + 1)]
+            assert [gram is shared.zz for gram, _ in boxes] == [True, True]
+            assert [lam for _, lam in boxes] == shifts
 
     def test_point_view_matches_the_replayed_draw(self):
         for cfg in sweep_cfgs():
@@ -559,8 +585,10 @@ class TestSweepBatch:
                 draw = draw_trial(cfg, 8, idx)
                 np.testing.assert_array_equal(draw.x0, x0)
                 gram, rhs = a.T @ a, a.T @ (a @ x0 + w)
-                assert np.abs(draw.gram - gram).max() <= 1e-13 * np.abs(gram).max()
-                assert np.abs(draw.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+                view_gram = draw.scale * draw.shared.zz
+                view_rhs = draw.scale * draw.column
+                assert np.abs(view_gram - gram).max() <= 1e-13 * np.abs(gram).max()
+                assert np.abs(view_rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
 
     def test_run_batch_takes_b_from_its_caller(self, monkeypatch):
         # predict raises wherever the package binds it, so a run_batch that

@@ -125,20 +125,17 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.nd
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b) for a right-hand side b of one or more
-    columns, padded with zero columns to at least two columns and
-    _GIL_FREE_SIZE elements. With two or more columns LAPACK gives every
-    column the same bits whatever the other columns are (OpenBLAS, numpy
-    2.4.6; a lone column differs by about 1e-16), and above _GIL_FREE_SIZE
-    the solve runs outside the GIL, so worker threads solve in parallel. On
-    one thread the padded solve took 8-14% longer than the vector solve at
-    n = 250-400, against the 1.6-2.1x that two threads then gain on
-    rls_solve at n = 400."""
+    columns, padded with zero columns to at least _GIL_FREE_SIZE elements,
+    above which the solve runs outside the GIL, so worker threads solve in
+    parallel. On one thread the padded solve took 8-14% longer than the
+    vector solve at n = 250-400, against the 1.6-2.1x that two threads then
+    gain on rls_solve at n = 400."""
     import numpy as np
 
     n = len(b)
     cols = b[:, None] if b.ndim == 1 else b
     given = cols.shape[1]
-    width = max(2, math.ceil(_GIL_FREE_SIZE / max(n, 1)))
+    width = math.ceil(_GIL_FREE_SIZE / max(n, 1))
     if given < width:
         cols = np.concatenate([cols, np.zeros((n, width - given))], axis=1)
     x = np.linalg.solve(a, cols)[:, :given]

@@ -17,6 +17,7 @@ import csv
 import enum
 import io
 import math
+import os
 from typing import NamedTuple
 
 from .asymptotics import (
@@ -460,8 +461,16 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
 
 
 def write_outputs(result: RunResult, csv_path: str, report_path: str | None = None) -> None:
+    """Write the CSV and, given a report_path, the report. Both are opened
+    before either is written, and a report that cannot be opened removes
+    the CSV just opened, so a failed call leaves no output behind."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        if report_path:
+            try:
+                with open(report_path, "w", encoding="utf-8") as report:
+                    report.write(result.report)
+            except OSError:
+                fh.close()
+                os.remove(csv_path)
+                raise
         fh.write(records_to_csv(result.records))
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(result.report)

@@ -20,12 +20,13 @@ reduces it to Z'Z, Z'Z x0 and Z'z (dropping Z). A point's ridge and box
 problems on (A, y) are those of G = s^2 Z'Z, r = s^2 c at lam~, with the
 column c = Z'Z x0 + (w_std / s) Z'z; divided by s^2 they have the same
 minimizer on (Z'Z, c) at the shift mu = lam~/s^2, so both decoders solve
-(Z'Z + mu I) x = c on the one shared Z'Z and no scaled copy is formed. All
-ridge systems of a trial at one shift share one LU; LS (mu = 0) is one solve
-per trial for the whole sweep. The box decoder starts from its point's ridge
-solution. Solves keep at least two right-hand-side columns, for which LAPACK
-gives each column the same bits whatever the others, so a point's result
-does not depend on the sweep around it.
+(Z'Z + mu I) x = c on the one shared Z'Z and no scaled copy is formed. As
+c is linear in the trial's two vectors, the ridge solution is X[:, 0] +
+(w_std / s) X[:, 1], X solving (Z'Z + mu I) X = [Z'Z x0, Z'z]: each trial
+solves that one two-column system per distinct shift, on first request, so
+LS (mu = 0) is one solve per trial for the whole sweep, and every solve has
+the same right-hand side whatever the sweep around a point. The box decoder
+starts from its point's ridge solution.
 
 numpy is imported inside the functions that draw, decode and aggregate, not
 at module level, so importing the package and the theory modes, which use
@@ -124,13 +125,32 @@ class SharedTrial(NamedTuple):
     """One trial index drawn once for a whole sweep, in units of the
     unscaled channel Z (iid N(0, 1) entries): the symbols x0 and the
     reductions Z'Z, Z'Z x0 and Z'z of the data noise z. Z is dropped once
-    they are formed."""
+    they are formed. ridge_bases maps each shift mu solved so far to X, the
+    solution of (Z'Z + mu I) X = [Z'Z x0, Z'z], or to the ConvergenceError of
+    that solve."""
 
     x0: np.ndarray
     zz: np.ndarray
     zzx: np.ndarray
     zw: np.ndarray
     rows: int
+    ridge_bases: dict[float, np.ndarray | ConvergenceError]
+
+    def ridge_basis(self, shift: float) -> np.ndarray:
+        """X at the shift, from one rls_solve on its first request; raises
+        the ConvergenceError of that solve."""
+        import numpy as np
+
+        if shift not in self.ridge_bases:
+            try:
+                self.ridge_bases[shift] = rls_solve(
+                    self.zz, np.column_stack((self.zzx, self.zw)), shift, self.rows)
+            except ConvergenceError as exc:
+                self.ridge_bases[shift] = exc
+        basis = self.ridge_bases[shift]
+        if isinstance(basis, ConvergenceError):
+            raise basis
+        return basis
 
 
 def draw_shared(n: int, k: int, m: int, seed: int, trial_idx: int) -> SharedTrial:
@@ -140,17 +160,15 @@ def draw_shared(n: int, k: int, m: int, seed: int, trial_idx: int) -> SharedTria
     z = rng.standard_normal((n, k))
     x0 = pam_constellation(m).points[rng.integers(0, m, size=k)]
     zz = z.T @ z
-    return SharedTrial(x0, zz, zz @ x0, z.T @ rng.standard_normal(n), n)
+    return SharedTrial(x0, zz, zz @ x0, z.T @ rng.standard_normal(n), n, {})
 
 
 class TrialDraw:
     """One sweep point's view of a shared trial: its effective model is
     A = s Z and y = A x0 + w_std z with s^2 = scale = rho_eff / K. Its ridge
     and box problems at lam~ are solved on the shared Z'Z with the column
-    c = Z'Z x0 + (w_std / s) Z'z at the shift mu = lam~ / s^2.
-
-    solve_ridges fills ridges, by lam~, for many views of one trial at once;
-    ridge solves a missing lam~ alone, with the same bits."""
+    c = Z'Z x0 + noise_coef Z'z, noise_coef = w_std / s, at the shift
+    mu = lam~ / s^2."""
 
     def __init__(self, shared: SharedTrial, cfg: SystemConfig) -> None:
         dp = derive_params(cfg)
@@ -160,51 +178,16 @@ class TrialDraw:
         self.scale = dp.rho_eff / cfg.k
         w_std = math.sqrt((1.0 + c * (shared.x0 @ shared.x0) / cfg.k) / (1.0 + c))
         self.noise_coef = w_std / math.sqrt(self.scale)
-        self.ridges: dict[float, np.ndarray | ConvergenceError] = {}
 
     @property
     def column(self) -> np.ndarray:
         return self.shared.zzx + self.noise_coef * self.shared.zw
 
     def ridge(self, lam_tilde: float) -> np.ndarray:
-        """The ridge solution at lam~; raises the ConvergenceError of its solve."""
-        if lam_tilde not in self.ridges:
-            solve_ridges(self.shared, [(self, lam_tilde)])
-        x = self.ridges[lam_tilde]
-        if isinstance(x, ConvergenceError):
-            raise x
-        return x
-
-
-def solve_ridges(shared: SharedTrial, requests: list[tuple[TrialDraw, float]]) -> None:
-    """Solve the ridge systems of (view, lam~) requests on one shared trial
-    with one LU per distinct shift mu = lam~ / s^2: the columns of the
-    requests at that shift are the right-hand sides of one rls_solve. A
-    failed solve is stored as the error of the request of its column."""
-    by_shift: dict[float, list[tuple[TrialDraw, float]]] = {}
-    for view, lam_tilde in requests:
-        by_shift.setdefault(lam_tilde / view.scale, []).append((view, lam_tilde))
-    for shift, group in by_shift.items():
-        solutions = _ridge_columns(shared, shift, [view.column for view, _ in group])
-        for (view, lam_tilde), solution in zip(group, solutions):
-            view.ridges[lam_tilde] = solution
-
-
-def _ridge_columns(
-    shared: SharedTrial, shift: float, columns: list[np.ndarray]
-) -> list[np.ndarray | ConvergenceError]:
-    """The solutions of (Z'Z + shift I) x = c for the columns c, from one
-    rls_solve. If it fails, each column is solved alone, so one column's
-    residual check never fails another's point."""
-    import numpy as np
-
-    try:
-        x = rls_solve(shared.zz, np.column_stack(columns), shift, shared.rows)
-    except ConvergenceError as exc:
-        if len(columns) == 1:
-            return [exc]
-        return [_ridge_columns(shared, shift, [column])[0] for column in columns]
-    return [np.ascontiguousarray(column) for column in x.T]
+        """The ridge solution at lam~, from the shared trial's X at its
+        shift; raises the ConvergenceError of that shift's solve."""
+        basis = self.shared.ridge_basis(lam_tilde / self.scale)
+        return basis[:, 0] + self.noise_coef * basis[:, 1]
 
 
 def run_trial(
@@ -243,14 +226,14 @@ def run_batch(
     A point is (cfg, ((spec, b_norm), ...)), b_norm being the spec's debias
     constant B from predict; every point must have the same (n, k, m). The
     result holds, per point, one entry per spec. Trial i is drawn once for
-    all points (draw_shared) and viewed once per distinct cfg; its ridge
-    systems, one column per distinct (view, lam~), are solved with one LU
-    per distinct shift (solve_ridges), and each (point, spec) decodes its
-    view with run_trial. Trials are indexed 0..trials-1 and aggregated in
-    index order, so the result is identical whether they were computed
-    sequentially or by a thread pool, and an entry does not depend on the
-    other specs or points. Every trial decodes every spec; a spec whose
-    solver fails gets the error of its lowest failing trial index instead.
+    all points (draw_shared) and viewed once per distinct cfg, and each
+    (point, spec) decodes its view with run_trial; a trial solves each
+    distinct ridge shift once (SharedTrial.ridge_basis). Trials are indexed
+    0..trials-1 and aggregated in index order, so the result is identical
+    whether they were computed sequentially or by a thread pool, and an
+    entry does not depend on the other specs or points. Every trial decodes
+    every spec; a spec whose solver fails gets the error of its lowest
+    failing trial index instead.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -264,8 +247,6 @@ def run_batch(
     def one(idx: int) -> list[list[TrialOutcome | ConvergenceError]]:
         shared = draw_shared(n, k, m, master_seed, idx)
         views = {cfg: TrialDraw(shared, cfg) for cfg, _ in points}
-        solve_ridges(shared, list(dict.fromkeys(
-            (views[cfg], spec.lam_tilde) for cfg, specs in points for spec, _ in specs)))
         return [[_decode(cfg, spec, views[cfg], b_norm) for spec, b_norm in specs]
                 for cfg, specs in points]
 

@@ -39,7 +39,10 @@ class PowerConvention(str, enum.Enum):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{db!r} dB is out of the float range") from None
 
 
 def linear_to_db(value: float) -> float:

@@ -545,12 +545,29 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
             "m = 2\ndecoders = rls\ntrials = 0\nsweep_axis = rho_db\nvalues = 10\n"
         )
-        # the output goes into a directory that does not exist
-        outputs = {"--out": str(tmp_path / "out.csv"), flag: str(tmp_path / "missing" / "file")}
+        # one output goes into a directory that does not exist; neither is written
+        outputs = {"--out": str(tmp_path / "out.csv"), "--report": str(tmp_path / "report.txt"),
+                   flag: str(tmp_path / "missing" / "file")}
         argv = ["predict", "--config", str(path), *(a for pair in outputs.items() for a in pair)]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
+
+    @pytest.mark.parametrize("lines", [
+        "rho_db = 4000\nsweep_axis = alpha\nvalues = 0.5\n",
+        "rho_db = 10\nsweep_axis = rho_db\nvalues = 10,4000\n",
+    ], ids=["key", "sweep-value"])
+    def test_overflowing_rho_db_is_exit_2(self, tmp_path, capsys, lines):
+        # 10^(4000/10) is beyond the float range
+        path = tmp_path / "loud.cfg"
+        path.write_text("k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nalpha = 0.5\n"
+                        "m = 2\ndecoders = rls\ntrials = 0\n" + lines)
+        out = tmp_path / "loud.csv"
+        assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_fixed_lambda_is_echoed_exactly(self):
         # lambda = 0.37 is not lam~ lambda* / lambda* read back, it is the

@@ -488,14 +488,15 @@ def counting_rls_solves(monkeypatch):
 class TestSweepBatch:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_point_alone_equals_the_point_in_a_sweep(self, workers):
-        # K = 256: a lone right-hand side is padded to two columns, the LS
-        # solve of the sweep has three
-        cfgs = sweep_cfgs(k=256, n=307, t_total=640, t_pilot=292)
-        points = [point_of(cfg, joint_specs(cfg)) for cfg in cfgs]
-        sweep = run_batch(points, 5, 11, workers=workers)
-        for point, entries in zip(points, sweep):
-            assert all(isinstance(e, BatchStats) for e in entries)
-            assert run_batch([point], 5, 11) == [entries]
+        # every ridge solve has the two columns [Z'Z x0, Z'z] whatever the
+        # sweep: at K = 256 as they are, at K = 64 padded to eight for the GIL
+        for shape in (dict(k=256, n=307, t_total=640, t_pilot=292), dict(k=64, n=77)):
+            cfgs = sweep_cfgs(**shape)
+            points = [point_of(cfg, joint_specs(cfg)) for cfg in cfgs]
+            sweep = run_batch(points, 5, 11, workers=workers)
+            for point, entries in zip(points, sweep):
+                assert all(isinstance(e, BatchStats) for e in entries)
+                assert run_batch([point], 5, 11) == [entries]
 
     def test_points_must_share_n_k_m(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
@@ -515,41 +516,44 @@ class TestSweepBatch:
             assert isinstance(entries[0], ConvergenceError)
             assert all(isinstance(e, BatchStats) and e.trials == 4 for e in entries[1:])
 
-    def test_a_failed_column_fails_only_its_own_point(self, monkeypatch):
-        # the ridge solve fails whenever point 1's right-hand side is one of
-        # its columns: point 1's entries carry the error, the other points
-        # equal their own batches
+    def test_a_failed_shift_fails_only_its_rows(self, monkeypatch):
+        # the ridge solve fails at point 1's shift lam~ / s^2 = 1 / s^2: point
+        # 1's rls, box and lmmse entries carry the error, its LS entry and the
+        # other points equal their own batches
         cfgs = sweep_cfgs()
-        points = [(cfg, tuple((spec, 1.0) for spec in joint_specs(cfg))) for cfg in cfgs]
-        poisoned = {draw_trial(cfgs[1], 3, idx).column.tobytes() for idx in range(4)}
+        specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
+                 DecoderSpec.lmmse())
+        points = [(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs]
+        poisoned = 1.0 / (derive_params(cfgs[1]).rho_eff / cfgs[1].k)
         real_rls = simulate.rls_solve
 
         def failing_rls(gram, rhs, lam, rows):
-            if any(column.tobytes() in poisoned for column in rhs.T):
+            if lam == poisoned:
                 raise ConvergenceError("residual out of tolerance")
             return real_rls(gram, rhs, lam, rows)
 
         monkeypatch.setattr(simulate, "rls_solve", failing_rls)
         sweep = run_batch(points, 4, 3)
-        assert all(isinstance(e, ConvergenceError) for e in sweep[1])
+        assert [(type(e), str(e)) for e in sweep[1][1:]] == \
+            [(ConvergenceError, "residual out of tolerance")] * 3
+        assert sweep[1][0] == run_batch([(cfgs[1], points[1][1][:1])], 4, 3)[0][0]
         assert [sweep[0], sweep[2]] == [run_batch([points[p]], 4, 3)[0] for p in (0, 2)]
 
     def test_one_lu_per_distinct_shift_of_the_sweep(self, monkeypatch):
-        # per trial, one solve per distinct shift with one column per distinct
-        # (view, lam~): rho sweep: LS is one three-column solve for the sweep,
-        # rls / box / lmmse at lam~ = 1 one one-column solve per point; a
-        # t_box sweep has one view, so one one-column solve at one shift
+        # per trial, one two-column solve per distinct shift: a rho sweep
+        # solves LS at 0 once for the sweep and rls / box / lmmse at lam~ = 1
+        # once per point; a t_box sweep has one shift
         calls = counting_rls_solves(monkeypatch)
         cfgs = sweep_cfgs()
         specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
                  DecoderSpec.lmmse())
         run_batch([(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs], 2, 3)
         assert sorted(calls) == sorted(
-            [(0.0, 3)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 1) for cfg in cfgs] * 2)
+            [(0.0, 2)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 2) for cfg in cfgs] * 2)
         calls.clear()
         boxes = [((DecoderSpec.box(1.0, t), 1.0),) for t in (0.5, 1.0, 1.5)]
         run_batch([(cfgs[0], specs) for specs in boxes], 2, 3)
-        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 1)] * 2
+        assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 2)] * 2
 
     def test_box_solves_the_shared_gram_at_its_point_shift(self, monkeypatch):
         # on a two-point sweep every box decode reads its trial's Z'Z itself,

@@ -114,18 +114,17 @@ def mse_from_theta(theta_star: float, rho_eff: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tail_moment(a: float, b: float, x: float) -> tuple[float, float, float]:
-    """(int_x^inf (a + b h)^2 p(h) dh, Q(x), p(x)) in closed form.
-
-    The integral is (a^2+b^2) Q(x) + b(bx+2a) p(x); x = +/-inf is legal and
-    drops the density term.
-    """
+def _tail_moment(x: float) -> tuple[float, float]:
+    """(h(x), h'(x)) for the upper-tail second moment h(x) = E[(Z - x)_+^2]
+    of a standard normal Z: h(x) = (x^2 + 1) Q(x) - x p(x) and
+    h'(x) = 2 (x Q(x) - p(x)). x must be finite (h(inf) reads nan); the
+    density term of h is dropped once p(x) underflows to 0."""
     q = qfunc(x)
     dens = math.exp(-0.5 * x * x) / _SQRT2PI
-    val = (a * a + b * b) * q
+    h = (x * x + 1.0) * q
     if dens > 0.0:
-        val += b * (b * x + 2.0 * a) * dens
-    return val, q, dens
+        h -= x * dens
+    return h, 2.0 * (x * q - dens)
 
 
 class BoxObjectiveParams(NamedTuple):
@@ -172,8 +171,7 @@ def _box_terms(theta: float, beta: float, p: BoxObjectiveParams) -> tuple[float,
         drift = i * step
         for x, x_t in ((width + drift, width_t - drift / theta),
                        (width - drift, width_t + drift / theta)):
-            h, q, dens = _tail_moment(-x, 1.0, x)
-            dh = 2.0 * (x * q - dens)
+            h, dh = _tail_moment(x)
             tails += h
             tails_t += dh * x_t
             tails_b += dh * width_b

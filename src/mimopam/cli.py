@@ -35,15 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mimopam",
         description="Link-level laboratory for massive-MIMO PAM transmission under imperfect CSI",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode.replace("_", "-"))
-        p.add_argument("--config", required=True, help="flat key=value sweep config")
-        p.add_argument("--out", default=None, help="output CSV path (default <mode>.csv)")
-        p.add_argument("--report", default=None, help="also write the text report here")
-        p.add_argument("--trials", type=int, default=None, help="override trial count")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
+    parser.add_argument("mode", choices=[mode.replace("_", "-") for mode in MODES])
+    parser.add_argument("--config", required=True, help="flat key=value sweep config")
+    parser.add_argument("--out", default=None, help="output CSV path (default <mode>.csv)")
+    parser.add_argument("--report", default=None, help="also write the text report here")
+    parser.add_argument("--trials", type=int, default=None, help="override trial count")
+    parser.add_argument("--seed", type=int, default=None, help="override master seed")
+    parser.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
     return parser
 
 

@@ -109,7 +109,7 @@ def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.nd
     if lam == 0 and rows < len(gram):
         raise ConvergenceError("unregularized solve needs at least as many rows as columns")
     reg = gram.copy()
-    reg[np.diag_indices_from(reg)] += lam
+    reg.flat[::len(reg) + 1] += lam
     try:
         x = _solve(reg, rhs)
     except np.linalg.LinAlgError as exc:
@@ -206,7 +206,7 @@ def box_rls_solve(
         x = np.where(upper, t, np.where(lower, -t, 0.0))
         # take copies, so shifting the block's diagonal leaves gram as it is
         block = gram.take(free, 0).take(free, 1)
-        block[np.diag_indices_from(block)] += lam
+        block.flat[::free.size + 1] += lam
         # numpy has no triangular solve and scipy is no runtime dependency,
         # so the SPD free block is factored by LU (LAPACK gesv); x is 0 on
         # the free set, where gram @ x therefore needs no lam x term

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .decoders import DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError, ConvergenceError
-from .system import SystemConfig, derive_params, pam_constellation, slice_symbols
+from .system import SystemConfig, derive_params, pam_points, slice_symbols
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,31 +126,24 @@ class SharedTrial(NamedTuple):
     unscaled channel Z (iid N(0, 1) entries): the symbols x0 and the
     reductions Z'Z, Z'Z x0 and Z'z of the data noise z. Z is dropped once
     they are formed. ridge_bases maps each shift mu solved so far to X, the
-    solution of (Z'Z + mu I) X = [Z'Z x0, Z'z], or to the ConvergenceError of
-    that solve."""
+    solution of (Z'Z + mu I) X = [Z'Z x0, Z'z]."""
 
     x0: np.ndarray
     zz: np.ndarray
     zzx: np.ndarray
     zw: np.ndarray
     rows: int
-    ridge_bases: dict[float, np.ndarray | ConvergenceError]
+    ridge_bases: dict[float, np.ndarray]
 
     def ridge_basis(self, shift: float) -> np.ndarray:
-        """X at the shift, from one rls_solve on its first request; raises
-        the ConvergenceError of that solve."""
+        """X at the shift, from one rls_solve on its first request; a shift
+        whose solve fails raises its ConvergenceError on every request."""
         import numpy as np
 
         if shift not in self.ridge_bases:
-            try:
-                self.ridge_bases[shift] = rls_solve(
-                    self.zz, np.column_stack((self.zzx, self.zw)), shift, self.rows)
-            except ConvergenceError as exc:
-                self.ridge_bases[shift] = exc
-        basis = self.ridge_bases[shift]
-        if isinstance(basis, ConvergenceError):
-            raise basis
-        return basis
+            self.ridge_bases[shift] = rls_solve(
+                self.zz, np.column_stack((self.zzx, self.zw)), shift, self.rows)
+        return self.ridge_bases[shift]
 
 
 def draw_shared(n: int, k: int, m: int, seed: int, trial_idx: int) -> SharedTrial:
@@ -158,54 +151,38 @@ def draw_shared(n: int, k: int, m: int, seed: int, trial_idx: int) -> SharedTria
     order is Z, x0, z."""
     rng = trial_stream(seed, trial_idx)
     z = rng.standard_normal((n, k))
-    x0 = pam_constellation(m).points[rng.integers(0, m, size=k)]
+    x0 = pam_points(m)[rng.integers(0, m, size=k)]
     zz = z.T @ z
     return SharedTrial(x0, zz, zz @ x0, z.T @ rng.standard_normal(n), n, {})
-
-
-class TrialDraw:
-    """One sweep point's view of a shared trial: its effective model is
-    A = s Z and y = A x0 + w_std z with s^2 = scale = rho_eff / K. Its ridge
-    and box problems at lam~ are solved on the shared Z'Z with the column
-    c = Z'Z x0 + noise_coef Z'z, noise_coef = w_std / s, at the shift
-    mu = lam~ / s^2."""
-
-    def __init__(self, shared: SharedTrial, cfg: SystemConfig) -> None:
-        dp = derive_params(cfg)
-        c = dp.rho_d * dp.sigma_delta_sq
-        self.shared = shared
-        self.x0 = shared.x0
-        self.scale = dp.rho_eff / cfg.k
-        w_std = math.sqrt((1.0 + c * (shared.x0 @ shared.x0) / cfg.k) / (1.0 + c))
-        self.noise_coef = w_std / math.sqrt(self.scale)
-
-    @property
-    def column(self) -> np.ndarray:
-        return self.shared.zzx + self.noise_coef * self.shared.zw
-
-    def ridge(self, lam_tilde: float) -> np.ndarray:
-        """The ridge solution at lam~, from the shared trial's X at its
-        shift; raises the ConvergenceError of that shift's solve."""
-        basis = self.shared.ridge_basis(lam_tilde / self.scale)
-        return basis[:, 0] + self.noise_coef * basis[:, 1]
 
 
 def run_trial(
     cfg: SystemConfig,
     decoder_spec: DecoderSpec,
-    draw: TrialDraw,
+    draw: SharedTrial,
     b_norm: float,
 ) -> TrialOutcome:
-    """Decode one draw with one decoder (ridge or box solve), normalize and
-    slice. b_norm is the debias constant B of the decoder (predict)."""
+    """Decode cfg's point of the shared trial with one decoder (ridge or box
+    solve), normalize and slice. b_norm is the debias constant B of the
+    decoder (predict).
+
+    The point's model is A = s Z, y = A x0 + w_std z with s^2 = rho_eff / K,
+    so its problems at lam~ are solved on Z'Z at the shift lam~ / s^2 with
+    the column Z'Z x0 + kappa Z'z, kappa = w_std / s."""
     import numpy as np
 
-    constellation = pam_constellation(cfg.m)
-    x_hat = draw.ridge(decoder_spec.lam_tilde)
+    dp = derive_params(cfg)
+    c = dp.rho_d * dp.sigma_delta_sq
+    s_sq = dp.rho_eff / cfg.k
+    w_std = math.sqrt((1.0 + c * (draw.x0 @ draw.x0) / cfg.k) / (1.0 + c))
+    kappa = w_std / math.sqrt(s_sq)
+    shift = decoder_spec.lam_tilde / s_sq
+    basis = draw.ridge_basis(shift)
+    x_hat = basis[:, 0] + kappa * basis[:, 1]
     if math.isfinite(decoder_spec.t_box):
-        shift = decoder_spec.lam_tilde / draw.scale
-        x_hat, _ = box_rls_solve(draw.shared.zz, draw.column, shift, decoder_spec.t_box, x_hat)
-    x_star = slice_symbols(x_hat / b_norm, constellation)
+        x_hat, _ = box_rls_solve(
+            draw.zz, draw.zzx + kappa * draw.zw, shift, decoder_spec.t_box, x_hat)
+    x_star = slice_symbols(x_hat / b_norm, pam_points(cfg.m))
     mse = float(np.mean((x_hat - draw.x0) ** 2))
     ser = float(np.mean(x_star != draw.x0))
     return TrialOutcome(mse=mse, ser=ser)
@@ -226,14 +203,14 @@ def run_batch(
     A point is (cfg, ((spec, b_norm), ...)), b_norm being the spec's debias
     constant B from predict; every point must have the same (n, k, m). The
     result holds, per point, one entry per spec. Trial i is drawn once for
-    all points (draw_shared) and viewed once per distinct cfg, and each
-    (point, spec) decodes its view with run_trial; a trial solves each
-    distinct ridge shift once (SharedTrial.ridge_basis). Trials are indexed
-    0..trials-1 and aggregated in index order, so the result is identical
-    whether they were computed sequentially or by a thread pool, and an
-    entry does not depend on the other specs or points. Every trial decodes
-    every spec; a spec whose solver fails gets the error of its lowest
-    failing trial index instead.
+    all points (draw_shared), and each (point, spec) decodes it with
+    run_trial; a trial solves each distinct ridge shift once
+    (SharedTrial.ridge_basis). Trials are indexed 0..trials-1 and
+    aggregated in index order, so the result is identical whether they were
+    computed sequentially or by a thread pool, and an entry does not depend
+    on the other specs or points. Every trial decodes every spec; a spec
+    whose solver fails gets the error of its lowest failing trial index
+    instead.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -246,8 +223,7 @@ def run_batch(
 
     def one(idx: int) -> list[list[TrialOutcome | ConvergenceError]]:
         shared = draw_shared(n, k, m, master_seed, idx)
-        views = {cfg: TrialDraw(shared, cfg) for cfg, _ in points}
-        return [[_decode(cfg, spec, views[cfg], b_norm) for spec, b_norm in specs]
+        return [[_decode(cfg, spec, shared, b_norm) for spec, b_norm in specs]
                 for cfg, specs in points]
 
     if workers > 1:
@@ -271,7 +247,7 @@ def run_batch(
 
 
 def _decode(
-    cfg: SystemConfig, spec: DecoderSpec, draw: TrialDraw, b_norm: float
+    cfg: SystemConfig, spec: DecoderSpec, draw: SharedTrial, b_norm: float
 ) -> TrialOutcome | ConvergenceError:
     """run_trial, with a solver failure returned as the trial's outcome."""
     try:

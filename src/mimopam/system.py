@@ -4,7 +4,7 @@ Everything downstream (simulator, decoders, asymptotic predictors) consumes the
 values derived here, so this module is the single owner of the power-split
 arithmetic, the optimal split alpha* included, of the PAM energy and of
 dB/linear conversion (stored powers are always linear). numpy is imported
-inside the constellation functions that use it, so the theory, which reads
+inside the PAM functions that use it, so the theory, which reads
 only pam_energy and largest_symbol, runs without loading it.
 """
 
@@ -188,13 +188,6 @@ def alpha_star(cfg: SystemConfig) -> PowerSplit:
     return PowerSplit(vartheta + root, vartheta, "tau_d<1")
 
 
-class Constellation(NamedTuple):
-    """Unit-variance M-PAM alphabet: points +/- (2k-1)/sqrt(E), E = pam_energy(M)."""
-
-    points: np.ndarray
-    m: int
-
-
 def _check_pam_order(m: int) -> None:
     if m < 2 or (m & (m - 1)) != 0:
         raise ConfigError(f"m must be a power of two >= 2, got {m}")
@@ -205,22 +198,23 @@ def pam_energy(m: int) -> float:
     return (m * m - 1) / 3.0
 
 
-def pam_constellation(m: int) -> Constellation:
+def pam_points(m: int) -> np.ndarray:
+    """The unit-variance M-PAM alphabet, ascending: (2i - M + 1)/sqrt(E) for
+    i = 0, .., M-1, E = pam_energy(M)."""
     import numpy as np
 
     _check_pam_order(m)
-    points = (2.0 * np.arange(m) - (m - 1)) / math.sqrt(pam_energy(m))
-    return Constellation(points=points, m=m)
+    return (2.0 * np.arange(m) - (m - 1)) / math.sqrt(pam_energy(m))
 
 
 def largest_symbol(m: int) -> float:
-    """(M-1)/sqrt(E), bit for bit pam_constellation(m).points[-1], in pure math."""
+    """(M-1)/sqrt(E), bit for bit pam_points(m)[-1], in pure math."""
     _check_pam_order(m)
     return (m - 1) / math.sqrt(pam_energy(m))
 
 
-def slice_symbols(values, constellation: Constellation):
-    """Map each value to the nearest constellation point.
+def slice_symbols(values, points: np.ndarray):
+    """Map each value to the nearest of the ascending points (pam_points).
 
     Ties on the midpoint between two points break toward the smaller point,
     deterministically. Scalar in, scalar out; array in, array out.
@@ -232,8 +226,8 @@ def slice_symbols(values, constellation: Constellation):
         raise ValueError("slice_symbols requires finite inputs")
     # argmin over |v - s| with first-wins tie-breaking; points are ascending,
     # so the first minimum is the smaller symbol.
-    dist = np.abs(arr[..., None] - constellation.points)
-    out = constellation.points[np.argmin(dist, axis=-1)]
+    dist = np.abs(arr[..., None] - points)
+    out = points[np.argmin(dist, axis=-1)]
     if np.isscalar(values) or np.ndim(values) == 0:
         return float(out)
     return out

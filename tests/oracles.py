@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from mimopam import ConfigError, derive_params
 from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qfunc
 from mimopam.decoders import box_rls_solve, rls_solve
-from mimopam.simulate import TrialDraw, draw_shared, estimate_channel
-from mimopam.system import linear_to_db, pam_constellation
+from mimopam.simulate import draw_shared, estimate_channel
+from mimopam.system import linear_to_db, pam_points
 
 
 def theory_point(cfg, lam=0.0, t=math.inf):
@@ -74,14 +74,24 @@ def rls_stationarity_residuals(
     return f_theta, f_beta
 
 def gaussian_partial_second_moment(a: float, b: float, lower: float, upper: float) -> float:
-    """int_lower^upper (a + b h)^2 p(h) dh in closed form.
+    """int_lower^upper (a + b h)^2 p(h) dh from the package's upper-tail
+    moment h(x) = E[(Z - x)_+^2] and its derivative.
 
-    Expands to (a^2+b^2)(Q(l)-Q(u)) + b(bl+2a)p(l) - b(bu+2a)p(u); infinite
-    limits are legal and drop their density terms.
+    With c = a + b x, (a + b h)^2 = b^2 (h - x)^2 + 2 b c (h - x) + c^2, and
+    E[(Z - x)_+] = -h'(x)/2, so the tail from x is
+    b^2 h(x) - b c h'(x) + c^2 Q(x); infinite limits are legal.
     """
     if lower > upper:
         raise ValueError("need lower <= upper")
-    return _tail_moment(a, b, lower)[0] - _tail_moment(a, b, upper)[0]
+
+    def tail(x):
+        if math.isinf(x):
+            return a * a + b * b if x < 0 else 0.0
+        h, dh = _tail_moment(x)
+        c = a + b * x
+        return b * b * h - b * c * dh + c * c * qfunc(x)
+
+    return tail(lower) - tail(upper)
 
 def box_objective(theta: float, beta: float, params: BoxObjectiveParams) -> float:
     """Scalar saddle objective D(theta, beta) of the box decoder.
@@ -170,9 +180,20 @@ def projected_gradient_oracle(a, y, lam_rho_d, t, max_iter=100_000, tol=1e-14):
 
 
 def draw_trial(cfg, seed, trial_idx):
-    """Trial trial_idx of the effective model of cfg, deterministic given
-    (seed, trial_idx): the point view of the shared draw."""
-    return TrialDraw(draw_shared(cfg.n, cfg.k, cfg.m, seed, trial_idx), cfg)
+    """The shared trial trial_idx of cfg's (n, k, m), deterministic given
+    (seed, trial_idx); run_trial decodes cfg's point of it."""
+    return draw_shared(cfg.n, cfg.k, cfg.m, seed, trial_idx)
+
+
+def point_column(cfg, draw):
+    """The column Z'Z x0 + kappa Z'z, kappa = w_std / s, that run_trial hands
+    the box decoder at cfg's point of a shared trial, by run_trial's
+    expressions (the point's channel is s Z, s^2 = rho_eff / K)."""
+    dp = derive_params(cfg)
+    c = dp.rho_d * dp.sigma_delta_sq
+    s_sq = dp.rho_eff / cfg.k
+    w_std = math.sqrt((1.0 + c * (draw.x0 @ draw.x0) / cfg.k) / (1.0 + c))
+    return draw.zzx + w_std / math.sqrt(s_sq) * draw.zw
 
 
 def explicit_training_trial(cfg, pilots, rng):
@@ -186,7 +207,7 @@ def explicit_training_trial(cfg, pilots, rng):
     dp = derive_params(cfg)
     h = rng.standard_normal((cfg.n, cfg.k))
     hhat, _ = estimate_channel(h, pilots, dp.rho_p, rng)
-    x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
+    x0 = pam_points(cfg.m)[rng.integers(0, cfg.m, size=cfg.k)]
     y = math.sqrt(dp.rho_d / cfg.k) * h @ x0 + rng.standard_normal(cfg.n)
     return math.sqrt(dp.rho_d / cfg.k) * hhat, y, x0
 

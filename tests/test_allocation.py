@@ -16,7 +16,7 @@ from mimopam import (
     predict,
 )
 from mimopam.asymptotics import optimize_goodput
-from mimopam.system import lambda_star_rls, pam_constellation
+from mimopam.system import lambda_star_rls, pam_points
 
 FIG6 = dict(rho=10**1.5, tau=1000 / 256, tau_d=744 / 256)
 
@@ -125,7 +125,7 @@ class TestMonotonicity:
     RHO_DB = np.linspace(-10.0, 40.0, 101)
 
     def assert_monotone(self, n, m):
-        t_max = float(pam_constellation(m).points[-1])
+        t_max = float(pam_points(m)[-1])
         for decoder in ("ls", "lmmse", "box"):
             mse, sep = [], []
             for rho_db in self.RHO_DB:

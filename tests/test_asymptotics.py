@@ -55,7 +55,7 @@ from mimopam.asymptotics import (
 )
 from mimopam.errors import DegenerateThresholdError, InfeasibleError
 from mimopam.runner import LambdaPolicy, SweepAxis, TPolicy, resolve_decoder
-from mimopam.system import lambda_star_rls, pam_constellation
+from mimopam.system import lambda_star_rls, pam_points
 
 # Published theory values for the K=400, N=480, T=1000, T_p=456, alpha=0.5,
 # BPSK scenario under the direct power split, ridge decoder at the optimal
@@ -211,7 +211,7 @@ class TestLambdaStar:
     def test_box_search_without_zero_when_n_below_k(self):
         # delta < 1: the box saddle at lam = 0 has no solution, so the grid must skip it
         cfg = SystemConfig(k=128, n=80, t_total=512, t_pilot=128, rho=100.0, alpha=0.5, m=16)
-        t = float(pam_constellation(16).points[-1])
+        t = float(pam_points(16)[-1])
         point = theory_point(cfg, t=t)
         lam_tilde = lambda_star_numeric(point)
         assert lam_tilde * derive_params(cfg).lambda_star == pytest.approx(0.00645, rel=1e-2)
@@ -254,7 +254,7 @@ class TestKnobSearch:
     def test_threshold_search_where_theta_is_flat_in_t(self, m):
         # theta*(t) has its minimum near 0.4 t_ref here and is flat from about
         # 2 t_ref on, so no bracket that waits for theta* to rise would close
-        t_ref = float(pam_constellation(m).points[-1])
+        t_ref = float(pam_points(m)[-1])
         point = theory_point(fig4_cfg(-5.0, m), t=t_ref)
         point = point._replace(lam_tilde=lambda_star_numeric(point))
         t = t_star_numeric(point)

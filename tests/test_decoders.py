@@ -17,7 +17,7 @@ from mimopam import (
     run_batch,
 )
 from mimopam.decoders import box_rls_solve, lmmse_decode, rls_solve
-from mimopam.system import pam_constellation
+from mimopam.system import pam_points
 
 
 def box_objective_value(a, y, lam_rho_d, x):
@@ -60,7 +60,7 @@ def ill_conditioned_instance(seed=1):
     to 6, so the solver has to finish by single-index steps."""
     k, n, rho = 52, 50, 10**3.0
     rng = np.random.default_rng(seed)
-    points = pam_constellation(8).points
+    points = pam_points(8)
     a = math.sqrt(rho / k) * rng.standard_normal((n, k))
     y = a @ points[rng.integers(0, 8, size=k)] + rng.standard_normal(n)
     return a, y, 1e-2, 1.1 * float(np.abs(points).max())

@@ -32,7 +32,7 @@ from mimopam import (
 from mimopam.cli import BLAS_THREAD_VARS, main as cli_main
 from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import (
-    LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
+    MODES, LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
 )
 from mimopam.system import derive_params, lambda_star_rls
 
@@ -347,6 +347,42 @@ class TestCli:
         assert lines[0].split(",")[0] == "k"
         assert len(lines) == 3
         assert "wrote 2 rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", [mode.replace("_", "-") for mode in MODES])
+    def test_every_mode_takes_every_option(self, mode, tmp_path, capsys):
+        # one parser: the mode is a positional, the six options follow it
+        path = tmp_path / "energy.cfg"
+        path.write_text(
+            "k = 16\nn = 20\nt_total = 48\nt_pilot = 20\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\nsweep_axis = rho_db\nvalues = 5,10\ndecoders = rls\ntrials = 0\n"
+        )
+        out, report = tmp_path / "out.csv", tmp_path / "report.txt"
+        assert cli_main([mode, "--config", str(path), "--out", str(out), "--report", str(report),
+                         "--trials", "3", "--seed", "5", "--workers", "2"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"mode={mode.replace('-', '_')} ")
+        assert report.read_text() == text[:text.index("wrote ")]
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        simulated = mode in ("simulate", "compare")
+        assert all(r["trials"] == ("3" if simulated else "0") and r["master_seed"] == "5"
+                   for r in rows)
+
+    def test_help_names_every_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert all(mode.replace("_", "-") in text for mode in MODES)
+
+    def test_unknown_mode_is_exit_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["optimize_power", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'optimize_power'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # the runtime needs numpy only; importing scipy would more than double

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import box_decode, draw_trial, explicit_training_trial, ridge_decode
+from oracles import box_decode, draw_trial, explicit_training_trial, point_column, ridge_decode
 
 from mimopam import (
     BatchStats,
@@ -24,7 +24,7 @@ from mimopam.simulate import (
     TrialOutcome, aggregate, bonferroni_z, estimate_channel, make_pilots, run_trial,
     trial_stream,
 )
-from mimopam.system import lambda_star_rls, pam_constellation, slice_symbols
+from mimopam.system import lambda_star_rls, pam_points, slice_symbols
 
 # Same antenna/training ratios as the published K=400 scenario, downsized for
 # test runtime; every derived constant (delta, sigma_delta_sq, rho_eff) and
@@ -167,7 +167,7 @@ def effective_draw(cfg, seed, idx):
     dp = derive_params(cfg)
     rng = trial_stream(seed, idx)
     a = math.sqrt(dp.rho_eff / cfg.k) * rng.standard_normal((cfg.n, cfg.k))
-    x0 = pam_constellation(cfg.m).points[rng.integers(0, cfg.m, size=cfg.k)]
+    x0 = pam_points(cfg.m)[rng.integers(0, cfg.m, size=cfg.k)]
     c = dp.rho_d * dp.sigma_delta_sq
     w = math.sqrt((1.0 + c * float(x0 @ x0) / cfg.k) / (1.0 + c)) * rng.standard_normal(cfg.n)
     return a, x0, w
@@ -247,9 +247,9 @@ class TestEffectiveModel:
         for i, (m, conv, spec_of) in enumerate(cells):
             cfg = scaled_cfg(10.0, m=m, power_convention=conv, **EQUIV)
             dp = derive_params(cfg)
-            constellation = pam_constellation(m)
+            points = pam_points(m)
             spec = (DecoderSpec.rls(1.0) if spec_of == "rls"
-                    else DecoderSpec.box(1.0, constellation.points[-1]))
+                    else DecoderSpec.box(1.0, points[-1]))
             b_norm = b_norm_of(cfg, spec)
             [effective] = batch(cfg, (spec,), trials=trials, master_seed=2 * i + 1)
             pilots = make_pilots(cfg.k, cfg.t_pilot, 2 * i + 2)
@@ -261,7 +261,7 @@ class TestEffectiveModel:
                     x_hat = ridge_decode(a, y, lam_rho_d)
                 else:
                     x_hat, _ = box_decode(a, y, lam_rho_d, spec.t_box)
-                x_star = slice_symbols(x_hat / b_norm, constellation)
+                x_star = slice_symbols(x_hat / b_norm, points)
                 outcomes.append(TrialOutcome(mse=float(np.mean((x_hat - x0) ** 2)),
                                              ser=float(np.mean(x_star != x0))))
             explicit = aggregate(outcomes)
@@ -372,7 +372,7 @@ class TestRunBatch:
 def joint_specs(cfg):
     """One spec of each decoder, the box at the largest symbol; rls off
     lam~ = 1, so the four specs solve three distinct ridge systems."""
-    t_max = float(pam_constellation(cfg.m).points[-1])
+    t_max = float(pam_points(cfg.m)[-1])
     return (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, t_max),
             DecoderSpec.lmmse())
 
@@ -394,7 +394,7 @@ class TestJointBatch:
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         specs = joint_specs(cfg)
         alone = [batch(cfg, (spec,), trials=8, master_seed=4)[0] for spec in specs]
-        index_of = {draw_trial(cfg, 4, idx).column.tobytes(): idx for idx in range(8)}
+        index_of = {point_column(cfg, draw_trial(cfg, 4, idx)).tobytes(): idx for idx in range(8)}
         real_box = simulate.box_rls_solve
         decoded = []
 
@@ -421,7 +421,8 @@ class TestJointBatch:
         points = [point_of(cfg, joint_specs(cfg)),
                   point_of(cfg._replace(rho=100.0), joint_specs(cfg))]
         trials = 48
-        index_of = {draw_trial(cfg, 6, idx).column.tobytes(): idx for idx in range(trials)}
+        index_of = {point_column(cfg, draw_trial(cfg, 6, idx)).tobytes(): idx
+                    for idx in range(trials)}
         real_box = simulate.box_rls_solve
 
         def box_failing_at(gram, rhs, lam, t_box, ridge):
@@ -508,12 +509,14 @@ class TestSweepBatch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ls_below_square_fails_only_the_ls_rows(self, workers):
-        # N < K: Z'Z is singular, so only the unregularized shift fails
+        # N < K: Z'Z is singular, so only the unregularized shift fails, at
+        # every point with the row check's text, before any LU
         cfgs = sweep_cfgs(k=64, n=56)
         specs = joint_specs(cfgs[0])
         points = [(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs]
         for entries in run_batch(points, 4, 2, workers=workers):
-            assert isinstance(entries[0], ConvergenceError)
+            assert type(entries[0]) is ConvergenceError
+            assert str(entries[0]) == "unregularized solve needs at least as many rows as columns"
             assert all(isinstance(e, BatchStats) and e.trials == 4 for e in entries[1:])
 
     def test_a_failed_shift_fails_only_its_rows(self, monkeypatch):
@@ -582,17 +585,32 @@ class TestSweepBatch:
             assert [gram is shared.zz for gram, _ in boxes] == [True, True]
             assert [lam for _, lam in boxes] == shifts
 
-    def test_point_view_matches_the_replayed_draw(self):
+    def test_point_view_matches_the_replayed_draw(self, monkeypatch):
+        # run_trial hands the box decoder the shared Z'Z, its point's column
+        # and shift; times s^2 they are the replayed draw's A'A, A'y and lam~
+        given = []
+        real_box = simulate.box_rls_solve
+
+        def recording_box(gram, rhs, lam, t_box, ridge):
+            given.append((gram, rhs, lam))
+            return real_box(gram, rhs, lam, t_box, ridge)
+
+        monkeypatch.setattr(simulate, "box_rls_solve", recording_box)
+        spec = DecoderSpec.box(0.5, 1.0)
         for cfg in sweep_cfgs():
+            s_sq = derive_params(cfg).rho_eff / cfg.k
             for idx in range(3):
                 a, x0, w = effective_draw(cfg, 8, idx)
                 draw = draw_trial(cfg, 8, idx)
                 np.testing.assert_array_equal(draw.x0, x0)
+                given.clear()
+                run_trial(cfg, spec, draw, 1.0)
+                [(view_gram, view_rhs, shift)] = given
+                assert view_gram is draw.zz
                 gram, rhs = a.T @ a, a.T @ (a @ x0 + w)
-                view_gram = draw.scale * draw.shared.zz
-                view_rhs = draw.scale * draw.column
-                assert np.abs(view_gram - gram).max() <= 1e-13 * np.abs(gram).max()
-                assert np.abs(view_rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+                assert np.abs(s_sq * view_gram - gram).max() <= 1e-13 * np.abs(gram).max()
+                assert np.abs(s_sq * view_rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+                assert shift == 0.5 / s_sq
 
     def test_run_batch_takes_b_from_its_caller(self, monkeypatch):
         # predict raises wherever the package binds it, so a run_batch that

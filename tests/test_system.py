@@ -16,7 +16,7 @@ from mimopam import (
     derive_params,
     predict,
 )
-from mimopam.system import largest_symbol, pam_constellation, slice_symbols
+from mimopam.system import largest_symbol, pam_points, slice_symbols
 
 FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
 
@@ -131,14 +131,15 @@ class TestRhoEffOfAlpha:
 class TestConstellation:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_unit_variance_and_symmetry(self, m):
-        c = pam_constellation(m)
-        assert np.mean(c.points**2) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(c.points, -c.points[::-1])
-        assert np.all(np.diff(c.points) > 0)
+        points = pam_points(m)
+        assert points.shape == (m,)
+        assert np.mean(points**2) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(points, -points[::-1])
+        assert np.all(np.diff(points) > 0)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
-            pam_constellation(6)
+            pam_points(6)
         with pytest.raises(ConfigError):
             largest_symbol(6)
 
@@ -147,37 +148,33 @@ class TestConstellation:
         # the theory's t_ref and the max_symbol policy read it without numpy
         got = largest_symbol(m)
         assert type(got) is float
-        assert got.hex() == float(pam_constellation(m).points[-1]).hex()
+        assert got.hex() == float(pam_points(m)[-1]).hex()
 
 
 class TestSlicer:
     def test_four_pam_example(self):
-        c = pam_constellation(4)
-        assert slice_symbols(0.8, c) == pytest.approx(1 / math.sqrt(5))
+        assert slice_symbols(0.8, pam_points(4)) == pytest.approx(1 / math.sqrt(5))
 
     def test_idempotent_on_constellation_points(self):
         for m in (2, 4, 8, 16):
-            c = pam_constellation(m)
-            assert np.array_equal(slice_symbols(c.points, c), c.points)
+            points = pam_points(m)
+            assert np.array_equal(slice_symbols(points, points), points)
 
     def test_saturates_to_edge_symbol(self):
-        c = pam_constellation(2)
-        assert slice_symbols(1e6, c) == pytest.approx(1.0)
-        assert slice_symbols(-1e6, c) == pytest.approx(-1.0)
+        points = pam_points(2)
+        assert slice_symbols(1e6, points) == pytest.approx(1.0)
+        assert slice_symbols(-1e6, points) == pytest.approx(-1.0)
 
     def test_tie_breaks_toward_smaller_point(self):
-        c = pam_constellation(4)
         # exact midpoint between the two inner symbols
-        assert slice_symbols(0.0, c) == pytest.approx(-1 / math.sqrt(5))
+        assert slice_symbols(0.0, pam_points(4)) == pytest.approx(-1 / math.sqrt(5))
 
     @given(st.lists(st.floats(-4, 4), min_size=2, max_size=16))
     def test_monotone(self, values):
-        c = pam_constellation(8)
         ordered = np.sort(np.array(values))
-        sliced = slice_symbols(ordered, c)
+        sliced = slice_symbols(ordered, pam_points(8))
         assert np.all(np.diff(sliced) >= 0)
 
     def test_rejects_non_finite(self):
-        c = pam_constellation(2)
         with pytest.raises(ValueError):
-            slice_symbols(float("nan"), c)
+            slice_symbols(float("nan"), pam_points(2))

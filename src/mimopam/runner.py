@@ -31,8 +31,6 @@ from .system import (
     linear_to_db,
 )
 
-DEFAULT_TRIALS = 500
-DEFAULT_MASTER_SEED = 1729
 COMPARE_FALSE_ALARM = 0.01  # family-wise, over all z-scores of a compare run
 
 
@@ -45,13 +43,11 @@ class SweepAxis(str, enum.Enum):
 
 
 class LambdaPolicy(str, enum.Enum):
-    FIXED = "fixed"
     CLOSED_FORM_OPTIMAL = "closed_form_optimal"
     NUMERIC_OPTIMAL = "numeric_optimal"
 
 
 class TPolicy(str, enum.Enum):
-    FIXED = "fixed"
     MAX_SYMBOL = "max_symbol"
     NUMERIC_OPTIMAL = "numeric_optimal"
 
@@ -61,18 +57,16 @@ class _SweepSpecFields(NamedTuple):
     sweep_axis: SweepAxis
     values: tuple[float, ...]
     decoders: tuple[DecoderKind, ...]
-    trials: int = DEFAULT_TRIALS
-    master_seed: int = DEFAULT_MASTER_SEED
-    lambda_policy: LambdaPolicy = LambdaPolicy.CLOSED_FORM_OPTIMAL
-    t_policy: TPolicy = TPolicy.MAX_SYMBOL
-    lam: float | None = None
-    t_box: float | None = None
+    trials: int = 500
+    master_seed: int = 1729
+    lam: float | LambdaPolicy = LambdaPolicy.CLOSED_FORM_OPTIMAL
+    t_box: float | TPolicy = TPolicy.MAX_SYMBOL
 
 
 class SweepSpec(Checked, _SweepSpecFields):
     """A sweep: the base scenario, the axis and its values, the decoders and
-    how their knobs are set. lam is the raw ridge coefficient and t_box the
-    box threshold that the fixed policies use."""
+    their knobs. lam, the raw ridge coefficient, and t_box, the box
+    threshold, each hold a fixed number or the policy that sets it."""
 
     __slots__ = ()
 
@@ -89,20 +83,10 @@ class SweepSpec(Checked, _SweepSpecFields):
             raise ConfigError("trials must be nonnegative")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.lam is not None and not 0.0 <= self.lam < math.inf:
+        if not isinstance(self.lam, LambdaPolicy) and not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam!r}")
-        if self.t_box is not None and not 0.0 < self.t_box < math.inf:
+        if not isinstance(self.t_box, TPolicy) and not 0.0 < self.t_box < math.inf:
             raise ConfigError(f"t_box must be finite and positive, got {self.t_box!r}")
-        if self.lambda_policy is LambdaPolicy.FIXED and self.lam is None:
-            raise ConfigError("lambda_policy = fixed requires an explicit 'lambda' key")
-        if self.lambda_policy is not LambdaPolicy.FIXED and self.lam is not None:
-            raise ConfigError(f"lambda_policy = {self.lambda_policy.value} ignores 'lambda'; "
-                              "it is read only under lambda_policy = fixed")
-        if self.t_policy is TPolicy.FIXED and self.t_box is None:
-            raise ConfigError("t_policy = fixed requires an explicit 't_box' key")
-        if self.t_policy is not TPolicy.FIXED and self.t_box is not None:
-            raise ConfigError(f"t_policy = {self.t_policy.value} ignores 't_box'; "
-                              "it is read only under t_policy = fixed")
 
 
 _REQUIRED_KEYS = (
@@ -129,8 +113,21 @@ def _parse_float(raw: str, key: str) -> float:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
 
 
+def _parse_enum(kind: type[enum.Enum], raw: str, key: str, *extra: str) -> enum.Enum | str:
+    """raw, in any case, as a member of kind or as one of the extra words."""
+    value = raw.strip().lower()
+    if value in extra:
+        return value
+    try:
+        return kind(value)
+    except ValueError as exc:
+        choices = "|".join((*extra, *(c.value for c in kind)))
+        raise ConfigError(f"key {key!r}: expected {choices}, got {value!r}") from exc
+
+
 def load_config(path: str) -> SweepSpec:
-    """Parse a flat key=value sweep config; unknown keys are hard errors."""
+    """Parse a flat key=value sweep config; unknown keys are hard errors.
+    An optional key left out takes its record's default."""
     pairs: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -151,12 +148,10 @@ def load_config(path: str) -> SweepSpec:
         if key not in pairs:
             raise ConfigError(f"missing required config key {key!r}")
 
-    convention = pairs.get("power_convention", "energy").lower()
-    try:
-        power_convention = PowerConvention(convention)
-    except ValueError as exc:
-        choices = "|".join(c.value for c in PowerConvention)
-        raise ConfigError(f"key 'power_convention': expected {choices}, got {convention!r}") from exc
+    convention = {}
+    if "power_convention" in pairs:
+        convention["power_convention"] = _parse_enum(
+            PowerConvention, pairs["power_convention"], "power_convention")
     base = SystemConfig(
         k=_parse_int(pairs["k"], "k"),
         n=_parse_int(pairs["n"], "n"),
@@ -165,34 +160,30 @@ def load_config(path: str) -> SweepSpec:
         rho=db_to_linear(_parse_float(pairs["rho_db"], "rho_db")),
         alpha=_parse_float(pairs["alpha"], "alpha"),
         m=_parse_int(pairs["m"], "m"),
-        power_convention=power_convention,
+        **convention,
     )
-    try:
-        axis = SweepAxis(pairs["sweep_axis"].lower())
-    except ValueError as exc:
-        raise ConfigError(f"key 'sweep_axis': unknown axis {pairs['sweep_axis']!r}") from exc
+    axis = _parse_enum(SweepAxis, pairs["sweep_axis"], "sweep_axis")
     values = tuple(_parse_float(v, "values") for v in pairs["values"].split(",") if v.strip())
-    try:
-        decoders = tuple(DecoderKind(d.strip().lower()) for d in pairs["decoders"].split(",") if d.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key 'decoders': {exc}") from exc
-    try:
-        lambda_policy = LambdaPolicy(pairs.get("lambda_policy", "closed_form_optimal").lower())
-        t_policy = TPolicy(pairs.get("t_policy", "max_symbol").lower())
-    except ValueError as exc:
-        raise ConfigError(f"bad policy value: {exc}") from exc
-    return SweepSpec(
-        base=base,
-        sweep_axis=axis,
-        values=values,
-        decoders=decoders,
-        trials=_parse_int(pairs.get("trials", str(DEFAULT_TRIALS)), "trials"),
-        master_seed=_parse_int(pairs.get("master_seed", str(DEFAULT_MASTER_SEED)), "master_seed"),
-        lambda_policy=lambda_policy,
-        t_policy=t_policy,
-        lam=_parse_float(pairs["lambda"], "lambda") if "lambda" in pairs else None,
-        t_box=_parse_float(pairs["t_box"], "t_box") if "t_box" in pairs else None,
-    )
+    decoders = tuple(_parse_enum(DecoderKind, d, "decoders")
+                     for d in pairs["decoders"].split(",") if d.strip())
+    optional = {key: _parse_int(pairs[key], key)
+                for key in ("trials", "master_seed") if key in pairs}
+    # each knob: its SweepSpec field, its policy key and enum, and the key that "fixed" reads
+    for field, policy_key, kind, value_key in (("lam", "lambda_policy", LambdaPolicy, "lambda"),
+                                               ("t_box", "t_policy", TPolicy, "t_box")):
+        policy = (_parse_enum(kind, pairs[policy_key], policy_key, "fixed")
+                  if policy_key in pairs else None)
+        if policy == "fixed":
+            if value_key not in pairs:
+                raise ConfigError(f"{policy_key} = fixed requires an explicit {value_key!r} key")
+            optional[field] = _parse_float(pairs[value_key], value_key)
+        elif value_key in pairs:
+            named = policy or SweepSpec._field_defaults[field]
+            raise ConfigError(f"{policy_key} = {named.value} ignores {value_key!r}; "
+                              f"it is read only under {policy_key} = fixed")
+        elif policy is not None:
+            optional[field] = policy
+    return SweepSpec(base=base, sweep_axis=axis, values=values, decoders=decoders, **optional)
 
 
 class SweepRecord(NamedTuple):
@@ -250,9 +241,9 @@ def apply_sweep_value(spec: SweepSpec, value: float) -> tuple[SweepSpec, SystemC
     base = spec.base
     axis = spec.sweep_axis
     if axis is SweepAxis.LAMBDA:
-        return spec._replace(lam=value, lambda_policy=LambdaPolicy.FIXED), base
+        return spec._replace(lam=value), base
     if axis is SweepAxis.T_BOX:
-        return spec._replace(t_box=value, t_policy=TPolicy.FIXED), base
+        return spec._replace(t_box=value), base
     if axis is SweepAxis.RHO_DB:
         return spec, base._replace(rho=db_to_linear(value))
     if axis is SweepAxis.ALPHA:
@@ -278,17 +269,17 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     dp = derive_params(cfg)
     t_box = math.inf
     if kind is DecoderKind.BOX:
-        t_box = spec.t_box if spec.t_policy is TPolicy.FIXED else largest_symbol(cfg.m)
+        t_box = largest_symbol(cfg.m) if isinstance(spec.t_box, TPolicy) else spec.t_box
     point = BoxObjectiveParams(dp.rho_eff, 0.0, dp.delta, t_box, cfg.m)
 
-    if spec.lambda_policy is LambdaPolicy.FIXED:
+    if not isinstance(spec.lam, LambdaPolicy):
         lam_tilde = spec.lam / dp.lambda_star
-    elif spec.lambda_policy is LambdaPolicy.CLOSED_FORM_OPTIMAL:
+    elif spec.lam is LambdaPolicy.CLOSED_FORM_OPTIMAL:
         lam_tilde = 1.0
     else:
         lam_tilde = lambda_star_numeric(point)
 
-    if kind is DecoderKind.BOX and spec.t_policy is TPolicy.NUMERIC_OPTIMAL:
+    if kind is DecoderKind.BOX and spec.t_box is TPolicy.NUMERIC_OPTIMAL:
         t_box = t_star_numeric(point._replace(lam_tilde=lam_tilde))
 
     return DecoderSpec(kind, lam_tilde, t_box)
@@ -313,7 +304,7 @@ def _theory_record(
     except _SOLVER_ERRORS as exc:
         return shell._replace(error=str(exc)), None
     # a fixed lambda is echoed as configured, not as lam~ lambda*
-    fixed = spec.lambda_policy is LambdaPolicy.FIXED and kind in (DecoderKind.RLS, DecoderKind.BOX)
+    fixed = not isinstance(spec.lam, LambdaPolicy) and kind in (DecoderKind.RLS, DecoderKind.BOX)
     lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
     shell = shell._replace(lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
     try:
@@ -340,28 +331,34 @@ def _evaluate(
     Theory comes first, for every point. Rows of a point at one theory
     point (lam~, t), e.g. rls and lmmse at lam~ = 1, are one decoder: their
     predictions, draws, statistics and scores are the same, and all but the
-    first are marked as repeats. With simulate, the decoders whose theory
-    succeeded then share one run_batch call for the whole sweep, with B
-    from their predictions, so each trial is drawn once; a solver error
-    marks only its own row."""
+    first are marked as repeats. With simulate, the first row of each theory
+    point whose theory succeeded joins one run_batch call for the whole
+    sweep, with B from its prediction, so each trial is drawn once and each
+    theory point decoded once; a solver error marks only its theory point's rows."""
     theory = [[_theory_record(point, cfg, kind) for kind in spec.decoders] for point, cfg in points]
     rows: list[list[_Row]] = []
+    # per point: (row index, its point's first row at the same (lam~, t), spec, prediction)
+    # of each row whose theory succeeded
+    live: list[list[tuple[int, int, DecoderSpec, Prediction]]] = []
     for records in theory:
         solved = [None if s is None else (s[0].lam_tilde, s[0].t_box) for _, s in records]
         rows.append([(rec, None, tp is not None and tp in solved[:i])
                      for i, ((rec, _), tp) in enumerate(zip(records, solved))])
-    # per point: (row index, spec, prediction) of each decoder whose theory succeeded
-    live = [[(i, *s) for i, (_, s) in enumerate(records) if s is not None] for records in theory]
+        live.append([(i, solved.index(tp), *s)
+                     for i, ((_, s), tp) in enumerate(zip(records, solved)) if s is not None])
     sims = [p for p, decoders in enumerate(live) if decoders]
     if not simulate or spec.trials == 0 or not sims:
         return rows
     batch = run_batch(
-        [(points[p][1], tuple((dspec, pred.b_norm) for _, dspec, pred in live[p])) for p in sims],
+        [(points[p][1], tuple((dspec, pred.b_norm) for i, j, dspec, pred in live[p] if i == j))
+         for p in sims],
         spec.trials, spec.master_seed, workers=workers,
     )
     for p, entries in zip(sims, batch):
         cfg = points[p][1]
-        for (i, dspec, pred), stats in zip(live[p], entries):
+        stats_of = dict(zip((i for i, j, _, _ in live[p] if i == j), entries))
+        for i, j, dspec, pred in live[p]:
+            stats = stats_of[j]
             rec, _, repeat = rows[p][i]
             if isinstance(stats, ConvergenceError):
                 rows[p][i] = (rec._replace(error=str(stats)), None, repeat)

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from mimopam import ConfigError, derive_params
 from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qfunc
 from mimopam.decoders import box_rls_solve, rls_solve
+from mimopam.runner import LambdaPolicy, TPolicy
 from mimopam.simulate import draw_shared, estimate_channel
 from mimopam.system import linear_to_db, pam_points
 
@@ -229,12 +230,12 @@ def write_config(spec, path):
         "decoders = " + ",".join(d.value for d in spec.decoders),
         f"trials = {spec.trials}",
         f"master_seed = {spec.master_seed}",
-        f"lambda_policy = {spec.lambda_policy.value}",
-        f"t_policy = {spec.t_policy.value}",
     ]
-    if spec.lam is not None:
-        lines.append(f"lambda = {spec.lam!r}")
-    if spec.t_box is not None:
-        lines.append(f"t_box = {spec.t_box!r}")
+    for knob, policy_key, policy, value_key in ((spec.lam, "lambda_policy", LambdaPolicy, "lambda"),
+                                                (spec.t_box, "t_policy", TPolicy, "t_box")):
+        if isinstance(knob, policy):
+            lines.append(f"{policy_key} = {knob.value}")
+        else:
+            lines += [f"{policy_key} = fixed", f"{value_key} = {knob!r}"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

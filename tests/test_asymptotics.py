@@ -621,8 +621,7 @@ class TestPredict:
         for cfg in cfgs:
             sweep = SweepSpec(base=cfg, sweep_axis=SweepAxis.RHO_DB, values=(10.0,),
                               decoders=(DecoderKind.RLS, DecoderKind.BOX), trials=0,
-                              lambda_policy=LambdaPolicy.NUMERIC_OPTIMAL,
-                              t_policy=TPolicy.NUMERIC_OPTIMAL)
+                              lam=LambdaPolicy.NUMERIC_OPTIMAL, t_box=TPolicy.NUMERIC_OPTIMAL)
             rls = resolve_decoder(sweep, cfg, DecoderKind.RLS)
             box = resolve_decoder(sweep, cfg, DecoderKind.BOX)
             knobs.append((rls.lam_tilde, box.lam_tilde, box.t_box))

@@ -87,7 +87,7 @@ def test_report_matches_golden(mode, preset):
 
 
 def test_golden_cases_cover_every_preset_predict():
-    assert load_config(preset_path("fig4")).lambda_policy is LambdaPolicy.NUMERIC_OPTIMAL
+    assert load_config(preset_path("fig4")).lam is LambdaPolicy.NUMERIC_OPTIMAL
     assert {preset for mode, preset in golden.CASES if mode == "predict"} == set(PRESET_NAMES)
     assert all(golden.golden_path(mode, preset, suffix).is_file()
                for mode, preset in golden.CASES for suffix in (".csv", ".txt"))

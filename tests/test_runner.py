@@ -36,6 +36,8 @@ from mimopam.runner import (
 )
 from mimopam.system import derive_params, lambda_star_rls
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 
 def run_python(code, **env):
     """stdout of code run by a fresh interpreter on this package, with the
@@ -64,9 +66,9 @@ class TestConfigFile:
             "m = 2\nsweep_axis = rho_db\nvalues = 0,10\ndecoders = rls\n"
         )
         spec = load_config(str(path))
-        assert spec.trials == 500
-        assert spec.lambda_policy is LambdaPolicy.CLOSED_FORM_OPTIMAL
-        assert spec.t_policy is TPolicy.MAX_SYMBOL
+        assert (spec.trials, spec.master_seed) == (500, 1729)
+        assert spec.lam is LambdaPolicy.CLOSED_FORM_OPTIMAL
+        assert spec.t_box is TPolicy.MAX_SYMBOL
         assert spec.base.power_convention is PowerConvention.ENERGY_CONSERVING
 
     def test_short_training_names_the_constraint(self, tmp_path):
@@ -78,16 +80,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="t_pilot >= k"):
             load_config(str(path))
 
-    def test_unknown_power_convention_names_the_choices(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, choices", [
+        ("power_convention", "energy|direct"),
+        ("sweep_axis", "rho_db|alpha|lambda|t_box|tau_p"),
+        ("decoders", "ls|rls|box|lmmse"),
+        ("lambda_policy", "fixed|closed_form_optimal|numeric_optimal"),
+        ("t_policy", "fixed|max_symbol|numeric_optimal"),
+    ], ids=["power_convention", "sweep_axis", "decoders", "lambda_policy", "t_policy"])
+    def test_unknown_enum_value_names_the_key_and_choices(self, tmp_path, capsys, key, choices):
+        keys = {"k": "32", "n": "40", "t_total": "96", "t_pilot": "40", "rho_db": "10",
+                "alpha": "0.5", "m": "2", "sweep_axis": "rho_db", "values": "0",
+                "decoders": "rls", key: "Split"}
         path = tmp_path / "bad.cfg"
-        path.write_text(
-            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
-            "m = 2\nsweep_axis = rho_db\nvalues = 0\ndecoders = rls\npower_convention = split\n"
-        )
-        with pytest.raises(ConfigError, match=r"expected energy\|direct, got 'split'"):
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        message = f"key {key!r}: expected {choices}, got 'split'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(str(path))
         assert cli_main(["predict", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 2
-        assert "expected energy|direct" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -102,12 +112,21 @@ class TestConfigFile:
             load_config(str(path))
 
     def test_round_trip(self, tmp_path):
-        spec = small_spec(values=(0.0, 2.5, 10.0), trials=12,
-                          decoders=(DecoderKind.LS, DecoderKind.BOX),
-                          lambda_policy=LambdaPolicy.NUMERIC_OPTIMAL)
+        specs = {
+            "numeric lambda": small_spec(values=(0.0, 2.5, 10.0), trials=12,
+                                         decoders=(DecoderKind.LS, DecoderKind.BOX),
+                                         lam=LambdaPolicy.NUMERIC_OPTIMAL),
+            "fixed lambda": small_spec(decoders=(DecoderKind.RLS, DecoderKind.BOX), lam=0.37,
+                                       t_box=TPolicy.NUMERIC_OPTIMAL),
+            "fixed t": small_spec(decoders=(DecoderKind.BOX,), t_box=0.8),
+            **{name: load_config(preset_path(name)) for name in PRESET_NAMES},
+            **{name: load_config(str(BENCH / name))
+               for name in ("theory_sweep.cfg", "monte_carlo.cfg")},
+        }
         path = tmp_path / "spec.cfg"
-        write_config(spec, str(path))
-        assert load_config(str(path)) == spec
+        for name, spec in specs.items():
+            write_config(spec, str(path))
+            assert load_config(str(path)) == spec, name
 
     def test_fig2_preset_contents(self):
         spec = load_config(preset_path("fig2"))
@@ -128,11 +147,11 @@ class TestConfigFile:
         (small_spec().base, {"t_pilot": 31}, "t_pilot >= k"),
         (small_spec().base, {"alpha": 1.0}, "alpha"),
         (small_spec(), {"values": (10.0, 0.0)}, "strictly increasing"),
-        (small_spec(), {"lambda_policy": LambdaPolicy.FIXED}, "explicit 'lambda'"),
+        (small_spec(), {"t_box": math.inf}, "t_box must be finite and positive"),
         (DecoderSpec.rls(1.0), {"t_box": 1.0}, "box decoder"),
         (DecoderSpec.lmmse(), {"lam_tilde": 0.5}, "LMMSE"),
-        (small_spec(), {"lam": 0.3}, "closed_form_optimal ignores 'lambda'"),
-        (small_spec(), {"t_box": 1.0}, "max_symbol ignores 't_box'"),
+        (small_spec(), {"lam": -0.3}, "lambda must be finite and nonnegative"),
+        (small_spec(), {"t_box": 0.0}, "t_box must be finite and positive"),
         (small_spec().base, {"rho": math.inf}, "rho must be positive and finite"),
         (small_spec(), {"values": (0.0, math.nan)}, "values must be finite"),
         (small_spec(), {"master_seed": -1}, "master_seed must be nonnegative"),
@@ -219,6 +238,30 @@ class TestRunModes:
         assert "over 8 z-scores" in result.report
         rows = {(r.rho_db, r.decoder): r.row()[8:] for r in result.records}
         assert all(rows[rho, "rls"] == rows[rho, "lmmse"] for rho, _ in rows)
+
+    def test_rows_at_one_theory_point_are_decoded_once(self, monkeypatch):
+        # rls and lmmse are both at lam~ = 1 under closed_form_optimal, so a
+        # trial index decodes ls, rls and box at each of the three points,
+        # and the lmmse rows take the rls rows' statistics
+        kinds = []
+        real = mimopam.simulate.run_trial
+
+        def counted(cfg, dspec, *args):
+            kinds.append(dspec.kind)
+            return real(cfg, dspec, *args)
+
+        monkeypatch.setattr(mimopam.simulate, "run_trial", counted)
+        spec = load_config(str(BENCH / "monte_carlo.cfg"))._replace(trials=2)
+        assert spec.decoders == (
+            DecoderKind.LS, DecoderKind.RLS, DecoderKind.BOX, DecoderKind.LMMSE)
+        records = run(spec, "simulate").records
+        assert len(kinds) == 9 * spec.trials
+        assert set(kinds) == {DecoderKind.LS, DecoderKind.RLS, DecoderKind.BOX}
+        rows = {(r.rho_db, r.decoder): r.row() for r in records}
+        sim = slice(CSV_COLUMNS.index("mse_sim"), None)
+        for rho_db in spec.values:
+            assert rows[rho_db, "lmmse"][sim] == rows[rho_db, "rls"][sim]
+            assert rows[rho_db, "lmmse"][CSV_COLUMNS.index("trials")] == 2
 
     @pytest.mark.parametrize("axis, values", [
         (SweepAxis.RHO_DB, (0.0, 5.0, 10.0)),
@@ -552,18 +595,29 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         assert cli_main(["predict", "--config", str(path), "--out", out]) == 2
         assert "n > k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("knob_lines", [
-        "sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
-        "sweep_axis = lambda\nvalues = -0.1,0.5\n",
-        "sweep_axis = t_box\nvalues = 0,1\n",
-        "sweep_axis = rho_db\nvalues = 10\nlambda = 0.3\n",
-        "sweep_axis = rho_db\nvalues = 10\nt_policy = numeric_optimal\nt_box = 1\n",
-        "sweep_axis = tau_p\nvalues = 1.25,nan\n",
-        "sweep_axis = rho_db\nvalues = 5,inf\n",
-        "sweep_axis = rho_db\nvalues = 10\nmaster_seed = -1\n",
+    @pytest.mark.parametrize("knob_lines, message", [
+        ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
+         "lambda must be finite and nonnegative, got -1.0"),
+        ("sweep_axis = lambda\nvalues = -0.1,0.5\n",
+         "lambda must be finite and nonnegative, got -0.1"),
+        ("sweep_axis = t_box\nvalues = 0,1\n", "t_box must be finite and positive, got 0.0"),
+        ("sweep_axis = rho_db\nvalues = 10\nlambda = 0.3\n",
+         "lambda_policy = closed_form_optimal ignores 'lambda'; "
+         "it is read only under lambda_policy = fixed"),
+        ("sweep_axis = rho_db\nvalues = 10\nt_policy = numeric_optimal\nt_box = 1\n",
+         "t_policy = numeric_optimal ignores 't_box'; it is read only under t_policy = fixed"),
+        ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\n",
+         "lambda_policy = fixed requires an explicit 'lambda' key"),
+        ("sweep_axis = rho_db\nvalues = 10\nt_policy = fixed\n",
+         "t_policy = fixed requires an explicit 't_box' key"),
+        ("sweep_axis = tau_p\nvalues = 1.25,nan\n", "values must be finite"),
+        ("sweep_axis = rho_db\nvalues = 5,inf\n", "values must be finite"),
+        ("sweep_axis = rho_db\nvalues = 10\nmaster_seed = -1\n",
+         "master_seed must be nonnegative, got -1"),
     ], ids=["fixed-lambda", "lambda-axis", "t-axis", "lambda-unread", "t-box-unread",
-            "tau-p-nan", "rho-db-inf", "negative-seed"])
-    def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines):
+            "fixed-lambda-missing", "fixed-t-box-missing", "tau-p-nan", "rho-db-inf",
+            "negative-seed"])
+    def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines, message):
         path = tmp_path / "knob.cfg"
         path.write_text(
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
@@ -571,7 +625,7 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         )
         out = tmp_path / "knob.csv"
         assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
@@ -608,8 +662,7 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
     def test_fixed_lambda_is_echoed_exactly(self):
         # lambda = 0.37 is not lam~ lambda* / lambda* read back, it is the
         # configured value; ridge rows leave t_box empty
-        spec = small_spec(decoders=(DecoderKind.RLS, DecoderKind.BOX),
-                          lambda_policy=LambdaPolicy.FIXED, lam=0.37)
+        spec = small_spec(decoders=(DecoderKind.RLS, DecoderKind.BOX), lam=0.37)
         rows = list(csv.DictReader(io.StringIO(records_to_csv(run(spec, "predict").records))))
         assert [r["lambda"] for r in rows] == ["0.37"] * 4
         assert [r["t_box"] == "" for r in rows] == [True, False, True, False]

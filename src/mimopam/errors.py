@@ -22,18 +22,22 @@ class DegenerateThresholdError(ValueError):
 class Checked:
     """Mixin for a NamedTuple record with a _check method that raises
     ConfigError: it runs on construction and in _make, which builds
-    _replace and, like it, would skip __new__. Listed before the NamedTuple
-    base: class Spec(Checked, _SpecFields)."""
+    _replace and, like it, would skip __new__. A TypeError from _check, a
+    field of the wrong type, becomes a ConfigError that names the record.
+    Listed before the NamedTuple base: class Spec(Checked, _SpecFields)."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        record = super().__new__(cls, *args, **kwargs)
-        record._check()
-        return record
+        return super().__new__(cls, *args, **kwargs)._checked()
 
     @classmethod
     def _make(cls, iterable):
-        record = super()._make(iterable)
-        record._check()
-        return record
+        return super()._make(iterable)._checked()
+
+    def _checked(self):
+        try:
+            self._check()
+        except TypeError as exc:
+            raise ConfigError(f"{type(self).__name__} has a field of the wrong type: {exc}") from exc
+        return self

@@ -286,13 +286,18 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
 
 
 _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
+# a sweep point's theory point (lam~, t); rows at one key are one decoder
+_Key = tuple[float, float]
 
 
 def _theory_record(
-    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind
-) -> tuple[SweepRecord, tuple[DecoderSpec, Prediction] | None]:
+    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind,
+    solved: dict[_Key, tuple[DecoderSpec, Prediction]],
+) -> tuple[SweepRecord, _Key | None]:
     """One decoder's row at one sweep point with its theory cells, and its
-    resolved spec and prediction, or None if resolving or predicting failed."""
+    theory point, or None if resolving or predicting failed. solved is the
+    point's table of first-seen specs and their predictions: a theory point
+    not yet in it is predicted and added."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
         rho_db=linear_to_db(cfg.rho), alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
@@ -307,74 +312,62 @@ def _theory_record(
     fixed = not isinstance(spec.lam, LambdaPolicy) and kind in (DecoderKind.RLS, DecoderKind.BOX)
     lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
     shell = shell._replace(lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
-    try:
-        pred = predict(cfg, dspec)
-    except _SOLVER_ERRORS as exc:
-        return shell._replace(error=str(exc)), None
+    key = (dspec.lam_tilde, dspec.t_box)
+    if key not in solved:
+        try:
+            solved[key] = (dspec, predict(cfg, dspec))
+        except _SOLVER_ERRORS as exc:
+            return shell._replace(error=str(exc)), None
+    pred = solved[key][1]
     return shell._replace(
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
-    ), (dspec, pred)
-
-
-# one row of a sweep point: its record, its consistency_z scores if it was
-# simulated with more than one trial, and whether an earlier row of the
-# point has the same theory point (lam~, t)
-_Row = tuple[SweepRecord, tuple[float | None, float] | None, bool]
+    ), key
 
 
 def _evaluate(
     spec: SweepSpec, points: list[tuple[SweepSpec, SystemConfig]], simulate: bool, workers: int
-) -> list[list[_Row]]:
-    """The rows of each sweep point, one per decoder of the sweep.
+) -> list[tuple[list[tuple[SweepRecord, _Key | None]], dict[_Key, tuple[float | None, float]]]]:
+    """Per sweep point: its rows, one per decoder of the sweep with its
+    theory point (lam~, t), and the consistency_z scores of each theory
+    point simulated with more than one trial.
 
-    Theory comes first, for every point. Rows of a point at one theory
-    point (lam~, t), e.g. rls and lmmse at lam~ = 1, are one decoder: their
-    predictions, draws, statistics and scores are the same, and all but the
-    first are marked as repeats. With simulate, the first row of each theory
-    point whose theory succeeded joins one run_batch call for the whole
-    sweep, with B from its prediction, so each trial is drawn once and each
-    theory point decoded once; a solver error marks only its theory point's rows."""
-    theory = [[_theory_record(point, cfg, kind) for kind in spec.decoders] for point, cfg in points]
-    rows: list[list[_Row]] = []
-    # per point: (row index, its point's first row at the same (lam~, t), spec, prediction)
-    # of each row whose theory succeeded
-    live: list[list[tuple[int, int, DecoderSpec, Prediction]]] = []
-    for records in theory:
-        solved = [None if s is None else (s[0].lam_tilde, s[0].t_box) for _, s in records]
-        rows.append([(rec, None, tp is not None and tp in solved[:i])
-                     for i, ((rec, _), tp) in enumerate(zip(records, solved))])
-        live.append([(i, solved.index(tp), *s)
-                     for i, ((_, s), tp) in enumerate(zip(records, solved)) if s is not None])
-    sims = [p for p, decoders in enumerate(live) if decoders]
-    if not simulate or spec.trials == 0 or not sims:
-        return rows
-    batch = run_batch(
-        [(points[p][1], tuple((dspec, pred.b_norm) for i, j, dspec, pred in live[p] if i == j))
-         for p in sims],
-        spec.trials, spec.master_seed, workers=workers,
-    )
-    for p, entries in zip(sims, batch):
-        cfg = points[p][1]
-        stats_of = dict(zip((i for i, j, _, _ in live[p] if i == j), entries))
-        for i, j, dspec, pred in live[p]:
-            stats = stats_of[j]
-            rec, _, repeat = rows[p][i]
-            if isinstance(stats, ConvergenceError):
-                rows[p][i] = (rec._replace(error=str(stats)), None, repeat)
-            else:
-                rows[p][i] = (rec._replace(
-                    mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
-                    stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
-                    trials=stats.trials,
-                ), consistency_z(cfg, dspec, pred, stats) if stats.trials > 1 else None, repeat)
-    return rows
+    Theory comes first, for every point. Each point keeps one table
+    {(lam~, t): (spec, prediction)}, and rows at one key, e.g. rls and
+    lmmse at lam~ = 1, are one decoder: one prediction, one decode and one
+    pair of scores. With simulate, the tables' entries join one run_batch
+    call for the whole sweep, with B from their predictions, so each trial
+    is drawn once and each theory point decoded once; a solver error marks
+    only its theory point's rows."""
+    tables: list[dict[_Key, tuple[DecoderSpec, Prediction]]] = [{} for _ in points]
+    rows = [[_theory_record(point, cfg, kind, table) for kind in spec.decoders]
+            for (point, cfg), table in zip(points, tables)]
+    scores: list[dict[_Key, tuple[float | None, float]]] = [{} for _ in points]
+    sims = [p for p, table in enumerate(tables) if table]
+    if simulate and spec.trials and sims:
+        batch = run_batch(
+            [(points[p][1], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].values()))
+             for p in sims],
+            spec.trials, spec.master_seed, workers=workers,
+        )
+        for p, entries in zip(sims, batch):
+            cells = {}  # each key's simulated cells, or its error
+            for (key, (dspec, pred)), stats in zip(tables[p].items(), entries):
+                if isinstance(stats, ConvergenceError):
+                    cells[key] = {"error": str(stats)}
+                    continue
+                cells[key] = dict(mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
+                                  stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
+                                  trials=stats.trials)
+                if stats.trials > 1:
+                    scores[p][key] = consistency_z(points[p][1], dspec, pred, stats)
+            rows[p] = [(rec._replace(**cells.get(key, {})), key) for rec, key in rows[p]]
+    return list(zip(rows, scores))
 
 
-def _optimized_point(spec: SweepSpec, mode: str, rho_db: float) -> tuple[str, SystemConfig]:
+def _optimized_point(mode: str, rho_db: float, cfg: SystemConfig) -> tuple[str, SystemConfig]:
     """The report header and the optimized config of one optimization mode
-    at one power."""
-    cfg = spec.base._replace(rho=db_to_linear(rho_db))
+    at one power: cfg, at rho_db as the header prints it."""
     if mode == "optimize_power":
         split = alpha_star(cfg)
         best = cfg._replace(alpha=split.alpha_star)
@@ -402,36 +395,40 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     Optimization modes sweep rho when the axis is rho_db and otherwise run a
     single optimization at the base config's rho; their report lists each
     optimum and only the error rows. compare flags a row when a z-score of
-    it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count),
-    where rows of one sweep point at one theory point (lam~, t) count once.
+    it exceeds bonferroni_z(COMPARE_FALSE_ALARM, the run's z-score count).
+    The count takes each theory point (lam~, t) of a sweep point once, but
+    "flagged points" counts rows, so rows at one theory point flag together.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     optimize = mode.startswith("optimize_")
     # per point: its report header ("" for none), the prefix of its row lines, and (spec, cfg)
     if optimize:
-        rhos = spec.values if spec.sweep_axis is SweepAxis.RHO_DB else (linear_to_db(spec.base.rho),)
+        # each power as the header prints it, and the config solved at it
+        powers = ([(value, apply_sweep_value(spec, value)[1]) for value in spec.values]
+                  if spec.sweep_axis is SweepAxis.RHO_DB
+                  else [(linear_to_db(spec.base.rho), spec.base)])
         heads = [(header, "  ", (spec, cfg))
-                 for header, cfg in (_optimized_point(spec, mode, rho_db) for rho_db in rhos)]
+                 for header, cfg in (_optimized_point(mode, *power) for power in powers)]
     else:
         heads = [("", f"{spec.sweep_axis.value}={value} ", apply_sweep_value(spec, value))
                  for value in spec.values]
     evaluated = _evaluate(spec, [point for _, _, point in heads],
                           mode in ("simulate", "compare"), workers)
-    records = [rec for point_rows in evaluated for rec, _, _ in point_rows]
+    records = [rec for rows, _ in evaluated for rec, _ in rows]
 
     gate = None
     if mode == "compare":
-        tests = sum(z is not None for point_rows in evaluated
-                    for _, zs, repeat in point_rows if zs is not None and not repeat for z in zs)
+        tests = sum(z is not None for _, scores in evaluated
+                    for zs in scores.values() for z in zs)
         gate = bonferroni_z(COMPARE_FALSE_ALARM, tests) if tests else math.inf
     lines = [f"mode={mode} axis={spec.sweep_axis.value} decoders=" +
              ",".join(d.value for d in spec.decoders)]
     flagged = 0
-    for (header, prefix, _), point_rows in zip(heads, evaluated):
+    for (header, prefix, _), (rows, scores) in zip(heads, evaluated):
         if header:
             lines.append(header)
-        for rec, zs, _ in point_rows:
+        for rec, key in rows:
             if rec.error:
                 lines.append(f"{prefix}{rec.decoder}: ERROR {rec.error}")
                 continue
@@ -440,6 +437,7 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
             msg = f"{prefix}{rec.decoder}: mse={rec.mse_theory:.6g} sep={rec.sep_theory:.6g}"
             if rec.mse_sim is not None:
                 msg += f" mse_sim={rec.mse_sim:.6g} ser_sim={rec.ser_sim:.6g}"
+            zs = scores.get(key)
             if gate is not None and zs is not None:
                 z_mse, z_ser = zs
                 msg += f" z_mse={'n/a' if z_mse is None else f'{z_mse:.3g}'} z_ser={z_ser:.3g}"

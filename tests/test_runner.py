@@ -34,7 +34,7 @@ from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import (
     MODES, LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
 )
-from mimopam.system import derive_params, lambda_star_rls
+from mimopam.system import db_to_linear, derive_params, lambda_star_rls, linear_to_db
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -155,6 +155,21 @@ class TestConfigFile:
         (small_spec().base, {"rho": math.inf}, "rho must be positive and finite"),
         (small_spec(), {"values": (0.0, math.nan)}, "values must be finite"),
         (small_spec(), {"master_seed": -1}, "master_seed must be nonnegative"),
+        (small_spec(), {"lam": None}, "SweepSpec has a field of the wrong type"),
+        (small_spec(), {"t_box": "1.0"}, "SweepSpec has a field of the wrong type"),
+        (small_spec(), {"trials": "5"}, "SweepSpec has a field of the wrong type"),
+        (small_spec(), {"values": ("a",)}, "SweepSpec has a field of the wrong type"),
+        (small_spec().base, {"k": "32"}, "SystemConfig has a field of the wrong type"),
+    ], ids=[
+        # the first eleven are the ids pytest generated for them, kept so no test is renamed
+        "record0-changes0-t_pilot >= k", "record1-changes1-alpha",
+        "record2-changes2-strictly increasing",
+        "record3-changes3-t_box must be finite and positive", "record4-changes4-box decoder",
+        "record5-changes5-LMMSE", "record6-changes6-lambda must be finite and nonnegative",
+        "record7-changes7-t_box must be finite and positive",
+        "record8-changes8-rho must be positive and finite",
+        "record9-changes9-values must be finite", "record10-changes10-master_seed must be nonnegative",
+        "lam-none", "t_box-str", "trials-str", "values-str", "k-str",
     ])
     def test_replace_validates_like_the_constructor(self, record, changes, match):
         # namedtuple's _replace builds through _make, which skips __new__
@@ -263,6 +278,22 @@ class TestRunModes:
             assert rows[rho_db, "lmmse"][sim] == rows[rho_db, "rls"][sim]
             assert rows[rho_db, "lmmse"][CSV_COLUMNS.index("trials")] == 2
 
+    def test_compare_predicts_and_scores_each_theory_point_once(self, monkeypatch):
+        # three points x (ls, rls = lmmse, box): nine theory points for twelve rows
+        calls = {"predict": 0, "consistency_z": 0}
+        for name in calls:
+            real = getattr(mimopam.runner, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(mimopam.runner, name, counted)
+        spec = load_config(str(BENCH / "monte_carlo.cfg"))._replace(trials=2)
+        result = run(spec, "compare")
+        assert len(result.records) == 12 and not result.solver_errors
+        assert calls == {"predict": 9, "consistency_z": 9}
+
     @pytest.mark.parametrize("axis, values", [
         (SweepAxis.RHO_DB, (0.0, 5.0, 10.0)),
         (SweepAxis.T_BOX, (0.5, 1.0, 1.5)),
@@ -346,6 +377,21 @@ class TestRunModes:
         best = spec.base._replace(alpha=alpha_star(spec.base).alpha_star)
         assert header.startswith(f"rho_db=15.0: alpha_star={best.alpha:.6f} ")
         assert header.endswith(f" rho_eff={derive_params(best).rho_eff:.6g}")
+
+    def test_optimize_power_off_the_rho_axis_solves_at_the_configured_rho(self):
+        # -5.8 dB does not survive a round trip through dB, so the optimum
+        # must be solved at the config's own rho
+        fig6 = load_config(preset_path("fig6"))
+        spec = fig6._replace(base=fig6.base._replace(rho=db_to_linear(-5.8)))
+        assert db_to_linear(linear_to_db(spec.base.rho)) != spec.base.rho
+        best = spec.base._replace(alpha=alpha_star(spec.base).alpha_star)
+        records = run(spec, "optimize_power").records
+        assert [rec.decoder for rec in records] == [kind.value for kind in spec.decoders]
+        for kind, rec in zip(spec.decoders, records):
+            pred = predict(best, resolve_decoder(spec, best, kind))
+            assert (rec.theta_star, rec.beta_star, rec.b_norm, rec.mse_theory, rec.sep_theory,
+                    rec.goodput_theory) == (pred.theta_star, pred.beta_star, pred.b_norm,
+                                            pred.mse, pred.sep, pred.goodput), kind
 
     def test_optimize_goodput_pins_training_to_antenna_count(self):
         base = small_spec().base._replace(power_convention=PowerConvention.ENERGY_CONSERVING)

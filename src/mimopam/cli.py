@@ -12,13 +12,26 @@ and the package loads numpy only on the first Monte Carlo trial. So main
 caps them at one thread before it runs: run_batch's worker threads each call
 into BLAS, and uncapped every call would start its own team of BLAS threads
 on top of them. A value set in the environment wins.
+
+`python -m mimopam.cli` and the `mimopam` console script run run_and_exit,
+not main. Once main has returned and stdout and stderr are flushed, it runs
+the atexit callbacks and ends the process with os._exit, which skips module
+teardown and the final garbage collection: on a 2-core host about 9 ms of a
+theory call and 22-25 ms of a call that loaded numpy. It exits the usual
+way, by SystemExit, when main raises, when a flush raises OSError (a closed
+pipe), and when a trace or profile function or a sys.monitoring tool is
+attached, so coverage and cProfile still see the whole run. main itself
+returns the exit code and leaves the process running, for callers in the
+same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
+from typing import NoReturn
 
 from .errors import ConfigError
 from .runner import MODES, load_config, run, write_outputs
@@ -58,8 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         mode = args.mode.replace("-", "_")
-        result = run(spec, mode, workers=args.workers)
         out = args.out or f"{mode}.csv"
+        if args.report and os.path.realpath(args.report) == os.path.realpath(out):
+            raise ConfigError(f"--report and --out name the same file, {out!r}")
+        result = run(spec, mode, workers=args.workers)
         write_outputs(result, out, args.report)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -73,5 +88,37 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def _flushed() -> bool:
+    """Whether stdout and stderr flushed without an OSError."""
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        return False
+    return True
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler watches this process."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def run_and_exit(argv: list[str] | None = None) -> NoReturn:
+    """Run main and end the process with its exit code, skipping the
+    interpreter's teardown where nothing is left to flush or observe."""
+    code = main(argv)
+    if _observed() or not _flushed():
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    if not _flushed():  # what the callbacks wrote
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_and_exit()

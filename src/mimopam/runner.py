@@ -290,17 +290,32 @@ _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
 _Key = tuple[float, float]
 
 
+def _power_db(rho: float) -> float:
+    """rho in dB as the shortest decimal that db_to_linear maps back to rho,
+    so a configured power prints as configured: -5.8 dB reads back as
+    -5.800000000000001, which maps to another float. Falls back to
+    linear_to_db(rho) where no decimal maps back."""
+    db = linear_to_db(rho)
+    near = (db, math.nextafter(db, -math.inf), math.nextafter(db, math.inf))
+    for digits in range(1, 18):
+        for x in near:
+            short = float(f"{x:.{digits}g}")
+            if db_to_linear(short) == rho:
+                return short
+    return db
+
+
 def _theory_record(
-    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind,
+    spec: SweepSpec, rho_db: float, cfg: SystemConfig, kind: DecoderKind,
     solved: dict[_Key, tuple[DecoderSpec, Prediction]],
 ) -> tuple[SweepRecord, _Key | None]:
-    """One decoder's row at one sweep point with its theory cells, and its
-    theory point, or None if resolving or predicting failed. solved is the
-    point's table of first-seen specs and their predictions: a theory point
-    not yet in it is predicted and added."""
+    """One decoder's row at one sweep point, whose power prints as rho_db,
+    with its theory cells, and its theory point, or None if resolving or
+    predicting failed. solved is the point's table of first-seen specs and
+    their predictions: a theory point not yet in it is predicted and added."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
-        rho_db=linear_to_db(cfg.rho), alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
+        rho_db=rho_db, alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
         lam=None, t_box=None, power_convention=cfg.power_convention.value,
         trials=0, master_seed=spec.master_seed,
     )
@@ -326,11 +341,12 @@ def _theory_record(
 
 
 def _evaluate(
-    spec: SweepSpec, points: list[tuple[SweepSpec, SystemConfig]], simulate: bool, workers: int
+    spec: SweepSpec, points: list[tuple[float, SweepSpec, SystemConfig]], simulate: bool,
+    workers: int,
 ) -> list[tuple[list[tuple[SweepRecord, _Key | None]], dict[_Key, tuple[float | None, float]]]]:
-    """Per sweep point: its rows, one per decoder of the sweep with its
-    theory point (lam~, t), and the consistency_z scores of each theory
-    point simulated with more than one trial.
+    """Per sweep point (rho_db, spec, cfg): its rows, one per decoder of the
+    sweep with its theory point (lam~, t), and the consistency_z scores of
+    each theory point simulated with more than one trial.
 
     Theory comes first, for every point. Each point keeps one table
     {(lam~, t): (spec, prediction)}, and rows at one key, e.g. rls and
@@ -340,13 +356,13 @@ def _evaluate(
     is drawn once and each theory point decoded once; a solver error marks
     only its theory point's rows."""
     tables: list[dict[_Key, tuple[DecoderSpec, Prediction]]] = [{} for _ in points]
-    rows = [[_theory_record(point, cfg, kind, table) for kind in spec.decoders]
-            for (point, cfg), table in zip(points, tables)]
+    rows = [[_theory_record(point, rho_db, cfg, kind, table) for kind in spec.decoders]
+            for (rho_db, point, cfg), table in zip(points, tables)]
     scores: list[dict[_Key, tuple[float | None, float]]] = [{} for _ in points]
     sims = [p for p, table in enumerate(tables) if table]
     if simulate and spec.trials and sims:
         batch = run_batch(
-            [(points[p][1], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].values()))
+            [(points[p][2], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].values()))
              for p in sims],
             spec.trials, spec.master_seed, workers=workers,
         )
@@ -360,7 +376,7 @@ def _evaluate(
                                   stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
                                   trials=stats.trials)
                 if stats.trials > 1:
-                    scores[p][key] = consistency_z(points[p][1], dspec, pred, stats)
+                    scores[p][key] = consistency_z(points[p][2], dspec, pred, stats)
             rows[p] = [(rec._replace(**cells.get(key, {})), key) for rec, key in rows[p]]
     return list(zip(rows, scores))
 
@@ -402,16 +418,20 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     optimize = mode.startswith("optimize_")
-    # per point: its report header ("" for none), the prefix of its row lines, and (spec, cfg)
+    # a point's power as its header and rho_db cells print it: the sweep value on the rho axis
+    on_rho = spec.sweep_axis is SweepAxis.RHO_DB
+    base_db = None if on_rho else _power_db(spec.base.rho)
+    # per point: its report header ("" for none), its row lines' prefix, and (rho_db, spec, cfg)
     if optimize:
-        # each power as the header prints it, and the config solved at it
+        heads = []
         powers = ([(value, apply_sweep_value(spec, value)[1]) for value in spec.values]
-                  if spec.sweep_axis is SweepAxis.RHO_DB
-                  else [(linear_to_db(spec.base.rho), spec.base)])
-        heads = [(header, "  ", (spec, cfg))
-                 for header, cfg in (_optimized_point(mode, *power) for power in powers)]
+                  if on_rho else [(base_db, spec.base)])
+        for rho_db, cfg in powers:
+            header, best = _optimized_point(mode, rho_db, cfg)
+            heads.append((header, "  ", (rho_db, spec, best)))
     else:
-        heads = [("", f"{spec.sweep_axis.value}={value} ", apply_sweep_value(spec, value))
+        heads = [("", f"{spec.sweep_axis.value}={value} ",
+                  (value if on_rho else base_db, *apply_sweep_value(spec, value)))
                  for value in spec.values]
     evaluated = _evaluate(spec, [point for _, _, point in heads],
                           mode in ("simulate", "compare"), workers)

@@ -1,5 +1,6 @@
 """Sweep configs, CSV schema and determinism, CLI exit codes."""
 
+import atexit
 import csv
 import inspect
 import io
@@ -39,13 +40,21 @@ from mimopam.system import db_to_linear, derive_params, lambda_star_rls, linear_
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def run_python(code, **env):
-    """stdout of code run by a fresh interpreter on this package, with the
-    BLAS thread variables taken from env only."""
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+def run_process(args, **env):
+    """A fresh interpreter on this package run with args, stdout and stderr
+    piped and block-buffered, with the BLAS thread variables taken from env
+    only."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in BLAS_THREAD_VARS and k != "PYTHONUNBUFFERED"}
     base["PYTHONPATH"] = str(Path(mimopam.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**base, **env}, timeout=300, check=True)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**base, **env}, timeout=300)
+
+
+def run_python(code, **env):
+    """stdout of code run by run_process, which must exit 0."""
+    out = run_process(["-c", code], **env)
+    out.check_returncode()
     return out.stdout
 
 
@@ -393,6 +402,25 @@ class TestRunModes:
                     rec.goodput_theory) == (pred.theta_star, pred.beta_star, pred.b_norm,
                                             pred.mse, pred.sep, pred.goodput), kind
 
+    @pytest.mark.parametrize("mode", ["predict", "optimize_power"])
+    def test_rho_db_cells_print_the_configured_power_off_the_rho_axis(self, mode):
+        # -5.8 dB reads back from rho as -5.800000000000001
+        fig6 = load_config(preset_path("fig6"))
+        spec = fig6._replace(base=fig6.base._replace(rho=db_to_linear(-5.8)))
+        result = run(spec, mode)
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(result.records))))
+        points = 1 if mode == "optimize_power" else len(spec.values)
+        assert len(rows) == points * len(spec.decoders)
+        assert {row["rho_db"] for row in rows} == {"-5.8"}
+        if mode == "optimize_power":
+            assert result.report.splitlines()[1].startswith("rho_db=-5.8: ")
+
+    def test_rho_db_cells_print_the_sweep_value_on_the_rho_axis(self):
+        # 1, 2 and 3 dB read back from rho as 1.0000000000000002,
+        # 2.0000000000000004 and 2.999999999999999
+        spec = small_spec(values=(1.0, 2.0, 3.0))
+        assert [rec.rho_db for rec in run(spec, "predict").records] == [1.0, 2.0, 3.0]
+
     def test_optimize_goodput_pins_training_to_antenna_count(self):
         base = small_spec().base._replace(power_convention=PowerConvention.ENERGY_CONSERVING)
         spec = small_spec(base=base, values=(10.0,), decoders=(DecoderKind.RLS,))
@@ -690,6 +718,22 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         assert "config error" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
 
+    @pytest.mark.parametrize("out", [None, "same.txt"], ids=["default-out", "explicit-out"])
+    def test_report_on_the_csv_path_is_exit_2(self, tmp_path, capsys, monkeypatch, out):
+        # the default --out, <mode>.csv, counts; the paths are compared
+        # resolved, so a relative --out meets an absolute --report
+        path = tmp_path / "ok.cfg"
+        path.write_text(
+            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\ndecoders = rls\ntrials = 0\nsweep_axis = rho_db\nvalues = 10\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        report = str(tmp_path / (out or "predict.csv"))
+        argv = ["predict", "--config", str(path), "--report", report]
+        assert cli_main(argv + (["--out", out] if out else [])) == 2
+        assert "config error: --report and --out name the same file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
+
     @pytest.mark.parametrize("lines", [
         "rho_db = 4000\nsweep_axis = alpha\nvalues = 0.5\n",
         "rho_db = 10\nsweep_axis = rho_db\nvalues = 10,4000\n",
@@ -774,3 +818,92 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
 
         assert self._compare_on(tmp_path, monkeypatch, wrong_ser, "rls", 10) == 4
         assert "z_mse=0 z_ser=5 " in capsys.readouterr().out
+
+
+class TestCliProcess:
+    """python -m mimopam.cli as users run it, in a fresh interpreter whose
+    stdout and stderr are pipes, so block-buffered: the outputs must be
+    flushed before the process ends."""
+
+    def test_piped_run_delivers_the_report_and_every_row(self, tmp_path):
+        spec = load_config(preset_path("fig6"))
+        out, report = tmp_path / "fig6.csv", tmp_path / "fig6.txt"
+        proc = run_process(["-m", "mimopam.cli", "predict", "--config", str(preset_path("fig6")),
+                            "--out", str(out), "--report", str(report)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(spec.values) * len(spec.decoders)
+        assert proc.stdout == report.read_text() + f"wrote {len(rows)} rows to {out}\n"
+
+    def test_config_error_is_exit_2_with_its_whole_message(self, tmp_path):
+        missing, out = tmp_path / "nope.cfg", tmp_path / "x.csv"
+        proc = run_process(["-m", "mimopam.cli", "predict", "--config", str(missing),
+                            "--out", str(out)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("config error: [Errno 2] No such file or directory: "
+                               f"{str(missing)!r}\n")
+        assert not out.exists()
+
+    def test_atexit_callbacks_run_and_their_output_arrives(self, tmp_path):
+        out = tmp_path / "fig6.csv"
+        code = ("import atexit; from mimopam.cli import run_and_exit; "
+                "atexit.register(print, 'atexit ran'); "
+                f"run_and_exit(['predict', '--config', {str(preset_path('fig6'))!r}, "
+                f"'--out', {str(out)!r}])")
+        proc = run_process(["-c", code])
+        assert proc.returncode == 0
+        assert proc.stdout.endswith(f" rows to {out}\natexit ran\n")
+
+    def test_profiler_sees_the_process_end(self, tmp_path):
+        # cProfile prints its table after the module returns, so the run must
+        # end by SystemExit, not os._exit
+        proc = run_process(["-m", "cProfile", "-m", "mimopam.cli", "predict", "--config",
+                            str(preset_path("prop1")), "--out", str(tmp_path / "p.csv")])
+        assert proc.returncode == 0
+        assert "function calls" in proc.stdout
+
+
+class TestRunAndExit:
+    """run_and_exit in-process, with main replaced by one that returns a
+    given code and os._exit and the atexit run recorded instead of done."""
+
+    @pytest.fixture
+    def ends(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "_exit", lambda code: calls.append(("os._exit", code)))
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+        monkeypatch.setattr(mimopam.cli, "main", lambda argv=None: 3)
+        return calls
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_code_passes_to_os_exit_after_the_atexit_callbacks(self, ends, monkeypatch, code):
+        monkeypatch.setattr(mimopam.cli, "main", lambda argv=None: code)
+        # as if no tracer watched, so the case holds under a coverage run too
+        monkeypatch.setattr(mimopam.cli, "_observed", lambda: False)
+        mimopam.cli.run_and_exit([])
+        assert ends == ["atexit", ("os._exit", code)]
+
+    @pytest.mark.parametrize("getter, setter", [(sys.gettrace, sys.settrace),
+                                                (sys.getprofile, sys.setprofile)],
+                             ids=["trace", "profile"])
+    def test_attached_tracer_takes_the_system_exit_path(self, ends, getter, setter):
+        attached = getter()
+        setter(lambda *args: None)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                mimopam.cli.run_and_exit([])
+        finally:
+            setter(attached)
+        assert exc.value.code == 3 and ends == []
+
+    def test_failed_flush_takes_the_system_exit_path(self, ends, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(mimopam.cli, "_observed", lambda: False)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit) as exc:
+            mimopam.cli.run_and_exit([])
+        assert exc.value.code == 3 and ends == []

@@ -10,6 +10,6 @@ from .decoders import DecoderKind, DecoderSpec
 from .errors import ConfigError, ConvergenceError
 from .runner import CSV_COLUMNS, SweepRecord, SweepSpec, load_config, run
 from .simulate import BatchStats, run_batch
-from .system import PowerConvention, SystemConfig, alpha_star, db_to_linear, derive_params
+from .system import PowerConvention, SystemConfig, alpha_star, derive_params
 
 __version__ = "0.1.0"

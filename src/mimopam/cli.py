@@ -34,7 +34,7 @@ import sys
 from typing import NoReturn
 
 from .errors import ConfigError
-from .runner import MODES, load_config, run, write_outputs
+from .runner import MODES, check_output_paths, load_config, run, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,8 +72,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         mode = args.mode.replace("-", "_")
         out = args.out or f"{mode}.csv"
-        if args.report and os.path.realpath(args.report) == os.path.realpath(out):
-            raise ConfigError(f"--report and --out name the same file, {out!r}")
+        check_output_paths(out, args.report)
         result = run(spec, mode, workers=args.workers)
         write_outputs(result, out, args.report)
     except (ConfigError, OSError) as exc:

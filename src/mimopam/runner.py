@@ -26,10 +26,7 @@ from .asymptotics import (
 from .decoders import DecoderKind, DecoderSpec
 from .errors import Checked, ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
 from .simulate import bonferroni_z, consistency_z, run_batch
-from .system import (
-    PowerConvention, SystemConfig, alpha_star, db_to_linear, derive_params, largest_symbol,
-    linear_to_db,
-)
+from .system import PowerConvention, SystemConfig, alpha_star, derive_params, largest_symbol
 
 COMPARE_FALSE_ALARM = 0.01  # family-wise, over all z-scores of a compare run
 
@@ -157,7 +154,7 @@ def load_config(path: str) -> SweepSpec:
         n=_parse_int(pairs["n"], "n"),
         t_total=_parse_int(pairs["t_total"], "t_total"),
         t_pilot=_parse_int(pairs["t_pilot"], "t_pilot"),
-        rho=db_to_linear(_parse_float(pairs["rho_db"], "rho_db")),
+        rho_db=_parse_float(pairs["rho_db"], "rho_db"),
         alpha=_parse_float(pairs["alpha"], "alpha"),
         m=_parse_int(pairs["m"], "m"),
         **convention,
@@ -245,7 +242,7 @@ def apply_sweep_value(spec: SweepSpec, value: float) -> tuple[SweepSpec, SystemC
     if axis is SweepAxis.T_BOX:
         return spec._replace(t_box=value), base
     if axis is SweepAxis.RHO_DB:
-        return spec, base._replace(rho=db_to_linear(value))
+        return spec, base._replace(rho_db=value)
     if axis is SweepAxis.ALPHA:
         return spec, base._replace(alpha=value)
     t_pilot = value * base.k
@@ -290,32 +287,17 @@ _SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
 _Key = tuple[float, float]
 
 
-def _power_db(rho: float) -> float:
-    """rho in dB as the shortest decimal that db_to_linear maps back to rho,
-    so a configured power prints as configured: -5.8 dB reads back as
-    -5.800000000000001, which maps to another float. Falls back to
-    linear_to_db(rho) where no decimal maps back."""
-    db = linear_to_db(rho)
-    near = (db, math.nextafter(db, -math.inf), math.nextafter(db, math.inf))
-    for digits in range(1, 18):
-        for x in near:
-            short = float(f"{x:.{digits}g}")
-            if db_to_linear(short) == rho:
-                return short
-    return db
-
-
 def _theory_record(
-    spec: SweepSpec, rho_db: float, cfg: SystemConfig, kind: DecoderKind,
+    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind,
     solved: dict[_Key, tuple[DecoderSpec, Prediction]],
 ) -> tuple[SweepRecord, _Key | None]:
-    """One decoder's row at one sweep point, whose power prints as rho_db,
-    with its theory cells, and its theory point, or None if resolving or
-    predicting failed. solved is the point's table of first-seen specs and
-    their predictions: a theory point not yet in it is predicted and added."""
+    """One decoder's row at one sweep point with its theory cells, and its
+    theory point, or None if resolving or predicting failed. solved is the
+    point's table of first-seen specs and their predictions: a theory point
+    not yet in it is predicted and added."""
     shell = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
-        rho_db=rho_db, alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
+        rho_db=cfg.rho_db, alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
         lam=None, t_box=None, power_convention=cfg.power_convention.value,
         trials=0, master_seed=spec.master_seed,
     )
@@ -341,10 +323,10 @@ def _theory_record(
 
 
 def _evaluate(
-    spec: SweepSpec, points: list[tuple[float, SweepSpec, SystemConfig]], simulate: bool,
+    spec: SweepSpec, points: list[tuple[SweepSpec, SystemConfig]], simulate: bool,
     workers: int,
 ) -> list[tuple[list[tuple[SweepRecord, _Key | None]], dict[_Key, tuple[float | None, float]]]]:
-    """Per sweep point (rho_db, spec, cfg): its rows, one per decoder of the
+    """Per sweep point (spec, cfg): its rows, one per decoder of the
     sweep with its theory point (lam~, t), and the consistency_z scores of
     each theory point simulated with more than one trial.
 
@@ -356,13 +338,13 @@ def _evaluate(
     is drawn once and each theory point decoded once; a solver error marks
     only its theory point's rows."""
     tables: list[dict[_Key, tuple[DecoderSpec, Prediction]]] = [{} for _ in points]
-    rows = [[_theory_record(point, rho_db, cfg, kind, table) for kind in spec.decoders]
-            for (rho_db, point, cfg), table in zip(points, tables)]
+    rows = [[_theory_record(point, cfg, kind, table) for kind in spec.decoders]
+            for (point, cfg), table in zip(points, tables)]
     scores: list[dict[_Key, tuple[float | None, float]]] = [{} for _ in points]
     sims = [p for p, table in enumerate(tables) if table]
     if simulate and spec.trials and sims:
         batch = run_batch(
-            [(points[p][2], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].values()))
+            [(points[p][1], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].values()))
              for p in sims],
             spec.trials, spec.master_seed, workers=workers,
         )
@@ -376,21 +358,21 @@ def _evaluate(
                                   stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
                                   trials=stats.trials)
                 if stats.trials > 1:
-                    scores[p][key] = consistency_z(points[p][2], dspec, pred, stats)
+                    scores[p][key] = consistency_z(points[p][1], dspec, pred, stats)
             rows[p] = [(rec._replace(**cells.get(key, {})), key) for rec, key in rows[p]]
     return list(zip(rows, scores))
 
 
-def _optimized_point(mode: str, rho_db: float, cfg: SystemConfig) -> tuple[str, SystemConfig]:
+def _optimized_point(mode: str, cfg: SystemConfig) -> tuple[str, SystemConfig]:
     """The report header and the optimized config of one optimization mode
-    at one power: cfg, at rho_db as the header prints it."""
+    at cfg's power."""
     if mode == "optimize_power":
         split = alpha_star(cfg)
         best = cfg._replace(alpha=split.alpha_star)
-        return (f"rho_db={rho_db}: alpha_star={split.alpha_star:.6f} "
+        return (f"rho_db={cfg.rho_db}: alpha_star={split.alpha_star:.6f} "
                 f"branch={split.branch} rho_eff={derive_params(best).rho_eff:.6g}", best)
     opt = optimize_goodput(cfg)
-    return (f"rho_db={rho_db}: t_pilot_star={opt.t_pilot_star} "
+    return (f"rho_db={cfg.rho_db}: t_pilot_star={opt.t_pilot_star} "
             f"alpha_star={opt.alpha_star:.6f} goodput={opt.goodput:.6f}",
             cfg._replace(alpha=opt.alpha_star, t_pilot=opt.t_pilot_star))
 
@@ -418,20 +400,14 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     optimize = mode.startswith("optimize_")
-    # a point's power as its header and rho_db cells print it: the sweep value on the rho axis
-    on_rho = spec.sweep_axis is SweepAxis.RHO_DB
-    base_db = None if on_rho else _power_db(spec.base.rho)
-    # per point: its report header ("" for none), its row lines' prefix, and (rho_db, spec, cfg)
+    # per point: its report header ("" for none), its row lines' prefix, and (spec, cfg)
     if optimize:
-        heads = []
-        powers = ([(value, apply_sweep_value(spec, value)[1]) for value in spec.values]
-                  if on_rho else [(base_db, spec.base)])
-        for rho_db, cfg in powers:
-            header, best = _optimized_point(mode, rho_db, cfg)
-            heads.append((header, "  ", (rho_db, spec, best)))
+        powers = ([apply_sweep_value(spec, value)[1] for value in spec.values]
+                  if spec.sweep_axis is SweepAxis.RHO_DB else [spec.base])
+        heads = [(header, "  ", (spec, best))
+                 for header, best in (_optimized_point(mode, cfg) for cfg in powers)]
     else:
-        heads = [("", f"{spec.sweep_axis.value}={value} ",
-                  (value if on_rho else base_db, *apply_sweep_value(spec, value)))
+        heads = [("", f"{spec.sweep_axis.value}={value} ", apply_sweep_value(spec, value))
                  for value in spec.values]
     evaluated = _evaluate(spec, [point for _, _, point in heads],
                           mode in ("simulate", "compare"), workers)
@@ -475,10 +451,19 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                      flagged=flagged, solver_errors=solver_errors)
 
 
+def check_output_paths(csv_path: str, report_path: str | None) -> None:
+    """Refuse a report_path that resolves to the CSV's file, which one
+    output would overwrite with the other."""
+    if report_path and os.path.realpath(report_path) == os.path.realpath(csv_path):
+        raise ConfigError(f"--report and --out name the same file, {csv_path!r}")
+
+
 def write_outputs(result: RunResult, csv_path: str, report_path: str | None = None) -> None:
-    """Write the CSV and, given a report_path, the report. Both are opened
-    before either is written, and a report that cannot be opened removes
-    the CSV just opened, so a failed call leaves no output behind."""
+    """Write the CSV and, given a report_path, the report. The paths pass
+    check_output_paths, both files are opened before either is written, and
+    a report that cannot be opened removes the CSV just opened, so a failed
+    call leaves no output behind."""
+    check_output_paths(csv_path, report_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         if report_path:
             try:

@@ -3,7 +3,8 @@
 Everything downstream (simulator, decoders, asymptotic predictors) consumes the
 values derived here, so this module is the single owner of the power-split
 arithmetic, the optimal split alpha* included, of the PAM energy and of
-dB/linear conversion (stored powers are always linear). numpy is imported
+dB/linear conversion. A config stores its power in dB, as configured, and
+converts it to linear in one place, SystemConfig.rho. numpy is imported
 inside the PAM functions that use it, so the theory, which reads
 only pam_energy and largest_symbol, runs without loading it.
 """
@@ -45,16 +46,12 @@ def db_to_linear(db: float) -> float:
         raise ConfigError(f"{db!r} dB is out of the float range") from None
 
 
-def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)
-
-
 class _SystemConfigFields(NamedTuple):
     k: int
     n: int
     t_total: int
     t_pilot: int
-    rho: float
+    rho_db: float
     alpha: float
     m: int = 2
     power_convention: PowerConvention = PowerConvention.ENERGY_CONSERVING
@@ -66,7 +63,7 @@ class SystemConfig(Checked, _SystemConfigFields):
     k, n:          transmit / receive antenna counts
     t_total:       symbols per coherence block
     t_pilot:       training symbols (t_pilot >= k for pilot orthogonality)
-    rho:           average power, linear
+    rho_db:        average power in dB, as configured; rho is its linear value
     alpha:         data power ratio in (0, 1)
     m:             PAM order, power of two
 
@@ -74,6 +71,11 @@ class SystemConfig(Checked, _SystemConfigFields):
     """
 
     __slots__ = ()
+
+    @property
+    def rho(self) -> float:
+        """The average power, linear."""
+        return db_to_linear(self.rho_db)
 
     def _check(self) -> None:
         if self.k <= 0 or self.n <= 0 or self.t_total <= 0:
@@ -85,7 +87,7 @@ class SystemConfig(Checked, _SystemConfigFields):
         if self.t_pilot >= self.t_total:
             raise ConfigError("t_pilot must leave room for data symbols (t_pilot < t_total)")
         if not 0.0 < self.rho < math.inf:
-            raise ConfigError(f"rho must be positive and finite (linear power), got {self.rho!r}")
+            raise ConfigError(f"rho must be positive and finite, got rho_db={self.rho_db!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         _check_pam_order(self.m)
@@ -120,14 +122,15 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
     tau = cfg.t_total / k
     tau_p = cfg.t_pilot / k
     tau_d = (cfg.t_total - cfg.t_pilot) / k
+    rho = cfg.rho
     if cfg.power_convention is PowerConvention.DIRECT_SPLIT:
-        rho_d = cfg.alpha * cfg.rho
-        rho_p = (1.0 - cfg.alpha) * cfg.rho
+        rho_d = cfg.alpha * rho
+        rho_p = (1.0 - cfg.alpha) * rho
     else:
-        rho_d = cfg.alpha * cfg.rho * tau / tau_d
-        rho_p = (1.0 - cfg.alpha) * cfg.rho * tau / tau_p
+        rho_d = cfg.alpha * rho * tau / tau_d
+        rho_p = (1.0 - cfg.alpha) * rho * tau / tau_p
         total = rho_p * cfg.t_pilot + rho_d * (cfg.t_total - cfg.t_pilot)
-        if abs(total - cfg.rho * cfg.t_total) > ENERGY_IDENTITY_RTOL * cfg.rho * cfg.t_total:
+        if abs(total - rho * cfg.t_total) > ENERGY_IDENTITY_RTOL * rho * cfg.t_total:
             raise ConfigError("energy-conservation identity violated in derivation")
     sigma_delta_sq = 1.0 / (1.0 + rho_p * cfg.t_pilot / k)
     sigma_hhat_sq = 1.0 - sigma_delta_sq

@@ -14,7 +14,7 @@ from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qf
 from mimopam.decoders import box_rls_solve, rls_solve
 from mimopam.runner import LambdaPolicy, TPolicy
 from mimopam.simulate import draw_shared, estimate_channel
-from mimopam.system import linear_to_db, pam_points
+from mimopam.system import pam_points
 
 
 def theory_point(cfg, lam=0.0, t=math.inf):
@@ -221,7 +221,7 @@ def write_config(spec, path):
         f"n = {base.n}",
         f"t_total = {base.t_total}",
         f"t_pilot = {base.t_pilot}",
-        f"rho_db = {linear_to_db(base.rho)!r}",
+        f"rho_db = {base.rho_db!r}",
         f"alpha = {base.alpha!r}",
         f"m = {base.m}",
         f"power_convention = {base.power_convention.value}",

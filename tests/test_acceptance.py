@@ -78,7 +78,7 @@ def criterion(num: int, title: str):
 
 
 def fig2_cfg(rho_db, **kw):
-    args = dict(k=400, n=480, t_total=1000, t_pilot=456, rho=10 ** (rho_db / 10),
+    args = dict(k=400, n=480, t_total=1000, t_pilot=456, rho_db=rho_db,
                 alpha=0.5, m=2, power_convention=mp.PowerConvention.DIRECT_SPLIT)
     args.update(kw)
     return mp.SystemConfig(**args)
@@ -245,9 +245,9 @@ class TestCriterion5:
             best = grid[int(np.argmax(vals))]
             assert abs(res.alpha_star - best) <= grid[1] - grid[0]
 
-            low = mp.alpha_star(spec.base._replace(rho=1e-4)).alpha_star
+            low = mp.alpha_star(spec.base._replace(rho_db=-40.0)).alpha_star
             assert low == pytest.approx(0.5, abs=1e-3)
-            high = mp.alpha_star(spec.base._replace(rho=1e6)).alpha_star
+            high = mp.alpha_star(spec.base._replace(rho_db=60.0)).alpha_star
             assert high == pytest.approx(math.sqrt(tau_d) / (1 + math.sqrt(tau_d)), abs=1e-3)
 
 
@@ -257,7 +257,7 @@ class TestCriterion6:
             for k, t_total, n in ((400, 1000, 480), (256, 1000, 512)):
                 for rho_db in (0, 10, 20):
                     cfg = mp.SystemConfig(k=k, n=n, t_total=t_total, t_pilot=k,
-                                          rho=10 ** (rho_db / 10), alpha=0.5)
+                                          rho_db=rho_db, alpha=0.5)
                     assert optimize_goodput(cfg).t_pilot_star == k, (k, rho_db)
 
 
@@ -369,7 +369,7 @@ class TestCriterion9:
                 lam_star = mp.derive_params(fig2_cfg(rho_db)).lambda_star
                 assert box_lambda_numeric[rho_db] * lam_star < 1e-3
             fig4_cfg = mp.SystemConfig(
-                k=400, n=480, t_total=1000, t_pilot=400, rho=20.0, alpha=0.5, m=2,
+                k=400, n=480, t_total=1000, t_pilot=400, rho_db=10 * math.log10(20.0), alpha=0.5, m=2,
                 power_convention=mp.PowerConvention.DIRECT_SPLIT)  # rho_d = 10 dB
             point = theory_point(fig4_cfg, t=1.0)
             point = point._replace(lam_tilde=lambda_star_numeric(point))

@@ -18,18 +18,18 @@ from mimopam import (
 from mimopam.asymptotics import optimize_goodput
 from mimopam.system import lambda_star_rls, pam_points
 
-FIG6 = dict(rho=10**1.5, tau=1000 / 256, tau_d=744 / 256)
+FIG6 = dict(rho_db=15.0, tau=1000 / 256, tau_d=744 / 256)
 
 
-def energy_cfg(rho, k, n, t_total, m=2, t_pilot=None):
+def energy_cfg(rho_db, k, n, t_total, m=2, t_pilot=None):
     return SystemConfig(k=k, n=n, t_total=t_total, t_pilot=k if t_pilot is None else t_pilot,
-                        rho=rho, alpha=0.5, m=m)
+                        rho_db=rho_db, alpha=0.5, m=m)
 
 
-def block_cfg(rho, tau, tau_d, k=256):
-    """energy_cfg at power rho with T = tau k and T_d = tau_d k symbols."""
+def block_cfg(rho_db, tau, tau_d, k=256):
+    """energy_cfg at power rho_db with T = tau k and T_d = tau_d k symbols."""
     t_total = round(tau * k)
-    return energy_cfg(rho, k=k, n=2 * k, t_total=t_total, t_pilot=t_total - round(tau_d * k))
+    return energy_cfg(rho_db, k=k, n=2 * k, t_total=t_total, t_pilot=t_total - round(tau_d * k))
 
 
 class TestAlphaStar:
@@ -39,69 +39,70 @@ class TestAlphaStar:
         assert res.branch == "tau_d>1"
 
     def test_matches_dense_grid_argmax(self):
-        res = alpha_star(block_cfg(**FIG6))
+        cfg = block_cfg(**FIG6)
+        res = alpha_star(cfg)
         grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
-        vals = [rho_eff_of_alpha(FIG6["rho"], FIG6["tau"], FIG6["tau_d"], a) for a in grid]
+        vals = [rho_eff_of_alpha(cfg.rho, FIG6["tau"], FIG6["tau_d"], a) for a in grid]
         assert abs(res.alpha_star - grid[int(np.argmax(vals))]) <= (grid[1] - grid[0])
 
     def test_equal_split_when_one_data_symbol_per_antenna(self):
-        res = alpha_star(block_cfg(rho=3.0, tau=2.0, tau_d=1.0))
+        res = alpha_star(block_cfg(rho_db=5.0, tau=2.0, tau_d=1.0))
         assert res.alpha_star == 0.5
         assert res.branch == "tau_d=1"
 
     def test_low_power_limit_is_equal_split(self):
-        res = alpha_star(block_cfg(rho=1e-4, tau=FIG6["tau"], tau_d=FIG6["tau_d"]))
+        res = alpha_star(block_cfg(rho_db=-40.0, tau=FIG6["tau"], tau_d=FIG6["tau_d"]))
         assert res.alpha_star == pytest.approx(0.5, abs=1e-3)
 
     def test_high_power_limit(self):
         tau_d = FIG6["tau_d"]
         want = math.sqrt(tau_d) / (1 + math.sqrt(tau_d))
-        res = alpha_star(block_cfg(rho=1e6, tau=FIG6["tau"], tau_d=tau_d))
+        res = alpha_star(block_cfg(rho_db=60.0, tau=FIG6["tau"], tau_d=tau_d))
         assert res.alpha_star == pytest.approx(want, abs=1e-3)
 
     def test_branch_lattice_against_grid(self):
         # all three branches, several powers and block shapes
         grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
         step = grid[1] - grid[0]
-        for rho in (0.1, 2.0, 50.0):
+        for rho_db in (-10.0, 3.0, 17.0):
             for tau in (1.5, 3.0, 8.0):
                 for tau_d in (0.5, 1.0, min(tau - 0.25, 2.5)):
                     if tau - tau_d < 1:
                         continue  # fewer pilots than antennas: no SystemConfig
-                    res = alpha_star(block_cfg(rho, tau, tau_d))
-                    vals = [rho_eff_of_alpha(rho, tau, tau_d, a) for a in grid]
+                    cfg = block_cfg(rho_db, tau, tau_d)
+                    res = alpha_star(cfg)
+                    vals = [rho_eff_of_alpha(cfg.rho, tau, tau_d, a) for a in grid]
                     best = grid[int(np.argmax(vals))]
                     assert abs(res.alpha_star - best) <= step + 1e-12
                     assert 0.0 < res.alpha_star < 1.0
 
     def test_config_wrapper_requires_energy_conserving(self):
-        cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=256, rho=10**1.5,
+        cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=256, rho_db=15.0,
                            alpha=0.5, power_convention=PowerConvention.DIRECT_SPLIT)
         with pytest.raises(ConfigError, match="energy-conserving"):
             alpha_star(cfg)
 
     def test_rejects_bad_domains(self):
         with pytest.raises(ConfigError):
-            alpha_star(block_cfg(rho=0.0, tau=2.0, tau_d=1.0))
+            alpha_star(block_cfg(rho_db=-math.inf, tau=2.0, tau_d=1.0))
         with pytest.raises(ConfigError):
-            alpha_star(block_cfg(rho=1.0, tau=2.0, tau_d=0.0))
+            alpha_star(block_cfg(rho_db=0.0, tau=2.0, tau_d=0.0))
 
 
 class TestOptimizeGoodput:
     def test_training_floor_is_antenna_count(self):
         for rho_db in (0, 10, 20):
-            res = optimize_goodput(energy_cfg(10 ** (rho_db / 10), k=400, n=480, t_total=1000))
+            res = optimize_goodput(energy_cfg(rho_db, k=400, n=480, t_total=1000))
             assert res.t_pilot_star == 400
 
     def test_alpha_matches_power_only_optimum_at_the_floor(self):
-        rho = 10.0
-        res = optimize_goodput(energy_cfg(rho, k=400, n=480, t_total=1000))
-        base = alpha_star(block_cfg(rho, 1000 / 400, (1000 - 400) / 400, k=400))
+        rho_db = 10.0
+        res = optimize_goodput(energy_cfg(rho_db, k=400, n=480, t_total=1000))
+        base = alpha_star(block_cfg(rho_db, 1000 / 400, (1000 - 400) / 400, k=400))
         assert res.alpha_star == pytest.approx(base.alpha_star, rel=1e-12)
 
     def test_goodput_dominates_grid(self):
-        rho = 10.0
-        cfg = energy_cfg(rho, k=128, n=192, t_total=512)
+        cfg = energy_cfg(10.0, k=128, n=192, t_total=512)
         res = optimize_goodput(cfg)
         at_2k = cfg._replace(t_pilot=2 * 128)
         at_2k = at_2k._replace(alpha=alpha_star(at_2k).alpha_star)
@@ -129,7 +130,7 @@ class TestMonotonicity:
         for decoder in ("ls", "lmmse", "box"):
             mse, sep = [], []
             for rho_db in self.RHO_DB:
-                cfg = energy_cfg(10 ** (rho_db / 10), k=100, n=n, t_total=400, m=m, t_pilot=130)
+                cfg = energy_cfg(rho_db, k=100, n=n, t_total=400, m=m, t_pilot=130)
                 if decoder == "ls":
                     spec = DecoderSpec.ls()
                 elif decoder == "lmmse":

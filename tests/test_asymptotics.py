@@ -84,7 +84,7 @@ FIG2_BOX_MSE_MPMATH = {
 
 def fig2_cfg(rho_db):
     return SystemConfig(
-        k=400, n=480, t_total=1000, t_pilot=456, rho=10 ** (rho_db / 10),
+        k=400, n=480, t_total=1000, t_pilot=456, rho_db=rho_db,
         alpha=0.5, m=2, power_convention=PowerConvention.DIRECT_SPLIT,
     )
 
@@ -210,7 +210,7 @@ class TestLambdaStar:
 
     def test_box_search_without_zero_when_n_below_k(self):
         # delta < 1: the box saddle at lam = 0 has no solution, so the grid must skip it
-        cfg = SystemConfig(k=128, n=80, t_total=512, t_pilot=128, rho=100.0, alpha=0.5, m=16)
+        cfg = SystemConfig(k=128, n=80, t_total=512, t_pilot=128, rho_db=20.0, alpha=0.5, m=16)
         t = float(pam_points(16)[-1])
         point = theory_point(cfg, t=t)
         lam_tilde = lambda_star_numeric(point)
@@ -229,7 +229,7 @@ class TestLambdaStar:
 
 def fig4_cfg(rho_db, m):
     return SystemConfig(
-        k=400, n=480, t_total=1000, t_pilot=400, rho=10 ** (rho_db / 10),
+        k=400, n=480, t_total=1000, t_pilot=400, rho_db=rho_db,
         alpha=0.5, m=m, power_convention=PowerConvention.DIRECT_SPLIT,
     )
 
@@ -285,7 +285,7 @@ class TestLsForms:
             assert sep == pytest.approx(via_mse, rel=1e-12)
 
     def test_rejects_delta_at_most_one(self):
-        cfg = SystemConfig(k=100, n=100, t_total=400, t_pilot=100, rho=10.0, alpha=0.5)
+        cfg = SystemConfig(k=100, n=100, t_total=400, t_pilot=100, rho_db=10.0, alpha=0.5)
         with pytest.raises(ConfigError, match="n > k"):
             predict(cfg, DecoderSpec.ls())
 
@@ -293,7 +293,7 @@ class TestLsForms:
     def test_closed_forms_match_predict(self, m):
         for rho_db in np.linspace(-5.0, 35.0, 41):
             cfg = SystemConfig(k=100, n=150, t_total=400, t_pilot=130,
-                               rho=10 ** (rho_db / 10), alpha=0.5, m=m)
+                               rho_db=rho_db, alpha=0.5, m=m)
             dp = derive_params(cfg)
             ls = predict(cfg, DecoderSpec.ls())
             assert ls.mse == pytest.approx(ls_mse_closed_form(dp.rho_eff, dp.delta), rel=1e-10)
@@ -595,15 +595,16 @@ class TestPredict:
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_depends_on_the_variance_split_only_through_rho_eff(self, m):
         # a direct-split and an energy-split config at one (rho_eff, lam~, delta)
-        direct = SystemConfig(k=400, n=480, t_total=1000, t_pilot=456, rho=10.0, alpha=0.5,
+        direct = SystemConfig(k=400, n=480, t_total=1000, t_pilot=456, rho_db=10.0, alpha=0.5,
                               m=m, power_convention=PowerConvention.DIRECT_SPLIT)
         target = derive_params(direct).rho_eff
 
-        def energy(rho):
-            return direct._replace(rho=rho, power_convention=PowerConvention.ENERGY_CONSERVING)
-        rho = brentq(lambda r: derive_params(energy(r)).rho_eff - target, 1.0, 100.0,
-                     xtol=1e-300, rtol=1e-15)
-        cfgs = (direct, energy(rho))
+        def energy(rho_db):
+            return direct._replace(rho_db=rho_db,
+                                   power_convention=PowerConvention.ENERGY_CONSERVING)
+        rho_db = brentq(lambda r: derive_params(energy(r)).rho_eff - target, 0.0, 20.0,
+                        xtol=1e-300, rtol=1e-15)
+        cfgs = (direct, energy(rho_db))
         dps = [derive_params(c) for c in cfgs]
         assert dps[1].sigma_delta_sq != pytest.approx(dps[0].sigma_delta_sq, rel=1e-3)
         for lam_tilde, t in ((0.0, None), (0.4, None), (1.0, 1.0), (0.3, 0.8)):
@@ -642,7 +643,7 @@ class TestPredict:
     def test_sep_bounds(self):
         for m, spec in ((2, DecoderSpec.rls(0.5)), (4, DecoderSpec.ls()),
                         (4, DecoderSpec.box(0.2, 1.5))):
-            cfg = SystemConfig(k=400, n=480, t_total=1000, t_pilot=456, rho=2.0,
+            cfg = SystemConfig(k=400, n=480, t_total=1000, t_pilot=456, rho_db=3.0,
                                alpha=0.5, m=m, power_convention=PowerConvention.DIRECT_SPLIT)
             pred = predict(cfg, spec)
             assert 0.0 <= pred.sep <= 2 * (1 - 1 / m)

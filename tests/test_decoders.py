@@ -182,7 +182,7 @@ class TestGilFreeSolve:
             return x
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        cfg = SystemConfig(k=64, n=77, t_total=160, t_pilot=73, rho=10.0, alpha=0.5, m=2,
+        cfg = SystemConfig(k=64, n=77, t_total=160, t_pilot=73, rho_db=10.0, alpha=0.5, m=2,
                            power_convention=PowerConvention.DIRECT_SPLIT)
         specs = (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, 1.0),
                  DecoderSpec.lmmse())

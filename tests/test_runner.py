@@ -34,8 +34,9 @@ from mimopam.cli import BLAS_THREAD_VARS, main as cli_main
 from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import (
     MODES, LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
+    write_outputs,
 )
-from mimopam.system import db_to_linear, derive_params, lambda_star_rls, linear_to_db
+from mimopam.system import derive_params, lambda_star_rls
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,7 +60,7 @@ def run_python(code, **env):
 
 
 def small_spec(**kw):
-    base = SystemConfig(k=32, n=40, t_total=96, t_pilot=40, rho=10.0, alpha=0.5, m=2,
+    base = SystemConfig(k=32, n=40, t_total=96, t_pilot=40, rho_db=10.0, alpha=0.5, m=2,
                         power_convention=PowerConvention.DIRECT_SPLIT)
     args = dict(base=base, sweep_axis=SweepAxis.RHO_DB, values=(0.0, 10.0),
                 decoders=(DecoderKind.RLS,), trials=0, master_seed=7)
@@ -161,7 +162,7 @@ class TestConfigFile:
         (DecoderSpec.lmmse(), {"lam_tilde": 0.5}, "LMMSE"),
         (small_spec(), {"lam": -0.3}, "lambda must be finite and nonnegative"),
         (small_spec(), {"t_box": 0.0}, "t_box must be finite and positive"),
-        (small_spec().base, {"rho": math.inf}, "rho must be positive and finite"),
+        (small_spec().base, {"rho_db": math.inf}, "rho must be positive and finite"),
         (small_spec(), {"values": (0.0, math.nan)}, "values must be finite"),
         (small_spec(), {"master_seed": -1}, "master_seed must be nonnegative"),
         (small_spec(), {"lam": None}, "SweepSpec has a field of the wrong type"),
@@ -169,6 +170,10 @@ class TestConfigFile:
         (small_spec(), {"trials": "5"}, "SweepSpec has a field of the wrong type"),
         (small_spec(), {"values": ("a",)}, "SweepSpec has a field of the wrong type"),
         (small_spec().base, {"k": "32"}, "SystemConfig has a field of the wrong type"),
+        (small_spec().base, {"rho_db": math.nan}, "rho must be positive and finite"),
+        (small_spec().base, {"rho_db": -math.inf}, "rho must be positive and finite"),
+        (small_spec().base, {"rho_db": 4000.0}, "4000.0 dB is out of the float range"),
+        (small_spec().base, {"rho_db": -4000.0}, "rho must be positive and finite"),
     ], ids=[
         # the first eleven are the ids pytest generated for them, kept so no test is renamed
         "record0-changes0-t_pilot >= k", "record1-changes1-alpha",
@@ -179,6 +184,7 @@ class TestConfigFile:
         "record8-changes8-rho must be positive and finite",
         "record9-changes9-values must be finite", "record10-changes10-master_seed must be nonnegative",
         "lam-none", "t_box-str", "trials-str", "values-str", "k-str",
+        "rho_db-nan", "rho_db-minus-inf", "rho_db-4000", "rho_db-minus-4000",
     ])
     def test_replace_validates_like_the_constructor(self, record, changes, match):
         # namedtuple's _replace builds through _make, which skips __new__
@@ -387,14 +393,19 @@ class TestRunModes:
         assert header.startswith(f"rho_db=15.0: alpha_star={best.alpha:.6f} ")
         assert header.endswith(f" rho_eff={derive_params(best).rho_eff:.6g}")
 
-    def test_optimize_power_off_the_rho_axis_solves_at_the_configured_rho(self):
-        # -5.8 dB does not survive a round trip through dB, so the optimum
-        # must be solved at the config's own rho
+    def test_optimize_power_off_the_rho_axis_solves_at_the_configured_rho(self, tmp_path):
+        # -5.8 dB maps to a linear power whose dB value reads back as
+        # -5.800000000000001; the config file keeps the configured -5.8, so
+        # the optimum is solved at the same float rho as in-process
         fig6 = load_config(preset_path("fig6"))
-        spec = fig6._replace(base=fig6.base._replace(rho=db_to_linear(-5.8)))
-        assert db_to_linear(linear_to_db(spec.base.rho)) != spec.base.rho
+        spec = fig6._replace(base=fig6.base._replace(rho_db=-5.8))
+        path = tmp_path / "fig6.cfg"
+        write_config(spec, str(path))
+        loaded = load_config(str(path))
+        assert loaded == spec
+        assert (loaded.base.rho_db, loaded.base.rho) == (-5.8, spec.base.rho)
         best = spec.base._replace(alpha=alpha_star(spec.base).alpha_star)
-        records = run(spec, "optimize_power").records
+        records = run(loaded, "optimize_power").records
         assert [rec.decoder for rec in records] == [kind.value for kind in spec.decoders]
         for kind, rec in zip(spec.decoders, records):
             pred = predict(best, resolve_decoder(spec, best, kind))
@@ -404,9 +415,10 @@ class TestRunModes:
 
     @pytest.mark.parametrize("mode", ["predict", "optimize_power"])
     def test_rho_db_cells_print_the_configured_power_off_the_rho_axis(self, mode):
-        # -5.8 dB reads back from rho as -5.800000000000001
+        # the cells print the stored -5.8, not -5.800000000000001, the dB
+        # value of its linear power
         fig6 = load_config(preset_path("fig6"))
-        spec = fig6._replace(base=fig6.base._replace(rho=db_to_linear(-5.8)))
+        spec = fig6._replace(base=fig6.base._replace(rho_db=-5.8))
         result = run(spec, mode)
         rows = list(csv.DictReader(io.StringIO(records_to_csv(result.records))))
         points = 1 if mode == "optimize_power" else len(spec.values)
@@ -416,7 +428,7 @@ class TestRunModes:
             assert result.report.splitlines()[1].startswith("rho_db=-5.8: ")
 
     def test_rho_db_cells_print_the_sweep_value_on_the_rho_axis(self):
-        # 1, 2 and 3 dB read back from rho as 1.0000000000000002,
+        # not the dB values of their linear powers, 1.0000000000000002,
         # 2.0000000000000004 and 2.999999999999999
         spec = small_spec(values=(1.0, 2.0, 3.0))
         assert [rec.rho_db for rec in run(spec, "predict").records] == [1.0, 2.0, 3.0]
@@ -554,7 +566,7 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         exported = {name for name, value in vars(mimopam).items()
                     if not name.startswith("_") and not inspect.ismodule(value)}
         assert exported == {
-            "SystemConfig", "PowerConvention", "db_to_linear", "derive_params", "DecoderKind",
+            "SystemConfig", "PowerConvention", "derive_params", "DecoderKind",
             "DecoderSpec", "predict", "Prediction", "run_batch", "BatchStats", "alpha_star",
             "SweepSpec", "SweepRecord", "CSV_COLUMNS", "load_config", "run", "ConfigError",
             "ConvergenceError",
@@ -734,6 +746,22 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         assert "config error: --report and --out name the same file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
 
+    def test_report_on_the_csv_path_is_refused_before_the_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mimopam.cli, "run", lambda *args, **kwargs: calls.append(args))
+        same = str(tmp_path / "same.txt")
+        argv = ["predict", "--config", self._write_cfg(tmp_path), "--out", same, "--report", same]
+        assert cli_main(argv) == 2
+        assert calls == []
+
+    def test_write_outputs_refuses_one_file_for_both(self, tmp_path):
+        # in-process: the report would be written, then overwritten by the CSV
+        result = run(small_spec(), "predict")
+        path = tmp_path / "both.txt"
+        with pytest.raises(ConfigError, match="name the same file"):
+            write_outputs(result, str(path), str(tmp_path / "." / "both.txt"))
+        assert not path.exists()
+
     @pytest.mark.parametrize("lines", [
         "rho_db = 4000\nsweep_axis = alpha\nvalues = 0.5\n",
         "rho_db = 10\nsweep_axis = rho_db\nvalues = 10,4000\n",
@@ -895,6 +923,18 @@ class TestRunAndExit:
                 mimopam.cli.run_and_exit([])
         finally:
             setter(attached)
+        assert exc.value.code == 3 and ends == []
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="sys.monitoring is new in 3.12")
+    def test_monitoring_tool_takes_the_system_exit_path(self, ends):
+        monitoring = sys.monitoring
+        tool = next(t for t in range(6) if monitoring.get_tool(t) is None)
+        monitoring.use_tool_id(tool, "mimopam-test")
+        try:
+            with pytest.raises(SystemExit) as exc:
+                mimopam.cli.run_and_exit([])
+        finally:
+            monitoring.free_tool_id(tool)
         assert exc.value.code == 3 and ends == []
 
     def test_failed_flush_takes_the_system_exit_path(self, ends, monkeypatch):

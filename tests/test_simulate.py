@@ -54,7 +54,7 @@ def batch(cfg, specs, trials, master_seed, workers=1):
 
 
 def scaled_cfg(rho_db, **kw):
-    args = dict(SCALED, rho=10 ** (rho_db / 10), alpha=0.5, m=2,
+    args = dict(SCALED, rho_db=rho_db, alpha=0.5, m=2,
                 power_convention=PowerConvention.DIRECT_SPLIT)
     args.update(kw)
     return SystemConfig(**args)
@@ -419,7 +419,7 @@ class TestJointBatch:
         # of its lowest failing trial, every other entry the sequential stats
         cfg = scaled_cfg(10.0, k=16, n=20, t_total=40, t_pilot=19)
         points = [point_of(cfg, joint_specs(cfg)),
-                  point_of(cfg._replace(rho=100.0), joint_specs(cfg))]
+                  point_of(cfg._replace(rho_db=20.0), joint_specs(cfg))]
         trials = 48
         index_of = {point_column(cfg, draw_trial(cfg, 6, idx)).tobytes(): idx
                     for idx in range(trials)}

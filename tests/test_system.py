@@ -22,7 +22,7 @@ FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
 
 
 def fig2_cfg(rho_db=0.0, **kw):
-    args = dict(FIG2, rho=10 ** (rho_db / 10), alpha=0.5,
+    args = dict(FIG2, rho_db=rho_db, alpha=0.5,
                 power_convention=PowerConvention.DIRECT_SPLIT)
     args.update(kw)
     return SystemConfig(**args)
@@ -44,7 +44,7 @@ class TestDeriveParams:
 
     def test_energy_conserving_split(self):
         cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=256,
-                           rho=10**1.5, alpha=0.5)
+                           rho_db=15.0, alpha=0.5)
         dp = derive_params(cfg)
         assert dp.tau == pytest.approx(3.90625)
         assert dp.tau_d == pytest.approx(2.90625)
@@ -57,7 +57,7 @@ class TestDeriveParams:
     )
     def test_energy_identity_property(self, rho_db, alpha, t_pilot):
         cfg = SystemConfig(k=16, n=24, t_total=100, t_pilot=t_pilot,
-                           rho=10 ** (rho_db / 10), alpha=alpha)
+                           rho_db=rho_db, alpha=alpha)
         dp = derive_params(cfg)
         total = dp.rho_p * cfg.t_pilot + dp.rho_d * (cfg.t_total - cfg.t_pilot)
         assert total == pytest.approx(cfg.rho * cfg.t_total, rel=1e-12)
@@ -76,7 +76,7 @@ class TestDeriveParams:
             fig2_cfg(t_pilot=399)
 
     def test_rejects_unregularized_fat_system(self):
-        cfg = SystemConfig(k=400, n=400, t_total=1000, t_pilot=456, rho=1.0, alpha=0.5)
+        cfg = SystemConfig(k=400, n=400, t_total=1000, t_pilot=456, rho_db=0.0, alpha=0.5)
         for spec in (DecoderSpec.ls(), DecoderSpec.rls(0.0), DecoderSpec.box(0.0, 1.0)):
             with pytest.raises(ConfigError, match="n > k"):
                 predict(cfg, spec)
@@ -86,6 +86,17 @@ class TestDeriveParams:
         for alpha in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ConfigError, match="alpha"):
                 fig2_cfg(alpha=alpha)
+
+    @pytest.mark.parametrize("rho_db, match", [
+        (math.nan, "rho must be positive and finite"),
+        (math.inf, "rho must be positive and finite"),
+        (-math.inf, "rho must be positive and finite"),
+        (4000.0, "4000.0 dB is out of the float range"),
+        (-4000.0, "rho must be positive and finite"),  # 10^-400 is 0.0 W
+    ])
+    def test_rejects_unusable_power(self, rho_db, match):
+        with pytest.raises(ConfigError, match=match):
+            fig2_cfg(rho_db)
 
 
 class TestRhoEffOfAlpha:
@@ -111,7 +122,7 @@ class TestRhoEffOfAlpha:
         for t_pilot in (256, 500, 744):
             for alpha in (0.1, 0.3, 0.629, 0.9):
                 cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=t_pilot,
-                                   rho=10**1.5, alpha=alpha)
+                                   rho_db=15.0, alpha=alpha)
                 dp = derive_params(cfg)
                 want = rho_eff_of_alpha(cfg.rho, dp.tau, dp.tau_d, alpha)
                 assert dp.rho_eff == pytest.approx(want, rel=1e-12)

@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple
 
 from .decoders import DecoderSpec
-from .errors import ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
+from .errors import ConfigError, ConvergenceError, DegenerateThresholdError
 from .system import SystemConfig, alpha_star, derive_params, largest_symbol, pam_energy
 
 _SQRT2 = math.sqrt(2.0)
@@ -86,7 +86,7 @@ def rls_theta_star(rho_eff: float, lam_tilde: float, delta: float) -> float:
     shrink = u / (1.0 + u)
     den = delta - 1.0 / (1.0 + u) ** 2
     if den <= 0:
-        raise InfeasibleError(
+        raise ConfigError(
             f"theta* undefined: delta={delta} <= 1/(1+upsilon)^2 at lam~={lam_tilde}"
         )
     return math.sqrt((rho_eff * shrink * shrink + 1.0) / den)

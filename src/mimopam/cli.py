@@ -1,8 +1,7 @@
 """Command-line front end.
 
     mimopam predict|simulate|compare|optimize-power|optimize-goodput
-            --config PATH [--out CSV] [--report PATH] [--trials N]
-            [--seed S] [--workers W]
+            --config PATH [--out CSV] [--trials N] [--seed S] [--workers W]
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence in any row,
 4 theory/simulation disagreement flagged in compare mode.
@@ -34,7 +33,7 @@ import sys
 from typing import NoReturn
 
 from .errors import ConfigError
-from .runner import MODES, check_output_paths, load_config, run, write_outputs
+from .runner import MODES, load_config, records_to_csv, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("mode", choices=[mode.replace("_", "-") for mode in MODES])
     parser.add_argument("--config", required=True, help="flat key=value sweep config")
     parser.add_argument("--out", default=None, help="output CSV path (default <mode>.csv)")
-    parser.add_argument("--report", default=None, help="also write the text report here")
     parser.add_argument("--trials", type=int, default=None, help="override trial count")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
@@ -72,9 +70,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         mode = args.mode.replace("-", "_")
         out = args.out or f"{mode}.csv"
-        check_output_paths(out, args.report)
         result = run(spec, mode, workers=args.workers)
-        write_outputs(result, out, args.report)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(records_to_csv(result.records))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

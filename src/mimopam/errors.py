@@ -6,10 +6,6 @@ class ConfigError(ValueError):
     """A scenario or sweep configuration violates a validity constraint."""
 
 
-class InfeasibleError(ValueError):
-    """A closed-form predictor was evaluated outside its feasible region."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its required tolerance."""
 

@@ -17,14 +17,13 @@ import csv
 import enum
 import io
 import math
-import os
 from typing import NamedTuple
 
 from .asymptotics import (
     BoxObjectiveParams, Prediction, lambda_star_numeric, optimize_goodput, predict, t_star_numeric,
 )
 from .decoders import DecoderKind, DecoderSpec
-from .errors import Checked, ConfigError, ConvergenceError, DegenerateThresholdError, InfeasibleError
+from .errors import Checked, ConfigError, ConvergenceError, DegenerateThresholdError
 from .simulate import bonferroni_z, consistency_z, run_batch
 from .system import PowerConvention, SystemConfig, alpha_star, derive_params, largest_symbol
 
@@ -282,7 +281,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     return DecoderSpec(kind, lam_tilde, t_box)
 
 
-_SOLVER_ERRORS = (ConvergenceError, InfeasibleError, DegenerateThresholdError)
+_SOLVER_ERRORS = (ConvergenceError, DegenerateThresholdError)
 # a sweep point's theory point (lam~, t); rows at one key are one decoder
 _Key = tuple[float, float]
 
@@ -449,28 +448,3 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
         lines.append(f"solver errors: {solver_errors}")
     return RunResult(records=records, report="\n".join(lines) + "\n",
                      flagged=flagged, solver_errors=solver_errors)
-
-
-def check_output_paths(csv_path: str, report_path: str | None) -> None:
-    """Refuse a report_path that resolves to the CSV's file, which one
-    output would overwrite with the other."""
-    if report_path and os.path.realpath(report_path) == os.path.realpath(csv_path):
-        raise ConfigError(f"--report and --out name the same file, {csv_path!r}")
-
-
-def write_outputs(result: RunResult, csv_path: str, report_path: str | None = None) -> None:
-    """Write the CSV and, given a report_path, the report. The paths pass
-    check_output_paths, both files are opened before either is written, and
-    a report that cannot be opened removes the CSV just opened, so a failed
-    call leaves no output behind."""
-    check_output_paths(csv_path, report_path)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        if report_path:
-            try:
-                with open(report_path, "w", encoding="utf-8") as report:
-                    report.write(result.report)
-            except OSError:
-                fh.close()
-                os.remove(csv_path)
-                raise
-        fh.write(records_to_csv(result.records))

@@ -53,7 +53,7 @@ from mimopam.asymptotics import (
     t_star_numeric,
     upsilon,
 )
-from mimopam.errors import DegenerateThresholdError, InfeasibleError
+from mimopam.errors import DegenerateThresholdError
 from mimopam.runner import LambdaPolicy, SweepAxis, TPolicy, resolve_decoder
 from mimopam.system import lambda_star_rls, pam_points
 
@@ -156,7 +156,7 @@ class TestRlsClosedForms:
         assert ls_mse_closed_form(1.0, 2.0) == pytest.approx(1.0)
 
     def test_infeasible_square_system_without_regularization(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ConfigError):
             rls_theta_star(1.0, 0.0, 1.0)
 
     def test_sep_limits(self):

@@ -34,11 +34,11 @@ from mimopam.cli import BLAS_THREAD_VARS, main as cli_main
 from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import (
     MODES, LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
-    write_outputs,
 )
 from mimopam.system import derive_params, lambda_star_rls
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_process(args, **env):
@@ -479,18 +479,18 @@ class TestCli:
 
     @pytest.mark.parametrize("mode", [mode.replace("_", "-") for mode in MODES])
     def test_every_mode_takes_every_option(self, mode, tmp_path, capsys):
-        # one parser: the mode is a positional, the six options follow it
+        # one parser: the mode is a positional, the five options follow it
         path = tmp_path / "energy.cfg"
         path.write_text(
             "k = 16\nn = 20\nt_total = 48\nt_pilot = 20\nrho_db = 10\nalpha = 0.5\n"
             "m = 2\nsweep_axis = rho_db\nvalues = 5,10\ndecoders = rls\ntrials = 0\n"
         )
-        out, report = tmp_path / "out.csv", tmp_path / "report.txt"
-        assert cli_main([mode, "--config", str(path), "--out", str(out), "--report", str(report),
+        out = tmp_path / "out.csv"
+        assert cli_main([mode, "--config", str(path), "--out", str(out),
                          "--trials", "3", "--seed", "5", "--workers", "2"]) == 0
-        text = capsys.readouterr().out
-        assert text.startswith(f"mode={mode.replace('-', '_')} ")
-        assert report.read_text() == text[:text.index("wrote ")]
+        spec = load_config(str(path))._replace(trials=3, master_seed=5)
+        report = run(spec, mode.replace("-", "_"), workers=2).report
+        assert capsys.readouterr().out == report + f"wrote 2 rows to {out}\n"
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
@@ -714,53 +714,28 @@ print(json.dumps([started, "concurrent.futures" in sys.modules]))
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--report"])
-    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, flag):
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
         path.write_text(
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
             "m = 2\ndecoders = rls\ntrials = 0\nsweep_axis = rho_db\nvalues = 10\n"
         )
-        # one output goes into a directory that does not exist; neither is written
-        outputs = {"--out": str(tmp_path / "out.csv"), "--report": str(tmp_path / "report.txt"),
-                   flag: str(tmp_path / "missing" / "file")}
-        argv = ["predict", "--config", str(path), *(a for pair in outputs.items() for a in pair)]
+        # the CSV goes into a directory that does not exist
+        argv = ["predict", "--config", str(path), "--out", str(tmp_path / "missing" / "out.csv")]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
 
-    @pytest.mark.parametrize("out", [None, "same.txt"], ids=["default-out", "explicit-out"])
-    def test_report_on_the_csv_path_is_exit_2(self, tmp_path, capsys, monkeypatch, out):
-        # the default --out, <mode>.csv, counts; the paths are compared
-        # resolved, so a relative --out meets an absolute --report
-        path = tmp_path / "ok.cfg"
-        path.write_text(
-            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
-            "m = 2\ndecoders = rls\ntrials = 0\nsweep_axis = rho_db\nvalues = 10\n"
-        )
+    def test_report_option_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the report goes to stdout only; argparse refuses --report before anything is written
         monkeypatch.chdir(tmp_path)
-        report = str(tmp_path / (out or "predict.csv"))
-        argv = ["predict", "--config", str(path), "--report", report]
-        assert cli_main(argv + (["--out", out] if out else [])) == 2
-        assert "config error: --report and --out name the same file" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
-
-    def test_report_on_the_csv_path_is_refused_before_the_run(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(mimopam.cli, "run", lambda *args, **kwargs: calls.append(args))
-        same = str(tmp_path / "same.txt")
-        argv = ["predict", "--config", self._write_cfg(tmp_path), "--out", same, "--report", same]
-        assert cli_main(argv) == 2
-        assert calls == []
-
-    def test_write_outputs_refuses_one_file_for_both(self, tmp_path):
-        # in-process: the report would be written, then overwritten by the CSV
-        result = run(small_spec(), "predict")
-        path = tmp_path / "both.txt"
-        with pytest.raises(ConfigError, match="name the same file"):
-            write_outputs(result, str(path), str(tmp_path / "." / "both.txt"))
-        assert not path.exists()
+        cfg = self._write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["predict", "--config", cfg, "--report", str(tmp_path / "report.txt")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --report" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
     @pytest.mark.parametrize("lines", [
         "rho_db = 4000\nsweep_axis = alpha\nvalues = 0.5\n",
@@ -855,14 +830,15 @@ class TestCliProcess:
 
     def test_piped_run_delivers_the_report_and_every_row(self, tmp_path):
         spec = load_config(preset_path("fig6"))
-        out, report = tmp_path / "fig6.csv", tmp_path / "fig6.txt"
+        out = tmp_path / "fig6.csv"
         proc = run_process(["-m", "mimopam.cli", "predict", "--config", str(preset_path("fig6")),
-                            "--out", str(out), "--report", str(report)])
+                            "--out", str(out)])
         assert (proc.returncode, proc.stderr) == (0, "")
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(spec.values) * len(spec.decoders)
-        assert proc.stdout == report.read_text() + f"wrote {len(rows)} rows to {out}\n"
+        report = (GOLDEN / "predict_fig6.txt").read_text(encoding="utf-8")
+        assert proc.stdout == report + f"wrote {len(rows)} rows to {out}\n"
 
     def test_config_error_is_exit_2_with_its_whole_message(self, tmp_path):
         missing, out = tmp_path / "nope.cfg", tmp_path / "x.csv"

@@ -50,6 +50,8 @@ DEGENERATE_T_TOL = 1e-9
 # knob grids: lam~ = lam / lambda* (0 kept only when n > k) and t / t_ref
 LAM_TILDE_GRID = (0.0,) + tuple(10.0 ** (e / 4.0) for e in range(-24, 25))
 T_GRID = tuple(2.0 ** (e / 5.0) for e in range(-15, 21))
+# t / t_ref below T_GRID at its ratio, down to 1/256, sampled only while theta* falls
+T_GRID_BELOW = tuple(2.0 ** (e / 5.0) for e in range(-16, -41, -1))
 
 
 def qfunc(x: float) -> float:
@@ -75,33 +77,39 @@ def upsilon(lambda_prime: float, delta: float) -> float:
     return (-a + math.sqrt(a * a + 4.0 * lambda_prime * delta)) / (2.0 * delta)
 
 
-def rls_theta_star(rho_eff: float, lam_tilde: float, delta: float) -> float:
-    """Closed-form scalar solution for the ridge decoder.
+class ScalarSolution(NamedTuple):
+    """Solution of a scalar saddle problem (closed form or numeric).
 
-    theta* = sqrt((rho_eff (u/(1+u))^2 + 1) / (delta - 1/(1+u)^2)) with
-    u = upsilon(lam~ / rho_eff, delta). The denominator must be positive,
+    stationarity_residual is set on the box path only.
+    """
+
+    theta_star: float
+    beta_star: float
+    b_norm: float
+    stationarity_residual: float | None = None
+
+
+def ridge_solution(rho_eff: float, lam_tilde: float, delta: float) -> ScalarSolution:
+    """Closed-form scalar solution (theta*, beta*, B) of the ridge decoder.
+
+    With lam' = lam~ / rho_eff and u = upsilon(lam', delta):
+    theta* = sqrt((rho_eff (u/(1+u))^2 + 1) / (delta - 1/(1+u)^2)),
+    beta* = 2((delta - lam' - 1) + delta u) theta* and B = 1/(1+u). beta*
+    equals 2 lam' theta* / u when lam~ > 0, but this form stays finite in
+    the lam~ -> 0 limit as well. The denominator of theta* must be positive,
     which holds for any lam~ > 0 and for lam~ = 0 when delta > 1.
     """
-    u = upsilon(lam_tilde / rho_eff, delta)
+    lp = lam_tilde / rho_eff
+    u = upsilon(lp, delta)
     shrink = u / (1.0 + u)
     den = delta - 1.0 / (1.0 + u) ** 2
     if den <= 0:
         raise ConfigError(
             f"theta* undefined: delta={delta} <= 1/(1+upsilon)^2 at lam~={lam_tilde}"
         )
-    return math.sqrt((rho_eff * shrink * shrink + 1.0) / den)
-
-
-def rls_beta_star(theta_star: float, rho_eff: float, lam_tilde: float, delta: float) -> float:
-    """Companion dual scalar: beta* = 2((delta - lam' - 1) + delta*u) theta*
-    with lam' = lam~ / rho_eff.
-
-    Equals 2 lam' theta* / u when lam~ > 0, but this form stays finite in the
-    lam~ -> 0 limit as well.
-    """
-    lp = lam_tilde / rho_eff
-    u = upsilon(lp, delta)
-    return 2.0 * ((delta - lp - 1.0) + delta * u) * theta_star
+    theta = math.sqrt((rho_eff * shrink * shrink + 1.0) / den)
+    beta = 2.0 * ((delta - lp - 1.0) + delta * u) * theta
+    return ScalarSolution(theta_star=theta, beta_star=beta, b_norm=1.0 / (1.0 + u))
 
 
 def mse_from_theta(theta_star: float, rho_eff: float, delta: float) -> float:
@@ -277,6 +285,12 @@ def _bracket_root(f, x: float) -> float:
     raise ConvergenceError(f"no sign change within {BRACKET_STEPS} bracket steps (last x={x:.3e})")
 
 
+def _ridge_start(params: BoxObjectiveParams) -> ScalarSolution:
+    """The ridge closed form at params, where the box saddle searches start;
+    lam~ is floored just above 0 so that a start exists at lam~ = 0, delta <= 1."""
+    return ridge_solution(params.rho_eff, max(params.lam_tilde, 1e-12), params.delta)
+
+
 def box_theta_min(
     params: BoxObjectiveParams,
     beta: float,
@@ -292,7 +306,7 @@ def box_theta_min(
     """
     hint = theta_hint
     if hint is None or not math.isfinite(hint) or hint <= 0:
-        hint = rls_theta_star(params.rho_eff, max(params.lam_tilde, 1e-12), params.delta)
+        hint = _ridge_start(params).theta_star
     terms = None
 
     def slope(th: float) -> float:
@@ -302,18 +316,6 @@ def box_theta_min(
 
     theta = _bracket_root(slope, hint)
     return (theta, *terms)
-
-
-class ScalarSolution(NamedTuple):
-    """Solution of a scalar saddle problem (closed form or numeric).
-
-    stationarity_residual is set on the box path only.
-    """
-
-    theta_star: float
-    beta_star: float
-    b_norm: float
-    stationarity_residual: float | None = None
 
 
 def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None) -> ScalarSolution:
@@ -329,10 +331,9 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
     """
     if params.lam_tilde < 0 or params.t <= 0 or params.delta <= 0:
         raise ValueError("need lam_tilde >= 0, t > 0, delta > 0")
-    lam_safe = max(params.lam_tilde, 1e-12)
-    theta = rls_theta_star(params.rho_eff, lam_safe, params.delta)
+    theta, beta_start, _, _ = _ridge_start(params)
     if beta_hint is None:
-        beta_hint = max(rls_beta_star(theta, params.rho_eff, lam_safe, params.delta), 1e-8)
+        beta_hint = max(beta_start, 1e-8)
     terms = None
 
     def neg_slope(beta: float) -> float:
@@ -407,12 +408,22 @@ def _theta_of(params: BoxObjectiveParams, knob: str):
     return f
 
 
-def _grid_argmin(f, grid) -> float:
+def _grid_argmin(f, grid, below=()) -> float:
     """argmin of f over the sorted grid, refined by golden section between the
-    neighbours of the best sample; a best sample at either end is returned as
-    is. Sampling the whole grid finds the best of several local minima."""
+    neighbours of the best sample; sampling the whole grid finds the best of
+    several local minima. A best sample at the low end steps on down the
+    descending points below while f strictly falls (ConvergenceError if it
+    falls at the last); else a best sample at either end is returned as is."""
     vals = [f(x) for x in grid]
     j = vals.index(min(vals))
+    if j == 0 and below:
+        best, f_best, above = grid[0], vals[0], grid[1]
+        for x in below:
+            fx = f(x)
+            if not fx < f_best:
+                return _golden_min(f, x, above, rel_tol=SCALAR_SEARCH_TOL)
+            best, f_best, above = x, fx, best
+        raise ConvergenceError(f"theta* still falls at the search floor {best:.6g}")
     if j == 0 or j == len(grid) - 1:
         return grid[j]
     return _golden_min(f, grid[j - 1], grid[j + 1], rel_tol=SCALAR_SEARCH_TOL)
@@ -432,10 +443,11 @@ def lambda_star_numeric(params: BoxObjectiveParams) -> float:
 
 def t_star_numeric(params: BoxObjectiveParams) -> float:
     """argmin over t > 0 of the box decoder's theta*(t) at params.lam_tilde,
-    searched over t / t_ref on T_GRID with t_ref the largest symbol."""
+    searched over t / t_ref on T_GRID, and below it on T_GRID_BELOW while
+    theta* falls, with t_ref the largest symbol."""
     t_ref = largest_symbol(params.m)
     theta_of = _theta_of(params, "t")
-    return _grid_argmin(lambda r: theta_of(r * t_ref), T_GRID) * t_ref
+    return _grid_argmin(lambda r: theta_of(r * t_ref), T_GRID, T_GRID_BELOW) * t_ref
 
 
 class Prediction(NamedTuple):
@@ -456,10 +468,7 @@ def scalar_solution(p: BoxObjectiveParams, beta_hint: float | None = None) -> Sc
     solved in closed form. beta_hint starts the box saddle search."""
     if math.isfinite(p.t):
         return box_saddle_solve(p, beta_hint=beta_hint)
-    theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
-    beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
-    u = upsilon(p.lam_tilde / p.rho_eff, p.delta)
-    return ScalarSolution(theta_star=theta, beta_star=beta, b_norm=1.0 / (1.0 + u))
+    return ridge_solution(p.rho_eff, p.lam_tilde, p.delta)
 
 
 def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:

@@ -204,8 +204,8 @@ def box_rls_solve(
             upper, lower = predicted
         free = np.flatnonzero(~(upper | lower))
         x = np.where(upper, t, np.where(lower, -t, 0.0))
-        # take copies, so shifting the block's diagonal leaves gram as it is
-        block = gram.take(free, 0).take(free, 1)
+        # fancy indexing copies, so shifting the block's diagonal leaves gram as it is
+        block = gram[np.ix_(free, free)]
         block.flat[::free.size + 1] += lam
         # numpy has no triangular solve and scipy is no runtime dependency,
         # so the SPD free block is factored by LU (LAPACK gesv); x is 0 on

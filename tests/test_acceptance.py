@@ -29,7 +29,7 @@ from scipy.integrate import quad
 import mimopam as mp
 from mimopam.asymptotics import (
     box_saddle_solve, box_theta_min, lambda_star_numeric, mse_from_theta, optimize_goodput, qfunc,
-    rls_beta_star, rls_theta_star, t_star_numeric,
+    ridge_solution, t_star_numeric,
 )
 from mimopam.decoders import lmmse_decode
 from mimopam.presets import preset_path
@@ -184,7 +184,7 @@ class TestCriterion2:
                 dp = mp.derive_params(cfg)
                 lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
                 params = theory_point(cfg, lam=lam, t=1e6)
-                want = rls_theta_star(params.rho_eff, params.lam_tilde, params.delta)
+                want = ridge_solution(params.rho_eff, params.lam_tilde, params.delta).theta_star
                 sol = box_saddle_solve(params)
                 assert sol.theta_star == pytest.approx(want, rel=1e-9), f"rho={rho_db}dB"
 
@@ -323,7 +323,7 @@ class TestCriterion7:
             dp = mp.derive_params(cfg)
             for lam in np.geomspace(0.02, 8.0, 30):
                 p = theory_point(cfg, lam=lam)
-                theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+                theta = ridge_solution(p.rho_eff, p.lam_tilde, p.delta).theta_star
                 mse = mse_from_theta(theta, p.rho_eff, p.delta)
                 direct = rls_sep(theta, p.rho_eff, cfg.m)
                 via_mse = 2 * (1 - 1 / cfg.m) * qfunc(
@@ -337,8 +337,7 @@ class TestCriterion8:
             cfg = fig2_cfg(10)
             for lam in (0.2, 0.8, 2.5):
                 p = theory_point(cfg, lam=lam)
-                theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
-                beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
+                theta, beta = ridge_solution(p.rho_eff, p.lam_tilde, p.delta)[:2]
                 f_t, f_b = rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde,
                                                       p.delta)
                 assert max(abs(f_t), abs(f_b)) <= 1e-8

@@ -47,15 +47,14 @@ from mimopam.asymptotics import (
     lambda_star_numeric,
     mse_from_theta,
     qfunc,
-    rls_beta_star,
-    rls_theta_star,
+    ridge_solution,
     scalar_solution,
     t_star_numeric,
     upsilon,
 )
 from mimopam.errors import DegenerateThresholdError
 from mimopam.runner import LambdaPolicy, SweepAxis, TPolicy, resolve_decoder
-from mimopam.system import lambda_star_rls, pam_points
+from mimopam.system import lambda_star_rls, largest_symbol, pam_points
 
 # Published theory values for the K=400, N=480, T=1000, T_p=456, alpha=0.5,
 # BPSK scenario under the direct power split, ridge decoder at the optimal
@@ -110,7 +109,7 @@ def lmmse_mse_closed_form(rho_eff, delta):
 
 
 def unit_ls(rho_eff, delta, m=2):
-    theta = rls_theta_star(rho_eff, 0.0, delta)
+    theta = ridge_solution(rho_eff, 0.0, delta).theta_star
     return mse_from_theta(theta, rho_eff, delta), rls_sep(theta, rho_eff, m)
 
 
@@ -141,7 +140,7 @@ class TestRlsClosedForms:
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_RLS_MSE.items()))
     def test_reference_mse_via_theta(self, rho_db, want):
         p = box_params(rho_db, lam=fig2_lambda_star(rho_db), t=math.inf)
-        theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+        theta = ridge_solution(p.rho_eff, p.lam_tilde, p.delta).theta_star
         assert mse_from_theta(theta, p.rho_eff, p.delta) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_RLS_MSE.items()))
@@ -151,13 +150,13 @@ class TestRlsClosedForms:
 
     def test_unit_plugin_matches_ls(self):
         # rho_eff = 1, lam~ = 0, delta = 2
-        theta = rls_theta_star(1.0, 0.0, 2.0)
+        theta = ridge_solution(1.0, 0.0, 2.0).theta_star
         assert mse_from_theta(theta, 1.0, 2.0) == pytest.approx(1.0, rel=1e-12)
         assert ls_mse_closed_form(1.0, 2.0) == pytest.approx(1.0)
 
     def test_infeasible_square_system_without_regularization(self):
         with pytest.raises(ConfigError):
-            rls_theta_star(1.0, 0.0, 1.0)
+            ridge_solution(1.0, 0.0, 1.0)
 
     def test_sep_limits(self):
         assert rls_sep(1e12, 1.0, 4) == pytest.approx(2 * (1 - 0.25) * 0.5, rel=1e-9)
@@ -167,7 +166,7 @@ class TestRlsClosedForms:
         _, _, _, delta, rho_eff = fig2_scalars(10)
         for lam in np.geomspace(0.01, 10.0, 25):
             p = box_params(10, lam=lam, t=math.inf)
-            theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+            theta = ridge_solution(p.rho_eff, p.lam_tilde, p.delta).theta_star
             mse = mse_from_theta(theta, p.rho_eff, p.delta)
             direct = rls_sep(theta, p.rho_eff, 2)
             via_mse = 2 * (1 - 0.5) * qfunc(math.sqrt(delta / (1.0 * (mse + 1.0 / rho_eff))))
@@ -177,8 +176,7 @@ class TestRlsClosedForms:
         for rho_db in (0, 10, 20):
             for lam in (0.3, 1.0, 2.7):
                 p = box_params(rho_db, lam=lam, t=math.inf)
-                theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
-                beta = rls_beta_star(theta, p.rho_eff, p.lam_tilde, p.delta)
+                theta, beta = ridge_solution(p.rho_eff, p.lam_tilde, p.delta)[:2]
                 f_t, f_b = rls_stationarity_residuals(theta, beta, p.rho_eff, p.lam_tilde, p.delta)
                 assert abs(f_t) <= 1e-8 and abs(f_b) <= 1e-8
 
@@ -198,7 +196,7 @@ class TestLambdaStar:
         rho_d, _, s_d2, delta, rho_eff = fig2_scalars(10)
         lam_star = lambda_star_rls(rho_d, s_d2)
         grid = np.linspace(1e-4, 2.0, 20_001)
-        thetas = [rls_theta_star(rho_eff, l / lam_star, delta) for l in grid]
+        thetas = [ridge_solution(rho_eff, l / lam_star, delta).theta_star for l in grid]
         assert grid[int(np.argmin(thetas))] == pytest.approx(lam_star, abs=2e-4)
 
     def test_numeric_search_agrees_with_closed_form(self):
@@ -222,7 +220,7 @@ class TestLambdaStar:
 
     def test_optimal_mse_forms_agree_off_the_reference_grid(self):
         p = box_params(7, lam=fig2_lambda_star(7), t=math.inf)
-        theta = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+        theta = ridge_solution(p.rho_eff, p.lam_tilde, p.delta).theta_star
         via_theta = mse_from_theta(theta, p.rho_eff, p.delta)
         assert lmmse_mse_closed_form(p.rho_eff, p.delta) == pytest.approx(via_theta, rel=1e-10)
 
@@ -263,6 +261,33 @@ class TestKnobSearch:
             return box_saddle_solve(point._replace(t=x)).theta_star
         best = theta(t)
         assert all(best <= theta(r * t_ref) * (1 + 1e-12) for r in asymptotics.T_GRID)
+
+    def test_threshold_search_goes_below_the_grid_floor(self):
+        # theta*(t) still falls at t_ref/8, the low end of T_GRID: theta* at
+        # t_ref/16 is 4.8e-5 lower (relative), and the minimum is near 0.083 t_ref
+        point = BoxObjectiveParams(10**-1.5, 1e-3, 0.8, largest_symbol(8), 8)
+        t_ref = largest_symbol(8)
+        t = t_star_numeric(point)
+        assert t < asymptotics.T_GRID[0] * t_ref
+
+        def theta(x):
+            return box_saddle_solve(point._replace(t=x)).theta_star
+        best = theta(t)
+        sampled = asymptotics.T_GRID + asymptotics.T_GRID_BELOW
+        assert all(best <= theta(r * t_ref) for r in sampled)
+
+    def test_threshold_search_ends_where_theta_is_flat_below_the_floor(self):
+        # theta*(t) is flat from about t_ref/20 up, so the step below t_ref/8
+        # does not fall and the search refines next to the floor
+        point = BoxObjectiveParams(10**-0.63, 100.0, 1.2, largest_symbol(2), 2)
+        t = t_star_numeric(point)
+        assert asymptotics.T_GRID_BELOW[-1] <= t <= asymptotics.T_GRID[1]
+
+    def test_grid_floor_extension_is_bounded(self):
+        grid, below = (1.0, 2.0, 4.0), (0.5, 0.25)
+        assert _grid_argmin(lambda x: abs(x - 0.5), grid, below) == pytest.approx(0.5, abs=1e-5)
+        with pytest.raises(ConvergenceError, match="search floor 0.25"):
+            _grid_argmin(lambda x: x, grid, below)
 
 
 class TestLsForms:
@@ -399,7 +424,7 @@ class TestBoxSaddle:
         for rho_db in (0, 20):
             p = box_params(rho_db, lam=fig2_lambda_star(rho_db), t=1e6)
             sol = box_saddle_solve(p)
-            want = rls_theta_star(p.rho_eff, p.lam_tilde, p.delta)
+            want = ridge_solution(p.rho_eff, p.lam_tilde, p.delta).theta_star
             assert sol.theta_star == pytest.approx(want, rel=1e-9)
 
     def test_reference_box_mse_at_20db(self):

@@ -285,28 +285,17 @@ def _bracket_root(f, x: float) -> float:
     raise ConvergenceError(f"no sign change within {BRACKET_STEPS} bracket steps (last x={x:.3e})")
 
 
-def _ridge_start(params: BoxObjectiveParams) -> ScalarSolution:
-    """The ridge closed form at params, where the box saddle searches start;
-    lam~ is floored just above 0 so that a start exists at lam~ = 0, delta <= 1."""
-    return ridge_solution(params.rho_eff, max(params.lam_tilde, 1e-12), params.delta)
-
-
 def box_theta_min(
-    params: BoxObjectiveParams,
-    beta: float,
-    theta_hint: float | None = None,
+    params: BoxObjectiveParams, beta: float, theta_hint: float
 ) -> tuple[float, float, float, float]:
     """Inner minimization min_theta D(theta, beta); returns the minimizer theta
     and (D, dD/dtheta, dD/dbeta) there.
 
     D is convex in theta and diverges at both ends of (0, inf), so the
-    minimizer is the root of dD/dtheta, bracketed outward from theta_hint
-    (default: the ridge closed form). The root is the last point the search
-    evaluated, so its kernel terms are the last ones computed.
+    minimizer is the root of dD/dtheta, bracketed outward from theta_hint > 0.
+    The root is the last point the search evaluated, so its kernel terms are
+    the last ones computed.
     """
-    hint = theta_hint
-    if hint is None or not math.isfinite(hint) or hint <= 0:
-        hint = _ridge_start(params).theta_star
     terms = None
 
     def slope(th: float) -> float:
@@ -314,7 +303,7 @@ def box_theta_min(
         terms = _box_terms(th, beta, params)
         return terms[1]
 
-    theta = _bracket_root(slope, hint)
+    theta = _bracket_root(slope, theta_hint)
     return (theta, *terms)
 
 
@@ -325,13 +314,16 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
     Danskin's theorem g'(beta) = dD/dbeta at the inner minimizer. Its root is
     bracketed outward from beta_hint (default: the ridge closed form; pass the
     last beta* when sweeping a knob); each evaluation of g' runs box_theta_min
-    warm-started at the last theta. The returned solution carries the analytic
-    stationarity residual max(|dD/dtheta|, |dD/dbeta|); a residual above the
-    hard threshold raises ConvergenceError.
+    warm-started at the last theta, the first at the ridge closed form's. The
+    returned solution carries the analytic stationarity residual
+    max(|dD/dtheta|, |dD/dbeta|); a residual above the hard threshold raises
+    ConvergenceError.
     """
     if params.lam_tilde < 0 or params.t <= 0 or params.delta <= 0:
         raise ValueError("need lam_tilde >= 0, t > 0, delta > 0")
-    theta, beta_start, _, _ = _ridge_start(params)
+    # lam~ floored just above 0 so that a ridge start exists at lam~ = 0, delta <= 1
+    theta, beta_start, _, _ = ridge_solution(params.rho_eff, max(params.lam_tilde, 1e-12),
+                                             params.delta)
     if beta_hint is None:
         beta_hint = max(beta_start, 1e-8)
     terms = None
@@ -359,35 +351,29 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
 def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> float:
     """Limiting SEP of the box decoder for a general threshold.
 
-    Four indicator groups cover inner symbols whose decision region is fully
-    inside the box, partially clipped, or entirely outside, plus the edge
-    symbols. The SEP jumps where t/B crosses a decision boundary 2j/sqrt(E),
-    j = 1..M/2-1, so thresholds exactly there are rejected as degenerate (BPSK
-    has none). At t = inf every symbol is inside the box and the sum is the
-    ridge decoder's 2(1 - 1/M) Q(sqrt(rho_eff / E) / theta*).
+    With q = Q(sqrt(rho_eff / E) / theta*), the box clip at r = t/B reaches
+    the first h = min(M/2, floor(r sqrt(E)/2) + 1) of the positive symbols
+    1..M/2: symbols below h err on both sides (2q), symbol h only inward (q)
+    and those above h always, so SEP = (2/M)((2h - 1) q + M/2 - h). The SEP
+    jumps where r crosses a decision boundary 2j/sqrt(E), j = 1..M/2-1, so
+    thresholds there are rejected as degenerate (BPSK has none). At t = inf,
+    h = M/2 and the SEP is the ridge decoder's 2(1 - 1/M) q.
     """
     m = params.m
-    sqrt_e = math.sqrt(pam_energy(m))
+    energy = pam_energy(m)
+    sqrt_e = math.sqrt(energy)
     ratio = params.t / b_norm
-    for j in range(2, m - 1, 2):
-        if abs(ratio - j / sqrt_e) < DEGENERATE_T_TOL:
+    reach = ratio * sqrt_e / 2.0  # r in units of the boundary spacing 2/sqrt(E)
+    h = m // 2
+    if reach < h:
+        j = round(reach)
+        if 1 <= j < h and abs(ratio - 2 * j / sqrt_e) < DEGENERATE_T_TOL:
             raise DegenerateThresholdError(
-                f"t / B = {ratio!r} sits on the degenerate decision boundary {j}/sqrt(E)"
+                f"t / B = {ratio!r} sits on the degenerate decision boundary {2 * j}/sqrt(E)"
             )
-    q = qfunc(math.sqrt(params.rho_eff / pam_energy(m)) / theta_star)
-    sep = 0.0
-    for i in range(1, m - 2, 2):
-        if ratio >= (i + 1) / sqrt_e:
-            sep += 4.0 / m * q
-        if (i - 1) / sqrt_e <= ratio <= (i + 1) / sqrt_e:
-            sep += 2.0 / m * q
-        if ratio <= (i - 1) / sqrt_e:
-            sep += 2.0 / m
-    if ratio >= (m - 2) / sqrt_e:
-        sep += 2.0 / m * q
-    if ratio <= (m - 2) / sqrt_e:
-        sep += 2.0 / m
-    return sep
+        h = math.floor(reach) + 1
+    q = qfunc(math.sqrt(params.rho_eff / energy) / theta_star)
+    return 2.0 / m * ((2 * h - 1) * q + (m // 2 - h))
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,10 @@ def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
 
 
 class PowerSplit(NamedTuple):
-    """The data power ratio maximizing rho_eff, vartheta (nan at tau_d = 1)
-    and the branch of the closed form that gave it."""
+    """The data power ratio maximizing rho_eff and the branch of the closed
+    form that gave it."""
 
     alpha_star: float
-    vartheta: float
     branch: str
 
 
@@ -183,12 +182,12 @@ def alpha_star(cfg: SystemConfig) -> PowerSplit:
     dp = derive_params(cfg)
     rt = cfg.rho * dp.tau
     if dp.tau_d == 1.0:
-        return PowerSplit(0.5, math.nan, "tau_d=1")
+        return PowerSplit(0.5, "tau_d=1")
     vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / dp.tau_d))
     root = math.sqrt(vartheta * (vartheta - 1.0))
     if dp.tau_d > 1.0:
-        return PowerSplit(vartheta - root, vartheta, "tau_d>1")
-    return PowerSplit(vartheta + root, vartheta, "tau_d<1")
+        return PowerSplit(vartheta - root, "tau_d>1")
+    return PowerSplit(vartheta + root, "tau_d<1")
 
 
 def _check_pam_order(m: int) -> None:

@@ -1,8 +1,8 @@
 """Reference implementations that the tests compare the package against,
 closed forms and diagnostics that only the tests use (rho_eff_of_alpha,
-rls_sep, rls_stationarity_residuals, and box_objective and
-gaussian_partial_second_moment over the package's kernels), and test-only
-helpers such as draw_trial and write_config."""
+rls_sep, box_sep_by_indicators, rls_stationarity_residuals, and
+box_objective and gaussian_partial_second_moment over the package's
+kernels), and test-only helpers such as draw_trial and write_config."""
 
 import math
 
@@ -10,11 +10,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from mimopam import ConfigError, derive_params
-from mimopam.asymptotics import BoxObjectiveParams, _box_terms, _tail_moment, qfunc
+from mimopam.asymptotics import (
+    DEGENERATE_T_TOL,
+    BoxObjectiveParams,
+    _box_terms,
+    _tail_moment,
+    qfunc,
+)
+from mimopam.errors import DegenerateThresholdError
 from mimopam.decoders import box_rls_solve, rls_solve
 from mimopam.runner import LambdaPolicy, TPolicy
 from mimopam.simulate import draw_shared, estimate_channel
-from mimopam.system import pam_points
+from mimopam.system import pam_energy, pam_points
 
 
 def theory_point(cfg, lam=0.0, t=math.inf):
@@ -52,6 +59,39 @@ def rls_sep(theta_star: float, rho_eff: float, m: int) -> float:
         raise ValueError("theta_star must be positive")
     energy_e = (m * m - 1) / 3.0
     return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_eff / energy_e) / theta_star)
+
+
+def box_sep_by_indicators(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> float:
+    """Limiting SEP of the box decoder summed symbol by symbol, the form
+    that asymptotics.box_sep reduces to one count.
+
+    Four indicator groups cover inner symbols whose decision region is fully
+    inside the box, partially clipped, or entirely outside, plus the edge
+    symbols. Thresholds with t/B on a decision boundary 2j/sqrt(E),
+    j = 1..M/2-1, are rejected as degenerate.
+    """
+    m = params.m
+    sqrt_e = math.sqrt(pam_energy(m))
+    ratio = params.t / b_norm
+    for j in range(2, m - 1, 2):
+        if abs(ratio - j / sqrt_e) < DEGENERATE_T_TOL:
+            raise DegenerateThresholdError(
+                f"t / B = {ratio!r} sits on the degenerate decision boundary {j}/sqrt(E)"
+            )
+    q = qfunc(math.sqrt(params.rho_eff / pam_energy(m)) / theta_star)
+    sep = 0.0
+    for i in range(1, m - 2, 2):
+        if ratio >= (i + 1) / sqrt_e:
+            sep += 4.0 / m * q
+        if (i - 1) / sqrt_e <= ratio <= (i + 1) / sqrt_e:
+            sep += 2.0 / m * q
+        if ratio <= (i - 1) / sqrt_e:
+            sep += 2.0 / m
+    if ratio >= (m - 2) / sqrt_e:
+        sep += 2.0 / m * q
+    if ratio <= (m - 2) / sqrt_e:
+        sep += 2.0 / m
+    return sep
 
 
 def rls_stationarity_residuals(

@@ -347,7 +347,8 @@ class TestCriterion8:
             assert sol.stationarity_residual <= 1e-6
 
             betas = np.linspace(0.5 * sol.beta_star, 1.5 * sol.beta_star, 50)
-            profile = np.array([box_theta_min(params, b)[1] for b in betas])
+            profile = np.array([box_theta_min(params, b, theta_hint=sol.theta_star)[1]
+                                for b in betas])
             second_diff = profile[:-2] - 2 * profile[1:-1] + profile[2:]
             assert np.all(second_diff <= 1e-8)
 

@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     box_objective,
     box_objective_quadrature,
+    box_sep_by_indicators,
     gauss_pdf,
     gaussian_partial_second_moment,
     rls_sep,
@@ -479,7 +480,7 @@ class TestBoxSaddle:
         p = box_params(10, lam=0.4, t=1.0)
         sol = box_saddle_solve(p)
         betas = np.linspace(0.6 * sol.beta_star, 1.4 * sol.beta_star, 21)
-        profile = np.array([box_theta_min(p, b)[1] for b in betas])
+        profile = np.array([box_theta_min(p, b, theta_hint=sol.theta_star)[1] for b in betas])
         second_diff = profile[:-2] - 2 * profile[1:-1] + profile[2:]
         assert np.all(second_diff <= 1e-8)
 
@@ -573,6 +574,27 @@ class TestBoxSep:
         # t / B = 1 is the symbol itself, a legal threshold
         p = box_params(10, lam=0.0, t=1.0)
         assert box_sep(0.8, 1.0, p) == pytest.approx(qfunc(math.sqrt(p.rho_eff) / 0.8), rel=1e-12)
+
+    @pytest.mark.parametrize("b_norm", [0.3, 1.0])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_closed_form_matches_the_indicator_sum(self, m, b_norm):
+        # thresholds on and within 1e-8 of every lattice point j/sqrt(E), and t = inf
+        sqrt_e = math.sqrt((m * m - 1) / 3.0)
+        ratios = [j / sqrt_e * (1.0 + d) for j in range(1, m + 2)
+                  for d in (0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-8, -1e-8)] + [math.inf]
+        for ratio in ratios:
+            p = box_params(10, lam=0.3, t=ratio * b_norm, m=m)
+            try:
+                want = box_sep_by_indicators(0.8, b_norm, p)
+            except DegenerateThresholdError as exc:
+                with pytest.raises(DegenerateThresholdError) as got:
+                    box_sep(0.8, b_norm, p)
+                assert str(got.value) == str(exc)
+                continue
+            if m == 2:
+                assert box_sep(0.8, b_norm, p) == want
+            else:
+                assert box_sep(0.8, b_norm, p) == pytest.approx(want, rel=2e-15, abs=1e-300)
 
 
 class TestPredict:

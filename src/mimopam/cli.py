@@ -8,9 +8,10 @@ Exit codes: 0 success, 2 config error, 3 solver non-convergence in any row,
 
 OpenBLAS, OpenMP and MKL read their thread counts once, when numpy loads,
 and the package loads numpy only on the first Monte Carlo trial. So main
-caps them at one thread before it runs: run_batch's worker threads each call
-into BLAS, and uncapped every call would start its own team of BLAS threads
-on top of them. A value set in the environment wins.
+caps them at one thread before it runs: run_batch decodes on the calling
+thread and its helper threads, each of which calls into BLAS, and uncapped
+every call would start its own team of BLAS threads on top of them. A value
+set in the environment wins.
 
 `python -m mimopam.cli` and the `mimopam` console script run run_and_exit,
 not main. Once main has returned and stdout and stderr are flushed, it runs
@@ -52,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output CSV path (default <mode>.csv)")
     parser.add_argument("--trials", type=int, default=None, help="override trial count")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="Monte Carlo decoding threads, the calling thread included")
     return parser
 
 

@@ -205,12 +205,14 @@ def run_batch(
     result holds, per point, one entry per spec. Trial i is drawn once for
     all points (draw_shared), and each (point, spec) decodes it with
     run_trial; a trial solves each distinct ridge shift once
-    (SharedTrial.ridge_basis). Trials are indexed 0..trials-1 and
-    aggregated in index order, so the result is identical whether they were
-    computed sequentially or by a thread pool, and an entry does not depend
-    on the other specs or points. Every trial decodes every spec; a spec
-    whose solver fails gets the error of its lowest failing trial index
-    instead.
+    (SharedTrial.ridge_basis). The calling thread and min(workers, trials)
+    - 1 helper threads each take the next trial index from one locked
+    counter until none is left. Trials are aggregated in index order, so the
+    result is identical for every worker count, and an entry does not
+    depend on the other specs or points. Every trial decodes every spec; a
+    spec whose solver fails gets the error of its lowest failing trial
+    index instead. Any other exception stops the handing out of indices and
+    is raised here once every helper has finished its trial.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -221,20 +223,40 @@ def run_batch(
         raise ConfigError(f"the points of a batch must share (n, k, m), got {sorted(shapes)}")
     [(n, k, m)] = shapes
 
+    import threading
+
+    # its own frame, so a thread's last draw is freed before it draws the next
     def one(idx: int) -> list[list[TrialOutcome | ConvergenceError]]:
         shared = draw_shared(n, k, m, master_seed, idx)
         return [[_decode(cfg, spec, shared, b_norm) for spec, b_norm in specs]
                 for cfg, specs in points]
 
-    if workers > 1:
-        # lazy: concurrent.futures loads logging, queue and traceback, 7-11 ms
-        # on every CLI start that never runs a pool
-        from concurrent.futures import ThreadPoolExecutor
+    per_trial: list = [None] * trials
+    lock = threading.Lock()
+    handed_out = 0
+    faults: list[BaseException] = []
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(one, range(trials)))
-    else:
-        per_trial = [one(i) for i in range(trials)]
+    def work() -> None:
+        nonlocal handed_out
+        try:
+            while True:
+                with lock:
+                    if faults or handed_out == trials:
+                        return
+                    idx = handed_out
+                    handed_out += 1
+                per_trial[idx] = one(idx)
+        except BaseException as exc:
+            faults.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, trials) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if faults:
+        raise faults[0]
     results: list[list[BatchStats | ConvergenceError]] = []
     for p, (_, specs) in enumerate(points):
         entries: list[BatchStats | ConvergenceError] = []

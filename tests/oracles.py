@@ -1,7 +1,7 @@
 """Reference implementations that the tests compare the package against,
 closed forms and diagnostics that only the tests use (rho_eff_of_alpha,
-rls_sep, box_sep_by_indicators, rls_stationarity_residuals, and
-box_objective and gaussian_partial_second_moment over the package's
+rls_sep, ls_bpsk_ser_exact, box_sep_by_indicators, rls_stationarity_residuals,
+and box_objective and gaussian_partial_second_moment over the package's
 kernels), and test-only helpers such as draw_trial and write_config."""
 
 import math
@@ -59,6 +59,35 @@ def rls_sep(theta_star: float, rho_eff: float, m: int) -> float:
         raise ValueError("theta_star must be positive")
     energy_e = (m * m - 1) / 3.0
     return 2.0 * (1.0 - 1.0 / m) * qfunc(math.sqrt(rho_eff / energy_e) / theta_star)
+
+
+def ls_bpsk_ser_exact(rho_eff: float, n: int, k: int, nodes: int = 1000) -> float:
+    """Exact mean SER of LS on BPSK at finite (N, K): E[Q(s R)], s^2 =
+    rho_eff / K and R^2 chi-square with N - K + 1 degrees of freedom.
+
+    Given the channel, coordinate i's LS error is Gaussian with variance
+    [(A'A)^-1]_ii = 1 / (s^2 R_i^2), since 1 / [(Z'Z)^-1]_ii of a Wishart
+    Z'Z is chi-square with N - K + 1 degrees of freedom (Muirhead, Aspects
+    of Multivariate Statistical Theory, 1982, section 3.2); BPSK's noise
+    variance is 1 and LS's B is 1. The integral over R is the trapezoid rule
+    in y = log R on a fixed grid of nodes + 1 points: the integrand decays
+    like exp(nu y) below its peak and doubly exponentially above it, so the
+    rule converges geometrically. The grid spans 16 / sqrt(nu) beyond the
+    peaks of the chi density alone (R^2 = nu) and of its product with the
+    Gaussian tail (R^2 ~ nu / (1 + s^2)).
+    """
+    nu = n - k + 1
+    s = math.sqrt(rho_eff / k)
+    log_norm = (0.5 * nu - 1.0) * math.log(2.0) + math.lgamma(0.5 * nu)
+    margin = 16.0 / math.sqrt(nu)
+    lo = 0.5 * math.log(nu / (1.0 + s * s)) - margin
+    step = (0.5 * math.log(nu) + margin - lo) / nodes
+    total = 0.0
+    for i in range(nodes + 1):
+        y = lo + i * step
+        r = math.exp(y)
+        total += math.exp(nu * y - 0.5 * r * r - log_norm) * qfunc(s * r)
+    return total * step
 
 
 def box_sep_by_indicators(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> float:

@@ -546,7 +546,8 @@ print(json.dumps([codes, theory_numpy, "numpy" in sys.modules]))
 
     def test_cli_start_loads_no_dataclasses_pool_or_numpy(self, tmp_path):
         # measured against a bare interpreter, so modules that site loads do
-        # not count; the parallel simulate call shows that the check can fail
+        # not count; numpy loaded by the parallel simulate call shows that the
+        # check can fail, and that call runs no thread pool either
         cfg = self._write_cfg(tmp_path, trials=2)
         bare = set(run_python("import sys; print(*sys.modules)").split())
         code = f"""
@@ -555,12 +556,13 @@ import mimopam.cli
 started = sorted(sys.modules)
 mimopam.cli.main(["simulate", "--config", {cfg!r}, "--out", {str(tmp_path / "s.csv")!r},
                   "--workers", "2"])
-print(json.dumps([started, "concurrent.futures" in sys.modules]))
+print(json.dumps([started, sorted(sys.modules)]))
 """
-        started, pool_loaded = json.loads(run_python(code).splitlines()[-1])
+        started, finished = json.loads(run_python(code).splitlines()[-1])
         heavy = {"dataclasses", "concurrent.futures", "numpy"}
         assert not heavy & (set(started) - bare)
-        assert pool_loaded
+        assert "numpy" in finished
+        assert "concurrent.futures" not in finished
 
     def test_package_namespace_is_the_readme_api(self):
         exported = {name for name, value in vars(mimopam).items()

@@ -3,10 +3,17 @@ training phase (pilots, channel estimation), trials, batches."""
 
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
-from oracles import box_decode, draw_trial, explicit_training_trial, point_column, ridge_decode
+from oracles import (
+    box_decode, draw_trial, explicit_training_trial, ls_bpsk_ser_exact, point_column,
+    ridge_decode,
+)
+from scipy.integrate import quad
+from scipy.special import erfc
+from scipy.stats import chi2
 
 from mimopam import (
     BatchStats,
@@ -367,6 +374,118 @@ class TestRunBatch:
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         with pytest.raises(ConfigError):
             batch(cfg, (DecoderSpec.ls(),), trials=0, master_seed=1)
+
+
+def counting_threads(monkeypatch):
+    """Patch threading.Thread to record every thread that run_batch starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+class TestOneExecutionPath:
+    """The calling thread and min(workers, trials) - 1 helpers share one
+    counter of trial indices, for every worker count."""
+
+    CFG = scaled_cfg(10.0, k=16, n=20, t_total=40, t_pilot=19)
+
+    def test_the_calling_thread_decodes(self, monkeypatch):
+        # a helper's first trial waits until the caller has decoded one, so
+        # the helper cannot take every index before the caller asks
+        caller = threading.get_ident()
+        decoded_by = []
+        caller_decoded = threading.Event()
+        real_trial = simulate.run_trial
+
+        def recording(cfg, spec, draw, b_norm):
+            decoded_by.append(threading.get_ident())
+            if threading.get_ident() == caller:
+                caller_decoded.set()
+            else:
+                caller_decoded.wait(timeout=10.0)
+            return real_trial(cfg, spec, draw, b_norm)
+
+        monkeypatch.setattr(simulate, "run_trial", recording)
+        batch(self.CFG, (DecoderSpec.lmmse(),), trials=8, master_seed=2, workers=2)
+        assert caller in decoded_by
+        assert len(decoded_by) == 8
+        assert len(set(decoded_by)) <= 2
+
+    @pytest.mark.parametrize("workers, trials, helpers", [(1, 4, 0), (8, 2, 1), (2, 5, 1)])
+    def test_helpers_started(self, monkeypatch, workers, trials, helpers):
+        started = counting_threads(monkeypatch)
+        batch(self.CFG, (DecoderSpec.lmmse(),), trials=trials, master_seed=2, workers=workers)
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_fewer_trials_than_workers_matches_one_worker(self):
+        specs = joint_specs(self.CFG)
+        assert (batch(self.CFG, specs, trials=3, master_seed=8, workers=5)
+                == batch(self.CFG, specs, trials=3, master_seed=8, workers=1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fault_reaches_the_caller_after_the_helpers_end(self, monkeypatch, workers):
+        # run_trial raising anything but ConvergenceError is a fault, not an
+        # outcome: no later index is handed out, and it is raised once every
+        # helper has joined
+        started = counting_threads(monkeypatch)
+        trials = 6
+        index_of = {draw_trial(self.CFG, 4, idx).zw.tobytes(): idx for idx in range(trials)}
+        decoded = []
+        real_trial = simulate.run_trial
+
+        def failing_at_2(cfg, spec, draw, b_norm):
+            idx = index_of[draw.zw.tobytes()]
+            decoded.append(idx)
+            if idx == 2:
+                raise RuntimeError("fault on trial 2")
+            return real_trial(cfg, spec, draw, b_norm)
+
+        monkeypatch.setattr(simulate, "run_trial", failing_at_2)
+        with pytest.raises(RuntimeError, match="fault on trial 2"):
+            batch(self.CFG, (DecoderSpec.lmmse(),), trials=trials, master_seed=4,
+                  workers=workers)
+        assert len(started) == workers - 1
+        assert not any(thread.is_alive() for thread in started)
+        if workers == 1:
+            assert decoded == [0, 1, 2]
+
+
+class TestExactLsSer:
+    """The finite-K LS SER of BPSK, E[Q(s R)] with R^2 ~ chi2(N - K + 1)."""
+
+    @pytest.mark.parametrize("rho_db, table", [(5, 0.35883), (15, 0.1009), (25, 4.481e-5)])
+    def test_matches_scipy_quadrature_on_fig2(self, rho_db, table):
+        cfg = scaled_cfg(rho_db, k=400, n=480, t_total=1000, t_pilot=456)
+        rho_eff = derive_params(cfg).rho_eff
+        nu = cfg.n - cfg.k + 1
+        s = math.sqrt(rho_eff / cfg.k)
+        ref, _ = quad(lambda x: 0.5 * erfc(s * math.sqrt(0.5 * x)) * chi2.pdf(x, nu),
+                      0.0, nu + 60.0 * math.sqrt(2.0 * nu), points=[nu / (1.0 + s * s), nu],
+                      epsabs=0.0, epsrel=1e-13, limit=500)
+        exact = ls_bpsk_ser_exact(rho_eff, cfg.n, cfg.k)
+        assert exact == pytest.approx(ref, rel=1e-10)
+        # the values ROADMAP tabulates, to their printed digits
+        assert exact == pytest.approx(table, rel=5e-4)
+
+    def test_matches_ls_monte_carlo_at_small_k(self):
+        # two z-gates under a 1% family-wise false-alarm budget; the seed is
+        # the first one tried. At 20 dB the asymptotic SEP, 0.0103 against
+        # the exact 0.0153, fails the same gate, so the gate can fail
+        cfgs = [scaled_cfg(rho_db, k=64, n=77, t_total=160, t_pilot=73) for rho_db in (10.0, 20.0)]
+        rows = run_batch([point_of(cfg, (DecoderSpec.ls(),)) for cfg in cfgs], 1000, 17)
+        z_max = bonferroni_z(0.01, len(cfgs))
+        for cfg, [stats] in zip(cfgs, rows):
+            exact = ls_bpsk_ser_exact(derive_params(cfg).rho_eff, cfg.n, cfg.k)
+            assert abs(stats.mean_ser - exact) <= z_max * stats.stderr_ser, cfg.rho_db
+        asymptote = predict(cfgs[1], DecoderSpec.ls()).sep
+        assert abs(rows[1][0].mean_ser - asymptote) > z_max * rows[1][0].stderr_ser
 
 
 def joint_specs(cfg):

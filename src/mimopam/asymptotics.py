@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple
 
 from .decoders import DecoderSpec
-from .errors import ConfigError, ConvergenceError, DegenerateThresholdError
+from .errors import ConfigError, ConvergenceError, UndefinedTheoryError
 from .system import SystemConfig, alpha_star, derive_params, largest_symbol, pam_energy
 
 _SQRT2 = math.sqrt(2.0)
@@ -368,7 +368,7 @@ def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> flo
     if reach < h:
         j = round(reach)
         if 1 <= j < h and abs(ratio - 2 * j / sqrt_e) < DEGENERATE_T_TOL:
-            raise DegenerateThresholdError(
+            raise UndefinedTheoryError(
                 f"t / B = {ratio!r} sits on the degenerate decision boundary {2 * j}/sqrt(E)"
             )
         h = math.floor(reach) + 1
@@ -463,11 +463,12 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
 
     theta* and beta* are reported in the raw scenario's units, s times the
     saddle point at the effective SNR. The unregularized decoder needs
-    delta > 1, so lam~ = 0 with n <= k is a configuration error.
+    delta > 1, so lam~ = 0 with n <= k has no theory (UndefinedTheoryError).
     """
     dp = derive_params(cfg)
     if spec.lam_tilde == 0 and dp.delta <= 1:
-        raise ConfigError("lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
+        raise UndefinedTheoryError(
+            "lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
     params = BoxObjectiveParams(dp.rho_eff, spec.lam_tilde, dp.delta, spec.t_box, cfg.m)
     sol = scalar_solution(params)
     mse = mse_from_theta(sol.theta_star, dp.rho_eff, dp.delta)
@@ -490,7 +491,7 @@ def optimize_goodput(cfg: SystemConfig) -> GoodputOptimum:
     """Jointly optimal (t_pilot, alpha) in the goodput sense.
 
     Walks every pilot count from k to t_total - 1 (pilots are whole
-    symbols), sets alpha to the closed-form alpha* at that count and scores
+    symbols), sets alpha to alpha_star's float at that count and scores
     the point by the goodput that predict gives for LMMSE (ridge at its
     optimal coefficient). The first best count wins. Direct-split configs
     are refused, as by alpha_star.
@@ -498,7 +499,7 @@ def optimize_goodput(cfg: SystemConfig) -> GoodputOptimum:
     best = None
     for t_pilot in range(cfg.k, cfg.t_total):
         point = cfg._replace(t_pilot=t_pilot)
-        alpha = alpha_star(point).alpha_star
+        alpha = alpha_star(point)
         goodput = predict(point._replace(alpha=alpha), DecoderSpec.lmmse()).goodput
         if best is None or goodput > best.goodput:
             best = GoodputOptimum(t_pilot, alpha, goodput)

@@ -3,8 +3,9 @@
     mimopam predict|simulate|compare|optimize-power|optimize-goodput
             --config PATH [--out CSV] [--trials N] [--seed S] [--workers W]
 
-Exit codes: 0 success, 2 config error, 3 solver non-convergence in any row,
-4 theory/simulation disagreement flagged in compare mode.
+Exit codes: 0 success, 2 config error, 3 a row without a result (a solver
+failure, or no theory at that point), 4 theory/simulation disagreement
+flagged in compare mode.
 
 OpenBLAS, OpenMP and MKL read their thread counts once, when numpy loads,
 and the package loads numpy only on the first Monte Carlo trial. So main

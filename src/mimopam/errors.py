@@ -10,9 +10,9 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its required tolerance."""
 
 
-class DegenerateThresholdError(ValueError):
-    """The box threshold sits on a decision-boundary lattice point where the
-    asymptotic symbol-error expression is discontinuous."""
+class UndefinedTheoryError(ValueError):
+    """The theory has no value at this point: a box threshold on a decision
+    boundary, where the asymptotic SEP jumps, or lam = 0 with n <= k."""
 
 
 class Checked:

@@ -23,7 +23,7 @@ from .asymptotics import (
     BoxObjectiveParams, Prediction, lambda_star_numeric, optimize_goodput, predict, t_star_numeric,
 )
 from .decoders import DecoderKind, DecoderSpec
-from .errors import Checked, ConfigError, ConvergenceError, DegenerateThresholdError
+from .errors import Checked, ConfigError, ConvergenceError, UndefinedTheoryError
 from .simulate import bonferroni_z, consistency_z, run_batch
 from .system import PowerConvention, SystemConfig, alpha_star, derive_params, largest_symbol
 
@@ -281,7 +281,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     return DecoderSpec(kind, lam_tilde, t_box)
 
 
-_SOLVER_ERRORS = (ConvergenceError, DegenerateThresholdError)
+_SOLVER_ERRORS = (ConvergenceError, UndefinedTheoryError)
 # a sweep point's theory point (lam~, t); rows at one key are one decoder
 _Key = tuple[float, float]
 
@@ -366,10 +366,9 @@ def _optimized_point(mode: str, cfg: SystemConfig) -> tuple[str, SystemConfig]:
     """The report header and the optimized config of one optimization mode
     at cfg's power."""
     if mode == "optimize_power":
-        split = alpha_star(cfg)
-        best = cfg._replace(alpha=split.alpha_star)
-        return (f"rho_db={cfg.rho_db}: alpha_star={split.alpha_star:.6f} "
-                f"branch={split.branch} rho_eff={derive_params(best).rho_eff:.6g}", best)
+        best = cfg._replace(alpha=alpha_star(cfg))
+        return (f"rho_db={cfg.rho_db}: alpha_star={best.alpha:.6f} "
+                f"rho_eff={derive_params(best).rho_eff:.6g}", best)
     opt = optimize_goodput(cfg)
     return (f"rho_db={cfg.rho_db}: t_pilot_star={opt.t_pilot_star} "
             f"alpha_star={opt.alpha_star:.6f} goodput={opt.goodput:.6f}",

@@ -20,8 +20,6 @@ from .errors import Checked, ConfigError
 if TYPE_CHECKING:
     import numpy as np
 
-ENERGY_IDENTITY_RTOL = 1e-12
-
 
 class PowerConvention(str, enum.Enum):
     """How the average power rho and the data ratio alpha split into
@@ -115,7 +113,8 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
     The estimation-error variance is sigma_delta_sq = 1 / (1 + rho_p * T_p / K)
     and the effective SNR is rho_d * sigma_hhat_sq / s^2, where s = noise_std =
     sqrt(1 + rho_d * sigma_delta_sq) is the standard deviation of the data noise
-    with the estimation error counted in it. lambda_star is LMMSE's ridge coefficient.
+    with the estimation error counted in it. lambda_star is LMMSE's ridge
+    coefficient. A power so low that rho_eff underflows to 0 is a ConfigError.
     """
     k = cfg.k
     delta = cfg.n / k
@@ -129,12 +128,11 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
     else:
         rho_d = cfg.alpha * rho * tau / tau_d
         rho_p = (1.0 - cfg.alpha) * rho * tau / tau_p
-        total = rho_p * cfg.t_pilot + rho_d * (cfg.t_total - cfg.t_pilot)
-        if abs(total - rho * cfg.t_total) > ENERGY_IDENTITY_RTOL * rho * cfg.t_total:
-            raise ConfigError("energy-conservation identity violated in derivation")
     sigma_delta_sq = 1.0 / (1.0 + rho_p * cfg.t_pilot / k)
     sigma_hhat_sq = 1.0 - sigma_delta_sq
     rho_eff = rho_d * sigma_hhat_sq / (1.0 + rho_d * sigma_delta_sq)
+    if not rho_eff > 0.0:  # rho_d or the pilot energy underflows
+        raise ConfigError(f"rho_eff underflows to 0 at rho_db={cfg.rho_db!r}, alpha={cfg.alpha!r}")
     return DerivedParams(
         delta=delta,
         tau=tau,
@@ -152,42 +150,26 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
 
 def lambda_star_rls(rho_d: float, sigma_delta_sq: float) -> float:
     """MSE- and SEP-optimal ridge coefficient: 1/rho_d + sigma_delta_sq."""
-    if rho_d <= 0:
-        raise ValueError("rho_d must be positive")
     return 1.0 / rho_d + sigma_delta_sq
 
 
-class PowerSplit(NamedTuple):
-    """The data power ratio maximizing rho_eff and the branch of the closed
-    form that gave it."""
-
-    alpha_star: float
-    branch: str
-
-
-def alpha_star(cfg: SystemConfig) -> PowerSplit:
+def alpha_star(cfg: SystemConfig) -> float:
     """Data power ratio maximizing the effective SNR at cfg's rho and block.
 
-    With vartheta = (1 + rho*tau) / (rho*tau*(1 - 1/tau_d)), alpha* =
-    vartheta - sqrt(vartheta (vartheta - 1)) for tau_d > 1, exactly 1/2 for
-    tau_d = 1, and the + branch for tau_d < 1. The closed form assumes the
-    energy-conserving convention, so direct-split configs are refused
-    (grid-search derive_params' rho_eff over alpha for those).
+    With rho_d = a alpha and P = rho_p T_p / K = b (1 - alpha), rho_eff =
+    rho_d P / (1 + P + rho_d) peaks in (0, 1) at alpha* = 1 / (1 + sqrt((1 + a)
+    / (1 + b))). The energy-conserving convention, which fixes the block
+    energy, has a = rho tau / tau_d and b = rho tau (tau_d = 1: alpha* = 1/2).
+    Direct-split configs are refused (grid-search rho_eff over alpha there).
     """
     if cfg.power_convention is not PowerConvention.ENERGY_CONSERVING:
         raise ConfigError(
             "alpha_star applies to the energy-conserving convention only; "
             "use a grid search over rho_eff for direct-split configs"
         )
-    dp = derive_params(cfg)
-    rt = cfg.rho * dp.tau
-    if dp.tau_d == 1.0:
-        return PowerSplit(0.5, "tau_d=1")
-    vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / dp.tau_d))
-    root = math.sqrt(vartheta * (vartheta - 1.0))
-    if dp.tau_d > 1.0:
-        return PowerSplit(vartheta - root, "tau_d>1")
-    return PowerSplit(vartheta + root, "tau_d<1")
+    b = cfg.rho * (cfg.t_total / cfg.k)
+    a = b / ((cfg.t_total - cfg.t_pilot) / cfg.k)
+    return 1.0 / (1.0 + math.sqrt((1.0 + a) / (1.0 + b)))
 
 
 def _check_pam_order(m: int) -> None:

@@ -1,6 +1,6 @@
 """Reference implementations that the tests compare the package against,
 closed forms and diagnostics that only the tests use (rho_eff_of_alpha,
-rls_sep, ls_bpsk_ser_exact, box_sep_by_indicators, rls_stationarity_residuals,
+alpha_star_by_branches, rls_sep, ls_bpsk_ser_exact, box_sep_by_indicators, rls_stationarity_residuals,
 and box_objective and gaussian_partial_second_moment over the package's
 kernels), and test-only helpers such as draw_trial and write_config."""
 
@@ -17,7 +17,7 @@ from mimopam.asymptotics import (
     _tail_moment,
     qfunc,
 )
-from mimopam.errors import DegenerateThresholdError
+from mimopam.errors import UndefinedTheoryError
 from mimopam.decoders import box_rls_solve, rls_solve
 from mimopam.runner import LambdaPolicy, TPolicy
 from mimopam.simulate import draw_shared, estimate_channel
@@ -46,6 +46,23 @@ def rho_eff_of_alpha(rho: float, tau: float, tau_d: float, alpha: float) -> floa
         return rt * rt / (1.0 + rt) * alpha * (1.0 - alpha)
     vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / tau_d))
     return rt / (tau_d - 1.0) * alpha * (1.0 - alpha) / (vartheta - alpha)
+
+
+def alpha_star_by_branches(rho: float, tau: float, tau_d: float) -> float:
+    """The data power ratio maximizing rho_eff_of_alpha, in three branches on
+    tau_d. With vartheta = (1 + rho tau) / (rho tau (1 - 1/tau_d)),
+    alpha* = vartheta - sqrt(vartheta (vartheta - 1)) for tau_d > 1, exactly
+    1/2 for tau_d = 1, and the + branch for tau_d < 1.
+
+    vartheta grows like 1 / (tau_d - 1) as tau_d -> 1, and the - branch
+    cancels, so this form loses about log10(vartheta) digits there.
+    """
+    rt = rho * tau
+    if tau_d == 1.0:
+        return 0.5
+    vartheta = (1.0 + rt) / (rt * (1.0 - 1.0 / tau_d))
+    root = math.sqrt(vartheta * (vartheta - 1.0))
+    return vartheta - root if tau_d > 1.0 else vartheta + root
 
 
 def gauss_pdf(h):
@@ -104,7 +121,7 @@ def box_sep_by_indicators(theta_star: float, b_norm: float, params: BoxObjective
     ratio = params.t / b_norm
     for j in range(2, m - 1, 2):
         if abs(ratio - j / sqrt_e) < DEGENERATE_T_TOL:
-            raise DegenerateThresholdError(
+            raise UndefinedTheoryError(
                 f"t / B = {ratio!r} sits on the degenerate decision boundary {j}/sqrt(E)"
             )
     q = qfunc(math.sqrt(params.rho_eff / pam_energy(m)) / theta_star)

@@ -237,17 +237,17 @@ class TestCriterion5:
         with criterion(5, "optimal data power ratio"):
             spec = mp.load_config(preset_path("fig6"))
             res = mp.alpha_star(spec.base)
-            assert res.alpha_star == pytest.approx(0.629, abs=1e-3)
+            assert res == pytest.approx(0.629, abs=1e-3)
 
             tau, tau_d = 1000 / 256, 744 / 256
             grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
             vals = [rho_eff_of_alpha(spec.base.rho, tau, tau_d, a) for a in grid]
             best = grid[int(np.argmax(vals))]
-            assert abs(res.alpha_star - best) <= grid[1] - grid[0]
+            assert abs(res - best) <= grid[1] - grid[0]
 
-            low = mp.alpha_star(spec.base._replace(rho_db=-40.0)).alpha_star
+            low = mp.alpha_star(spec.base._replace(rho_db=-40.0))
             assert low == pytest.approx(0.5, abs=1e-3)
-            high = mp.alpha_star(spec.base._replace(rho_db=60.0)).alpha_star
+            high = mp.alpha_star(spec.base._replace(rho_db=60.0))
             assert high == pytest.approx(math.sqrt(tau_d) / (1 + math.sqrt(tau_d)), abs=1e-3)
 
 

@@ -1,10 +1,11 @@
 """Power-split optimum, goodput-optimal training duration, monotonicity."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from oracles import rho_eff_of_alpha
+from oracles import alpha_star_by_branches, rho_eff_of_alpha
 
 from mimopam import (
     ConfigError,
@@ -34,31 +35,27 @@ def block_cfg(rho_db, tau, tau_d, k=256):
 
 class TestAlphaStar:
     def test_reference_annotation(self):
-        res = alpha_star(block_cfg(**FIG6))
-        assert res.alpha_star == pytest.approx(0.629, abs=1e-3)
-        assert res.branch == "tau_d>1"
+        assert alpha_star(block_cfg(**FIG6)) == pytest.approx(0.629, abs=1e-3)
 
     def test_matches_dense_grid_argmax(self):
         cfg = block_cfg(**FIG6)
-        res = alpha_star(cfg)
+        alpha = alpha_star(cfg)
         grid = np.linspace(1e-4, 1 - 1e-4, 10_001)
         vals = [rho_eff_of_alpha(cfg.rho, FIG6["tau"], FIG6["tau_d"], a) for a in grid]
-        assert abs(res.alpha_star - grid[int(np.argmax(vals))]) <= (grid[1] - grid[0])
+        assert abs(alpha - grid[int(np.argmax(vals))]) <= (grid[1] - grid[0])
 
     def test_equal_split_when_one_data_symbol_per_antenna(self):
-        res = alpha_star(block_cfg(rho_db=5.0, tau=2.0, tau_d=1.0))
-        assert res.alpha_star == 0.5
-        assert res.branch == "tau_d=1"
+        assert alpha_star(block_cfg(rho_db=5.0, tau=2.0, tau_d=1.0)) == 0.5
 
     def test_low_power_limit_is_equal_split(self):
-        res = alpha_star(block_cfg(rho_db=-40.0, tau=FIG6["tau"], tau_d=FIG6["tau_d"]))
-        assert res.alpha_star == pytest.approx(0.5, abs=1e-3)
+        alpha = alpha_star(block_cfg(rho_db=-40.0, tau=FIG6["tau"], tau_d=FIG6["tau_d"]))
+        assert alpha == pytest.approx(0.5, abs=1e-3)
 
     def test_high_power_limit(self):
         tau_d = FIG6["tau_d"]
         want = math.sqrt(tau_d) / (1 + math.sqrt(tau_d))
-        res = alpha_star(block_cfg(rho_db=60.0, tau=FIG6["tau"], tau_d=tau_d))
-        assert res.alpha_star == pytest.approx(want, abs=1e-3)
+        alpha = alpha_star(block_cfg(rho_db=60.0, tau=FIG6["tau"], tau_d=tau_d))
+        assert alpha == pytest.approx(want, abs=1e-3)
 
     def test_branch_lattice_against_grid(self):
         # all three branches, several powers and block shapes
@@ -70,11 +67,49 @@ class TestAlphaStar:
                     if tau - tau_d < 1:
                         continue  # fewer pilots than antennas: no SystemConfig
                     cfg = block_cfg(rho_db, tau, tau_d)
-                    res = alpha_star(cfg)
+                    alpha = alpha_star(cfg)
                     vals = [rho_eff_of_alpha(cfg.rho, tau, tau_d, a) for a in grid]
                     best = grid[int(np.argmax(vals))]
-                    assert abs(res.alpha_star - best) <= step + 1e-12
-                    assert 0.0 < res.alpha_star < 1.0
+                    assert abs(alpha - best) <= step + 1e-12
+                    assert 0.0 < alpha < 1.0
+
+    def test_matches_the_three_branch_form(self):
+        # seeded random blocks on both sides of tau_d = 1, and tau_d = 1 itself
+        rng = np.random.default_rng(31)
+        sides = set()
+        for _ in range(300):
+            k = int(rng.choice((16, 64, 256, 400)))
+            t_total = int(rng.integers(k + 1, 4 * k + 1))
+            t_pilot = int(rng.integers(k, t_total))
+            cfg = energy_cfg(float(rng.uniform(-20.0, 40.0)), k=k, n=2 * k,
+                             t_total=t_total, t_pilot=t_pilot)
+            tau, tau_d = t_total / k, (t_total - t_pilot) / k
+            want = alpha_star_by_branches(cfg.rho, tau, tau_d)
+            assert alpha_star(cfg) == pytest.approx(want, rel=1e-12), cfg
+            sides.add(np.sign(tau_d - 1.0))
+        assert {-1.0, 1.0} <= sides
+        for rho_db in (-20.0, 0.0, 17.0, 40.0):
+            for k in (16, 400):
+                assert alpha_star(energy_cfg(rho_db, k=k, n=2 * k, t_total=3 * k,
+                                             t_pilot=2 * k)) == 0.5
+
+    def test_within_a_few_ulps_of_a_50_digit_reference(self):
+        # one data symbol more or fewer than antennas included, where the
+        # three-branch form cancels
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            k = int(rng.choice((16, 64, 256, 400)))
+            t_total = int(rng.integers(k + 2, 4 * k + 1))
+            t_data = int(rng.choice((k - 1, k + 1, rng.integers(1, t_total - k + 1))))
+            t_data = min(max(t_data, 1), t_total - k)
+            cfg = energy_cfg(float(rng.uniform(-20.0, 40.0)), k=k, n=2 * k,
+                             t_total=t_total, t_pilot=t_total - t_data)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                b = Decimal(cfg.rho) * t_total / k
+                a = b * k / t_data
+                want = 1 / (1 + ((1 + a) / (1 + b)).sqrt())
+            assert alpha_star(cfg) == pytest.approx(float(want), rel=1e-15), cfg
 
     def test_config_wrapper_requires_energy_conserving(self):
         cfg = SystemConfig(k=256, n=512, t_total=1000, t_pilot=256, rho_db=15.0,
@@ -99,13 +134,13 @@ class TestOptimizeGoodput:
         rho_db = 10.0
         res = optimize_goodput(energy_cfg(rho_db, k=400, n=480, t_total=1000))
         base = alpha_star(block_cfg(rho_db, 1000 / 400, (1000 - 400) / 400, k=400))
-        assert res.alpha_star == pytest.approx(base.alpha_star, rel=1e-12)
+        assert res.alpha_star == pytest.approx(base, rel=1e-12)
 
     def test_goodput_dominates_grid(self):
         cfg = energy_cfg(10.0, k=128, n=192, t_total=512)
         res = optimize_goodput(cfg)
         at_2k = cfg._replace(t_pilot=2 * 128)
-        at_2k = at_2k._replace(alpha=alpha_star(at_2k).alpha_star)
+        at_2k = at_2k._replace(alpha=alpha_star(at_2k))
         assert res.goodput >= predict(at_2k, DecoderSpec.lmmse()).goodput
 
     def test_tiny_block_goodput_vanishes(self):

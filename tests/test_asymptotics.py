@@ -53,7 +53,7 @@ from mimopam.asymptotics import (
     t_star_numeric,
     upsilon,
 )
-from mimopam.errors import DegenerateThresholdError
+from mimopam.errors import UndefinedTheoryError
 from mimopam.runner import LambdaPolicy, SweepAxis, TPolicy, resolve_decoder
 from mimopam.system import lambda_star_rls, largest_symbol, pam_points
 
@@ -312,7 +312,7 @@ class TestLsForms:
 
     def test_rejects_delta_at_most_one(self):
         cfg = SystemConfig(k=100, n=100, t_total=400, t_pilot=100, rho_db=10.0, alpha=0.5)
-        with pytest.raises(ConfigError, match="n > k"):
+        with pytest.raises(UndefinedTheoryError, match="n > k"):
             predict(cfg, DecoderSpec.ls())
 
     @pytest.mark.parametrize("m", [2, 4, 8])
@@ -558,7 +558,7 @@ class TestBoxSep:
     def test_degenerate_lattice_threshold_rejected(self):
         # t / B on the decision boundary 2/sqrt(E), where the SEP jumps
         p = box_params(10, lam=0.3, t=2.0 / math.sqrt(5.0), m=4)
-        with pytest.raises(DegenerateThresholdError):
+        with pytest.raises(UndefinedTheoryError):
             box_sep(0.8, 1.0, p)
 
     @pytest.mark.parametrize("m", [4, 8, 16])
@@ -586,8 +586,8 @@ class TestBoxSep:
             p = box_params(10, lam=0.3, t=ratio * b_norm, m=m)
             try:
                 want = box_sep_by_indicators(0.8, b_norm, p)
-            except DegenerateThresholdError as exc:
-                with pytest.raises(DegenerateThresholdError) as got:
+            except UndefinedTheoryError as exc:
+                with pytest.raises(UndefinedTheoryError) as got:
                     box_sep(0.8, b_norm, p)
                 assert str(got.value) == str(exc)
                 continue

@@ -389,7 +389,7 @@ class TestRunModes:
         # fig6 sweeps alpha, so its one optimum is at the base config's rho
         spec = load_config(preset_path("fig6"))
         header = run(spec, "optimize_power").report.splitlines()[1]
-        best = spec.base._replace(alpha=alpha_star(spec.base).alpha_star)
+        best = spec.base._replace(alpha=alpha_star(spec.base))
         assert header.startswith(f"rho_db=15.0: alpha_star={best.alpha:.6f} ")
         assert header.endswith(f" rho_eff={derive_params(best).rho_eff:.6g}")
 
@@ -404,7 +404,7 @@ class TestRunModes:
         loaded = load_config(str(path))
         assert loaded == spec
         assert (loaded.base.rho_db, loaded.base.rho) == (-5.8, spec.base.rho)
-        best = spec.base._replace(alpha=alpha_star(spec.base).alpha_star)
+        best = spec.base._replace(alpha=alpha_star(spec.base))
         records = run(loaded, "optimize_power").records
         assert [rec.decoder for rec in records] == [kind.value for kind in spec.decoders]
         for kind, rec in zip(spec.decoders, records):
@@ -669,19 +669,30 @@ print(json.dumps([started, sorted(sys.modules)]))
             assert not row["error"]
             assert math.isfinite(float(row["mse_theory"])) and math.isfinite(float(row["mse_sim"]))
 
-    @pytest.mark.parametrize("decoder_lines", [
-        "decoders = ls\n",
-        "decoders = rls\nlambda_policy = fixed\nlambda = 0\n",
-    ])
-    def test_unregularized_fat_system_is_exit_2(self, tmp_path, capsys, decoder_lines):
+    @pytest.mark.parametrize("decoder_lines, kept", [
+        ("decoders = ls,rls\n", "rls"),
+        ("decoders = rls,lmmse\nlambda_policy = fixed\nlambda = 0\n", "lmmse"),
+    ], ids=["ls", "fixed-lambda-0"])
+    def test_unregularized_fat_system_fails_its_own_rows(self, tmp_path, capsys,
+                                                         decoder_lines, kept):
+        # lam = 0 at n <= k has no theory: its rows carry the error, the
+        # regularized decoder's rows keep their values, and the run exits 3
         path = tmp_path / "fat.cfg"
         path.write_text(
             "k = 32\nn = 28\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
-            "m = 2\nsweep_axis = rho_db\nvalues = 10\ntrials = 0\n" + decoder_lines
+            "m = 2\nsweep_axis = rho_db\nvalues = 10,20\ntrials = 0\n" + decoder_lines
         )
         out = str(tmp_path / "fat.csv")
-        assert cli_main(["predict", "--config", str(path), "--out", out]) == 2
-        assert "n > k" in capsys.readouterr().err
+        assert cli_main(["predict", "--config", str(path), "--out", out]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            if row["decoder"] == kept:
+                assert not row["error"] and float(row["mse_theory"]) > 0
+            else:
+                assert "n > k" in row["error"] and row["mse_theory"] == ""
 
     @pytest.mark.parametrize("knob_lines, message", [
         ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
@@ -752,6 +763,22 @@ print(json.dumps([started, sorted(sys.modules)]))
         assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        "rho_db = -3235\nalpha = 0.01\nsweep_axis = alpha\nvalues = 0.01\n",
+        "rho_db = -170\nalpha = 0.5\nsweep_axis = rho_db\nvalues = -170\n",
+    ], ids=["data-power", "pilot-energy"])
+    def test_underflowing_effective_snr_is_exit_2(self, tmp_path, capsys, lines):
+        # rho_d, or the pilot energy's share of rho_eff, rounds to 0
+        path = tmp_path / "quiet.cfg"
+        path.write_text("k = 400\nn = 480\nt_total = 1000\nt_pilot = 456\nm = 2\n"
+                        "power_convention = direct\ndecoders = rls,box\ntrials = 0\n" + lines)
+        out = tmp_path / "quiet.csv"
+        assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert "rho_db=" in err and "alpha=" in err
         assert not out.exists()
 
     def test_fixed_lambda_is_echoed_exactly(self):

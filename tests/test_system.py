@@ -16,6 +16,7 @@ from mimopam import (
     derive_params,
     predict,
 )
+from mimopam.errors import UndefinedTheoryError
 from mimopam.system import largest_symbol, pam_points, slice_symbols
 
 FIG2 = dict(k=400, n=480, t_total=1000, t_pilot=456)
@@ -78,9 +79,18 @@ class TestDeriveParams:
     def test_rejects_unregularized_fat_system(self):
         cfg = SystemConfig(k=400, n=400, t_total=1000, t_pilot=456, rho_db=0.0, alpha=0.5)
         for spec in (DecoderSpec.ls(), DecoderSpec.rls(0.0), DecoderSpec.box(0.0, 1.0)):
-            with pytest.raises(ConfigError, match="n > k"):
+            with pytest.raises(UndefinedTheoryError, match="n > k"):
                 predict(cfg, spec)
         assert predict(cfg, DecoderSpec.rls(0.3)).mse > 0
+
+    @pytest.mark.parametrize("rho_db, alpha", [
+        (-3235.0, 0.01),  # rho_d = alpha rho underflows to 0
+        (-170.0, 0.5),  # rho_d > 0, but sigma_hhat^2 = 1 - 1/(1 + P) rounds to 0
+    ])
+    def test_rejects_power_whose_effective_snr_underflows(self, rho_db, alpha):
+        with pytest.raises(ConfigError, match=f"rho_db={rho_db!r}, alpha={alpha!r}"):
+            derive_params(fig2_cfg(rho_db, alpha=alpha))
+        assert derive_params(fig2_cfg(-150.0, alpha=alpha)).rho_eff > 0
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.2, 1.7):

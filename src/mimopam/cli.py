@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     print(result.report, end="")
     print(f"wrote {len(result.records)} rows to {out}")
-    if result.solver_errors:
+    if any(rec.error for rec in result.records):
         return EXIT_SOLVER
     if mode == "compare" and result.flagged:
         return EXIT_GATE

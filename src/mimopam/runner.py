@@ -89,36 +89,35 @@ _REQUIRED_KEYS = (
     "k", "n", "t_total", "t_pilot", "rho_db", "alpha", "m",
     "sweep_axis", "values", "decoders",
 )
-_OPTIONAL_KEYS = (
-    "power_convention", "trials", "master_seed", "lambda_policy", "t_policy",
-    "lambda", "t_box",
-)
+# each key's parse rule: int, float, an enum, (enum, word) for an enum that
+# also takes that word, or [rule] for a comma-separated tuple of rule
+_RULES = {
+    "k": int, "n": int, "t_total": int, "t_pilot": int, "rho_db": float, "alpha": float,
+    "m": int, "power_convention": PowerConvention, "sweep_axis": SweepAxis,
+    "values": [float], "decoders": [DecoderKind], "trials": int, "master_seed": int,
+    "lambda_policy": (LambdaPolicy, "fixed"), "t_policy": (TPolicy, "fixed"),
+    "lambda": float, "t_box": float,
+}
+_NUMBERS = {int: "an integer", float: "a number"}
 
 
-def _parse_int(raw: str, key: str) -> int:
+def _parse(rule, raw: str, key: str) -> object:
+    """raw under rule; an enum value is read in any case, and a tuple skips
+    empty entries."""
+    if isinstance(rule, list):
+        return tuple(_parse(rule[0], v, key) for v in raw.split(",") if v.strip())
+    if rule in _NUMBERS:
+        value, expected = raw, _NUMBERS[rule]
+    else:
+        rule, *extra = rule if isinstance(rule, tuple) else (rule,)
+        value = raw.strip().lower()
+        if value in extra:
+            return value
+        expected = "|".join((*extra, *(c.value for c in rule)))
     try:
-        return int(raw)
+        return rule(value)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-
-
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
-
-
-def _parse_enum(kind: type[enum.Enum], raw: str, key: str, *extra: str) -> enum.Enum | str:
-    """raw, in any case, as a member of kind or as one of the extra words."""
-    value = raw.strip().lower()
-    if value in extra:
-        return value
-    try:
-        return kind(value)
-    except ValueError as exc:
-        choices = "|".join((*extra, *(c.value for c in kind)))
-        raise ConfigError(f"key {key!r}: expected {choices}, got {value!r}") from exc
+        raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}") from exc
 
 
 def load_config(path: str) -> SweepSpec:
@@ -138,48 +137,29 @@ def load_config(path: str) -> SweepSpec:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             pairs[key] = raw.strip()
     for key in pairs:
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        if key not in _RULES:
             raise ConfigError(f"unknown config key {key!r}")
     for key in _REQUIRED_KEYS:
         if key not in pairs:
             raise ConfigError(f"missing required config key {key!r}")
 
-    convention = {}
-    if "power_convention" in pairs:
-        convention["power_convention"] = _parse_enum(
-            PowerConvention, pairs["power_convention"], "power_convention")
-    base = SystemConfig(
-        k=_parse_int(pairs["k"], "k"),
-        n=_parse_int(pairs["n"], "n"),
-        t_total=_parse_int(pairs["t_total"], "t_total"),
-        t_pilot=_parse_int(pairs["t_pilot"], "t_pilot"),
-        rho_db=_parse_float(pairs["rho_db"], "rho_db"),
-        alpha=_parse_float(pairs["alpha"], "alpha"),
-        m=_parse_int(pairs["m"], "m"),
-        **convention,
-    )
-    axis = _parse_enum(SweepAxis, pairs["sweep_axis"], "sweep_axis")
-    values = tuple(_parse_float(v, "values") for v in pairs["values"].split(",") if v.strip())
-    decoders = tuple(_parse_enum(DecoderKind, d, "decoders")
-                     for d in pairs["decoders"].split(",") if d.strip())
-    optional = {key: _parse_int(pairs[key], key)
-                for key in ("trials", "master_seed") if key in pairs}
-    # each knob: its SweepSpec field, its policy key and enum, and the key that "fixed" reads
-    for field, policy_key, kind, value_key in (("lam", "lambda_policy", LambdaPolicy, "lambda"),
-                                               ("t_box", "t_policy", TPolicy, "t_box")):
-        policy = (_parse_enum(kind, pairs[policy_key], policy_key, "fixed")
-                  if policy_key in pairs else None)
+    fields = {key: _parse(_RULES[key], raw, key) for key, raw in pairs.items()}
+    base = SystemConfig(**{key: fields.pop(key) for key in SystemConfig._fields if key in fields})
+    # each knob: its SweepSpec field, its policy key, and the key that "fixed" reads
+    for field, policy_key, value_key in (("lam", "lambda_policy", "lambda"),
+                                         ("t_box", "t_policy", "t_box")):
+        policy = fields.pop(policy_key, None)
         if policy == "fixed":
-            if value_key not in pairs:
+            if value_key not in fields:
                 raise ConfigError(f"{policy_key} = fixed requires an explicit {value_key!r} key")
-            optional[field] = _parse_float(pairs[value_key], value_key)
-        elif value_key in pairs:
+            fields[field] = fields.pop(value_key)
+        elif value_key in fields:
             named = policy or SweepSpec._field_defaults[field]
             raise ConfigError(f"{policy_key} = {named.value} ignores {value_key!r}; "
                               f"it is read only under {policy_key} = fixed")
         elif policy is not None:
-            optional[field] = policy
-    return SweepSpec(base=base, sweep_axis=axis, values=values, decoders=decoders, **optional)
+            fields[field] = policy
+    return SweepSpec(base=base, **fields)
 
 
 class SweepRecord(NamedTuple):
@@ -379,7 +359,6 @@ class RunResult(NamedTuple):
     records: list[SweepRecord]
     report: str
     flagged: int
-    solver_errors: int
 
 
 MODES = ("predict", "simulate", "compare", "optimize_power", "optimize_goodput")
@@ -440,10 +419,9 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
                     msg += f"  FLAGGED |z| > {gate:.3g}"
             lines.append(msg)
 
-    solver_errors = sum(1 for r in records if r.error)
+    failed = sum(1 for r in records if r.error)
     if gate is not None:
         lines.append(f"flagged points: {flagged} (gate |z| <= {gate:.3g} over {tests} z-scores)")
-    if solver_errors:
-        lines.append(f"solver errors: {solver_errors}")
-    return RunResult(records=records, report="\n".join(lines) + "\n",
-                     flagged=flagged, solver_errors=solver_errors)
+    if failed:
+        lines.append(f"rows without a result: {failed}")
+    return RunResult(records=records, report="\n".join(lines) + "\n", flagged=flagged)

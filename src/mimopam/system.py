@@ -160,7 +160,8 @@ def alpha_star(cfg: SystemConfig) -> float:
     rho_d P / (1 + P + rho_d) peaks in (0, 1) at alpha* = 1 / (1 + sqrt((1 + a)
     / (1 + b))). The energy-conserving convention, which fixes the block
     energy, has a = rho tau / tau_d and b = rho tau (tau_d = 1: alpha* = 1/2).
-    Direct-split configs are refused (grid-search rho_eff over alpha there).
+    Direct-split configs are refused (grid-search rho_eff over alpha there),
+    as is a power at which a = rho tau / tau_d overflows.
     """
     if cfg.power_convention is not PowerConvention.ENERGY_CONSERVING:
         raise ConfigError(
@@ -169,6 +170,8 @@ def alpha_star(cfg: SystemConfig) -> float:
         )
     b = cfg.rho * (cfg.t_total / cfg.k)
     a = b / ((cfg.t_total - cfg.t_pilot) / cfg.k)
+    if not math.isfinite(a):  # b <= a, since tau_d < tau
+        raise ConfigError(f"alpha_star: rho tau / tau_d overflows at rho_db={cfg.rho_db!r}")
     return 1.0 / (1.0 + math.sqrt((1.0 + a) / (1.0 + b)))
 
 

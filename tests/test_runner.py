@@ -20,6 +20,7 @@ from mimopam import (
     CSV_COLUMNS,
     BatchStats,
     ConfigError,
+    ConvergenceError,
     DecoderKind,
     DecoderSpec,
     PowerConvention,
@@ -108,6 +109,29 @@ class TestConfigFile:
             load_config(str(path))
         assert cli_main(["predict", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, extra, message", [
+        ({"k": "x"}, "", "key 'k': expected an integer, got 'x'"),
+        ({"alpha": "half"}, "", "key 'alpha': expected a number, got 'half'"),
+        ({}, "trials 5\n", "{path}:11: expected key = value, got 'trials 5'"),
+        ({}, "k = 32\n", "{path}:11: duplicate key 'k'"),
+        ({"decoders": ","}, "", "decoders must be non-empty"),
+        ({}, "trials = -1\n", "trials must be nonnegative"),
+        ({"k": "0"}, "", "antenna counts and block length must be positive"),
+    ], ids=["int", "float", "no-equals", "duplicate", "decoders-empty", "negative-trials",
+            "zero-k"])
+    def test_refusal_message_is_pinned(self, tmp_path, capsys, changes, extra, message):
+        keys = {"k": "32", "n": "40", "t_total": "96", "t_pilot": "40", "rho_db": "10",
+                "alpha": "0.5", "m": "2", "sweep_axis": "rho_db", "values": "0",
+                "decoders": "rls", **changes}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()) + extra)
+        message = message.format(path=path)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == message
+        assert cli_main(["predict", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -306,7 +330,7 @@ class TestRunModes:
             monkeypatch.setattr(mimopam.runner, name, counted)
         spec = load_config(str(BENCH / "monte_carlo.cfg"))._replace(trials=2)
         result = run(spec, "compare")
-        assert len(result.records) == 12 and not result.solver_errors
+        assert len(result.records) == 12 and not any(r.error for r in result.records)
         assert calls == {"predict": 9, "consistency_z": 9}
 
     @pytest.mark.parametrize("axis, values", [
@@ -684,7 +708,9 @@ print(json.dumps([started, sorted(sys.modules)]))
         )
         out = str(tmp_path / "fat.csv")
         assert cli_main(["predict", "--config", str(path), "--out", out]) == 3
-        assert "Traceback" not in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert "Traceback" not in printed.err
+        assert "rows without a result: 2\n" in printed.out
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
@@ -693,6 +719,70 @@ print(json.dumps([started, sorted(sys.modules)]))
                 assert not row["error"] and float(row["mse_theory"]) > 0
             else:
                 assert "n > k" in row["error"] and row["mse_theory"] == ""
+
+    def _simulate_rows(self, tmp_path, lines):
+        """Exit code and CSV rows of a two-trial simulate run on a small
+        direct-split scenario with the given sweep and decoder lines."""
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
+            "m = 2\ntrials = 2\npower_convention = direct\n" + lines
+        )
+        out = tmp_path / "sim.csv"
+        code = cli_main(["simulate", "--config", str(path), "--out", str(out)])
+        with open(out) as fh:
+            return code, list(csv.DictReader(fh))
+
+    def test_simulated_convergence_error_fails_only_its_theory_points_rows(
+            self, tmp_path, capsys, monkeypatch):
+        # the box solve fails at t = 0.5 only: run_batch returns its
+        # ConvergenceError, which fills that row's error and keeps its theory
+        real = mimopam.simulate.box_rls_solve
+
+        def failing(gram, rhs, lam, t_box, ridge):
+            if t_box == 0.5:
+                raise ConvergenceError("box stalled at t = 0.5")
+            return real(gram, rhs, lam, t_box, ridge)
+
+        monkeypatch.setattr(mimopam.simulate, "box_rls_solve", failing)
+        code, rows = self._simulate_rows(
+            tmp_path, "sweep_axis = t_box\nvalues = 0.5,1.5\ndecoders = rls,box\n")
+        assert code == 3
+        assert [(r["t_box"], r["decoder"]) for r in rows] == [
+            ("", "rls"), ("0.5", "box"), ("", "rls"), ("1.5", "box")]
+        for row in rows:
+            assert float(row["mse_theory"]) > 0 and float(row["sep_theory"]) > 0
+            if row["t_box"] == "0.5":
+                assert row["error"] == "box stalled at t = 0.5"
+                assert (row["mse_sim"], row["ser_sim"], row["trials"]) == ("", "", "0")
+            else:
+                assert not row["error"] and float(row["mse_sim"]) > 0 and row["trials"] == "2"
+
+    def test_unresolved_knob_fails_only_its_own_row(self, tmp_path, capsys, monkeypatch):
+        # the t* search fails at the first sweep point: that box row has no
+        # knob cells and no theory, and every other row is simulated
+        calls = []
+        real = mimopam.runner.t_star_numeric
+
+        def failing(point):
+            calls.append(point)
+            if len(calls) == 1:
+                raise ConvergenceError("t search stalled")
+            return real(point)
+
+        monkeypatch.setattr(mimopam.runner, "t_star_numeric", failing)
+        code, rows = self._simulate_rows(
+            tmp_path, "sweep_axis = rho_db\nvalues = 5,10\ndecoders = rls,box\n"
+            "t_policy = numeric_optimal\n")
+        assert code == 3 and len(calls) == 2
+        [failed] = [r for r in rows if r["error"]]
+        kept = [r for r in rows if not r["error"]]
+        assert (failed["rho_db"], failed["decoder"], failed["error"]) == (
+            "5.0", "box", "t search stalled")
+        assert failed["lambda"] == failed["t_box"] == failed["mse_theory"] == ""
+        assert failed["mse_sim"] == "" and failed["trials"] == "0"
+        assert len(kept) == 3
+        assert all(float(r["mse_sim"]) > 0 and r["trials"] == "2" for r in kept)
 
     @pytest.mark.parametrize("knob_lines, message", [
         ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
@@ -713,9 +803,11 @@ print(json.dumps([started, sorted(sys.modules)]))
         ("sweep_axis = rho_db\nvalues = 5,inf\n", "values must be finite"),
         ("sweep_axis = rho_db\nvalues = 10\nmaster_seed = -1\n",
          "master_seed must be nonnegative, got -1"),
+        ("sweep_axis = rho_db\nvalues = ,\n", "values must be non-empty"),
+        ("sweep_axis = rho_db\nvalues = 5,ten\n", "key 'values': expected a number, got 'ten'"),
     ], ids=["fixed-lambda", "lambda-axis", "t-axis", "lambda-unread", "t-box-unread",
             "fixed-lambda-missing", "fixed-t-box-missing", "tau-p-nan", "rho-db-inf",
-            "negative-seed"])
+            "negative-seed", "values-empty", "values-not-a-number"])
     def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines, message):
         path = tmp_path / "knob.cfg"
         path.write_text(
@@ -764,6 +856,25 @@ print(json.dumps([started, sorted(sys.modules)]))
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rho_db, code", [("3075", 3), ("3080", 2)])
+    def test_optimal_split_refuses_an_overflowing_block_energy(
+            self, tmp_path, capsys, rho_db, code):
+        # on the fig6 block rho tau / tau_d overflows at 3080 dB; at 3075 dB alpha*
+        # solves, and the box row alone fails its saddle search
+        path = tmp_path / "loud.cfg"
+        path.write_text(Path(preset_path("fig6")).read_text().replace(
+            "rho_db = 15\n", f"rho_db = {rho_db}\n"))
+        out = tmp_path / "loud.csv"
+        assert cli_main(["optimize-power", "--config", str(path), "--out", str(out)]) == code
+        printed = capsys.readouterr()
+        assert "nan" not in printed.out + printed.err
+        if code == 2:
+            assert printed.err == (f"config error: alpha_star: rho tau / tau_d overflows "
+                                   f"at rho_db={float(rho_db)!r}\n")
+            assert not out.exists()
+        else:
+            assert f"rho_db={float(rho_db)}: alpha_star=0.630283" in printed.out
 
     @pytest.mark.parametrize("lines", [
         "rho_db = -3235\nalpha = 0.01\nsweep_axis = alpha\nvalues = 0.01\n",

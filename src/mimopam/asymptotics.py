@@ -479,16 +479,9 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
                       mse=mse, sep=sep, goodput=goodput)
 
 
-class GoodputOptimum(NamedTuple):
-    """The goodput-optimal pilot count, its alpha* and the goodput there."""
-
-    t_pilot_star: int
-    alpha_star: float
-    goodput: float
-
-
-def optimize_goodput(cfg: SystemConfig) -> GoodputOptimum:
-    """Jointly optimal (t_pilot, alpha) in the goodput sense.
+def optimize_goodput(cfg: SystemConfig) -> tuple[SystemConfig, float]:
+    """Jointly optimal (t_pilot, alpha) in the goodput sense: cfg at the
+    optimal pilot count T_p* and its alpha*, and the goodput there.
 
     Walks every pilot count from k to t_total - 1 (pilots are whole
     symbols), sets alpha to alpha_star's float at that count and scores
@@ -499,8 +492,8 @@ def optimize_goodput(cfg: SystemConfig) -> GoodputOptimum:
     best = None
     for t_pilot in range(cfg.k, cfg.t_total):
         point = cfg._replace(t_pilot=t_pilot)
-        alpha = alpha_star(point)
-        goodput = predict(point._replace(alpha=alpha), DecoderSpec.lmmse()).goodput
-        if best is None or goodput > best.goodput:
-            best = GoodputOptimum(t_pilot, alpha, goodput)
+        point = point._replace(alpha=alpha_star(point))
+        goodput = predict(point, DecoderSpec.lmmse()).goodput
+        if best is None or goodput > best[1]:
+            best = (point, goodput)
     return best

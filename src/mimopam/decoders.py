@@ -38,6 +38,7 @@ BOX_KKT_RTOL = 1e-12  # active-set stop: KKT residual relative to max(1, |A'y|)
 _GIL_FREE_SIZE = 501
 
 
+# a decoder's name in configs and CSV rows; LMMSE, ridge at lam~ = 1, is no DecoderSpec's kind
 class DecoderKind(str, enum.Enum):
     LS = "ls"
     RLS = "rls"
@@ -46,18 +47,18 @@ class DecoderKind(str, enum.Enum):
 
 
 class _DecoderSpecFields(NamedTuple):
-    kind: DecoderKind
     lam_tilde: float
     t_box: float = math.inf
 
 
 class DecoderSpec(Checked, _DecoderSpecFields):
-    """Which decoder to run, at which point of the theory.
+    """A decoder as its point (lam~, t) of the theory.
 
     lam_tilde = lam / lambda* is the ridge coefficient in units of LMMSE's,
     so LS is lam~ = 0 and LMMSE lam~ = 1 at every scenario; the simulator
     solves with lam~ and the raw coefficient is lam~ lambda*. t_box is the
-    box half-width: finite for BOX only, inf (no box) for the ridge decoders.
+    box half-width, inf (no box) for the ridge decoders. Equal points are
+    one decoder: DecoderSpec.lmmse() == DecoderSpec.rls(1.0).
     """
 
     __slots__ = ()
@@ -67,28 +68,29 @@ class DecoderSpec(Checked, _DecoderSpecFields):
             raise ConfigError(f"lam~ must be finite and nonnegative, got {self.lam_tilde!r}")
         if not self.t_box > 0:
             raise ConfigError(f"t_box must be positive, got {self.t_box!r}")
-        if (self.kind is DecoderKind.BOX) != math.isfinite(self.t_box):
-            raise ConfigError("t_box must be finite for the box decoder and only for it")
-        if self.kind is DecoderKind.LS and self.lam_tilde != 0.0:
-            raise ConfigError("the LS decoder is lam~ = 0")
-        if self.kind is DecoderKind.LMMSE and self.lam_tilde != 1.0:
-            raise ConfigError("the LMMSE decoder is lam~ = 1")
+
+    @property
+    def kind(self) -> DecoderKind:
+        """BOX at a finite t, else LS at lam~ = 0 and RLS at any other lam~."""
+        if math.isfinite(self.t_box):
+            return DecoderKind.BOX
+        return DecoderKind.LS if self.lam_tilde == 0.0 else DecoderKind.RLS
 
     @staticmethod
     def ls() -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.LS, 0.0)
+        return DecoderSpec(0.0)
 
     @staticmethod
     def rls(lam_tilde: float) -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.RLS, lam_tilde)
+        return DecoderSpec(lam_tilde)
 
     @staticmethod
     def box(lam_tilde: float, t_box: float) -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.BOX, lam_tilde, t_box)
+        return DecoderSpec(lam_tilde, t_box)
 
     @staticmethod
     def lmmse() -> "DecoderSpec":
-        return DecoderSpec(DecoderKind.LMMSE, 1.0)
+        return DecoderSpec(1.0)
 
 
 def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.ndarray:

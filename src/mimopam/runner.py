@@ -75,6 +75,8 @@ class SweepSpec(Checked, _SweepSpecFields):
             raise ConfigError("values must be strictly increasing")
         if not self.decoders:
             raise ConfigError("decoders must be non-empty")
+        if len(set(self.decoders)) < len(self.decoders):
+            raise ConfigError("decoders must not repeat")
         if self.trials < 0:
             raise ConfigError("trials must be nonnegative")
         if self.master_seed < 0:
@@ -102,10 +104,13 @@ _NUMBERS = {int: "an integer", float: "a number"}
 
 
 def _parse(rule, raw: str, key: str) -> object:
-    """raw under rule; an enum value is read in any case, and a tuple skips
-    empty entries."""
+    """raw under rule; an enum value is read in any case. A tuple's entries
+    are stripped, and an empty one is refused unless all are empty."""
     if isinstance(rule, list):
-        return tuple(_parse(rule[0], v, key) for v in raw.split(",") if v.strip())
+        entries = [v.strip() for v in raw.split(",")]
+        if any(entries) and not all(entries):
+            raise ConfigError(f"key {key!r}: empty entry in {raw!r}")
+        return tuple(_parse(rule[0], v, key) for v in entries if v)
     if rule in _NUMBERS:
         value, expected = raw, _NUMBERS[rule]
     else:
@@ -258,23 +263,20 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     if kind is DecoderKind.BOX and spec.t_box is TPolicy.NUMERIC_OPTIMAL:
         t_box = t_star_numeric(point._replace(lam_tilde=lam_tilde))
 
-    return DecoderSpec(kind, lam_tilde, t_box)
+    return DecoderSpec(lam_tilde, t_box)
 
 
 _SOLVER_ERRORS = (ConvergenceError, UndefinedTheoryError)
-# a sweep point's theory point (lam~, t); rows at one key are one decoder
-_Key = tuple[float, float]
 
 
 def _theory_record(
-    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind,
-    solved: dict[_Key, tuple[DecoderSpec, Prediction]],
-) -> tuple[SweepRecord, _Key | None]:
+    spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind, solved: dict[DecoderSpec, Prediction],
+) -> tuple[SweepRecord, DecoderSpec | None]:
     """One decoder's row at one sweep point with its theory cells, and its
-    theory point, or None if resolving or predicting failed. solved is the
-    point's table of first-seen specs and their predictions: a theory point
-    not yet in it is predicted and added."""
-    shell = SweepRecord(
+    DecoderSpec, or None if resolving or predicting failed. solved is the
+    point's table of predictions: a spec not yet in it is predicted and
+    added. A resolve failure leaves the lambda and t_box cells empty."""
+    rec = SweepRecord(
         k=cfg.k, n=cfg.n, t_total=cfg.t_total, t_pilot=cfg.t_pilot,
         rho_db=cfg.rho_db, alpha=cfg.alpha, m=cfg.m, decoder=kind.value,
         lam=None, t_box=None, power_convention=cfg.power_convention.value,
@@ -282,63 +284,61 @@ def _theory_record(
     )
     try:
         dspec = resolve_decoder(spec, cfg, kind)
+        # a fixed lambda is echoed as configured, not as lam~ lambda*
+        fixed = (not isinstance(spec.lam, LambdaPolicy)
+                 and kind in (DecoderKind.RLS, DecoderKind.BOX))
+        lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
+        rec = rec._replace(lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
+        if dspec not in solved:
+            solved[dspec] = predict(cfg, dspec)
     except _SOLVER_ERRORS as exc:
-        return shell._replace(error=str(exc)), None
-    # a fixed lambda is echoed as configured, not as lam~ lambda*
-    fixed = not isinstance(spec.lam, LambdaPolicy) and kind in (DecoderKind.RLS, DecoderKind.BOX)
-    lam = spec.lam if fixed else dspec.lam_tilde * derive_params(cfg).lambda_star
-    shell = shell._replace(lam=lam, t_box=dspec.t_box if math.isfinite(dspec.t_box) else None)
-    key = (dspec.lam_tilde, dspec.t_box)
-    if key not in solved:
-        try:
-            solved[key] = (dspec, predict(cfg, dspec))
-        except _SOLVER_ERRORS as exc:
-            return shell._replace(error=str(exc)), None
-    pred = solved[key][1]
-    return shell._replace(
+        return rec._replace(error=str(exc)), None
+    pred = solved[dspec]
+    return rec._replace(
         theta_star=pred.theta_star, beta_star=pred.beta_star, b_norm=pred.b_norm,
         mse_theory=pred.mse, sep_theory=pred.sep, goodput_theory=pred.goodput,
-    ), key
+    ), dspec
 
 
 def _evaluate(
     spec: SweepSpec, points: list[tuple[SweepSpec, SystemConfig]], simulate: bool,
     workers: int,
-) -> list[tuple[list[tuple[SweepRecord, _Key | None]], dict[_Key, tuple[float | None, float]]]]:
-    """Per sweep point (spec, cfg): its rows, one per decoder of the
-    sweep with its theory point (lam~, t), and the consistency_z scores of
-    each theory point simulated with more than one trial.
+) -> list[tuple[list[tuple[SweepRecord, DecoderSpec | None]],
+                dict[DecoderSpec, tuple[float | None, float]]]]:
+    """Per sweep point (spec, cfg): its rows, one per decoder of the sweep
+    with its DecoderSpec, and the consistency_z scores of each spec
+    simulated with more than one trial.
 
     Theory comes first, for every point. Each point keeps one table
-    {(lam~, t): (spec, prediction)}, and rows at one key, e.g. rls and
-    lmmse at lam~ = 1, are one decoder: one prediction, one decode and one
-    pair of scores. With simulate, the tables' entries join one run_batch
-    call for the whole sweep, with B from their predictions, so each trial
-    is drawn once and each theory point decoded once; a solver error marks
-    only its theory point's rows."""
-    tables: list[dict[_Key, tuple[DecoderSpec, Prediction]]] = [{} for _ in points]
+    {DecoderSpec: Prediction}, and rows at one spec, e.g. rls and lmmse at
+    lam~ = 1, are one decoder: one prediction, one decode and one pair of
+    scores. With simulate, the tables' entries join one run_batch call for
+    the whole sweep, with B from their predictions, so each trial is drawn
+    once and each spec decoded once; a solver error marks only its spec's
+    rows."""
+    tables: list[dict[DecoderSpec, Prediction]] = [{} for _ in points]
     rows = [[_theory_record(point, cfg, kind, table) for kind in spec.decoders]
             for (point, cfg), table in zip(points, tables)]
-    scores: list[dict[_Key, tuple[float | None, float]]] = [{} for _ in points]
+    scores: list[dict[DecoderSpec, tuple[float | None, float]]] = [{} for _ in points]
     sims = [p for p, table in enumerate(tables) if table]
     if simulate and spec.trials and sims:
         batch = run_batch(
-            [(points[p][1], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].values()))
+            [(points[p][1], tuple((dspec, pred.b_norm) for dspec, pred in tables[p].items()))
              for p in sims],
             spec.trials, spec.master_seed, workers=workers,
         )
         for p, entries in zip(sims, batch):
-            cells = {}  # each key's simulated cells, or its error
-            for (key, (dspec, pred)), stats in zip(tables[p].items(), entries):
+            cells = {}  # each spec's simulated cells, or its error
+            for (dspec, pred), stats in zip(tables[p].items(), entries):
                 if isinstance(stats, ConvergenceError):
-                    cells[key] = {"error": str(stats)}
+                    cells[dspec] = {"error": str(stats)}
                     continue
-                cells[key] = dict(mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
-                                  stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
-                                  trials=stats.trials)
+                cells[dspec] = dict(mse_sim=stats.mean_mse, ser_sim=stats.mean_ser,
+                                    stderr_mse=stats.stderr_mse, stderr_ser=stats.stderr_ser,
+                                    trials=stats.trials)
                 if stats.trials > 1:
-                    scores[p][key] = consistency_z(points[p][1], dspec, pred, stats)
-            rows[p] = [(rec._replace(**cells.get(key, {})), key) for rec, key in rows[p]]
+                    scores[p][dspec] = consistency_z(points[p][1], dspec, pred, stats)
+            rows[p] = [(rec._replace(**cells.get(dspec, {})), dspec) for rec, dspec in rows[p]]
     return list(zip(rows, scores))
 
 
@@ -349,10 +349,9 @@ def _optimized_point(mode: str, cfg: SystemConfig) -> tuple[str, SystemConfig]:
         best = cfg._replace(alpha=alpha_star(cfg))
         return (f"rho_db={cfg.rho_db}: alpha_star={best.alpha:.6f} "
                 f"rho_eff={derive_params(best).rho_eff:.6g}", best)
-    opt = optimize_goodput(cfg)
-    return (f"rho_db={cfg.rho_db}: t_pilot_star={opt.t_pilot_star} "
-            f"alpha_star={opt.alpha_star:.6f} goodput={opt.goodput:.6f}",
-            cfg._replace(alpha=opt.alpha_star, t_pilot=opt.t_pilot_star))
+    best, goodput = optimize_goodput(cfg)
+    return (f"rho_db={cfg.rho_db}: t_pilot_star={best.t_pilot} "
+            f"alpha_star={best.alpha:.6f} goodput={goodput:.6f}", best)
 
 
 class RunResult(NamedTuple):
@@ -401,7 +400,7 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
     for (header, prefix, _), (rows, scores) in zip(heads, evaluated):
         if header:
             lines.append(header)
-        for rec, key in rows:
+        for rec, dspec in rows:
             if rec.error:
                 lines.append(f"{prefix}{rec.decoder}: ERROR {rec.error}")
                 continue
@@ -410,7 +409,7 @@ def run(spec: SweepSpec, mode: str, workers: int = 1) -> RunResult:
             msg = f"{prefix}{rec.decoder}: mse={rec.mse_theory:.6g} sep={rec.sep_theory:.6g}"
             if rec.mse_sim is not None:
                 msg += f" mse_sim={rec.mse_sim:.6g} ser_sim={rec.ser_sim:.6g}"
-            zs = scores.get(key)
+            zs = scores.get(dspec)
             if gate is not None and zs is not None:
                 z_mse, z_ser = zs
                 msg += f" z_mse={'n/a' if z_mse is None else f'{z_mse:.3g}'} z_ser={z_ser:.3g}"

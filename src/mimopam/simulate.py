@@ -40,7 +40,7 @@ import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from .decoders import DecoderSpec, box_rls_solve, rls_solve
+from .decoders import DecoderKind, DecoderSpec, box_rls_solve, rls_solve
 from .errors import ConfigError, ConvergenceError
 from .system import SystemConfig, derive_params, pam_points, slice_symbols
 
@@ -317,7 +317,7 @@ def consistency_z(
     max(stderr, the binomial floor of the predicted SEP), so a correctly
     observed zero-error batch is not rejected.
     """
-    ls = spec.lam_tilde == 0.0 and math.isinf(spec.t_box)
+    ls = spec.kind is DecoderKind.LS
     if ls and cfg.n <= cfg.k + 3:
         z_mse = None
     else:

@@ -258,7 +258,7 @@ class TestCriterion6:
                 for rho_db in (0, 10, 20):
                     cfg = mp.SystemConfig(k=k, n=n, t_total=t_total, t_pilot=k,
                                           rho_db=rho_db, alpha=0.5)
-                    assert optimize_goodput(cfg).t_pilot_star == k, (k, rho_db)
+                    assert optimize_goodput(cfg)[0].t_pilot == k, (k, rho_db)
 
 
 class TestCriterion7:

@@ -127,26 +127,30 @@ class TestAlphaStar:
 class TestOptimizeGoodput:
     def test_training_floor_is_antenna_count(self):
         for rho_db in (0, 10, 20):
-            res = optimize_goodput(energy_cfg(rho_db, k=400, n=480, t_total=1000))
-            assert res.t_pilot_star == 400
+            best, _ = optimize_goodput(energy_cfg(rho_db, k=400, n=480, t_total=1000))
+            assert best.t_pilot == 400
 
     def test_alpha_matches_power_only_optimum_at_the_floor(self):
         rho_db = 10.0
-        res = optimize_goodput(energy_cfg(rho_db, k=400, n=480, t_total=1000))
+        cfg = energy_cfg(rho_db, k=400, n=480, t_total=1000)
+        best, goodput = optimize_goodput(cfg)
         base = alpha_star(block_cfg(rho_db, 1000 / 400, (1000 - 400) / 400, k=400))
-        assert res.alpha_star == pytest.approx(base, rel=1e-12)
+        assert best.alpha == pytest.approx(base, rel=1e-12)
+        # the optimum is cfg at (T_p*, alpha*), scored by LMMSE there
+        assert best == cfg._replace(t_pilot=best.t_pilot, alpha=best.alpha)
+        assert goodput == predict(best, DecoderSpec.lmmse()).goodput
 
     def test_goodput_dominates_grid(self):
         cfg = energy_cfg(10.0, k=128, n=192, t_total=512)
-        res = optimize_goodput(cfg)
+        _, goodput = optimize_goodput(cfg)
         at_2k = cfg._replace(t_pilot=2 * 128)
         at_2k = at_2k._replace(alpha=alpha_star(at_2k))
-        assert res.goodput >= predict(at_2k, DecoderSpec.lmmse()).goodput
+        assert goodput >= predict(at_2k, DecoderSpec.lmmse()).goodput
 
     def test_tiny_block_goodput_vanishes(self):
         # only one data symbol available: goodput factor (1 - tau_p/tau) -> 0
-        res = optimize_goodput(energy_cfg(10.0, k=128, n=192, t_total=130))
-        assert res.goodput <= 2 / 130 + 1e-12
+        _, goodput = optimize_goodput(energy_cfg(10.0, k=128, n=192, t_total=130))
+        assert goodput <= 2 / 130 + 1e-12
 
     def test_rejects_block_without_data(self):
         with pytest.raises(ConfigError):

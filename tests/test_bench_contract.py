@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import mimopam
-from mimopam.runner import load_config
+from mimopam.runner import apply_sweep_value, load_config, resolve_decoder
 from mimopam.simulate import run_trial
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -61,3 +61,17 @@ def test_importing_the_cli_loads_every_traced_module():
 @pytest.mark.parametrize("name", ["theory_sweep.cfg", "monte_carlo.cfg"])
 def test_bench_configs_load(name):
     assert load_config(str(BENCH / name)).values
+
+
+def test_run_trial_spans_are_labelled_by_the_decoders_kind():
+    # the tracer names a run_trial span by spec.kind.value; lmmse resolves to
+    # the rls spec at lam~ = 1, so its trials are decoded, and labelled, once
+    label = load_tracer()._decoder_label
+    spec = load_config(str(BENCH / "monte_carlo.cfg"))
+    for value in spec.values:
+        point, cfg = apply_sweep_value(spec, value)
+        dspecs = {kind.value: resolve_decoder(point, cfg, kind) for kind in spec.decoders}
+        assert dspecs["lmmse"] == dspecs["rls"]
+        assert {name: label((cfg, dspec), {}) for name, dspec in dspecs.items()} == {
+            "ls": "ls", "rls": "rls", "box": "box", "lmmse": "rls"}
+        assert label((cfg,), {"decoder_spec": dspecs["box"]}) == "box"

@@ -243,10 +243,14 @@ class TestLmmseDecode:
 class TestDecoderSpec:
     def test_constructors_are_theory_points(self):
         inf = math.inf
-        assert DecoderSpec.ls() == DecoderSpec(DecoderKind.LS, 0.0, inf)
-        assert DecoderSpec.lmmse() == DecoderSpec(DecoderKind.LMMSE, 1.0, inf)
-        assert DecoderSpec.rls(0.4) == DecoderSpec(DecoderKind.RLS, 0.4, inf)
-        assert DecoderSpec.box(0.4, 1.5) == DecoderSpec(DecoderKind.BOX, 0.4, 1.5)
+        assert DecoderSpec._fields == ("lam_tilde", "t_box")
+        assert DecoderSpec.ls() == DecoderSpec(0.0, inf)
+        assert DecoderSpec.lmmse() == DecoderSpec(1.0, inf)
+        assert DecoderSpec.rls(0.4) == DecoderSpec(0.4, inf)
+        assert DecoderSpec.box(0.4, 1.5) == DecoderSpec(0.4, 1.5)
+        # one point is one decoder: equal, and one key of a dict
+        assert DecoderSpec.lmmse() == DecoderSpec.rls(1.0) == (1.0, math.inf)
+        assert hash(DecoderSpec.lmmse()) == hash(DecoderSpec.rls(1.0))
 
     @pytest.mark.parametrize("lam_tilde", [-0.5, -1e-300, math.inf, math.nan])
     def test_rejects_bad_ridge_coefficient(self, lam_tilde):
@@ -261,20 +265,17 @@ class TestDecoderSpec:
             DecoderSpec.box(0.3, t_box)
 
     def test_threshold_is_finite_exactly_for_the_box_decoder(self):
-        # an infinite box is the ridge decoder, which is DecoderSpec.rls
-        with pytest.raises(ConfigError, match="box decoder"):
-            DecoderSpec.box(0.3, math.inf)
-        for kind in (DecoderKind.LS, DecoderKind.RLS, DecoderKind.LMMSE):
-            lam_tilde = 1.0 if kind is DecoderKind.LMMSE else 0.0
-            with pytest.raises(ConfigError, match="box decoder"):
-                DecoderSpec(kind, lam_tilde, 1.0)
+        # the kind is read off the point; an infinite box is the ridge decoder
+        assert DecoderSpec.box(0.3, math.inf) == DecoderSpec.rls(0.3)
+        assert DecoderSpec.box(0.3, math.inf).kind is DecoderKind.RLS
+        for lam_tilde in (0.0, 0.3, 1.0):
+            assert DecoderSpec.box(lam_tilde, 1.0).kind is DecoderKind.BOX
 
     def test_ls_and_lmmse_fix_their_coefficient(self):
-        with pytest.raises(ConfigError, match="LS"):
-            DecoderSpec(DecoderKind.LS, 0.5)
-        for lam_tilde in (0.0, 0.999):
-            with pytest.raises(ConfigError, match="LMMSE"):
-                DecoderSpec(DecoderKind.LMMSE, lam_tilde)
-        # the ridge decoder may sit at either point
-        assert DecoderSpec.rls(0.0).lam_tilde == 0.0
-        assert DecoderSpec.rls(1.0).lam_tilde == 1.0
+        assert DecoderSpec.ls().lam_tilde == 0.0
+        assert DecoderSpec.lmmse().lam_tilde == 1.0
+        # the ridge decoder at lam~ = 0 is LS; LMMSE is a config label only
+        assert DecoderSpec.rls(0.0) == DecoderSpec.ls()
+        assert DecoderSpec.rls(0.0).kind is DecoderKind.LS
+        assert {DecoderSpec.rls(x).kind for x in (1e-300, 0.999, 1.0)} == {DecoderKind.RLS}
+        assert DecoderSpec.lmmse().kind is DecoderKind.RLS

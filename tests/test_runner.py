@@ -118,8 +118,14 @@ class TestConfigFile:
         ({"decoders": ","}, "", "decoders must be non-empty"),
         ({}, "trials = -1\n", "trials must be nonnegative"),
         ({"k": "0"}, "", "antenna counts and block length must be positive"),
+        ({"values": "0,,10"}, "", "key 'values': empty entry in '0,,10'"),
+        ({"values": "0,10,"}, "", "key 'values': empty entry in '0,10,'"),
+        ({"values": ",0,10"}, "", "key 'values': empty entry in ',0,10'"),
+        ({"values": "5, ten"}, "", "key 'values': expected a number, got 'ten'"),
+        ({"decoders": "rls, box,rls"}, "", "decoders must not repeat"),
     ], ids=["int", "float", "no-equals", "duplicate", "decoders-empty", "negative-trials",
-            "zero-k"])
+            "zero-k", "values-inner-empty", "values-trailing-empty", "values-leading-empty",
+            "values-entry-stripped", "decoders-repeated"])
     def test_refusal_message_is_pinned(self, tmp_path, capsys, changes, extra, message):
         keys = {"k": "32", "n": "40", "t_total": "96", "t_pilot": "40", "rho_db": "10",
                 "alpha": "0.5", "m": "2", "sweep_axis": "rho_db", "values": "0",
@@ -182,8 +188,8 @@ class TestConfigFile:
         (small_spec().base, {"alpha": 1.0}, "alpha"),
         (small_spec(), {"values": (10.0, 0.0)}, "strictly increasing"),
         (small_spec(), {"t_box": math.inf}, "t_box must be finite and positive"),
-        (DecoderSpec.rls(1.0), {"t_box": 1.0}, "box decoder"),
-        (DecoderSpec.lmmse(), {"lam_tilde": 0.5}, "LMMSE"),
+        (DecoderSpec.box(1.0, 1.0), {"t_box": 0.0}, "t_box must be positive"),
+        (DecoderSpec.lmmse(), {"lam_tilde": -0.5}, "lam~ must be finite and nonnegative"),
         (small_spec(), {"lam": -0.3}, "lambda must be finite and nonnegative"),
         (small_spec(), {"t_box": 0.0}, "t_box must be finite and positive"),
         (small_spec().base, {"rho_db": math.inf}, "rho must be positive and finite"),
@@ -199,11 +205,11 @@ class TestConfigFile:
         (small_spec().base, {"rho_db": 4000.0}, "4000.0 dB is out of the float range"),
         (small_spec().base, {"rho_db": -4000.0}, "rho must be positive and finite"),
     ], ids=[
-        # the first eleven are the ids pytest generated for them, kept so no test is renamed
+        # ids of the form recordN-changesN-... are the ones pytest generated, kept
         "record0-changes0-t_pilot >= k", "record1-changes1-alpha",
         "record2-changes2-strictly increasing",
-        "record3-changes3-t_box must be finite and positive", "record4-changes4-box decoder",
-        "record5-changes5-LMMSE", "record6-changes6-lambda must be finite and nonnegative",
+        "record3-changes3-t_box must be finite and positive", "dspec-t_box-zero",
+        "dspec-lam-negative", "record6-changes6-lambda must be finite and nonnegative",
         "record7-changes7-t_box must be finite and positive",
         "record8-changes8-rho must be positive and finite",
         "record9-changes9-values must be finite", "record10-changes10-master_seed must be nonnegative",

@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple
 
 from .decoders import DecoderSpec
-from .errors import ConfigError, ConvergenceError, UndefinedTheoryError
+from .errors import ConvergenceError, UndefinedTheoryError
 from .system import SystemConfig, alpha_star, derive_params, largest_symbol, pam_energy
 
 _SQRT2 = math.sqrt(2.0)
@@ -69,12 +69,16 @@ def upsilon(lambda_prime: float, delta: float) -> float:
 
     lambda_prime is lam~ / rho_eff, the ridge coefficient in units of the
     effective noise-to-signal ratio. Vanishes at lambda_prime = 0 when
-    delta >= 1 and grows like lambda_prime / delta for large regularization.
+    delta >= 1 and grows like lambda_prime / delta for large regularization;
+    it is inf only where that growth leaves the float range.
     """
     if lambda_prime < 0 or delta <= 0:
         raise ValueError("need lambda_prime >= 0 and delta > 0")
     a = delta - lambda_prime - 1.0
-    return (-a + math.sqrt(a * a + 4.0 * lambda_prime * delta)) / (2.0 * delta)
+    root = math.sqrt(a * a + 4.0 * lambda_prime * delta)
+    if root == math.inf:  # a^2 overflows, the root itself need not
+        root = math.hypot(a, 2.0 * math.sqrt(lambda_prime * delta))
+    return (-a + root) / (2.0 * delta)
 
 
 class ScalarSolution(NamedTuple):
@@ -97,14 +101,16 @@ def ridge_solution(rho_eff: float, lam_tilde: float, delta: float) -> ScalarSolu
     beta* = 2((delta - lam' - 1) + delta u) theta* and B = 1/(1+u). beta*
     equals 2 lam' theta* / u when lam~ > 0, but this form stays finite in
     the lam~ -> 0 limit as well. The denominator of theta* must be positive,
-    which holds for any lam~ > 0 and for lam~ = 0 when delta > 1.
+    which holds for any lam~ > 0 and for lam~ = 0 when delta > 1
+    (UndefinedTheoryError otherwise). u = inf gives B = 0 and nan theta*.
     """
     lp = lam_tilde / rho_eff
     u = upsilon(lp, delta)
     shrink = u / (1.0 + u)
-    den = delta - 1.0 / (1.0 + u) ** 2
+    # (1 + u)^2 overflows only where its reciprocal is below the float range
+    den = delta - (1.0 / (1.0 + u) ** 2 if u < 1e154 else 0.0)
     if den <= 0:
-        raise ConfigError(
+        raise UndefinedTheoryError(
             f"theta* undefined: delta={delta} <= 1/(1+upsilon)^2 at lam~={lam_tilde}"
         )
     theta = math.sqrt((rho_eff * shrink * shrink + 1.0) / den)
@@ -125,14 +131,13 @@ def mse_from_theta(theta_star: float, rho_eff: float, delta: float) -> float:
 def _tail_moment(x: float) -> tuple[float, float]:
     """(h(x), h'(x)) for the upper-tail second moment h(x) = E[(Z - x)_+^2]
     of a standard normal Z: h(x) = (x^2 + 1) Q(x) - x p(x) and
-    h'(x) = 2 (x Q(x) - p(x)). x must be finite (h(inf) reads nan); the
-    density term of h is dropped once p(x) underflows to 0."""
+    h'(x) = 2 (x Q(x) - p(x)). Both are 0 once Q(x) underflows to 0, where
+    x^2 may overflow, and the density term of h is dropped once p(x) does."""
     q = qfunc(x)
+    if q == 0.0:
+        return 0.0, 0.0
     dens = math.exp(-0.5 * x * x) / _SQRT2PI
-    h = (x * x + 1.0) * q
-    if dens > 0.0:
-        h -= x * dens
-    return h, 2.0 * (x * q - dens)
+    return (x * x + 1.0) * q - (x * dens if dens else 0.0), 2.0 * (x * q - dens)
 
 
 class BoxObjectiveParams(NamedTuple):
@@ -463,7 +468,8 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
 
     theta* and beta* are reported in the raw scenario's units, s times the
     saddle point at the effective SNR. The unregularized decoder needs
-    delta > 1, so lam~ = 0 with n <= k has no theory (UndefinedTheoryError).
+    delta > 1, so lam~ = 0 with n <= k has no theory (UndefinedTheoryError),
+    nor has a scenario whose debias constant B underflows to 0.
     """
     dp = derive_params(cfg)
     if spec.lam_tilde == 0 and dp.delta <= 1:
@@ -471,6 +477,8 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
             "lam = 0 requires n > k (the unregularized decoder needs delta > 1)")
     params = BoxObjectiveParams(dp.rho_eff, spec.lam_tilde, dp.delta, spec.t_box, cfg.m)
     sol = scalar_solution(params)
+    if sol.b_norm == 0.0:
+        raise UndefinedTheoryError(f"debias constant B underflows to 0 at lam~={spec.lam_tilde!r}")
     mse = mse_from_theta(sol.theta_star, dp.rho_eff, dp.delta)
     sep = box_sep(sol.theta_star, sol.b_norm, params)
     goodput = (1.0 - dp.tau_p / dp.tau) * (1.0 - sep)

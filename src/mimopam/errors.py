@@ -12,7 +12,8 @@ class ConvergenceError(RuntimeError):
 
 class UndefinedTheoryError(ValueError):
     """The theory has no value at this point: a box threshold on a decision
-    boundary, where the asymptotic SEP jumps, or lam = 0 with n <= k."""
+    boundary, where the asymptotic SEP jumps, lam = 0 with n <= k, or a
+    debias constant B that underflows to 0."""
 
 
 class Checked:

@@ -6,8 +6,9 @@ training duration) and evaluates each requested decoder at every point,
 joining the asymptotic predictions with Monte Carlo statistics in one CSV row
 per (value, decoder).
 
-This is the only module that sees the raw ridge coefficient lambda: the
-config key, the lambda axis and the CSV lambda cell. resolve_decoder turns it
+Each decoder knob has one config key, its policy or a fixed number. This is
+the only module that sees the raw ridge coefficient lambda: lambda_policy's
+number, the lambda axis and the CSV lambda cell. resolve_decoder turns it
 into the decoder's lam~ = lambda / lambda* at each sweep point.
 """
 
@@ -91,38 +92,37 @@ _REQUIRED_KEYS = (
     "k", "n", "t_total", "t_pilot", "rho_db", "alpha", "m",
     "sweep_axis", "values", "decoders",
 )
-# each key's parse rule: int, float, an enum, (enum, word) for an enum that
-# also takes that word, or [rule] for a comma-separated tuple of rule
+# each key's parse rule: int, float, an enum, (enum, float) for an enum or a
+# number, or [rule] for a comma-separated tuple of rule
 _RULES = {
     "k": int, "n": int, "t_total": int, "t_pilot": int, "rho_db": float, "alpha": float,
     "m": int, "power_convention": PowerConvention, "sweep_axis": SweepAxis,
     "values": [float], "decoders": [DecoderKind], "trials": int, "master_seed": int,
-    "lambda_policy": (LambdaPolicy, "fixed"), "t_policy": (TPolicy, "fixed"),
-    "lambda": float, "t_box": float,
+    "lambda_policy": (LambdaPolicy, float), "t_policy": (TPolicy, float),
 }
+# the SweepSpec field of a key whose name differs: each knob's one key
+_FIELD_OF = {"lambda_policy": "lam", "t_policy": "t_box"}
 _NUMBERS = {int: "an integer", float: "a number"}
 
 
 def _parse(rule, raw: str, key: str) -> object:
-    """raw under rule; an enum value is read in any case. A tuple's entries
-    are stripped, and an empty one is refused unless all are empty."""
+    """raw under rule; an enum value is read in any case, and (enum, float)
+    reads a number where no enum value matches. A tuple's entries are
+    stripped, and an empty one is refused unless all are empty."""
     if isinstance(rule, list):
         entries = [v.strip() for v in raw.split(",")]
         if any(entries) and not all(entries):
             raise ConfigError(f"key {key!r}: empty entry in {raw!r}")
         return tuple(_parse(rule[0], v, key) for v in entries if v)
-    if rule in _NUMBERS:
-        value, expected = raw, _NUMBERS[rule]
-    else:
-        rule, *extra = rule if isinstance(rule, tuple) else (rule,)
-        value = raw.strip().lower()
-        if value in extra:
-            return value
-        expected = "|".join((*extra, *(c.value for c in rule)))
-    try:
-        return rule(value)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}") from exc
+    rules = rule if isinstance(rule, tuple) else (rule,)
+    value = raw if rule in _NUMBERS else raw.strip().lower()
+    for parse in rules:
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+    expected = "|".join(_NUMBERS.get(r) or "|".join(c.value for c in r) for r in rules)
+    raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}")
 
 
 def load_config(path: str) -> SweepSpec:
@@ -148,22 +148,8 @@ def load_config(path: str) -> SweepSpec:
         if key not in pairs:
             raise ConfigError(f"missing required config key {key!r}")
 
-    fields = {key: _parse(_RULES[key], raw, key) for key, raw in pairs.items()}
+    fields = {_FIELD_OF.get(key, key): _parse(_RULES[key], raw, key) for key, raw in pairs.items()}
     base = SystemConfig(**{key: fields.pop(key) for key in SystemConfig._fields if key in fields})
-    # each knob: its SweepSpec field, its policy key, and the key that "fixed" reads
-    for field, policy_key, value_key in (("lam", "lambda_policy", "lambda"),
-                                         ("t_box", "t_policy", "t_box")):
-        policy = fields.pop(policy_key, None)
-        if policy == "fixed":
-            if value_key not in fields:
-                raise ConfigError(f"{policy_key} = fixed requires an explicit {value_key!r} key")
-            fields[field] = fields.pop(value_key)
-        elif value_key in fields:
-            named = policy or SweepSpec._field_defaults[field]
-            raise ConfigError(f"{policy_key} = {named.value} ignores {value_key!r}; "
-                              f"it is read only under {policy_key} = fixed")
-        elif policy is not None:
-            fields[field] = policy
     return SweepSpec(base=base, **fields)
 
 
@@ -239,8 +225,10 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     """Pin lam~ = lambda / lambda* and the box threshold for one decoder at
     one sweep point; a fixed lambda is divided by this point's lambda*.
 
-    When both knobs are numeric-optimal, lam~ is optimized first at the
-    max-symbol threshold, then the threshold at that lam~.
+    lambda* is the ridge decoder's optimum, so rls takes lam~ = 1 under
+    either lambda policy, and only the box decoder searches lam~. When both
+    knobs are numeric-optimal, lam~ is optimized first at the max-symbol
+    threshold, then the threshold at that lam~.
     """
     if kind is DecoderKind.LS:
         return DecoderSpec.ls()
@@ -255,7 +243,7 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
 
     if not isinstance(spec.lam, LambdaPolicy):
         lam_tilde = spec.lam / dp.lambda_star
-    elif spec.lam is LambdaPolicy.CLOSED_FORM_OPTIMAL:
+    elif spec.lam is LambdaPolicy.CLOSED_FORM_OPTIMAL or kind is DecoderKind.RLS:
         lam_tilde = 1.0
     else:
         lam_tilde = lambda_star_numeric(point)

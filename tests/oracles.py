@@ -317,11 +317,8 @@ def write_config(spec, path):
         f"trials = {spec.trials}",
         f"master_seed = {spec.master_seed}",
     ]
-    for knob, policy_key, policy, value_key in ((spec.lam, "lambda_policy", LambdaPolicy, "lambda"),
-                                                (spec.t_box, "t_policy", TPolicy, "t_box")):
-        if isinstance(knob, policy):
-            lines.append(f"{policy_key} = {knob.value}")
-        else:
-            lines += [f"{policy_key} = fixed", f"{value_key} = {knob!r}"]
+    for key, knob in (("lambda_policy", spec.lam), ("t_policy", spec.t_box)):
+        policy = isinstance(knob, (LambdaPolicy, TPolicy))
+        lines.append(f"{key} = {knob.value if policy else repr(knob)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -24,7 +24,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from mimopam import (
-    ConfigError,
     ConvergenceError,
     DecoderKind,
     DecoderSpec,
@@ -42,6 +41,7 @@ from mimopam.asymptotics import (
     _bracket_root,
     _find_root,
     _grid_argmin,
+    _tail_moment,
     box_saddle_solve,
     box_sep,
     box_theta_min,
@@ -136,6 +136,11 @@ class TestUpsilon:
         lp = 1e6
         assert upsilon(lp, 1.2) / (lp / 1.2) == pytest.approx(1.0, rel=1e-5)
 
+    @pytest.mark.parametrize("lp", [1e160, 1e200, 1e300])
+    def test_no_overflow_where_the_root_is_a_float(self, lp):
+        # the square of delta - lp - 1 overflows from lp ~ 1.3e154 on
+        assert upsilon(lp, 1.2) == pytest.approx(lp / 1.2, rel=1e-12)
+
 
 class TestRlsClosedForms:
     @pytest.mark.parametrize("rho_db,want", sorted(FIG2_RLS_MSE.items()))
@@ -156,8 +161,15 @@ class TestRlsClosedForms:
         assert ls_mse_closed_form(1.0, 2.0) == pytest.approx(1.0)
 
     def test_infeasible_square_system_without_regularization(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UndefinedTheoryError, match="theta\\* undefined"):
             ridge_solution(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lam_tilde", [1e160, 1e300])
+    def test_huge_coefficient_does_not_overflow(self, lam_tilde):
+        # (1 + u)^2 would overflow; the estimate is all shrinkage there
+        sol = ridge_solution(1.0, lam_tilde, 1.2)
+        assert sol.theta_star == pytest.approx(math.sqrt(2.0 / 1.2), rel=1e-12)
+        assert sol.b_norm == pytest.approx(1.2 / lam_tilde, rel=1e-12)
 
     def test_sep_limits(self):
         assert rls_sep(1e12, 1.0, 4) == pytest.approx(2 * (1 - 0.25) * 0.5, rel=1e-9)
@@ -353,6 +365,12 @@ class TestGaussianPartialMoment:
     def test_rejects_reversed_limits(self):
         with pytest.raises(ValueError):
             gaussian_partial_second_moment(0.0, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("x", [40.0, 1e200, math.inf])
+    def test_tail_moment_is_zero_beyond_the_float_range_of_q(self, x):
+        # Q(x) underflows from x ~ 38.5 on, where (x^2 + 1) Q(x) could read nan
+        assert qfunc(x) == 0.0
+        assert _tail_moment(x) == (0.0, 0.0)
 
 
 class TestBoxObjective:
@@ -612,6 +630,11 @@ class TestPredict:
         b = predict(cfg, DecoderSpec.rls(lam / dp.lambda_star))
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
         assert a.sep == pytest.approx(b.sep, rel=1e-12)
+
+    def test_debias_constant_underflow_has_no_theory(self):
+        # lam~ / rho_eff overflows, so u = inf and B = 0: no SEP exists
+        with pytest.raises(UndefinedTheoryError, match="B underflows to 0"):
+            predict(fig2_cfg(-10), DecoderSpec.rls(1e308))
 
     def test_ridge_norm_identity(self):
         cfg = fig2_cfg(10)

@@ -3,12 +3,14 @@ tests/golden/.
 
 Every theory cell is held at rtol 1e-12, every simulated cell (compare on
 fig6 at 4 trials) at rtol 1e-10, and every text cell and every report
-exactly. fig4 finds lam~* numerically on a flat optimum of theta*(lam~),
-where the last bit of theta* picks the returned point (an ulp-level change
-once moved it by 3.2e-7 relative). So on its numeric-optimal rows the cells
-that move with lam~ at first order, lambda, beta_star and b_norm, are held
-at rel 1e-6; theta*, and the MSE, SEP and goodput it implies, are flat in
-lam~ there and keep rtol 1e-12. Regenerate with tests/golden/regenerate.py.
+exactly. fig4's box rows find lam~* numerically on a flat optimum of
+theta*(lam~), where the last bit of theta* picks the returned point (an
+ulp-level change once moved it by 3.2e-7 relative). So on those rows the
+cells that move with lam~ at first order, lambda, beta_star and b_norm, are
+held at rel 1e-6; theta*, and the MSE, SEP and goodput it implies, are flat
+in lam~ there and keep rtol 1e-12. fig4's rls rows take lam~ = 1, the ridge
+optimum, with no search, and keep rtol 1e-12 in every cell. Regenerate with
+tests/golden/regenerate.py.
 """
 
 import csv
@@ -56,8 +58,8 @@ def as_float(cell):
 def rtol_of(preset, column, row):
     if column in SIMULATED_CELLS:
         return SIMULATED_RTOL
-    # fig4 is numeric_optimal in lambda, so its rls and box rows carry lam~*
-    flat = preset == "fig4" and row["decoder"] in ("rls", "box") and column in FLAT_OPTIMUM_CELLS
+    # fig4 is numeric_optimal in lambda, so its box rows carry a searched lam~*
+    flat = preset == "fig4" and row["decoder"] == "box" and column in FLAT_OPTIMUM_CELLS
     return FLAT_OPTIMUM_RTOL if flat else GOLDEN_RTOL
 
 

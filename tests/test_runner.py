@@ -36,7 +36,7 @@ from mimopam.presets import PRESET_NAMES, preset_path
 from mimopam.runner import (
     MODES, LambdaPolicy, SweepAxis, TPolicy, apply_sweep_value, records_to_csv, resolve_decoder,
 )
-from mimopam.system import derive_params, lambda_star_rls
+from mimopam.system import derive_params, lambda_star_rls, largest_symbol
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -95,8 +95,8 @@ class TestConfigFile:
         ("power_convention", "energy|direct"),
         ("sweep_axis", "rho_db|alpha|lambda|t_box|tau_p"),
         ("decoders", "ls|rls|box|lmmse"),
-        ("lambda_policy", "fixed|closed_form_optimal|numeric_optimal"),
-        ("t_policy", "fixed|max_symbol|numeric_optimal"),
+        ("lambda_policy", "closed_form_optimal|numeric_optimal|a number"),
+        ("t_policy", "max_symbol|numeric_optimal|a number"),
     ], ids=["power_convention", "sweep_axis", "decoders", "lambda_policy", "t_policy"])
     def test_unknown_enum_value_names_the_key_and_choices(self, tmp_path, capsys, key, choices):
         keys = {"k": "32", "n": "40", "t_total": "96", "t_pilot": "40", "rho_db": "10",
@@ -249,6 +249,21 @@ class TestSweepMechanics:
         dp = derive_params(cfg)
         assert dspec.lam_tilde * dp.lambda_star == pytest.approx(
             lambda_star_rls(dp.rho_d, dp.sigma_delta_sq))
+
+    def test_numeric_lambda_leaves_the_ridge_decoder_at_its_optimum(self, monkeypatch):
+        # lambda* is the ridge optimum, so rls takes lam~ = 1 with no search;
+        # only the box searches
+        spec = small_spec(decoders=(DecoderKind.RLS, DecoderKind.BOX),
+                          lam=LambdaPolicy.NUMERIC_OPTIMAL)
+        _, cfg = apply_sweep_value(spec, 10.0)
+        searched = []
+        real = mimopam.runner.lambda_star_numeric
+        monkeypatch.setattr(mimopam.runner, "lambda_star_numeric",
+                            lambda point: searched.append(point) or real(point))
+        assert resolve_decoder(spec, cfg, DecoderKind.RLS) == DecoderSpec.lmmse()
+        assert not searched
+        resolve_decoder(spec, cfg, DecoderKind.BOX)
+        assert [point.t for point in searched] == [largest_symbol(cfg.m)]
 
     def test_resolve_box_threshold_default_is_largest_symbol(self):
         spec = small_spec(decoders=(DecoderKind.BOX,))
@@ -662,8 +677,8 @@ print(json.dumps([started, sorted(sys.modules)]))
         path.write_text(
             "k = 32\nn = 40\nt_total = 96\nt_pilot = 40\nrho_db = 10\nalpha = 0.5\n"
             "m = 4\nsweep_axis = rho_db\nvalues = 10\ndecoders = box\ntrials = 0\n"
-            "power_convention = direct\nlambda_policy = fixed\nlambda = 0\n"
-            f"t_policy = fixed\nt_box = {2.0 / math.sqrt(5.0)!r}\n"
+            "power_convention = direct\nlambda_policy = 0\n"
+            f"t_policy = {2.0 / math.sqrt(5.0)!r}\n"
         )
         out = str(tmp_path / "degen.csv")
         assert cli_main(["predict", "--config", str(path), "--out", out]) == 3
@@ -701,7 +716,7 @@ print(json.dumps([started, sorted(sys.modules)]))
 
     @pytest.mark.parametrize("decoder_lines, kept", [
         ("decoders = ls,rls\n", "rls"),
-        ("decoders = rls,lmmse\nlambda_policy = fixed\nlambda = 0\n", "lmmse"),
+        ("decoders = rls,lmmse\nlambda_policy = 0\n", "lmmse"),
     ], ids=["ls", "fixed-lambda-0"])
     def test_unregularized_fat_system_fails_its_own_rows(self, tmp_path, capsys,
                                                          decoder_lines, kept):
@@ -725,6 +740,32 @@ print(json.dumps([started, sorted(sys.modules)]))
                 assert not row["error"] and float(row["mse_theory"]) > 0
             else:
                 assert "n > k" in row["error"] and row["mse_theory"] == ""
+
+    @pytest.mark.parametrize("old, new, code", [
+        ("alpha = 0.5", "alpha = 1e-200", 3),
+        ("lambda_policy = closed_form_optimal", "lambda_policy = 1e300", 3),
+        ("t_policy = max_symbol", "t_policy = 1e200", 0),
+    ], ids=["alpha-1e-200", "lambda-1e300", "t-1e200"])
+    def test_far_out_of_range_scenario_keeps_every_row(self, tmp_path, capsys, old, new, code):
+        # lam~ / rho_eff beyond 1e154 squares past the float range in the
+        # ridge closed form, and t = 1e200 in the box tails; every row still
+        # gets its result or its own error
+        text = (BENCH / "theory_sweep.cfg").read_text()
+        assert f"\n{old}\n" in text
+        path = tmp_path / "far.cfg"
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        out = tmp_path / "far.csv"
+        assert cli_main(["predict", "--config", str(path), "--out", str(out)]) == code
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 16
+        if code == 0:
+            # so wide a box clips nothing: each box row is its ridge row
+            for rls, box in zip(rows[::2], rows[1::2]):
+                assert (rls["decoder"], box["decoder"], box["t_box"]) == ("rls", "box", "1e+200")
+                for cell in ("theta_star", "beta_star", "b_norm", "mse_theory", "sep_theory",
+                             "goodput_theory"):
+                    assert float(box[cell]) == pytest.approx(float(rls[cell]), rel=1e-12)
 
     def _simulate_rows(self, tmp_path, lines):
         """Exit code and CSV rows of a two-trial simulate run on a small
@@ -791,29 +832,32 @@ print(json.dumps([started, sorted(sys.modules)]))
         assert all(float(r["mse_sim"]) > 0 and r["trials"] == "2" for r in kept)
 
     @pytest.mark.parametrize("knob_lines, message", [
-        ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = -1\n",
+        ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = -1\n",
          "lambda must be finite and nonnegative, got -1.0"),
         ("sweep_axis = lambda\nvalues = -0.1,0.5\n",
          "lambda must be finite and nonnegative, got -0.1"),
         ("sweep_axis = t_box\nvalues = 0,1\n", "t_box must be finite and positive, got 0.0"),
-        ("sweep_axis = rho_db\nvalues = 10\nlambda = 0.3\n",
-         "lambda_policy = closed_form_optimal ignores 'lambda'; "
-         "it is read only under lambda_policy = fixed"),
+        ("sweep_axis = rho_db\nvalues = 10\nt_policy = inf\n",
+         "t_box must be finite and positive, got inf"),
+        ("sweep_axis = rho_db\nvalues = 10\nlambda = 0.3\n", "unknown config key 'lambda'"),
         ("sweep_axis = rho_db\nvalues = 10\nt_policy = numeric_optimal\nt_box = 1\n",
-         "t_policy = numeric_optimal ignores 't_box'; it is read only under t_policy = fixed"),
+         "unknown config key 't_box'"),
+        ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\nlambda = 0.3\n",
+         "unknown config key 'lambda'"),
         ("sweep_axis = rho_db\nvalues = 10\nlambda_policy = fixed\n",
-         "lambda_policy = fixed requires an explicit 'lambda' key"),
-        ("sweep_axis = rho_db\nvalues = 10\nt_policy = fixed\n",
-         "t_policy = fixed requires an explicit 't_box' key"),
+         "key 'lambda_policy': expected closed_form_optimal|numeric_optimal|a number, "
+         "got 'fixed'"),
+        ("sweep_axis = rho_db\nvalues = 10\nt_policy = Fixed\n",
+         "key 't_policy': expected max_symbol|numeric_optimal|a number, got 'fixed'"),
         ("sweep_axis = tau_p\nvalues = 1.25,nan\n", "values must be finite"),
         ("sweep_axis = rho_db\nvalues = 5,inf\n", "values must be finite"),
         ("sweep_axis = rho_db\nvalues = 10\nmaster_seed = -1\n",
          "master_seed must be nonnegative, got -1"),
         ("sweep_axis = rho_db\nvalues = ,\n", "values must be non-empty"),
         ("sweep_axis = rho_db\nvalues = 5,ten\n", "key 'values': expected a number, got 'ten'"),
-    ], ids=["fixed-lambda", "lambda-axis", "t-axis", "lambda-unread", "t-box-unread",
-            "fixed-lambda-missing", "fixed-t-box-missing", "tau-p-nan", "rho-db-inf",
-            "negative-seed", "values-empty", "values-not-a-number"])
+    ], ids=["fixed-lambda", "lambda-axis", "t-axis", "fixed-t-inf", "lambda-unread",
+            "t-box-unread", "old-fixed-form", "fixed-lambda-missing", "fixed-t-box-missing",
+            "tau-p-nan", "rho-db-inf", "negative-seed", "values-empty", "values-not-a-number"])
     def test_bad_knob_value_is_exit_2(self, tmp_path, capsys, knob_lines, message):
         path = tmp_path / "knob.cfg"
         path.write_text(

@@ -501,7 +501,7 @@ def optimize_goodput(cfg: SystemConfig) -> tuple[SystemConfig, float]:
     for t_pilot in range(cfg.k, cfg.t_total):
         point = cfg._replace(t_pilot=t_pilot)
         point = point._replace(alpha=alpha_star(point))
-        goodput = predict(point, DecoderSpec.lmmse()).goodput
+        goodput = predict(point, DecoderSpec(1.0)).goodput
         if best is None or goodput > best[1]:
             best = (point, goodput)
     return best

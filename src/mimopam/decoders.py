@@ -57,8 +57,9 @@ class DecoderSpec(Checked, _DecoderSpecFields):
     lam_tilde = lam / lambda* is the ridge coefficient in units of LMMSE's,
     so LS is lam~ = 0 and LMMSE lam~ = 1 at every scenario; the simulator
     solves with lam~ and the raw coefficient is lam~ lambda*. t_box is the
-    box half-width, inf (no box) for the ridge decoders. Equal points are
-    one decoder: DecoderSpec.lmmse() == DecoderSpec.rls(1.0).
+    box half-width, inf (no box) for the ridge decoders: LS is
+    DecoderSpec(0.0), LMMSE DecoderSpec(1.0) and the box decoder
+    DecoderSpec(lam~, t). Equal points are one decoder.
     """
 
     __slots__ = ()
@@ -75,22 +76,6 @@ class DecoderSpec(Checked, _DecoderSpecFields):
         if math.isfinite(self.t_box):
             return DecoderKind.BOX
         return DecoderKind.LS if self.lam_tilde == 0.0 else DecoderKind.RLS
-
-    @staticmethod
-    def ls() -> "DecoderSpec":
-        return DecoderSpec(0.0)
-
-    @staticmethod
-    def rls(lam_tilde: float) -> "DecoderSpec":
-        return DecoderSpec(lam_tilde)
-
-    @staticmethod
-    def box(lam_tilde: float, t_box: float) -> "DecoderSpec":
-        return DecoderSpec(lam_tilde, t_box)
-
-    @staticmethod
-    def lmmse() -> "DecoderSpec":
-        return DecoderSpec(1.0)
 
 
 def rls_solve(gram: np.ndarray, rhs: np.ndarray, lam: float, rows: int) -> np.ndarray:

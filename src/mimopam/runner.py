@@ -182,13 +182,6 @@ class SweepRecord(NamedTuple):
     master_seed: int = 0
     error: str = ""
 
-    def row(self) -> list:
-        def fmt(v):
-            # float() strips numpy scalar wrappers so repr stays parseable
-            return "" if v is None else (repr(float(v)) if isinstance(v, float) else v)
-
-        return [fmt(v) for v in self]
-
 
 CSV_COLUMNS = tuple("lambda" if f == "lam" else f for f in SweepRecord._fields)
 
@@ -197,8 +190,7 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.row())
+    writer.writerows(records)
     return buf.getvalue()
 
 
@@ -231,9 +223,9 @@ def resolve_decoder(spec: SweepSpec, cfg: SystemConfig, kind: DecoderKind) -> De
     threshold, then the threshold at that lam~.
     """
     if kind is DecoderKind.LS:
-        return DecoderSpec.ls()
+        return DecoderSpec(0.0)
     if kind is DecoderKind.LMMSE:
-        return DecoderSpec.lmmse()
+        return DecoderSpec(1.0)
 
     dp = derive_params(cfg)
     t_box = math.inf

@@ -116,16 +116,16 @@ def consistency_cells(cfg_of_rho, trials, box_lams, seed, mpam_trials=0):
     once for the sweep and gives each cell the stats of its own batch.
     """
     sweeps = [(trials, {rho_db: (cfg_of_rho(rho_db),
-                                 {"ls": mp.DecoderSpec.ls(),
-                                  "rls": mp.DecoderSpec.rls(1.0),
-                                  "box": mp.DecoderSpec.box(box_lams[rho_db], 1.0)})
+                                 {"ls": mp.DecoderSpec(0.0),
+                                  "rls": mp.DecoderSpec(1.0),
+                                  "box": mp.DecoderSpec(box_lams[rho_db], 1.0)})
                         for rho_db in RHO_DB_CELLS})]
     if mpam_trials:
         sweeps.append((mpam_trials, {
             rho_db: (cfg_of_rho(rho_db)._replace(
                          m=4, power_convention=mp.PowerConvention.ENERGY_CONSERVING),
-                     {"rls": mp.DecoderSpec.rls(1.0),
-                      "box": mp.DecoderSpec.box(1.0, 3 / math.sqrt(5))})
+                     {"rls": mp.DecoderSpec(1.0),
+                      "box": mp.DecoderSpec(1.0, 3 / math.sqrt(5))})
             for rho_db in RHO_DB_CELLS}))
     cells = {}
     for n_trials, points in sweeps:
@@ -164,7 +164,7 @@ class TestCriterion1:
                 cfg = fig2_cfg(rho_db)
                 dp = mp.derive_params(cfg)
                 lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                pred = mp.predict(cfg, mp.DecoderSpec.rls(lam / dp.lambda_star))
+                pred = mp.predict(cfg, mp.DecoderSpec(lam / dp.lambda_star))
                 assert pred.mse == pytest.approx(want, rel=1e-4)
 
     def test_full_table_through_runner(self):
@@ -192,7 +192,7 @@ class TestCriterion2:
 def box_soft_gate_holds(box_lambda_numeric):
     """Does the numerically optimal box coefficient reproduce the published
     20 dB point within 2%?"""
-    pred = mp.predict(fig2_cfg(20), mp.DecoderSpec.box(box_lambda_numeric[20], 1.0))
+    pred = mp.predict(fig2_cfg(20), mp.DecoderSpec(box_lambda_numeric[20], 1.0))
     return abs(pred.mse - FIG2_BOX_MSE_20DB) <= 0.02 * FIG2_BOX_MSE_20DB
 
 

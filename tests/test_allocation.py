@@ -138,14 +138,14 @@ class TestOptimizeGoodput:
         assert best.alpha == pytest.approx(base, rel=1e-12)
         # the optimum is cfg at (T_p*, alpha*), scored by LMMSE there
         assert best == cfg._replace(t_pilot=best.t_pilot, alpha=best.alpha)
-        assert goodput == predict(best, DecoderSpec.lmmse()).goodput
+        assert goodput == predict(best, DecoderSpec(1.0)).goodput
 
     def test_goodput_dominates_grid(self):
         cfg = energy_cfg(10.0, k=128, n=192, t_total=512)
         _, goodput = optimize_goodput(cfg)
         at_2k = cfg._replace(t_pilot=2 * 128)
         at_2k = at_2k._replace(alpha=alpha_star(at_2k))
-        assert goodput >= predict(at_2k, DecoderSpec.lmmse()).goodput
+        assert goodput >= predict(at_2k, DecoderSpec(1.0)).goodput
 
     def test_tiny_block_goodput_vanishes(self):
         # only one data symbol available: goodput factor (1 - tau_p/tau) -> 0
@@ -171,13 +171,13 @@ class TestMonotonicity:
             for rho_db in self.RHO_DB:
                 cfg = energy_cfg(rho_db, k=100, n=n, t_total=400, m=m, t_pilot=130)
                 if decoder == "ls":
-                    spec = DecoderSpec.ls()
+                    spec = DecoderSpec(0.0)
                 elif decoder == "lmmse":
-                    spec = DecoderSpec.lmmse()
+                    spec = DecoderSpec(1.0)
                 else:
                     dp = derive_params(cfg)
                     lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-                    spec = DecoderSpec.box(lam / dp.lambda_star, t_max)
+                    spec = DecoderSpec(lam / dp.lambda_star, t_max)
                 pred = predict(cfg, spec)
                 mse.append(pred.mse)
                 sep.append(pred.sep)

@@ -325,7 +325,7 @@ class TestLsForms:
     def test_rejects_delta_at_most_one(self):
         cfg = SystemConfig(k=100, n=100, t_total=400, t_pilot=100, rho_db=10.0, alpha=0.5)
         with pytest.raises(UndefinedTheoryError, match="n > k"):
-            predict(cfg, DecoderSpec.ls())
+            predict(cfg, DecoderSpec(0.0))
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_closed_forms_match_predict(self, m):
@@ -333,10 +333,10 @@ class TestLsForms:
             cfg = SystemConfig(k=100, n=150, t_total=400, t_pilot=130,
                                rho_db=rho_db, alpha=0.5, m=m)
             dp = derive_params(cfg)
-            ls = predict(cfg, DecoderSpec.ls())
+            ls = predict(cfg, DecoderSpec(0.0))
             assert ls.mse == pytest.approx(ls_mse_closed_form(dp.rho_eff, dp.delta), rel=1e-10)
             assert ls.sep == pytest.approx(ls_sep_closed_form(dp.rho_eff, dp.delta, m), rel=1e-10)
-            lmmse = predict(cfg, DecoderSpec.lmmse())
+            lmmse = predict(cfg, DecoderSpec(1.0))
             assert lmmse.mse == pytest.approx(lmmse_mse_closed_form(dp.rho_eff, dp.delta),
                                               rel=1e-10)
 
@@ -619,22 +619,22 @@ class TestPredict:
     def test_goodput_composition(self):
         cfg = fig2_cfg(10)
         dp = derive_params(cfg)
-        pred = predict(cfg, DecoderSpec.rls(0.5 / dp.lambda_star))
+        pred = predict(cfg, DecoderSpec(0.5 / dp.lambda_star))
         assert pred.goodput == pytest.approx((1 - dp.tau_p / dp.tau) * (1 - pred.sep), rel=1e-12)
 
     def test_lmmse_equals_optimal_ridge(self):
         cfg = fig2_cfg(10)
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        a = predict(cfg, DecoderSpec.lmmse())
-        b = predict(cfg, DecoderSpec.rls(lam / dp.lambda_star))
+        a = predict(cfg, DecoderSpec(1.0))
+        b = predict(cfg, DecoderSpec(lam / dp.lambda_star))
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
         assert a.sep == pytest.approx(b.sep, rel=1e-12)
 
     def test_debias_constant_underflow_has_no_theory(self):
         # lam~ / rho_eff overflows, so u = inf and B = 0: no SEP exists
         with pytest.raises(UndefinedTheoryError, match="B underflows to 0"):
-            predict(fig2_cfg(-10), DecoderSpec.rls(1e308))
+            predict(fig2_cfg(-10), DecoderSpec(1e308))
 
     def test_ridge_norm_identity(self):
         cfg = fig2_cfg(10)
@@ -645,9 +645,9 @@ class TestPredict:
         ls_sol = scalar_solution(theory_point(cfg, lam=0.0))
         assert ls_sol.b_norm == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("spec,most", [(DecoderSpec.ls(), 1), (DecoderSpec.rls(0.5), 1),
-                                           (DecoderSpec.box(0.5, 1.0), 1),
-                                           (DecoderSpec.lmmse(), 1)],
+    @pytest.mark.parametrize("spec,most", [(DecoderSpec(0.0), 1), (DecoderSpec(0.5), 1),
+                                           (DecoderSpec(0.5, 1.0), 1),
+                                           (DecoderSpec(1.0), 1)],
                              ids=["ls", "rls", "box", "lmmse"])
     def test_scenario_derived_once(self, monkeypatch, spec, most):
         # lmmse is lam~ = 1, so its lambda* is not derived a second time
@@ -680,12 +680,12 @@ class TestPredict:
         for lam_tilde, t in ((0.0, None), (0.4, None), (1.0, 1.0), (0.3, 0.8)):
             preds = []
             for cfg in cfgs:
-                spec = DecoderSpec.rls(lam_tilde) if t is None else DecoderSpec.box(lam_tilde, t)
+                spec = DecoderSpec(lam_tilde) if t is None else DecoderSpec(lam_tilde, t)
                 preds.append(predict(cfg, spec))
             for field in ("mse", "sep", "b_norm"):
                 a, b = (getattr(pr, field) for pr in preds)
                 assert b == pytest.approx(a, rel=1e-12), (lam_tilde, t, field)
-        a, b = (predict(cfg, DecoderSpec.lmmse()) for cfg in cfgs)
+        a, b = (predict(cfg, DecoderSpec(1.0)) for cfg in cfgs)
         assert (b.mse, b.sep, b.b_norm) == pytest.approx((a.mse, a.sep, a.b_norm), rel=1e-12)
         # so are the knob optima: the searches see the theory point only
         knobs = []
@@ -704,15 +704,15 @@ class TestPredict:
             cfg = fig2_cfg(rho_db)
             dp = derive_params(cfg)
             lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            pred = predict(cfg, DecoderSpec.rls(lam / dp.lambda_star))
+            pred = predict(cfg, DecoderSpec(lam / dp.lambda_star))
             mses.append(pred.mse)
             seps.append(pred.sep)
         assert all(b < a for a, b in zip(mses, mses[1:]))
         assert all(b < a for a, b in zip(seps, seps[1:]))
 
     def test_sep_bounds(self):
-        for m, spec in ((2, DecoderSpec.rls(0.5)), (4, DecoderSpec.ls()),
-                        (4, DecoderSpec.box(0.2, 1.5))):
+        for m, spec in ((2, DecoderSpec(0.5)), (4, DecoderSpec(0.0)),
+                        (4, DecoderSpec(0.2, 1.5))):
             cfg = SystemConfig(k=400, n=480, t_total=1000, t_pilot=456, rho_db=3.0,
                                alpha=0.5, m=m, power_convention=PowerConvention.DIRECT_SPLIT)
             pred = predict(cfg, spec)

@@ -184,8 +184,8 @@ class TestGilFreeSolve:
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         cfg = SystemConfig(k=64, n=77, t_total=160, t_pilot=73, rho_db=10.0, alpha=0.5, m=2,
                            power_convention=PowerConvention.DIRECT_SPLIT)
-        specs = (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, 1.0),
-                 DecoderSpec.lmmse())
+        specs = (DecoderSpec(0.0), DecoderSpec(0.4), DecoderSpec(1.0, 1.0),
+                 DecoderSpec(1.0))
         run_batch([(cfg, tuple((spec, 1.0) for spec in specs))], 6, 3, workers=2)
         assert len(sizes) > 6 * 3  # three ridge solves per trial plus the box's
         assert min(sizes) > 500
@@ -242,40 +242,34 @@ class TestLmmseDecode:
 
 class TestDecoderSpec:
     def test_constructors_are_theory_points(self):
-        inf = math.inf
         assert DecoderSpec._fields == ("lam_tilde", "t_box")
-        assert DecoderSpec.ls() == DecoderSpec(0.0, inf)
-        assert DecoderSpec.lmmse() == DecoderSpec(1.0, inf)
-        assert DecoderSpec.rls(0.4) == DecoderSpec(0.4, inf)
-        assert DecoderSpec.box(0.4, 1.5) == DecoderSpec(0.4, 1.5)
+        # the ridge decoders are the points at t = inf, the default
+        assert DecoderSpec(0.4) == DecoderSpec(0.4, math.inf) == (0.4, math.inf)
+        assert DecoderSpec(0.4, t_box=1.5) == (0.4, 1.5)
         # one point is one decoder: equal, and one key of a dict
-        assert DecoderSpec.lmmse() == DecoderSpec.rls(1.0) == (1.0, math.inf)
-        assert hash(DecoderSpec.lmmse()) == hash(DecoderSpec.rls(1.0))
+        assert DecoderSpec(1.0) == DecoderSpec(1.0, math.inf)
+        assert hash(DecoderSpec(1.0)) == hash(DecoderSpec(1.0, math.inf))
+        assert len({DecoderSpec(1.0), DecoderSpec(1.0, math.inf), (1.0, math.inf)}) == 1
 
     @pytest.mark.parametrize("lam_tilde", [-0.5, -1e-300, math.inf, math.nan])
     def test_rejects_bad_ridge_coefficient(self, lam_tilde):
         with pytest.raises(ConfigError, match="lam~"):
-            DecoderSpec.rls(lam_tilde)
+            DecoderSpec(lam_tilde)
         with pytest.raises(ConfigError, match="lam~"):
-            DecoderSpec.box(lam_tilde, 1.0)
+            DecoderSpec(lam_tilde, 1.0)
 
     @pytest.mark.parametrize("t_box", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_threshold(self, t_box):
         with pytest.raises(ConfigError, match="t_box"):
-            DecoderSpec.box(0.3, t_box)
+            DecoderSpec(0.3, t_box)
 
     def test_threshold_is_finite_exactly_for_the_box_decoder(self):
         # the kind is read off the point; an infinite box is the ridge decoder
-        assert DecoderSpec.box(0.3, math.inf) == DecoderSpec.rls(0.3)
-        assert DecoderSpec.box(0.3, math.inf).kind is DecoderKind.RLS
+        assert DecoderSpec(0.3, math.inf).kind is DecoderKind.RLS
         for lam_tilde in (0.0, 0.3, 1.0):
-            assert DecoderSpec.box(lam_tilde, 1.0).kind is DecoderKind.BOX
+            assert DecoderSpec(lam_tilde, 1.0).kind is DecoderKind.BOX
 
     def test_ls_and_lmmse_fix_their_coefficient(self):
-        assert DecoderSpec.ls().lam_tilde == 0.0
-        assert DecoderSpec.lmmse().lam_tilde == 1.0
-        # the ridge decoder at lam~ = 0 is LS; LMMSE is a config label only
-        assert DecoderSpec.rls(0.0) == DecoderSpec.ls()
-        assert DecoderSpec.rls(0.0).kind is DecoderKind.LS
-        assert {DecoderSpec.rls(x).kind for x in (1e-300, 0.999, 1.0)} == {DecoderKind.RLS}
-        assert DecoderSpec.lmmse().kind is DecoderKind.RLS
+        # LS is the ridge decoder at lam~ = 0; LMMSE, at lam~ = 1, is a config label only
+        assert DecoderSpec(0.0).kind is DecoderKind.LS
+        assert {DecoderSpec(x).kind for x in (1e-300, 0.999, 1.0)} == {DecoderKind.RLS}

@@ -24,6 +24,7 @@ from mimopam import (
     DecoderKind,
     DecoderSpec,
     PowerConvention,
+    SweepRecord,
     SweepSpec,
     SystemConfig,
     alpha_star,
@@ -188,8 +189,8 @@ class TestConfigFile:
         (small_spec().base, {"alpha": 1.0}, "alpha"),
         (small_spec(), {"values": (10.0, 0.0)}, "strictly increasing"),
         (small_spec(), {"t_box": math.inf}, "t_box must be finite and positive"),
-        (DecoderSpec.box(1.0, 1.0), {"t_box": 0.0}, "t_box must be positive"),
-        (DecoderSpec.lmmse(), {"lam_tilde": -0.5}, "lam~ must be finite and nonnegative"),
+        (DecoderSpec(1.0, 1.0), {"t_box": 0.0}, "t_box must be positive"),
+        (DecoderSpec(1.0), {"lam_tilde": -0.5}, "lam~ must be finite and nonnegative"),
         (small_spec(), {"lam": -0.3}, "lambda must be finite and nonnegative"),
         (small_spec(), {"t_box": 0.0}, "t_box must be finite and positive"),
         (small_spec().base, {"rho_db": math.inf}, "rho must be positive and finite"),
@@ -260,7 +261,7 @@ class TestSweepMechanics:
         real = mimopam.runner.lambda_star_numeric
         monkeypatch.setattr(mimopam.runner, "lambda_star_numeric",
                             lambda point: searched.append(point) or real(point))
-        assert resolve_decoder(spec, cfg, DecoderKind.RLS) == DecoderSpec.lmmse()
+        assert resolve_decoder(spec, cfg, DecoderKind.RLS) == DecoderSpec(1.0)
         assert not searched
         resolve_decoder(spec, cfg, DecoderKind.BOX)
         assert [point.t for point in searched] == [largest_symbol(cfg.m)]
@@ -311,7 +312,7 @@ class TestRunModes:
         assert len(rls) == 2 and rls == lmmse
         assert all(" z_mse=" in line for line in rls)
         assert "over 8 z-scores" in result.report
-        rows = {(r.rho_db, r.decoder): r.row()[8:] for r in result.records}
+        rows = {(r.rho_db, r.decoder): r[8:] for r in result.records}
         assert all(rows[rho, "rls"] == rows[rho, "lmmse"] for rho, _ in rows)
 
     def test_rows_at_one_theory_point_are_decoded_once(self, monkeypatch):
@@ -332,7 +333,7 @@ class TestRunModes:
         records = run(spec, "simulate").records
         assert len(kinds) == 9 * spec.trials
         assert set(kinds) == {DecoderKind.LS, DecoderKind.RLS, DecoderKind.BOX}
-        rows = {(r.rho_db, r.decoder): r.row() for r in records}
+        rows = {(r.rho_db, r.decoder): r for r in records}
         sim = slice(CSV_COLUMNS.index("mse_sim"), None)
         for rho_db in spec.values:
             assert rows[rho_db, "lmmse"][sim] == rows[rho_db, "rls"][sim]
@@ -401,6 +402,25 @@ class TestRunModes:
                     "goodput_theory", "mse_sim", "ser_sim", "lambda", "t_box"):
             value = float(row[col])
             assert math.isfinite(value)
+
+    def test_numpy_float_cells_write_as_their_floats(self):
+        # the csv writer gives a float cell str(), the shortest digits that
+        # read back, for float and numpy.float64 alike, and None an empty cell
+        import numpy as np
+
+        rec = SweepRecord(k=8, n=12, t_total=40, t_pilot=8, rho_db=1 / 3, alpha=0.1, m=2,
+                          decoder="box", lam=None, t_box=1e-300,
+                          power_convention="energy_conserving", theta_star=2.6832815729997477,
+                          beta_star=-0.0, b_norm=5e-324, mse_theory=math.inf,
+                          sep_theory=1e300, goodput_theory=0.0, trials=3, master_seed=7)
+        as_numpy = rec._replace(**{f: np.float64(v) for f, v in rec._asdict().items()
+                                   if isinstance(v, float)})
+        assert type(as_numpy.theta_star) is np.float64
+        text = records_to_csv([rec])
+        assert records_to_csv([as_numpy]) == text
+        cells = text.splitlines()[1].split(",")
+        assert cells == ["" if v is None else str(v) for v in rec]
+        assert cells[CSV_COLUMNS.index("lambda")] == cells[CSV_COLUMNS.index("mse_sim")] == ""
 
     def test_every_decoder_reports_its_ridge_coefficient(self):
         spec = small_spec(values=(10.0,), decoders=(DecoderKind.LS, DecoderKind.LMMSE))

@@ -133,14 +133,14 @@ class TestRunTrial:
     def test_exact_inversion_regime(self):
         # enormous power: near-perfect estimate, noise negligible after scaling
         cfg = scaled_cfg(300.0)
-        out = run_trial(cfg, DecoderSpec.ls(), draw_trial(cfg, 5, 0),
-                        b_norm_of(cfg, DecoderSpec.ls()))
+        out = run_trial(cfg, DecoderSpec(0.0), draw_trial(cfg, 5, 0),
+                        b_norm_of(cfg, DecoderSpec(0.0)))
         assert out.ser == 0.0
         assert out.mse <= 1e-18
 
     def test_deterministic_given_seed_path(self):
         cfg = scaled_cfg(10.0)
-        spec = DecoderSpec.rls(tilde(cfg, 0.5))
+        spec = DecoderSpec(tilde(cfg, 0.5))
         b_norm = b_norm_of(cfg, spec)
         a = run_trial(cfg, spec, draw_trial(cfg, 12, 3), b_norm)
         b = run_trial(cfg, spec, draw_trial(cfg, 12, 3), b_norm)
@@ -150,8 +150,8 @@ class TestRunTrial:
 
     def test_ser_is_integer_multiple_of_inverse_k(self):
         cfg = scaled_cfg(5.0)
-        out = run_trial(cfg, DecoderSpec.lmmse(), draw_trial(cfg, 2, 0),
-                        b_norm_of(cfg, DecoderSpec.lmmse()))
+        out = run_trial(cfg, DecoderSpec(1.0), draw_trial(cfg, 2, 0),
+                        b_norm_of(cfg, DecoderSpec(1.0)))
         assert out.mse >= 0
         assert 0.0 <= out.ser <= 1.0
         assert (out.ser * cfg.k) == pytest.approx(round(out.ser * cfg.k), abs=1e-9)
@@ -199,8 +199,8 @@ class TestEffectiveModel:
         # rounding, while a draw in another order would move it by O(1)
         cfg = scaled_cfg(5.0, m=4, **EQUIV)
         ridge = tilde(cfg, 0.3)
-        for spec, lam_tilde in ((DecoderSpec.rls(ridge), ridge), (DecoderSpec.lmmse(), 1.0),
-                                (DecoderSpec.box(ridge, 3 / math.sqrt(5)), ridge)):
+        for spec, lam_tilde in ((DecoderSpec(ridge), ridge), (DecoderSpec(1.0), 1.0),
+                                (DecoderSpec(ridge, 3 / math.sqrt(5)), ridge)):
             b_norm = b_norm_of(cfg, spec)
             for idx in range(3):
                 a, x0, w = effective_draw(cfg, 8, idx)
@@ -255,8 +255,8 @@ class TestEffectiveModel:
             cfg = scaled_cfg(10.0, m=m, power_convention=conv, **EQUIV)
             dp = derive_params(cfg)
             points = pam_points(m)
-            spec = (DecoderSpec.rls(1.0) if spec_of == "rls"
-                    else DecoderSpec.box(1.0, points[-1]))
+            spec = (DecoderSpec(1.0) if spec_of == "rls"
+                    else DecoderSpec(1.0, points[-1]))
             b_norm = b_norm_of(cfg, spec)
             [effective] = batch(cfg, (spec,), trials=trials, master_seed=2 * i + 1)
             pilots = make_pilots(cfg.k, cfg.t_pilot, 2 * i + 2)
@@ -289,7 +289,7 @@ class TestTheoryAgreement:
         # scaled scenario at 20 dB keeps the published value 0.109182...
         cfg = scaled_cfg(20.0)
         dp = derive_params(cfg)
-        spec = DecoderSpec.rls(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)))
+        spec = DecoderSpec(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)))
         pred = predict(cfg, spec)
         assert pred.mse == pytest.approx(0.10918244834212, rel=1e-10)
         [stats] = batch(cfg, (spec,), trials=150, master_seed=424)
@@ -299,7 +299,7 @@ class TestTheoryAgreement:
     def test_box_agrees_with_saddle_prediction(self):
         cfg = scaled_cfg(10.0, k=100, n=120, t_total=250, t_pilot=114)
         dp = derive_params(cfg)
-        spec = DecoderSpec.box(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)), 1.0)
+        spec = DecoderSpec(tilde(cfg, lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)), 1.0)
         pred = predict(cfg, spec)
         [stats] = batch(cfg, (spec,), trials=200, master_seed=77)
         zs = consistency_z(cfg, spec, pred, stats)
@@ -311,7 +311,7 @@ class TestTheoryAgreement:
         cfg = scaled_cfg(10.0, m=4, k=100, n=120, t_total=250, t_pilot=114)
         dp = derive_params(cfg)
         lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-        spec = DecoderSpec.rls(tilde(cfg, lam))
+        spec = DecoderSpec(tilde(cfg, lam))
         b_norm = b_norm_of(cfg, spec)
         debiased = [run_trial(cfg, spec, draw_trial(cfg, 3, i), b_norm) for i in range(40)]
         raw = [run_trial(cfg, spec, draw_trial(cfg, 3, i), 1.0) for i in range(40)]
@@ -323,9 +323,9 @@ class TestTheoryAgreement:
             cfg = scaled_cfg(rho_db, k=100, n=120, t_total=250, t_pilot=114)
             dp = derive_params(cfg)
             lam = lambda_star_rls(dp.rho_d, dp.sigma_delta_sq)
-            [rls_stats] = batch(cfg, (DecoderSpec.rls(tilde(cfg, lam)),), trials=150,
+            [rls_stats] = batch(cfg, (DecoderSpec(tilde(cfg, lam)),), trials=150,
                                     master_seed=31)
-            [box_stats] = batch(cfg, (DecoderSpec.box(tilde(cfg, lam), 1.0),), trials=150,
+            [box_stats] = batch(cfg, (DecoderSpec(tilde(cfg, lam), 1.0),), trials=150,
                                     master_seed=31)
             gate = 2 * math.hypot(rls_stats.stderr_mse, box_stats.stderr_mse)
             assert box_stats.mean_mse <= rls_stats.mean_mse + gate
@@ -334,35 +334,35 @@ class TestTheoryAgreement:
 class TestRunBatch:
     def test_single_trial_stats(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        [stats] = batch(cfg, (DecoderSpec.lmmse(),), trials=1, master_seed=9)
-        single = run_trial(cfg, DecoderSpec.lmmse(), draw_trial(cfg, 9, 0),
-                           b_norm_of(cfg, DecoderSpec.lmmse()))
+        [stats] = batch(cfg, (DecoderSpec(1.0),), trials=1, master_seed=9)
+        single = run_trial(cfg, DecoderSpec(1.0), draw_trial(cfg, 9, 0),
+                           b_norm_of(cfg, DecoderSpec(1.0)))
         assert stats.mean_mse == single.mse
         assert stats.stderr_mse == 0.0
         assert stats.stderr_ser == 0.0
 
     def test_reproducible_bitwise(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        a = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
-        b = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=20, master_seed=5)
+        a = batch(cfg, (DecoderSpec(tilde(cfg, 0.4)),), trials=20, master_seed=5)
+        b = batch(cfg, (DecoderSpec(tilde(cfg, 0.4)),), trials=20, master_seed=5)
         assert a == b
 
     def test_parallel_reduction_matches_sequential(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        for spec in (DecoderSpec.rls(tilde(cfg, 0.4)), DecoderSpec.box(tilde(cfg, 0.4), 1.0)):
+        for spec in (DecoderSpec(tilde(cfg, 0.4)), DecoderSpec(tilde(cfg, 0.4), 1.0)):
             seq = batch(cfg, (spec,), trials=16, master_seed=5, workers=1)
             par = batch(cfg, (spec,), trials=16, master_seed=5, workers=4)
             assert seq == par
 
     def test_stderr_shrinks_with_more_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        [small] = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=40, master_seed=6)
-        [large] = batch(cfg, (DecoderSpec.rls(tilde(cfg, 0.4)),), trials=160, master_seed=6)
+        [small] = batch(cfg, (DecoderSpec(tilde(cfg, 0.4)),), trials=40, master_seed=6)
+        [large] = batch(cfg, (DecoderSpec(tilde(cfg, 0.4)),), trials=160, master_seed=6)
         assert large.stderr_mse < small.stderr_mse
 
     def test_aggregate_order_invariance(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        spec = DecoderSpec.rls(tilde(cfg, 0.4))
+        spec = DecoderSpec(tilde(cfg, 0.4))
         b_norm = b_norm_of(cfg, spec)
         outs = [run_trial(cfg, spec, draw_trial(cfg, 5, i), b_norm) for i in range(8)]
         a = aggregate(outs)
@@ -376,7 +376,7 @@ class TestRunBatch:
     def test_rejects_zero_trials(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         with pytest.raises(ConfigError):
-            batch(cfg, (DecoderSpec.ls(),), trials=0, master_seed=1)
+            batch(cfg, (DecoderSpec(0.0),), trials=0, master_seed=1)
 
 
 def counting_threads(monkeypatch):
@@ -415,7 +415,7 @@ class TestOneExecutionPath:
             return real_trial(cfg, spec, draw, b_norm)
 
         monkeypatch.setattr(simulate, "run_trial", recording)
-        batch(self.CFG, (DecoderSpec.lmmse(),), trials=8, master_seed=2, workers=2)
+        batch(self.CFG, (DecoderSpec(1.0),), trials=8, master_seed=2, workers=2)
         assert caller in decoded_by
         assert len(decoded_by) == 8
         assert len(set(decoded_by)) <= 2
@@ -423,7 +423,7 @@ class TestOneExecutionPath:
     @pytest.mark.parametrize("workers, trials, helpers", [(1, 4, 0), (8, 2, 1), (2, 5, 1)])
     def test_helpers_started(self, monkeypatch, workers, trials, helpers):
         started = counting_threads(monkeypatch)
-        batch(self.CFG, (DecoderSpec.lmmse(),), trials=trials, master_seed=2, workers=workers)
+        batch(self.CFG, (DecoderSpec(1.0),), trials=trials, master_seed=2, workers=workers)
         assert len(started) == helpers
         assert not any(thread.is_alive() for thread in started)
 
@@ -452,7 +452,7 @@ class TestOneExecutionPath:
 
         monkeypatch.setattr(simulate, "run_trial", failing_at_2)
         with pytest.raises(RuntimeError, match="fault on trial 2"):
-            batch(self.CFG, (DecoderSpec.lmmse(),), trials=trials, master_seed=4,
+            batch(self.CFG, (DecoderSpec(1.0),), trials=trials, master_seed=4,
                   workers=workers)
         assert len(started) == workers - 1
         assert not any(thread.is_alive() for thread in started)
@@ -482,12 +482,12 @@ class TestExactLsSer:
         # the first one tried. At 20 dB the asymptotic SEP, 0.0103 against
         # the exact 0.0153, fails the same gate, so the gate can fail
         cfgs = [scaled_cfg(rho_db, k=64, n=77, t_total=160, t_pilot=73) for rho_db in (10.0, 20.0)]
-        rows = run_batch([point_of(cfg, (DecoderSpec.ls(),)) for cfg in cfgs], 1000, 17)
+        rows = run_batch([point_of(cfg, (DecoderSpec(0.0),)) for cfg in cfgs], 1000, 17)
         z_max = bonferroni_z(0.01, len(cfgs))
         for cfg, [stats] in zip(cfgs, rows):
             exact = ls_bpsk_ser_exact(derive_params(cfg).rho_eff, cfg.n, cfg.k)
             assert abs(stats.mean_ser - exact) <= z_max * stats.stderr_ser, cfg.rho_db
-        asymptote = predict(cfgs[1], DecoderSpec.ls()).sep
+        asymptote = predict(cfgs[1], DecoderSpec(0.0)).sep
         assert abs(rows[1][0].mean_ser - asymptote) > z_max * rows[1][0].stderr_ser
 
 
@@ -495,8 +495,8 @@ def joint_specs(cfg):
     """One spec of each decoder, the box at the largest symbol; rls off
     lam~ = 1, so the four specs solve three distinct ridge systems."""
     t_max = float(pam_points(cfg.m)[-1])
-    return (DecoderSpec.ls(), DecoderSpec.rls(0.4), DecoderSpec.box(1.0, t_max),
-            DecoderSpec.lmmse())
+    return (DecoderSpec(0.0), DecoderSpec(0.4), DecoderSpec(1.0, t_max),
+            DecoderSpec(1.0))
 
 
 class TestJointBatch:
@@ -570,8 +570,8 @@ class TestJointBatch:
         # the closed-form sweep: ls at lam~ = 0; rls, box and lmmse at 1,
         # solved on the unscaled channel at the shift lam~ / s^2
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
-        specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
-                 DecoderSpec.lmmse())
+        specs = (DecoderSpec(0.0), DecoderSpec(1.0), DecoderSpec(1.0, 1.0),
+                 DecoderSpec(1.0))
         solved = []
         real_rls = simulate.rls_solve
 
@@ -624,8 +624,8 @@ class TestSweepBatch:
     def test_points_must_share_n_k_m(self):
         cfg = scaled_cfg(10.0, k=64, n=77, t_total=160, t_pilot=73)
         for other in (cfg._replace(n=78), cfg._replace(k=63, t_pilot=73), cfg._replace(m=4)):
-            points = [point_of(cfg, (DecoderSpec.lmmse(),)),
-                      point_of(other, (DecoderSpec.lmmse(),))]
+            points = [point_of(cfg, (DecoderSpec(1.0),)),
+                      point_of(other, (DecoderSpec(1.0),))]
             with pytest.raises(ConfigError, match="share"):
                 run_batch(points, 2, 1)
 
@@ -646,8 +646,8 @@ class TestSweepBatch:
         # 1's rls, box and lmmse entries carry the error, its LS entry and the
         # other points equal their own batches
         cfgs = sweep_cfgs()
-        specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
-                 DecoderSpec.lmmse())
+        specs = (DecoderSpec(0.0), DecoderSpec(1.0), DecoderSpec(1.0, 1.0),
+                 DecoderSpec(1.0))
         points = [(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs]
         poisoned = 1.0 / (derive_params(cfgs[1]).rho_eff / cfgs[1].k)
         real_rls = simulate.rls_solve
@@ -670,13 +670,13 @@ class TestSweepBatch:
         # once per point; a t_box sweep has one shift
         calls = counting_rls_solves(monkeypatch)
         cfgs = sweep_cfgs()
-        specs = (DecoderSpec.ls(), DecoderSpec.rls(1.0), DecoderSpec.box(1.0, 1.0),
-                 DecoderSpec.lmmse())
+        specs = (DecoderSpec(0.0), DecoderSpec(1.0), DecoderSpec(1.0, 1.0),
+                 DecoderSpec(1.0))
         run_batch([(cfg, tuple((spec, 1.0) for spec in specs)) for cfg in cfgs], 2, 3)
         assert sorted(calls) == sorted(
             [(0.0, 2)] * 2 + [(cfg.k / derive_params(cfg).rho_eff, 2) for cfg in cfgs] * 2)
         calls.clear()
-        boxes = [((DecoderSpec.box(1.0, t), 1.0),) for t in (0.5, 1.0, 1.5)]
+        boxes = [((DecoderSpec(1.0, t), 1.0),) for t in (0.5, 1.0, 1.5)]
         run_batch([(cfgs[0], specs) for specs in boxes], 2, 3)
         assert calls == [(cfgs[0].k / derive_params(cfgs[0]).rho_eff, 2)] * 2
 
@@ -684,7 +684,7 @@ class TestSweepBatch:
         # on a two-point sweep every box decode reads its trial's Z'Z itself,
         # not a scaled copy, at its point's shift lam~ / s^2
         cfgs = sweep_cfgs()[:2]
-        points = [(cfg, ((DecoderSpec.box(0.5, 1.0), 1.0),)) for cfg in cfgs]
+        points = [(cfg, ((DecoderSpec(0.5, 1.0), 1.0),)) for cfg in cfgs]
         events = []
         real_draw, real_box = simulate.draw_shared, simulate.box_rls_solve
 
@@ -718,7 +718,7 @@ class TestSweepBatch:
             return real_box(gram, rhs, lam, t_box, ridge)
 
         monkeypatch.setattr(simulate, "box_rls_solve", recording_box)
-        spec = DecoderSpec.box(0.5, 1.0)
+        spec = DecoderSpec(0.5, 1.0)
         for cfg in sweep_cfgs():
             s_sq = derive_params(cfg).rho_eff / cfg.k
             for idx in range(3):

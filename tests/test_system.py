@@ -78,10 +78,10 @@ class TestDeriveParams:
 
     def test_rejects_unregularized_fat_system(self):
         cfg = SystemConfig(k=400, n=400, t_total=1000, t_pilot=456, rho_db=0.0, alpha=0.5)
-        for spec in (DecoderSpec.ls(), DecoderSpec.rls(0.0), DecoderSpec.box(0.0, 1.0)):
+        for spec in (DecoderSpec(0.0), DecoderSpec(0.0), DecoderSpec(0.0, 1.0)):
             with pytest.raises(UndefinedTheoryError, match="n > k"):
                 predict(cfg, spec)
-        assert predict(cfg, DecoderSpec.rls(0.3)).mse > 0
+        assert predict(cfg, DecoderSpec(0.3)).mse > 0
 
     @pytest.mark.parametrize("rho_db, alpha", [
         (-3235.0, 0.01),  # rho_d = alpha rho underflows to 0

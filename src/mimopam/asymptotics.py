@@ -65,24 +65,25 @@ def qfunc(x: float) -> float:
 
 
 def upsilon(lambda_prime: float, delta: float) -> float:
-    """Positive root of delta*u^2 + (delta - lambda' - 1)*u - lambda' = 0.
+    """Positive root of delta*u^2 + a*u - lambda' = 0, a = delta - lambda' - 1.
 
     lambda_prime is lam~ / rho_eff, the ridge coefficient in units of the
     effective noise-to-signal ratio. Vanishes at lambda_prime = 0 when
     delta >= 1 and grows like lambda_prime / delta for large regularization;
-    it is inf only where that growth leaves the float range.
+    it is inf only where that growth leaves the float range. The root is
+    taken in the form that does not cancel: 2 lambda' / (a + r) for a > 0,
+    else (r - a) / (2 delta), with r = hypot(a, 2 sqrt(lambda' delta)).
     """
     if lambda_prime < 0 or delta <= 0:
         raise ValueError("need lambda_prime >= 0 and delta > 0")
     a = delta - lambda_prime - 1.0
-    root = math.sqrt(a * a + 4.0 * lambda_prime * delta)
-    if root == math.inf:  # a^2 overflows, the root itself need not
-        root = math.hypot(a, 2.0 * math.sqrt(lambda_prime * delta))
-    return (-a + root) / (2.0 * delta)
+    root = math.hypot(a, 2.0 * math.sqrt(lambda_prime * delta))
+    return 2.0 * lambda_prime / (a + root) if a > 0 else (root - a) / (2.0 * delta)
 
 
 class ScalarSolution(NamedTuple):
-    """Solution of a scalar saddle problem (closed form or numeric).
+    """Solution of a scalar saddle problem (closed form or numeric) and the
+    per-antenna MSE it implies.
 
     stationarity_residual is set on the box path only.
     """
@@ -90,32 +91,35 @@ class ScalarSolution(NamedTuple):
     theta_star: float
     beta_star: float
     b_norm: float
+    mse: float
     stationarity_residual: float | None = None
 
 
 def ridge_solution(rho_eff: float, lam_tilde: float, delta: float) -> ScalarSolution:
-    """Closed-form scalar solution (theta*, beta*, B) of the ridge decoder.
+    """Closed-form scalar solution (theta*, beta*, B) and MSE of the ridge
+    decoder.
 
-    With lam' = lam~ / rho_eff and u = upsilon(lam', delta):
-    theta* = sqrt((rho_eff (u/(1+u))^2 + 1) / (delta - 1/(1+u)^2)),
-    beta* = 2((delta - lam' - 1) + delta u) theta* and B = 1/(1+u). beta*
-    equals 2 lam' theta* / u when lam~ > 0, but this form stays finite in
-    the lam~ -> 0 limit as well. The denominator of theta* must be positive,
-    which holds for any lam~ > 0 and for lam~ = 0 when delta > 1
+    With lam' = lam~ / rho_eff, u = upsilon(lam', delta), B = 1/(1+u) and
+    den = delta - B^2: theta* = sqrt((rho_eff (uB)^2 + 1) / den),
+    beta* = 2 (lam'/u) theta*, where lam'/u = delta (1 + u) - lam' - 1 is
+    delta - 1 at u = 0, and MSE = (delta (uB)^2 + B^2 / rho_eff) / den, which
+    is mse_from_theta without its subtraction. den must be positive, which
+    holds for any lam~ > 0 and for lam~ = 0 when delta > 1
     (UndefinedTheoryError otherwise). u = inf gives B = 0 and nan theta*.
     """
     lp = lam_tilde / rho_eff
     u = upsilon(lp, delta)
-    shrink = u / (1.0 + u)
-    # (1 + u)^2 overflows only where its reciprocal is below the float range
-    den = delta - (1.0 / (1.0 + u) ** 2 if u < 1e154 else 0.0)
+    b_norm = 1.0 / (1.0 + u)
+    den = delta - b_norm * b_norm
     if den <= 0:
         raise UndefinedTheoryError(
             f"theta* undefined: delta={delta} <= 1/(1+upsilon)^2 at lam~={lam_tilde}"
         )
+    shrink = u / (1.0 + u)
     theta = math.sqrt((rho_eff * shrink * shrink + 1.0) / den)
-    beta = 2.0 * ((delta - lp - 1.0) + delta * u) * theta
-    return ScalarSolution(theta_star=theta, beta_star=beta, b_norm=1.0 / (1.0 + u))
+    beta = 2.0 * (lp / u if u else delta - 1.0) * theta
+    mse = (delta * shrink * shrink + b_norm * b_norm / rho_eff) / den
+    return ScalarSolution(theta, beta, b_norm, mse)
 
 
 def mse_from_theta(theta_star: float, rho_eff: float, delta: float) -> float:
@@ -327,8 +331,8 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
     if params.lam_tilde < 0 or params.t <= 0 or params.delta <= 0:
         raise ValueError("need lam_tilde >= 0, t > 0, delta > 0")
     # lam~ floored just above 0 so that a ridge start exists at lam~ = 0, delta <= 1
-    theta, beta_start, _, _ = ridge_solution(params.rho_eff, max(params.lam_tilde, 1e-12),
-                                             params.delta)
+    theta, beta_start, *_ = ridge_solution(params.rho_eff, max(params.lam_tilde, 1e-12),
+                                           params.delta)
     if beta_hint is None:
         beta_hint = max(beta_start, 1e-8)
     terms = None
@@ -349,8 +353,8 @@ def box_saddle_solve(params: BoxObjectiveParams, beta_hint: float | None = None)
         )
     ratio = params.rho_eff * beta_star / theta
     b_norm = ratio / (ratio + 2.0 * params.lam_tilde)
-    return ScalarSolution(theta_star=theta, beta_star=beta_star, b_norm=b_norm,
-                          stationarity_residual=resid)
+    return ScalarSolution(theta, beta_star, b_norm,
+                          mse_from_theta(theta, params.rho_eff, params.delta), resid)
 
 
 def box_sep(theta_star: float, b_norm: float, params: BoxObjectiveParams) -> float:
@@ -479,12 +483,11 @@ def predict(cfg: SystemConfig, spec: DecoderSpec) -> Prediction:
     sol = scalar_solution(params)
     if sol.b_norm == 0.0:
         raise UndefinedTheoryError(f"debias constant B underflows to 0 at lam~={spec.lam_tilde!r}")
-    mse = mse_from_theta(sol.theta_star, dp.rho_eff, dp.delta)
     sep = box_sep(sol.theta_star, sol.b_norm, params)
     goodput = (1.0 - dp.tau_p / dp.tau) * (1.0 - sep)
     return Prediction(theta_star=dp.noise_std * sol.theta_star,
                       beta_star=dp.noise_std * sol.beta_star, b_norm=sol.b_norm,
-                      mse=mse, sep=sep, goodput=goodput)
+                      mse=sol.mse, sep=sep, goodput=goodput)
 
 
 def optimize_goodput(cfg: SystemConfig) -> tuple[SystemConfig, float]:

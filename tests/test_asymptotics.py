@@ -7,6 +7,7 @@ grid searches, back-substitution into defining equations).
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def fig2_lambda_star(rho_db):
     return derive_params(fig2_cfg(rho_db)).lambda_star
 
 
+def ridge_reference(rho_eff, lam_tilde, delta):
+    """(u, B, theta*, beta*, MSE) of the ridge decoder to 50 digits, from the
+    exact values of the float inputs: u is the positive root of
+    delta u^2 + (delta - lam' - 1) u - lam' = 0 at lam' = lam~ / rho_eff."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rho, lp, dl = Decimal(rho_eff), Decimal(lam_tilde) / Decimal(rho_eff), Decimal(delta)
+        a = dl - lp - 1
+        root = (a * a + 4 * lp * dl).sqrt()
+        u = 2 * lp / (a + root) if a > 0 else (root - a) / (2 * dl)
+        b = 1 / (1 + u)
+        den = dl - b * b
+        theta = ((rho * (u * b) ** 2 + 1) / den).sqrt()
+        beta = 2 * (lp / u if u else dl - 1) * theta
+        mse = (dl * (u * b) ** 2 + b * b / rho) / den
+        return tuple(float(x) for x in (u, b, theta, beta, mse))
+
+
 class TestUpsilon:
     def test_vanishes_without_regularization_in_tall_systems(self):
         assert upsilon(0.0, 1.2) == 0.0
@@ -170,6 +189,22 @@ class TestRlsClosedForms:
         sol = ridge_solution(1.0, lam_tilde, 1.2)
         assert sol.theta_star == pytest.approx(math.sqrt(2.0 / 1.2), rel=1e-12)
         assert sol.b_norm == pytest.approx(1.2 / lam_tilde, rel=1e-12)
+
+    # lam' = lam~ / rho_eff from 0 to 1e300 and rho_eff from 1e-300 to 1e12,
+    # where (delta theta*^2 - 1) / rho_eff and the quadratic formula for u can cancel
+    @pytest.mark.parametrize("rho_eff,lam_tilde,delta", [
+        (1e-300, 1.0, 1.2), (1e-200, 1.0, 1.2), (1.0, 1e300, 1.2), (1e-3, 2.5, 0.5),
+        (3.7, 0.8, 1.0), (0.3, 1.0, 1.2), (100.0, 1e-300, 1.2), (1e12, 1.0, 1.2),
+        (1e12, 1e-3, 8.0), (1e12, 0.0, 1.2), (1e-300, 0.0, 2.0),
+    ])
+    def test_matches_50_digit_reference(self, rho_eff, lam_tilde, delta):
+        u, b_norm, theta, beta, mse = ridge_reference(rho_eff, lam_tilde, delta)
+        sol = ridge_solution(rho_eff, lam_tilde, delta)
+        assert upsilon(lam_tilde / rho_eff, delta) == pytest.approx(u, rel=1e-12, abs=0.0)
+        assert sol.b_norm == pytest.approx(b_norm, rel=1e-12)
+        assert sol.theta_star == pytest.approx(theta, rel=1e-12)
+        assert sol.beta_star == pytest.approx(beta, rel=1e-12)
+        assert sol.mse == pytest.approx(mse, rel=1e-12)
 
     def test_sep_limits(self):
         assert rls_sep(1e12, 1.0, 4) == pytest.approx(2 * (1 - 0.25) * 0.5, rel=1e-9)
@@ -635,6 +670,19 @@ class TestPredict:
         # lam~ / rho_eff overflows, so u = inf and B = 0: no SEP exists
         with pytest.raises(UndefinedTheoryError, match="B underflows to 0"):
             predict(fig2_cfg(-10), DecoderSpec(1e308))
+
+    def test_ridge_rows_keep_their_digits_at_extreme_scenarios(self):
+        # alpha = 1e-200 leaves rho_eff ~ 1e-200, so the MSE is the signal
+        # power 1 and beta* = 2 delta theta*; a raw lam = 1e300 shrinks the
+        # estimate to 0, with beta* = 2 delta theta* as well
+        for rho_db in (0.0, 35.0):
+            pred = predict(fig2_cfg(rho_db)._replace(alpha=1e-200), DecoderSpec(1.0))
+            assert pred.mse >= 0.99
+            assert pred.beta_star == pytest.approx(2.19089023002066, rel=1e-12)
+        cfg = fig2_cfg(0.0)
+        pred = predict(cfg, DecoderSpec(1e300 / derive_params(cfg).lambda_star))
+        assert pred.beta_star == pytest.approx(2.68328157299975, rel=1e-12)
+        assert pred.beta_star == pytest.approx(2.4 * pred.theta_star, rel=1e-12)
 
     def test_ridge_norm_identity(self):
         cfg = fig2_cfg(10)

@@ -41,6 +41,7 @@ from mimopam.system import derive_params, lambda_star_rls, largest_symbol
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_process(args, **env):
@@ -1133,3 +1134,15 @@ class TestRunAndExit:
         with pytest.raises(SystemExit) as exc:
             mimopam.cli.run_and_exit([])
         assert exc.value.code == 3 and ends == []
+
+
+class TestReadme:
+    @pytest.mark.slow
+    def test_api_quick_start_runs(self, capsys):
+        # the python block under "Quick start (API)", run as written; its Monte
+        # Carlo batch is 500 trials at K = 400
+        section = README.read_text(encoding="utf-8").partition("## Quick start (API)")[2]
+        block = re.search(r"```python\n(.*?)\n```", section, re.S).group(1)
+        exec(compile(block, str(README), "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("0.6285") for line in printed), printed
